@@ -9,12 +9,13 @@ indices ``i`` whose rational value lies in the index set ``B`` (a finite union
 of half-open rational intervals, hence an infinite or empty set of rationals).
 Empty sets contribute zero.
 
-Terms are kept in a canonical weighted form: for each exponent offset ``k`` the
-index sets of all contributing terms are split at their common endpoints and
-regrouped by total weight, so equal weighted forms denote equal numbers.  The
-form is unique per ladder ``k`` only: since ``<gamma_k, B> = 2^-k <gamma_0, B>``,
-terms on different ladders can cancel exactly while their canonical form stays
-nonzero.  :func:`sign` therefore folds values whose terms span several ladders
+Terms are kept in a canonical weighted form: for each exponent offset ``k``
+one sweep over the block endpoints, scaled to integers over a shared
+denominator, accumulates the total weight of every elementary segment, and
+segments are regrouped by weight, so equal weighted forms denote equal
+numbers.  The form is unique per ladder ``k`` only: since
+``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
+exactly while their canonical form stays nonzero.  :func:`sign` therefore folds values whose terms span several ladders
 onto the least one before deciding.
 
 Two evaluation routes are provided.
@@ -45,7 +46,7 @@ from .enumeration import (
     tree_depth,
 )
 from .errors import DomainError, PrecisionError
-from .intervals import IntervalSet, _frac_str
+from .intervals import IntervalSet, _as_fraction, _frac_str
 
 Ordering = Literal["less", "equal", "greater", "unresolved"]
 
@@ -128,11 +129,22 @@ class Term:
 
 
 def _canonical_terms(
-    raw: Iterable[tuple[Fraction, int, IntervalSet]]
+    raw: Iterable[tuple[Fraction | int, int, IntervalSet]]
 ) -> tuple[Term, ...]:
+    """The canonical weighted form of ``sum coeff * <gamma_k, B>`` over ``raw``.
+
+    One sweep per ladder ``k``: every block endpoint is put over one shared
+    integer denominator and every coefficient over another, each block adds
+    ``+c`` at its start and ``-c`` at its end, and a running integer weight
+    over the sorted cuts gives every elementary segment its total weight.
+    Segments of one weight are collected in order, abutting ones merged, and
+    the weights emitted in ascending order with zero dropped.  The result
+    depends only on the weight function, so equal sums on one ladder get
+    equal forms.  The blocks reuse the callers' endpoint objects.
+    """
     by_k: dict[int, list[tuple[Fraction, IntervalSet]]] = {}
     for coeff, k, sett in raw:
-        coeff = Fraction(coeff)
+        coeff = _as_fraction(coeff)
         if k < 0:
             raise ValueError("schedule offset must be nonnegative")
         if coeff == 0 or sett.is_empty:
@@ -141,17 +153,36 @@ def _canonical_terms(
     out: list[Term] = []
     for k in sorted(by_k):
         entries = by_k[k]
-        cuts = sorted({p for _, s in entries for blk in s.blocks for p in blk})
-        weights: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
-        for a, b in zip(cuts, cuts[1:]):
-            w = Fraction(0)
-            for coeff, s in entries:
-                if a in s:
-                    w += coeff
-            if w != 0:
-                weights.setdefault(w, []).append((a, b))
-        for w in sorted(weights):
-            out.append(Term(w, k, IntervalSet.from_blocks(weights[w])))
+        cden = math.lcm(*(c.denominator for c, _ in entries))
+        pden = math.lcm(
+            *(p.denominator for _, s in entries for blk in s.blocks for p in blk)
+        )
+        delta: dict[int, int] = {}
+        endpoint: dict[int, Fraction] = {}
+        for coeff, s in entries:
+            c = coeff.numerator * (cden // coeff.denominator)
+            for a, b in s.blocks:
+                ia = a.numerator * (pden // a.denominator)
+                ib = b.numerator * (pden // b.denominator)
+                delta[ia] = delta.get(ia, 0) + c
+                delta[ib] = delta.get(ib, 0) - c
+                endpoint[ia] = a
+                endpoint[ib] = b
+        runs: dict[int, list[list[int]]] = {}
+        w = 0
+        prev = 0
+        for x in sorted(delta):
+            if w:
+                blocks = runs.setdefault(w, [])
+                if blocks and blocks[-1][1] == prev:
+                    blocks[-1][1] = x
+                else:
+                    blocks.append([prev, x])
+            w += delta[x]
+            prev = x
+        for w in sorted(runs):
+            sett = IntervalSet(tuple((endpoint[a], endpoint[b]) for a, b in runs[w]))
+            out.append(Term(Fraction(w, cden), k, sett))
     return tuple(out)
 
 
@@ -169,8 +200,7 @@ class CodedReal:
         offset: Fraction | int,
         parts: Iterable[tuple[Fraction | int, int, IntervalSet]] = (),
     ) -> "CodedReal":
-        raw = [(Fraction(c), k, s) for c, k, s in parts]
-        return CodedReal(Fraction(offset), _canonical_terms(raw))
+        return CodedReal(Fraction(offset), _canonical_terms(parts))
 
     @property
     def is_rational(self) -> bool:
@@ -195,10 +225,10 @@ class CodedReal:
         return self * -1
 
     def __sub__(self, other: "CodedReal | Fraction | int") -> "CodedReal":
-        return self + (-as_coded(other))
+        return _difference(self, as_coded(other))
 
     def __rsub__(self, other: "CodedReal | Fraction | int") -> "CodedReal":
-        return as_coded(other) + (-self)
+        return as_coded(other) - self
 
     def __mul__(self, scalar: Fraction | int) -> "CodedReal":
         s = Fraction(scalar)
@@ -283,6 +313,13 @@ def as_coded(value: "CodedReal | Fraction | int") -> CodedReal:
     if isinstance(value, CodedReal):
         return value
     return CodedReal.from_rational(Fraction(value))
+
+
+def _difference(x: CodedReal, *ys: CodedReal) -> CodedReal:
+    """``x - (y1 + y2 + ...)``, built with one canonicalization."""
+    parts = [(t.coeff, t.k, t.index_set) for t in x.terms]
+    parts += [(-t.coeff, t.k, t.index_set) for y in ys for t in y.terms]
+    return CodedReal.build(x.offset - sum(y.offset for y in ys), parts)
 
 
 def coded_sum(k: int, index_set: IntervalSet, coeff: Fraction | int = 1) -> CodedReal:
@@ -522,21 +559,32 @@ def _sign_once(
     return None
 
 
+def _ordering(
+    value: CodedReal,
+    max_precision: int,
+    extra: Sequence[tuple[int, Fraction]] = (),
+) -> Ordering:
+    """The ordering of ``value`` plus ``extra`` against zero.
+
+    A zero form with no extra addends is ``EQUAL`` without a sign search.
+    """
+    if not extra and value.is_zero_form():
+        return EQUAL
+    s = sign(value, max_precision, extra)
+    if s is None:
+        return UNRESOLVED
+    if s == 0:
+        return EQUAL
+    return GREATER if s > 0 else LESS
+
+
 def compare(
     x: CodedReal | Fraction | int,
     y: CodedReal | Fraction | int,
     max_precision: int = DEFAULT_MAX_PRECISION,
 ) -> Ordering:
     """Exact three-way comparison with an explicit unresolved verdict."""
-    diff = as_coded(x) - as_coded(y)
-    if diff.is_zero_form():
-        return EQUAL
-    s = sign(diff, max_precision)
-    if s is None:
-        return UNRESOLVED
-    if s == 0:
-        return EQUAL
-    return GREATER if s > 0 else LESS
+    return _ordering(as_coded(x) - as_coded(y), max_precision)
 
 
 def gamma_compare(
@@ -550,14 +598,8 @@ def gamma_compare(
 
     Works at ladder positions far beyond what :func:`gamma` can materialize.
     """
-    v = as_coded(value)
     e = ExponentSchedule(k).exponent(position)
-    s = sign(v, max_precision, extra=((e, -Fraction(coeff)),))
-    if s is None:
-        return UNRESOLVED
-    if s == 0:
-        return EQUAL
-    return GREATER if s > 0 else LESS
+    return _ordering(as_coded(value), max_precision, ((e, -Fraction(coeff)),))
 
 
 def equals(

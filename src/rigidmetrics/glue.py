@@ -34,7 +34,7 @@ from .coded import (
     as_coded,
     compare,
 )
-from .errors import DomainError, PrecisionError, UnresolvedComparison
+from .errors import DomainError, UnresolvedComparison
 from .independence import (
     IntervalTraceWitness,
     SumComponent,
@@ -46,7 +46,7 @@ from .intervals import _frac_str
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, ValueRegistry, gauge_from_snapshot
-from .verify import Report, is_strongly_rigid
+from .verify import Report, _eval_halving, is_strongly_rigid
 
 
 @dataclass(frozen=True)
@@ -405,21 +405,10 @@ def _certify_sup_bound(
             raise UnresolvedComparison(
                 f"sup bound undecided at ({d.points[i]}, {d.points[j]})"
             )
-        enc = _gap_enclosure(gap)
+        enc = _eval_halving(gap)
         sup_lo = max(sup_lo, enc.lo)
         sup_hi = max(sup_hi, enc.hi)
     return sup_lo, sup_hi
-
-
-def _gap_enclosure(gap: CodedReal):
-    n = 8
-    while True:
-        try:
-            return gap.eval(n)
-        except PrecisionError:
-            if n == 0:
-                raise
-            n //= 2
 
 
 def _pairwise_independence(

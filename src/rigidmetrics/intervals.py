@@ -8,6 +8,7 @@ equality of normal forms is set equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -33,9 +34,12 @@ class IntervalSet:
     @staticmethod
     def from_blocks(blocks: Iterable[tuple[Fraction | int, Fraction | int]]) -> "IntervalSet":
         """Build the union of the given intervals in normal form."""
-        cleaned = sorted(
-            (Fraction(a), Fraction(b)) for a, b in blocks if Fraction(a) < Fraction(b)
-        )
+        cleaned = []
+        for a, b in blocks:
+            a, b = _as_fraction(a), _as_fraction(b)
+            if a < b:
+                cleaned.append((a, b))
+        cleaned.sort()
         merged: list[list[Fraction]] = []
         for a, b in cleaned:
             if a < 0:
@@ -101,14 +105,12 @@ class IntervalSet:
 
     def integer_levels(self) -> Iterator[int]:
         """Integers ``m`` with ``[m, m+1)`` meeting the set, in order."""
-        seen = -1
+        # [a, b) meets [m, m+1) exactly when a < m + 1 and m < b
+        start = 0
         for a, b in self.blocks:
-            m = int(a)
-            while Fraction(m) < b:
-                if m > seen and self.intersect_block(m, m + 1).blocks:
-                    seen = m
-                    yield m
-                m += 1
+            stop = math.ceil(b)
+            yield from range(max(math.floor(a), start), stop)
+            start = stop
 
     def to_json(self) -> list[list[str]]:
         return [[_frac_str(a), _frac_str(b)] for a, b in self.blocks]
@@ -123,6 +125,10 @@ class IntervalSet:
 
 
 EMPTY_SET = IntervalSet()
+
+
+def _as_fraction(q: Fraction | int) -> Fraction:
+    return q if isinstance(q, Fraction) else Fraction(q)
 
 
 def _frac_str(q: Fraction) -> str:

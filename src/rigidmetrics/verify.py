@@ -27,6 +27,8 @@ from .coded import (
     GREATER,
     LESS,
     UNRESOLVED,
+    _difference,
+    _ordering,
     compare,
     equals,
 )
@@ -61,26 +63,29 @@ def _triangle_report(
 ) -> Report:
     n = d.size
     for i, j in d.pairs():
-        order = compare(d.at(i, j), 0, max_precision)
+        order = _ordering(d.at(i, j), max_precision)
         if order != GREATER:
             if order == UNRESOLVED:
-                return Report("unresolved", ((d.points[i], d.points[j]),), "positivity")
-            return Report("fail", ((d.points[i], d.points[j]),), "nonpositive distance")
+                return Report("unresolved", ((d.points[i], d.points[j]),),
+                              "positivity", max_precision)
+            return Report("fail", ((d.points[i], d.points[j]),),
+                          "nonpositive distance", max_precision)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
                 if k == i or k == j:
                     continue
-                lhs = d.at(i, j)
-                rhs = d.at(i, k) + d.at(k, j)
-                order = compare(lhs, rhs, max_precision)
+                gap = _difference(d.at(i, j), d.at(i, k), d.at(k, j))
+                order = _ordering(gap, max_precision)
                 triple = (d.points[i], d.points[j], d.points[k])
                 if order == UNRESOLVED:
-                    return Report("unresolved", (triple,), "triangle comparison")
+                    return Report("unresolved", (triple,), "triangle comparison",
+                                  max_precision)
                 if order == GREATER or (strict and order == EQUAL):
                     kind = "strict triangle" if strict else "triangle"
-                    return Report("fail", (triple,), f"{kind} violated")
-    return Report("pass", (), "strict triangle" if strict else "triangle")
+                    return Report("fail", (triple,), f"{kind} violated", max_precision)
+    return Report("pass", (), "strict triangle" if strict else "triangle",
+                  max_precision)
 
 
 def is_metric(d: FiniteMetric, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
@@ -108,17 +113,21 @@ def sup_distance(
     return best
 
 
-def _abs_enclosure(value: CodedReal, precision_index: int) -> Enclosure:
+def _eval_halving(value: CodedReal, precision_index: int = 8) -> Enclosure:
+    """``value.eval(n)`` at the largest ``n`` reachable by halving
+    ``precision_index`` that stays within the eval size cap."""
     n = precision_index
     while True:
         try:
-            enc = value.eval(n)
+            return value.eval(n)
         except PrecisionError:
             if n == 0:
                 raise
-            n = max(0, n // 2)
-            continue
-        break
+            n //= 2
+
+
+def _abs_enclosure(value: CodedReal, precision_index: int) -> Enclosure:
+    enc = _eval_halving(value, precision_index)
     if enc.lo >= 0:
         return enc
     if enc.hi <= 0:
@@ -164,7 +173,8 @@ def is_strongly_rigid(
         ((d.points[i], d.points[j]), d.at(i, j)) for i, j in d.pairs()
     ]
     verdict, witnesses = _distinctness(tagged, max_precision)
-    return Report(verdict, witnesses, "pairwise distinct positive distances")
+    return Report(verdict, witnesses, "pairwise distinct positive distances",
+                  max_precision)
 
 
 def isometry_group(d: FiniteMetric, limit: int = 12) -> list[tuple[int, ...]]:
@@ -255,12 +265,14 @@ def lnm_membership(
                         c2 = compare(d.at(x, v) + d.at(u, y), threshold, max_precision)
                         if c1 in (GREATER, EQUAL) and c2 in (GREATER, EQUAL):
                             witness = tuple(d.points[t] for t in (x, y, u, v))
-                            return Report("pass", (witness,), f"member at m={m}")
+                            return Report("pass", (witness,), f"member at m={m}",
+                                          max_precision)
                         if UNRESOLVED in (c1, c2):
                             saw_unresolved = True
     if saw_unresolved:
-        return Report("unresolved", (), f"membership at m={m} undecided")
-    return Report("fail", (), f"non-member at m={m}")
+        return Report("unresolved", (), f"membership at m={m} undecided",
+                      max_precision)
+    return Report("fail", (), f"non-member at m={m}", max_precision)
 
 
 def lnm_scale_bound(d: FiniteMetric, margin: int = 2) -> int:
@@ -289,10 +301,10 @@ def lnm_never_member(
     for m in range(bound + 1):
         report = lnm_membership(d, m, max_precision)
         if report.verdict == "pass":
-            return Report("fail", report.witnesses, f"member at m={m}")
+            return Report("fail", report.witnesses, f"member at m={m}", max_precision)
         if report.verdict == "unresolved":
-            return Report("unresolved", (), f"undecided at m={m}")
-    return Report("pass", (), f"non-member for all m <= {bound}")
+            return Report("unresolved", (), f"undecided at m={m}", max_precision)
+    return Report("pass", (), f"non-member for all m <= {bound}", max_precision)
 
 
 def distance_embedding_check(
@@ -304,4 +316,4 @@ def distance_embedding_check(
         ((d.points[i],), d.at(i, base)) for i in range(d.size)
     ]
     verdict, witnesses = _distinctness(tagged, max_precision)
-    return Report(verdict, witnesses, f"distance column at {xi}")
+    return Report(verdict, witnesses, f"distance column at {xi}", max_precision)

@@ -30,6 +30,16 @@ def test_verify_exit_codes(metric_file, capsys):
     assert '"verdict":"fail"' in out
 
 
+def test_report_records_precision_budget(metric_file, capsys):
+    argv = ["verify", "--metric", str(metric_file), "--check"]
+    for check in (["metric"], ["strict"], ["sr"], ["lnm"], ["embed", "--xi", "a"]):
+        assert main(["--max-precision", "16", *argv, *check]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["precision"] == 16
+    # the default budget is reported as before
+    assert main([*argv, "strict"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 64
+
+
 def test_rigidify_round_trip(metric_file, tmp_path, capsys):
     out_path = tmp_path / "r.json"
     assert main(["rigidify", str(metric_file), "--epsilon", "1", "--out", str(out_path)]) == 0

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rigidmetrics.coded import (
     CodedReal,
+    Term,
+    _canonical_terms,
+    _difference,
     Enclosure,
     ExponentSchedule,
     EQUAL,
@@ -230,3 +234,110 @@ def test_precision_error_on_huge_eval():
     x = coded_sum(0, UNIT)
     with pytest.raises(PrecisionError):
         x.eval(64)
+
+
+def _membership_terms(raw):
+    """Reference canonical form: the weight of every elementary segment
+    between consecutive cuts, summed over the entries whose set holds the
+    segment's left end (cut by cut, by membership test)."""
+    by_k = {}
+    for coeff, k, sett in raw:
+        coeff = Fraction(coeff)
+        if k < 0:
+            raise ValueError("schedule offset must be nonnegative")
+        if coeff == 0 or sett.is_empty:
+            continue
+        by_k.setdefault(k, []).append((coeff, sett))
+    out = []
+    for k in sorted(by_k):
+        entries = by_k[k]
+        cuts = sorted({p for _, s in entries for blk in s.blocks for p in blk})
+        weights = {}
+        for a, b in zip(cuts, cuts[1:]):
+            w = Fraction(0)
+            for coeff, s in entries:
+                if a in s:
+                    w += coeff
+            if w != 0:
+                weights.setdefault(w, []).append((a, b))
+        for w in sorted(weights):
+            out.append(Term(w, k, IntervalSet.from_blocks(weights[w])))
+    return tuple(out)
+
+
+# endpoints at mixed scales: integer parts 0-5 over denominators from 1 to 4096
+_ENDPOINTS = st.builds(
+    lambda m, den, num: m + Fraction(num % den, den),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 3, 8, 12, 64, 4096]),
+    st.integers(0, 4095),
+)
+
+
+@st.composite
+def raw_terms(draw):
+    """Entries ``(coeff, k, B)`` on two or three ladders whose sets share one
+    pool of cuts, so blocks of different entries overlap and abut."""
+    pool = sorted(draw(st.lists(_ENDPOINTS, min_size=4, max_size=9, unique=True)))
+    ladders = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True))
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        picks = sorted(
+            draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=6, unique=True))
+        )
+        # step 2 gives separate blocks, step 1 blocks that abut (and merge)
+        step = draw(st.sampled_from([1, 2]))
+        blocks = [(pool[picks[t]], pool[picks[t + 1]]) for t in range(0, len(picks) - 1, step)]
+        coeff = draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+        entries.append((coeff, draw(st.sampled_from(ladders)), IntervalSet.from_blocks(blocks)))
+    # cancelling entries: the negation of some entry, on the same ladder
+    for coeff, k, sett in list(entries):
+        if draw(st.booleans()):
+            entries.append((-coeff, k, sett))
+    return entries
+
+
+_TWO_BLOCKS = IntervalSet.from_blocks([(0, Fraction(1, 3)), (Fraction(1, 2), 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms(), st.fractions(max_denominator=8), st.fractions(max_denominator=8))
+@example(
+    # abutting blocks of one weight merge; a cancelling pair vanishes
+    [
+        (1, 0, IntervalSet.block(0, Fraction(1, 64))),
+        (1, 0, IntervalSet.block(Fraction(1, 64), 3)),
+        (Fraction(-1, 2), 1, _TWO_BLOCKS),
+        (Fraction(1, 2), 1, _TWO_BLOCKS),
+    ],
+    Fraction(0),
+    Fraction(1),
+)
+@example(
+    # three ladders, multi-block sets, mixed scales
+    [
+        (Fraction(3, 4), 0, _TWO_BLOCKS),
+        (-2, 2, IntervalSet.from_blocks([(Fraction(1, 4096), 1), (3, Fraction(13, 4))])),
+        (Fraction(1, 3), 3, IntervalSet.block(Fraction(2, 3), Fraction(5, 2))),
+        (Fraction(-1, 3), 0, IntervalSet.block(Fraction(1, 8), Fraction(5, 2))),
+    ],
+    Fraction(1, 2),
+    Fraction(-3),
+)
+def test_canonical_terms_match_membership_reference(raw, o1, o2):
+    terms = _canonical_terms(raw)
+    assert terms == _membership_terms(raw)
+    # same bytes, not only equal values
+    assert CodedReal(0, terms).to_json() == CodedReal(0, _membership_terms(raw)).to_json()
+
+    h = len(raw) // 2
+    x, y = CodedReal.build(o1, raw[:h]), CodedReal.build(o2, raw[h:])
+    assert x - y == x + (-y)
+    assert o1 - y == CodedReal.from_rational(o1) + (-y)
+
+    t = len(raw) // 3
+    lhs = CodedReal.build(o1, raw[:t])
+    a = CodedReal.build(o2, raw[t : 2 * t])
+    b = CodedReal.build(0, raw[2 * t :])
+    # the triangle oracle's fused d(i,j) - d(i,k) - d(k,j)
+    assert _difference(lhs, a, b) == lhs - (a + b)

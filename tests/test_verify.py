@@ -147,3 +147,17 @@ def test_embedding_checks():
     two = FiniteMetric.from_entries(["a", "b"], [[0, 5], [5, 0]])
     assert distance_embedding_check(two, "a").passed
     assert distance_embedding_check(two, "b").passed
+
+
+@pytest.mark.parametrize("d", [EQUILATERAL, COLINEAR, triangle(1, 2, 2)])
+def test_reports_record_budget(d):
+    reports = [
+        is_metric(d, 16),
+        is_strict_triangle(d, 16),
+        is_strongly_rigid(d, 16),
+        lnm_membership(d, 0, 16),
+        lnm_never_member(d, max_precision=16),
+        distance_embedding_check(d, "x", 16),
+    ]
+    assert [r.precision for r in reports] == [16] * len(reports)
+    assert is_strict_triangle(d).precision == 64
