@@ -231,7 +231,11 @@ def _cmd_dist(args) -> int:
 
 def _cmd_indep(args) -> int:
     data = json.loads(args.certificate.read_text())
-    report = verify_certificate(data)
+    try:
+        report = verify_certificate(data)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        # a field the checker reads is missing or has the wrong shape
+        raise ValueError(f"malformed certificate: {type(exc).__name__} {exc}") from exc
     sys.stdout.write(dumps_canonical(report.to_json()))
     if report.verdict == "pass":
         return EXIT_PASS

@@ -42,7 +42,7 @@ from .independence import (
     find_interval_trace_witness,
     sum_independence_check,
 )
-from .intervals import _frac_str
+from .intervals import IntervalSet, _frac_str
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, ValueRegistry, gauge_from_snapshot
@@ -529,36 +529,88 @@ def _trace_witness_for(
 def verify_certificate(data: dict) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
-    Beyond replaying the syntactic independence hypotheses and the trace
-    witnesses, every tagged component value is recomputed from the raw draws
-    recorded in the registry snapshot (block values through replayed gauges,
-    hub values as ``p + q * basis``) and compared with the embedded value.
+    Every record is checked: the syntactic independence hypotheses of its
+    certificate, the replay of each tagged component from the raw draws in
+    the registry snapshot (block values through gauges replayed with
+    ``parameters.k`` and ``parameters.partition``, which are required; hub
+    values as ``p + q * basis``), that each side's components sum exactly to
+    the metric entry of the pair it names, and its trace witness.  The records
+    must name only pairs of the metric and give every unordered pair of
+    distinct pairs exactly one certificate.
+
+    Each distinct piece (component, interval set, trace witness) is decoded
+    once per call, keyed by its full JSON content, and each distinct
+    component is replayed once, when the first record naming it has passed
+    its syntactic check.
     """
     metric = FiniteMetric.from_json(data["metric"])
     snapshot = data["registry"]
     known = {int(g) for g in snapshot.get("gauges", {})}
-    hubs_json = snapshot.get("hubs", {})
-    replay = _ComponentReplay(data.get("parameters", {}), snapshot)
-    for record in data.get("independence", []):
+    parameters = data.get("parameters", {})
+    if "k" not in parameters or "partition" not in parameters:
+        return Report("fail", (), "component replay failed: no parameters.k or partition")
+    pieces = _CertificatePieces(_ComponentReplay(parameters, snapshot))
+    pair_index: dict[tuple[str, str], tuple[int, int]] = {}
+    for i, j in metric.pairs():
+        a, b = metric.points[i], metric.points[j]
+        pair_index[(a, b)] = pair_index[(b, a)] = (i, j)
+    bound: set[tuple] = set()
+    covered: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    records = data.get("independence", [])
+    for record in records:
         if "certificate" not in record and "trace_witness" not in record:
             return Report("fail", (), "empty independence record")
+        names = (tuple(record["pair_left"]), tuple(record["pair_right"]))
+        cert = None
         if "certificate" in record:
-            cert = SumIndependenceCertificate.from_json(record["certificate"])
+            cert = SumIndependenceCertificate.from_json(
+                record["certificate"], pieces.component
+            )
             if not cert.verify(known):
-                return Report(
-                    "fail",
-                    ((tuple(record["pair_left"]), tuple(record["pair_right"])),),
-                    "independence certificate failed",
-                )
+                return Report("fail", (names,), "independence certificate failed")
             for side in (cert.left, cert.right):
                 for comp in side:
-                    problem = replay.check(comp, hubs_json)
+                    problem = pieces.replay(comp)
                     if problem is not None:
                         return Report("fail", (problem,), "component replay failed")
-        if "trace_witness" in record:
-            witness = IntervalTraceWitness.from_json(record["trace_witness"])
-            if not witness.verify():
-                return Report("fail", (), "trace witness failed")
+        if "trace_witness" in record and not pieces.witness(record["trace_witness"]):
+            return Report("fail", (), "trace witness failed")
+        left, right = pair_index.get(names[0]), pair_index.get(names[1])
+        against_one = cert is None and names[1] == ("1",)
+        if left is None or (right is None and not against_one):
+            return Report("fail", (names,), "record names a pair outside the metric")
+        if cert is None:
+            continue
+        if left == right:
+            return Report("fail", (names,), "record pairs a distance with itself")
+        for pair, side in ((left, cert.left), (right, cert.right)):
+            # one decoded instance per distinct component, so ids stand for content
+            key = (pair, tuple(map(id, side)))
+            if key not in bound:
+                if _component_sum(side) != metric.at(*pair):
+                    return Report(
+                        "fail", (names,), "components do not sum to the metric entry"
+                    )
+                bound.add(key)
+        key = (min(left, right), max(left, right))
+        if key in covered:
+            return Report("fail", (names,), "duplicate independence record")
+        covered.add(key)
+    pairs = list(metric.pairs())
+    wanted = len(pairs) * (len(pairs) - 1) // 2
+    if len(covered) != wanted:
+        missing = next(
+            (p, q)
+            for a, p in enumerate(pairs)
+            for q in pairs[a + 1:]
+            if (p, q) not in covered
+        )
+        labels = tuple(tuple(metric.points[i] for i in pair) for pair in missing)
+        return Report(
+            "fail",
+            (labels,),
+            f"independence records cover {len(covered)} of {wanted} pairs of distances",
+        )
     sup = data.get("sup_bound", {})
     if sup:
         eps = Fraction(sup["epsilon"])
@@ -567,7 +619,60 @@ def verify_certificate(data: dict) -> Report:
     rigidity = is_strongly_rigid(metric)
     if not rigidity.passed:
         return Report(rigidity.verdict, rigidity.witnesses, "strong rigidity recheck")
-    return Report("pass", (), f"{len(data.get('independence', []))} certificates verified")
+    return Report("pass", (), f"{len(records)} certificates verified")
+
+
+def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
+    return CodedReal.build(
+        sum(c.value.offset for c in side),
+        [(t.coeff, t.k, t.index_set) for c in side for t in c.value.terms],
+    )
+
+
+class _CertificatePieces:
+    """The pieces of one certificate, each decoded and checked once.
+
+    Components, interval sets and trace witnesses are keyed by the ``repr``
+    of their JSON, which is their full content, so two pieces share a
+    decoding only when every field agrees.  There is one decoded component
+    instance per distinct content, so its replay verdict is keyed by the
+    instance.
+    """
+
+    def __init__(self, replay: "_ComponentReplay"):
+        self._replay = replay
+        self._components: dict[str, SumComponent] = {}
+        self._replayed: dict[int, object | None] = {}
+        self._sets: dict[str, IntervalSet] = {}
+        self._witnesses: dict[str, bool] = {}
+
+    def component(self, data: dict) -> SumComponent:
+        key = repr(data)
+        comp = self._components.get(key)
+        if comp is None:
+            comp = self._components[key] = SumComponent.from_json(data)
+        return comp
+
+    def replay(self, comp: SumComponent) -> object | None:
+        """None when the component replays to its embedded value."""
+        if id(comp) not in self._replayed:
+            self._replayed[id(comp)] = self._replay.check(comp)
+        return self._replayed[id(comp)]
+
+    def interval_set(self, data: list) -> IntervalSet:
+        key = repr(data)
+        sett = self._sets.get(key)
+        if sett is None:
+            sett = self._sets[key] = IntervalSet.from_json(data)
+        return sett
+
+    def witness(self, data: dict) -> bool:
+        key = repr(data)
+        ok = self._witnesses.get(key)
+        if ok is None:
+            witness = IntervalTraceWitness.from_json(data, self.interval_set)
+            ok = self._witnesses[key] = witness.verify()
+        return ok
 
 
 class _ComponentReplay:
@@ -575,12 +680,9 @@ class _ComponentReplay:
 
     def __init__(self, parameters: dict, snapshot: dict):
         self._snapshot = snapshot
-        self._k = int(parameters["k"]) if "k" in parameters else None
+        self._k = int(parameters["k"])
         self._gauges: dict[int, object] = {}
-        partition = parameters.get("partition")
-        self._blocks = (
-            [tuple(b) for b in partition["blocks"]] if partition else None
-        )
+        self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
 
     def _gauge(self, gauge_id: int):
         if gauge_id not in self._gauges:
@@ -588,26 +690,24 @@ class _ComponentReplay:
         return self._gauges[gauge_id]
 
     def _letters(self, labels: tuple[str, ...]) -> tuple[int, ...] | None:
-        if self._blocks is None:
-            return None
         for block in self._blocks:
             if all(x in block for x in labels):
                 return tuple(block.index(x) for x in labels)
         return None
 
-    def check(self, comp: SumComponent, hubs_json: dict) -> object | None:
+    def check(self, comp: SumComponent) -> object | None:
         """None when the component replays to its embedded value."""
         try:
-            return self._check(comp, hubs_json)
+            return self._check(comp)
         except DomainError:
             # missing draws or gauges in the snapshot
             return comp.detail or comp.hub_index
 
-    def _check(self, comp: SumComponent, hubs_json: dict) -> object | None:
+    def _check(self, comp: SumComponent) -> object | None:
         if comp.kind == "zero" or comp.value.is_zero_form():
             return None if comp.value.is_zero_form() else comp.detail
         if comp.kind == "hub":
-            alloc = hubs_json.get(str(comp.hub_index))
+            alloc = self._snapshot.get("hubs", {}).get(str(comp.hub_index))
             if alloc is None:
                 return comp.hub_index
             basis = CodedReal.from_json(alloc["basis"])
@@ -620,8 +720,6 @@ class _ComponentReplay:
             rebuilt = as_coded(Fraction(alloc["p"])) + basis * Fraction(alloc["q"])
             return None if rebuilt == comp.value else comp.hub_index
         if comp.kind == "block":
-            if self._k is None:
-                return None  # legacy record: nothing to replay against
             letters = self._letters(comp.detail)
             if letters is None or len(letters) != 2:
                 return comp.detail

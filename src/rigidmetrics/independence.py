@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coded import CodedReal, as_coded
 from .errors import DomainError
@@ -47,11 +47,12 @@ class IntervalTraceWitness:
             return False
         if len(set(self.cuts)) != len(self.cuts):
             return False
+        n = int(n)
         for b, sett in zip(self.cuts, self.index_sets):
             if not self.base < b:
                 return False
-            trace = sett.intersect_block(n, n + 1)
-            if trace != IntervalSet.block(self.base, b):
+            trace = sett.window(n)
+            if trace.blocks != ((self.base, b),):
                 return False
         return True
 
@@ -66,13 +67,16 @@ class IntervalTraceWitness:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "IntervalTraceWitness":
+    def from_json(
+        data: dict,
+        decode_set: Callable[[list], IntervalSet] = IntervalSet.from_json,
+    ) -> "IntervalTraceWitness":
         return IntervalTraceWitness(
             k=int(data["k"]),
             window_start=Fraction(data["window"][0]),
             base=Fraction(data["base"]),
             cuts=tuple(Fraction(b) for b in data["cuts"]),
-            index_sets=tuple(IntervalSet.from_json(s) for s in data["index_sets"]),
+            index_sets=tuple(decode_set(s) for s in data["index_sets"]),
         )
 
 
@@ -90,7 +94,7 @@ def find_interval_trace_witness(
     for s in index_sets:
         candidates.update(s.integer_levels())
     for n in sorted(candidates):
-        traces = [s.intersect_block(n, n + 1) for s in index_sets]
+        traces = [s.window(n) for s in index_sets]
         if any(len(t.blocks) != 1 for t in traces):
             continue
         starts = {t.blocks[0][0] for t in traces}
@@ -196,19 +200,26 @@ class SumIndependenceCertificate:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "SumIndependenceCertificate":
+    def from_json(
+        data: dict,
+        decode_component: Callable[[dict], SumComponent] = SumComponent.from_json,
+    ) -> "SumIndependenceCertificate":
         return SumIndependenceCertificate(
-            left=tuple(SumComponent.from_json(c) for c in data["left"]),
-            right=tuple(SumComponent.from_json(c) for c in data["right"]),
+            left=tuple(decode_component(c) for c in data["left"]),
+            right=tuple(decode_component(c) for c in data["right"]),
         )
 
 
 def _component_multisets_differ(
     left: Sequence[SumComponent], right: Sequence[SumComponent]
 ) -> bool:
-    lvals = sorted((repr(c.value.to_json()) for c in left))
-    rvals = sorted((repr(c.value.to_json()) for c in right))
-    return lvals != rvals
+    # values are canonical forms, so == is equality of their serializations
+    rest = [c.value for c in right]
+    for c in left:
+        if c.value not in rest:
+            return True
+        rest.remove(c.value)
+    return bool(rest)
 
 
 def sum_independence_check(

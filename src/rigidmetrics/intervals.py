@@ -93,6 +93,22 @@ class IntervalSet:
     def intersect_block(self, a: Fraction | int, b: Fraction | int) -> "IntervalSet":
         return self.intersect(IntervalSet.block(a, b))
 
+    def window(self, n: int) -> "IntervalSet":
+        """The trace on ``[n, n+1)``, computed once per set and level.
+
+        The traces are kept on the instance (outside the dataclass fields, so
+        equality and hashing are unaffected): a set shared by many
+        independence witnesses is intersected once per window.
+        """
+        windows = self.__dict__.get("_windows")
+        if windows is None:
+            windows = {}
+            object.__setattr__(self, "_windows", windows)
+        trace = windows.get(n)
+        if trace is None:
+            trace = windows[n] = self.intersect_block(n, n + 1)
+        return trace
+
     def min_value(self) -> Fraction:
         if self.is_empty:
             raise ValueError("empty set has no minimum")

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import clustered_metric
 from rigidmetrics.cli import main
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
 
@@ -195,3 +197,65 @@ def test_approx_flag(metric_file, capsys):
     assert main(["--approx", "rigidify", str(metric_file), "--epsilon", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "approx_matrix" in payload
+
+
+@pytest.fixture
+def clustered_certificate(tmp_path):
+    """A clustered input's certificate, whose block components recur in many records."""
+    path = tmp_path / "clustered.json"
+    path.write_text(dump_metric(clustered_metric(random.Random(3), 3, 2)))
+    cert_path = tmp_path / "clustered.cert.json"
+    argv = ["rigidify", str(path), "--epsilon", "1/2", "--full", "--certificate", str(cert_path)]
+    assert main(argv) == 0
+    return cert_path
+
+
+def _most_shared_block_component(cert):
+    """Records holding the block component that the most records share, and its text."""
+    holders: dict[str, list] = {}
+    for record in cert["independence"]:
+        for comp in record.get("certificate", {}).get("left", []):
+            if comp["kind"] == "block" and comp["value"]["terms"]:
+                holders.setdefault(json.dumps(comp, sort_keys=True), []).append(record)
+    text = max(holders, key=lambda t: len(holders[t]))
+    return text, holders[text]
+
+
+@pytest.mark.parametrize("field", ["value", "gauge"])
+def test_indep_rejects_one_altered_copy_of_a_shared_component(
+    clustered_certificate, tmp_path, capsys, field
+):
+    cert = json.loads(clustered_certificate.read_text())
+    text, records = _most_shared_block_component(cert)
+    assert len(records) >= 5
+    # alter the last copy only, after the checker has accepted the others
+    side = records[-1]["certificate"]["left"]
+    comp = next(c for c in side if json.dumps(c, sort_keys=True) == text)
+    if field == "value":
+        comp["value"]["terms"][0]["coeff"] = "2/1"
+    else:
+        # a registered gauge that no other component of the side uses, so the
+        # syntactic check still passes and only the replay can catch it
+        used = {c["gauge"] for c in side}
+        comp["gauge"] = next(g for g in cert["parameters"]["block_gauges"] if g not in used)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    assert main(["indep", str(clustered_certificate)]) == 0
+    assert main(["indep", str(forged)]) == 1
+    assert '"verdict":"fail"' in capsys.readouterr().out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("damage", ["registry", "value"])
+def test_indep_malformed_certificate_is_a_parse_error(
+    clustered_certificate, tmp_path, capsys, damage
+):
+    cert = json.loads(clustered_certificate.read_text())
+    if damage == "registry":
+        del cert["registry"]
+    else:
+        record = next(r for r in cert["independence"] if "certificate" in r)
+        del record["certificate"]["left"][0]["value"]
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(cert))
+    assert main(["indep", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("parse error:")

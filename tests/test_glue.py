@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import clustered_metric, rational_metric
+from rigidmetrics import glue
 from rigidmetrics.coded import coded_sum
 from rigidmetrics.errors import DomainError
 from rigidmetrics.glue import (
@@ -229,3 +231,105 @@ def test_unit_independence_records_cover_every_pair(rng):
         pairs = out.size * (out.size - 1) // 2
         units = [r for r in cert.independence if r.get("pair_right") == ["1"]]
         assert len(units) == pairs
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """Canonical certificate text of a spread and a clustered input."""
+    rng = random.Random(3)
+    out = {}
+    for name, d in (("spread", rational_metric(rng, 5)), ("clustered", clustered_metric(rng, 3, 2))):
+        glued, cert = rigidify_full(d, Fraction(1, 2))
+        out[name] = json.dumps(cert.to_json(glued), sort_keys=True)
+    return out
+
+
+def _pair_records(blob):
+    return [r for r in blob["independence"] if "certificate" in r]
+
+
+def _empty_list(blob):
+    blob["independence"] = []
+
+
+def _dropped_record(blob):
+    blob["independence"].remove(_pair_records(blob)[-1])
+
+
+def _duplicated_record(blob):
+    blob["independence"].append(_pair_records(blob)[0])
+
+
+def _swapped_metric(blob):
+    # same points, pairwise distinct rational distances in [1, 2]: a metric
+    # that passes the strong rigidity recheck but is not Q-independent
+    points = blob["metric"]["points"]
+    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    value = {pair: 1 + Fraction(t + 1, 100) for t, pair in enumerate(pairs)}
+    swapped = FiniteMetric.from_pair_function(points, lambda i, j: value[(i, j)])
+    blob["metric"] = swapped.to_json()
+
+
+def _deleted_parameters(blob):
+    del blob["parameters"]
+
+
+def _foreign_pair(blob):
+    _pair_records(blob)[0]["pair_left"] = ["nowhere", "else"]
+
+
+def _self_pair(blob):
+    record = _pair_records(blob)[0]
+    record["pair_right"] = list(record["pair_left"])
+    record["certificate"]["right"] = record["certificate"]["left"]
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+@pytest.mark.parametrize(
+    "forge",
+    [_empty_list, _dropped_record, _duplicated_record, _swapped_metric,
+     _deleted_parameters, _foreign_pair, _self_pair],
+)
+def test_certificate_forgeries_fail(certificates, kind, forge):
+    blob = json.loads(certificates[kind])
+    assert verify_certificate(blob).passed
+    forge(blob)
+    assert verify_certificate(blob).verdict == "fail"
+
+
+def test_swapped_metric_fails_the_binding(certificates):
+    blob = json.loads(certificates["clustered"])
+    _swapped_metric(blob)
+    assert is_strongly_rigid(FiniteMetric.from_json(blob["metric"])).passed
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and "sum to the metric entry" in report.detail
+
+
+def test_coverage_failure_names_the_missing_pair(certificates):
+    blob = json.loads(certificates["spread"])
+    dropped = _pair_records(blob)[-1]
+    blob["independence"].remove(dropped)
+    report = verify_certificate(blob)
+    assert "cover" in report.detail
+    assert report.witnesses == ((tuple(dropped["pair_left"]), tuple(dropped["pair_right"])),)
+
+
+def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
+    blob = json.loads(certificates["clustered"])
+    distinct = {
+        repr(c)
+        for r in _pair_records(blob)
+        for side in ("left", "right")
+        for c in r["certificate"][side]
+        if c["kind"] in ("block", "hub") and c["value"]["terms"]
+    }
+    calls = []
+    real_tau = glue.tau
+
+    def counting_tau(*args):
+        calls.append(args)
+        return real_tau(*args)
+
+    monkeypatch.setattr(glue, "tau", counting_tau)
+    assert verify_certificate(blob).passed
+    assert 0 < len(calls) <= len(distinct) < len(_pair_records(blob))

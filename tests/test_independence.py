@@ -7,6 +7,7 @@ from rigidmetrics.errors import DomainError
 from rigidmetrics.independence import (
     IntervalTraceWitness,
     SumComponent,
+    _component_multisets_differ,
     certified_distinct,
     find_interval_trace_witness,
     sum_independence_check,
@@ -102,6 +103,16 @@ def test_sum_independence_identical_multisets_fail():
     v = coded_sum(0, blk(0, Fraction(1, 3)))
     left = (_component(1, "x", "y", v), SumComponent("zero"), SumComponent("zero"))
     assert sum_independence_check(left, left, known_gauges=[1]) is None
+
+
+def test_component_multisets_compare_values_with_multiplicity():
+    a = _component(1, "x", "y", coded_sum(0, blk(0, Fraction(1, 3))))
+    b = _component(2, "u", "v", coded_sum(0, blk(0, Fraction(1, 5))))
+    # equal value under another tag and order: the multisets agree
+    a_again = _component(3, "p", "q", CodedReal.from_json(a.value.to_json()))
+    assert not _component_multisets_differ((a, b, SumComponent("zero")), (SumComponent("zero"), b, a_again))
+    assert _component_multisets_differ((a, a, b), (a, b, b))
+    assert _component_multisets_differ((a, b), (a, b, SumComponent("zero")))
 
 
 def test_sum_independence_zero_sum_fails():

@@ -49,6 +49,16 @@ def test_integer_levels():
     assert list(s.integer_levels()) == [0, 1, 2, 4]
 
 
+def test_window_is_the_unit_trace_computed_once():
+    s = IntervalSet.from_blocks([(Fraction(1, 2), Fraction(5, 2)), (4, Fraction(9, 2))])
+    for n in range(6):
+        assert s.window(n) == s.intersect_block(n, n + 1)
+    assert s.window(1) is s.window(1)
+    # the memo is not part of the value
+    fresh = IntervalSet.from_blocks(s.blocks)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
+
 def test_json_round_trip():
     s = IntervalSet.from_blocks([(Fraction(1, 3), Fraction(1, 2)), (2, 3)])
     assert IntervalSet.from_json(s.to_json()) == s
