@@ -18,17 +18,12 @@ from .coded import (
     equals,
     gamma,
 )
-from .enumeration import RationalEnumeration, rational_at, index_of, first_hit_index
+from .enumeration import rational_at, index_of, first_hit_index
 from .errors import DomainError, PrecisionError, ResourceError, UnresolvedComparison
 from .intervals import IntervalSet
 from .metric import FiniteMetric
 from .registry import DenseStream, ValueRegistry
-from .rigidify import (
-    dense_decomposition,
-    perturb_strongly_rigid,
-    pick_interval_value,
-    snap_to_grid,
-)
+from .rigidify import perturb_strongly_rigid, pick_interval_value, snap_to_grid
 from .product import (
     SemiMetricGauge,
     find_separating_prefix,
@@ -67,7 +62,6 @@ __all__ = [
     "IntervalSet",
     "Partition",
     "PrecisionError",
-    "RationalEnumeration",
     "Report",
     "ResourceError",
     "SemiMetricGauge",
@@ -76,7 +70,6 @@ __all__ = [
     "amalgamate",
     "coded_sum",
     "compare",
-    "dense_decomposition",
     "distance_embedding_check",
     "equals",
     "find_separating_prefix",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,11 +92,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _decoding(what: str):
+    """A field missing or ill-shaped while decoding an input is a parse error.
+
+    Wrap only the decoding, so that errors of the pipeline itself still
+    surface as they are.
+    """
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {what}: {type(exc).__name__} {exc}") from exc
+
+
 def _read_metric(path: Path, fmt: str) -> FiniteMetric:
-    text = path.read_text()
     if fmt == "json" and path.suffix == ".csv":
         fmt = "csv"
-    metric = load_metric(text, fmt)
+    with _decoding("metric"):
+        metric = load_metric(path.read_text(), fmt)
     report = oracles.is_metric(metric)
     if report.verdict == "fail":
         raise DomainError(f"input is not a metric: {report.detail} {report.witnesses}")
@@ -154,10 +168,11 @@ def _cmd_rigidify(args) -> int:
 
 
 def _cmd_glue(args) -> int:
-    job = json.loads(args.job.read_text())
-    partition = Partition.from_json(job["partition"])
-    blocks = [FiniteMetric.from_json(b) for b in job["block_metrics"]]
-    hub = FiniteMetric.from_json(job["hub_metric"])
+    with _decoding("glue job"):
+        job = json.loads(args.job.read_text())
+        partition = Partition.from_json(job["partition"])
+        blocks = [FiniteMetric.from_json(b) for b in job["block_metrics"]]
+        hub = FiniteMetric.from_json(job["hub_metric"])
     glued = amalgamate(partition, blocks, hub)
     _emit(_metric_payload(glued, args.format, args.approx), args.out)
     return EXIT_PASS
@@ -191,7 +206,8 @@ def _all_words(alphabet: int, length: int) -> list[tuple[int, ...]]:
 
 
 def _cmd_verify(args) -> int:
-    metric = load_metric(args.metric.read_text(), args.format)
+    with _decoding("metric"):
+        metric = load_metric(args.metric.read_text(), args.format)
     mp = args.max_precision
     if args.check == "metric":
         report = oracles.is_metric(metric, mp)
@@ -216,8 +232,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    a = load_metric(args.a.read_text(), args.format)
-    b = load_metric(args.b.read_text(), args.format)
+    with _decoding("metric"):
+        a = load_metric(args.a.read_text(), args.format)
+        b = load_metric(args.b.read_text(), args.format)
     enc = oracles.sup_distance(a, b)
     if enc.lo == enc.hi:
         sys.stdout.write(f"{enc.lo.numerator}/{enc.lo.denominator}\n")
@@ -230,12 +247,9 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_indep(args) -> int:
-    data = json.loads(args.certificate.read_text())
-    try:
-        report = verify_certificate(data)
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        # a field the checker reads is missing or has the wrong shape
-        raise ValueError(f"malformed certificate: {type(exc).__name__} {exc}") from exc
+    # the checker decodes the certificate as it checks it
+    with _decoding("certificate"):
+        report = verify_certificate(json.loads(args.certificate.read_text()))
     sys.stdout.write(dumps_canonical(report.to_json()))
     if report.verdict == "pass":
         return EXIT_PASS

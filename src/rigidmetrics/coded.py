@@ -81,9 +81,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
     def encloses(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 

@@ -136,14 +136,6 @@ def first_hit_index(m: int) -> int:
     return (1 << m) - 1
 
 
-class RationalEnumeration:
-    """Stateless descriptor bundling the bijection, its inverse and first hits."""
-
-    value = staticmethod(rational_at)
-    index = staticmethod(index_of)
-    first_hit = staticmethod(first_hit_index)
-
-
 def cantor_pair(a: int, b: int) -> int:
     """Bijection ``Z>=0 x Z>=0 -> Z>=0``."""
     if a < 0 or b < 0:

@@ -28,6 +28,7 @@ from .coded import (
     DEFAULT_MAX_PRECISION,
     CodedReal,
     EQUAL,
+    Enclosure,
     GREATER,
     LESS,
     UNRESOLVED,
@@ -196,19 +197,13 @@ def sup_bound_check(
         if compare(gap, hub_defect, max_precision) == GREATER:
             hub_defect = gap
     allowance = as_coded(4 * epsilon) + hub_defect
-    worst: CodedReal = as_coded(0)
-    worst_pair: tuple[str, str] | None = None
-    for i, j in glued.pairs():
-        gap = _abs_exact(glued.at(i, j) - d.at(i, j), max_precision)
-        order = compare(gap, allowance, max_precision)
-        if order == GREATER:
-            return Report("fail", ((labels[i], labels[j]),), "sup bound exceeded")
-        if order == UNRESOLVED:
-            return Report("unresolved", ((labels[i], labels[j]),), "sup bound")
-        if compare(gap, worst, max_precision) == GREATER:
-            worst, worst_pair = gap, (labels[i], labels[j])
-    detail = f"sup bound holds; worst pair {worst_pair}"
-    return Report("pass", (), detail)
+    offending, sup = _certify_sup_bound(d, glued, allowance, max_precision)
+    if offending is None:
+        return Report("pass", (), f"sup bound holds; sup in [{sup.lo}, {sup.hi}]")
+    pair, order = offending
+    if order == GREATER:
+        return Report("fail", (pair,), "sup bound exceeded")
+    return Report("unresolved", (pair,), "sup bound")
 
 
 def _abs_exact(value: CodedReal, max_precision: int) -> CodedReal:
@@ -283,35 +278,28 @@ def rigidify_full(
     for block in partition.blocks:
         gauge = registry.fresh_gauge(k)
         block_gauges.append(gauge.gauge_id)
-        dist = {
-            (i, j): tau(gauge, k, (i,), (j,))
-            for i in range(len(block))
-            for j in range(i + 1, len(block))
-        }
         block_metrics.append(
-            FiniteMetric.from_entries(
-                block,
-                [
-                    [
-                        as_coded(0) if i == j else dist[(min(i, j), max(i, j))]
-                        for j in range(len(block))
-                    ]
-                    for i in range(len(block))
-                ],
+            FiniteMetric.from_pair_function(
+                block, lambda i, j: tau(gauge, k, (i,), (j,))
             )
         )
 
-    hub_metric = _hub_metric(d, partition, eta, k, registry)
+    hub_metric, hub_index = _hub_metric(d, partition, eta, k, registry)
     glued = amalgamate(partition, block_metrics, hub_metric)
     glued = glued.restrict(list(d.points))
 
-    sup_lo, sup_hi = _certify_sup_bound(d, glued, epsilon, max_precision)
+    offending, sup = _certify_sup_bound(d, glued, epsilon, max_precision)
+    if offending is not None:
+        (a, b), order = offending
+        verdict = "violated" if order == GREATER else "undecided"
+        raise UnresolvedComparison(f"sup bound {verdict} at ({a}, {b})")
     rigidity = is_strongly_rigid(glued, max_precision)
     if not rigidity.passed:
         raise UnresolvedComparison(f"strong rigidity not certified: {rigidity.detail}")
 
     independence = _pairwise_independence(
-        glued, d.points, partition, block_metrics, hub_metric, block_gauges, registry
+        glued, d.points, partition, block_metrics, hub_metric, hub_index,
+        block_gauges, registry.gauge_ids(),
     )
     certificate = RigidifyCertificate(
         epsilon=epsilon,
@@ -319,8 +307,8 @@ def rigidify_full(
         k=k,
         partition=partition,
         block_gauges=tuple(block_gauges),
-        sup_lo=sup_lo,
-        sup_hi=sup_hi,
+        sup_lo=sup.lo,
+        sup_hi=sup.hi,
         independence=tuple(independence),
         registry_snapshot=registry.snapshot(),
     )
@@ -333,17 +321,18 @@ def _hub_metric(
     eta: Fraction,
     k: int,
     registry: ValueRegistry,
-) -> FiniteMetric:
+) -> tuple[FiniteMetric, dict[tuple[str, str], int]]:
     """Strongly rigid hub metric within ``eta`` of ``d`` on the hubs.
 
     Hub distances are snapped to integers at step ``eta_h = eta / 2`` and
     replaced by hub-pool values placed strictly inside the scaled windows
     ``(N + 2^-(N+1), N + 2^-N) * eta_h``, which certifies the strict triangle
-    inequality and keeps the defect below ``2 * eta_h = eta``.
+    inequality and keeps the defect below ``2 * eta_h = eta``.  Also returns
+    the registry allocation index of each hub pair, in both orders.
     """
     hubs = list(partition.hubs)
     if len(hubs) == 1:
-        return FiniteMetric.from_entries(hubs, [[0]])
+        return FiniteMetric.from_entries(hubs, [[0]]), {}
     eta_h = eta / 2
     d_hubs = d.restrict(hubs)
     integers: dict[tuple[int, int], int] = {}
@@ -358,9 +347,8 @@ def _hub_metric(
     while Fraction(3, 1 << (base_index + 1)) > eta_h * Fraction(1, 1 << (n_max + 3)):
         base_index += 1
     entries: dict[tuple[int, int], CodedReal] = {}
-    alloc = base_index
-    for i, j in d_hubs.pairs():
-        n = integers[(i, j)]
+    hub_index: dict[tuple[str, str], int] = {}
+    for alloc, ((i, j), n) in enumerate(integers.items(), start=base_index):
         lo = eta_h * (n + Fraction(1, 1 << (n + 1)))
         hi = eta_h * (n + Fraction(1, 1 << n))
         target = (lo + hi) / 2
@@ -370,45 +358,32 @@ def _hub_metric(
         if not (lo < hub_alloc.p and hub_alloc.p + fuzz < hi):
             raise UnresolvedComparison("hub value escaped its window")
         entries[(i, j)] = value
-        alloc += 1
-    return FiniteMetric.from_entries(
-        hubs,
-        [
-            [
-                as_coded(0)
-                if i == j
-                else entries[(min(i, j), max(i, j))]
-                for j in range(len(hubs))
-            ]
-            for i in range(len(hubs))
-        ],
-    )
+        hub_index[(hubs[i], hubs[j])] = hub_index[(hubs[j], hubs[i])] = alloc
+    return FiniteMetric.from_pair_function(hubs, lambda i, j: entries[(i, j)]), hub_index
 
 
 def _certify_sup_bound(
     d: FiniteMetric,
     glued: FiniteMetric,
-    epsilon: Fraction,
+    allowance: Fraction | CodedReal,
     max_precision: int,
-) -> tuple[Fraction, Fraction]:
-    """Exact certificate of ``sup |glued - d| <= epsilon``; returns the sup."""
-    sup_lo = Fraction(0)
-    sup_hi = Fraction(0)
+) -> tuple[tuple[tuple[str, str], str] | None, Enclosure]:
+    """Exact per-pair scan of ``|glued - d| <= allowance`` on shared labels.
+
+    Returns the first pair that exceeds the allowance or cannot be compared
+    with it, with that ordering (or None when every pair is within), and an
+    enclosure of the sup over the pairs scanned before it.
+    """
+    sup_lo = sup_hi = Fraction(0)
     for i, j in d.pairs():
         gap = _abs_exact(glued.at(i, j) - d.at(i, j), max_precision)
-        order = compare(gap, epsilon, max_precision)
-        if order == GREATER:
-            raise UnresolvedComparison(
-                f"sup bound violated at ({d.points[i]}, {d.points[j]})"
-            )
-        if order == UNRESOLVED:
-            raise UnresolvedComparison(
-                f"sup bound undecided at ({d.points[i]}, {d.points[j]})"
-            )
+        order = compare(gap, allowance, max_precision)
+        if order in (GREATER, UNRESOLVED):
+            return ((d.points[i], d.points[j]), order), Enclosure(sup_lo, sup_hi)
         enc = _eval_halving(gap)
         sup_lo = max(sup_lo, enc.lo)
         sup_hi = max(sup_hi, enc.hi)
-    return sup_lo, sup_hi
+    return None, Enclosure(sup_lo, sup_hi)
 
 
 def _pairwise_independence(
@@ -417,16 +392,12 @@ def _pairwise_independence(
     partition: Partition,
     block_metrics: Sequence[FiniteMetric],
     hub_metric: FiniteMetric,
+    hub_index: dict[tuple[str, str], int],
     block_gauges: Sequence[int],
-    registry: ValueRegistry,
+    known: Sequence[int],
 ) -> list[dict]:
     """One validated certificate per pair of point pairs."""
     decomposed: dict[tuple[str, str], tuple[SumComponent, ...]] = {}
-    hub_index_of: dict[tuple[str, str], int] = {}
-    for (i, j), alloc in zip(hub_metric.pairs(), sorted(registry.hub_allocations())):
-        key = (hub_metric.points[i], hub_metric.points[j])
-        hub_index_of[key] = alloc
-        hub_index_of[(key[1], key[0])] = alloc
 
     def spare_gauge(exclude: int) -> int:
         for gid in block_gauges:
@@ -463,7 +434,7 @@ def _pairwise_independence(
                 ),
                 SumComponent(
                     "hub",
-                    hub_index=hub_index_of[(ha, hb)],
+                    hub_index=hub_index[(ha, hb)],
                     detail=(ha, hb),
                     value=hub_metric.distance(ha, hb),
                 ),
@@ -471,7 +442,6 @@ def _pairwise_independence(
         decomposed[key] = comps
         return comps
 
-    known = registry.gauge_ids()
     pairs = [(points[i], points[j]) for i, j in glued.pairs()]
     out: list[dict] = []
     for pair in pairs:

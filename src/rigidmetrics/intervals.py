@@ -114,11 +114,6 @@ class IntervalSet:
             raise ValueError("empty set has no minimum")
         return self.blocks[0][0]
 
-    def sup_value(self) -> Fraction:
-        if self.is_empty:
-            raise ValueError("empty set has no supremum")
-        return self.blocks[-1][1]
-
     def integer_levels(self) -> Iterator[int]:
         """Integers ``m`` with ``[m, m+1)`` meeting the set, in order."""
         # [a, b) meets [m, m+1) exactly when a < m + 1 and m < b

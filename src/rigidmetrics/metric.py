@@ -51,15 +51,13 @@ class FiniteMetric:
 
     @staticmethod
     def from_pair_function(points: Sequence[str], dist) -> "FiniteMetric":
-        """Build from a symmetric callable on point indices."""
+        """Build from a callable on index pairs ``i < j``, called once per pair."""
         n = len(points)
-        rows = []
+        rows = [[as_coded(0)] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(as_coded(0) if i == j else as_coded(dist(min(i, j), max(i, j))))
-            rows.append(tuple(row))
-        return FiniteMetric(tuple(points), tuple(rows))
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = as_coded(dist(i, j))
+        return FiniteMetric(tuple(points), tuple(map(tuple, rows)))
 
     @property
     def size(self) -> int:

@@ -41,10 +41,6 @@ def word_label(word: Word) -> str:
     return ".".join(str(x) for x in word)
 
 
-def word_from_label(label: str) -> Word:
-    return as_word([int(p) for p in label.split(".")])
-
-
 def pair_encode(level: int, prefix: Sequence[int]) -> int:
     """Injective code of a length-``level + 1`` prefix into one letter.
 
@@ -112,10 +108,6 @@ class SemiMetricGauge:
 
     def __repr__(self) -> str:
         return f"SemiMetricGauge(id={self.gauge_id}, k={self.k}, draws={len(self._memo)})"
-
-
-def semi_metric(gauge: SemiMetricGauge, level: int, a: int, b: int) -> Fraction:
-    return gauge.value(level, a, b)
 
 
 def rho(gauge: SemiMetricGauge, k: int, m: int, a: int, b: int) -> CodedReal:

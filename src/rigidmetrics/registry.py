@@ -118,9 +118,6 @@ class ValueRegistry:
                 self._used.add(candidate)
                 return candidate
 
-    def drawn_values(self) -> frozenset[Fraction]:
-        return frozenset(self._used)
-
     # -- gauges -----------------------------------------------------------
 
     def fresh_gauge(self, k: int = 0) -> SemiMetricGauge:
@@ -129,21 +126,8 @@ class ValueRegistry:
         self._next_gauge_id += 1
         return gauge
 
-    @property
-    def reserved_gauge(self) -> SemiMetricGauge:
-        return self._reserved
-
-    def gauge(self, gauge_id: int) -> SemiMetricGauge:
-        try:
-            return self._gauges[gauge_id]
-        except KeyError:
-            raise DomainError(f"gauge {gauge_id} was never allocated") from None
-
     def gauge_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._gauges))
-
-    def block_gauge_ids(self) -> tuple[int, ...]:
-        return tuple(g for g in sorted(self._gauges) if g != RESERVED_GAUGE_ID)
 
     # -- streams ----------------------------------------------------------
 

@@ -41,13 +41,6 @@ def snap_to_grid(d: FiniteMetric, eta: Fraction) -> FiniteMetric:
     return FiniteMetric.from_pair_function(d.points, snapped)
 
 
-def dense_decomposition(alpha: int, registry: ValueRegistry) -> DenseStream:
-    """The ``alpha``-th member of a disjoint family of dense streams."""
-    if alpha < 0:
-        raise DomainError("stream indices are nonnegative")
-    return registry.stream(alpha)
-
-
 def pick_interval_value(n: int, stream: DenseStream) -> Fraction:
     """A fresh stream element strictly inside ``(n + 2^-(n+1), n + 2^-n)``."""
     if n < 1:
@@ -80,11 +73,9 @@ def perturb_strongly_rigid(
         registry = ValueRegistry(seed)
 
     chosen: dict[tuple[int, int], Fraction] = {}
-    alpha = 0
-    for i, j in snapped.pairs():  # lexicographic pair enumeration
+    # one stream per pair, in lexicographic pair order
+    for alpha, (i, j) in enumerate(snapped.pairs()):
         n = int(snapped.at(i, j).rational_value() / eta)
-        stream = dense_decomposition(alpha, registry)
-        chosen[(i, j)] = eta * pick_interval_value(n, stream)
-        alpha += 1
+        chosen[(i, j)] = eta * pick_interval_value(n, registry.stream(alpha))
 
     return FiniteMetric.from_pair_function(d.points, lambda i, j: chosen[(i, j)])

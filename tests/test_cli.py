@@ -162,11 +162,32 @@ def test_product_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["verify", "--metric", str(bad), "--check", "metric"]) == 3
-    capsys.readouterr()
+NO_MATRIX = json.dumps({"points": ["a", "b"]})
+STRING_ENTRY = json.dumps({"points": ["a", "b"], "matrix": [["0", "1"], ["1", "0"]]})
+VERIFY = ["verify", "--metric", "{}", "--check", "metric"]
+DIST = ["dist", "{}", "{}"]
+RIGIDIFY = ["rigidify", "{}", "--epsilon", "1"]
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        pytest.param("bad.json", "{not json", VERIFY, id="not-json"),
+        pytest.param("job.json", "{}", ["glue", "{}"], id="glue-empty-job"),
+        pytest.param("m.json", NO_MATRIX, VERIFY, id="verify-no-matrix"),
+        pytest.param("m.json", NO_MATRIX, DIST, id="dist-no-matrix"),
+        pytest.param("m.json", NO_MATRIX, RIGIDIFY, id="rigidify-no-matrix"),
+        pytest.param("m.json", STRING_ENTRY, VERIFY, id="verify-string-entry"),
+        pytest.param("m.json", STRING_ENTRY, DIST, id="dist-string-entry"),
+        pytest.param("m.json", STRING_ENTRY, RIGIDIFY, id="rigidify-string-entry"),
+        pytest.param("m.csv", "", RIGIDIFY, id="rigidify-empty-csv"),
+    ],
+)
+def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert main([arg.format(bad) for arg in argv]) == 3
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import clustered_metric, rational_metric
+from conftest import clustered_metric, mixed_scale_metrics, rational_metric
 from rigidmetrics import glue
 from rigidmetrics.coded import coded_sum
 from rigidmetrics.errors import DomainError
@@ -17,7 +18,7 @@ from rigidmetrics.glue import (
     verify_certificate,
 )
 from rigidmetrics.intervals import IntervalSet
-from rigidmetrics.metric import FiniteMetric
+from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.verify import is_metric, is_strongly_rigid, sup_distance
 
 
@@ -116,6 +117,21 @@ def test_sup_bound_with_inflated_hub(rng):
     assert report.passed  # allowance grows with the hub defect
 
 
+def test_sup_bound_exceeded_names_the_first_pair(rng):
+    d = rational_metric(rng, 4)
+    part = Partition(tuple((p,) for p in d.points), d.points)
+    singletons = [FiniteMetric.from_entries([p], [[0]]) for p in d.points]
+    inflated = FiniteMetric.from_pair_function(
+        d.points, lambda i, j: d.at(i, j).rational_value() + 2
+    )
+    glued = amalgamate(part, singletons, inflated)
+    # against the uninflated hub the allowance is 4 * 1/4 + 0 = 1 < 2
+    report = sup_bound_check(d, glued, part, Fraction(1, 4), d)
+    assert report.verdict == "fail"
+    assert report.witnesses == ((d.points[0], d.points[1]),)
+    assert report.detail == "sup bound exceeded"
+
+
 def test_sup_bound_reports_precondition_failure(rng):
     d = rational_metric(rng, 4)  # block diameters >= 1
     part = Partition((tuple(d.points),), (d.points[0],))
@@ -159,6 +175,19 @@ def test_rigidify_full_exercises_blocks(rng):
     # metric is not strictly triangular; pairwise independence still holds
     blob = json.loads(json.dumps(cert.to_json(out)))
     assert verify_certificate(blob).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_scale_metrics())
+def test_rigidify_full_on_mixed_scales(case):
+    d, epsilon = case
+    assert is_metric(d).passed
+    glued, cert = rigidify_full(d, epsilon)
+    assert any(len(block) >= 2 for block in cert.partition.blocks)
+    report = verify_certificate(json.loads(dumps_canonical(cert.to_json(glued))))
+    assert report.passed, report.detail
+    assert sup_distance(glued, d).hi <= epsilon
+    assert is_strongly_rigid(glued).passed
 
 
 def test_rigidify_full_replaces_strongly_rigid_input():

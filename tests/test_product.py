@@ -11,7 +11,6 @@ from rigidmetrics.product import (
     pair_encode,
     prism,
     rho,
-    semi_metric,
     sigma,
     tau,
 )
@@ -53,19 +52,19 @@ def test_prism_injective_on_short_words():
 
 
 def test_semi_metric_axioms(gauge):
-    assert semi_metric(gauge, 0, 7, 7) == 0
-    v1 = semi_metric(gauge, 0, 0, 1)
-    v2 = semi_metric(gauge, 0, 0, 2)
+    assert gauge.value(0, 7, 7) == 0
+    v1 = gauge.value(0, 0, 1)
+    v2 = gauge.value(0, 0, 2)
     assert v1 != v2
     assert 0 < v1 < 1 and 0 < v2 < 1
-    assert semi_metric(gauge, 0, 1, 0) == v1
-    assert 3 < semi_metric(gauge, 3, 0, 1) < 4
+    assert gauge.value(0, 1, 0) == v1
+    assert 3 < gauge.value(3, 0, 1) < 4
 
 
 def test_semi_metric_disjoint_across_gauges():
     registry = ValueRegistry(0)
     g1, g2 = registry.fresh_gauge(0), registry.fresh_gauge(0)
-    assert semi_metric(g1, 0, 0, 1) != semi_metric(g2, 0, 0, 1)
+    assert g1.value(0, 0, 1) != g2.value(0, 0, 1)
 
 
 def test_rho_zero_on_diagonal(gauge):

@@ -8,12 +8,7 @@ from conftest import rational_metric
 from rigidmetrics.errors import DomainError
 from rigidmetrics.metric import FiniteMetric
 from rigidmetrics.registry import ValueRegistry
-from rigidmetrics.rigidify import (
-    dense_decomposition,
-    perturb_strongly_rigid,
-    pick_interval_value,
-    snap_to_grid,
-)
+from rigidmetrics.rigidify import perturb_strongly_rigid, pick_interval_value, snap_to_grid
 from rigidmetrics.verify import (
     is_metric,
     is_strict_triangle,
@@ -72,8 +67,8 @@ def test_snap_preserves_triangle(rng):
 
 def test_streams_disjoint_and_positive():
     registry = ValueRegistry(0)
-    a = [dense_decomposition(0, registry).draw_next() for _ in range(100)]
-    b = [dense_decomposition(1, registry).draw_next() for _ in range(100)]
+    a = [registry.stream(0).draw_next() for _ in range(100)]
+    b = [registry.stream(1).draw_next() for _ in range(100)]
     assert set(a).isdisjoint(b)
     assert all(v > 0 for v in a + b)
     assert len(set(a)) == 100 and len(set(b)) == 100
@@ -81,7 +76,7 @@ def test_streams_disjoint_and_positive():
 
 def test_stream_hits_target_interval():
     registry = ValueRegistry(0)
-    stream = dense_decomposition(0, registry)
+    stream = registry.stream(0)
     hit_at = None
     for draw in range(1, 400):
         if Fraction(1, 3) < stream.draw_next() < Fraction(1, 2):
