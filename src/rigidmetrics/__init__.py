@@ -4,7 +4,7 @@ A metric is strongly rigid when no positive distance value is attained by two
 different point pairs.  This package perturbs a given finite rational metric
 within any requested sup-distance budget into one whose distances are even
 pairwise linearly independent over the rationals, with machine-checkable
-certificates, and ships brute-force verification oracles for the properties
+certificates, and ships exhaustive verification oracles for the properties
 involved (metric axioms, strict triangle, strong rigidity, rigidity, distance
 injectivity).
 """

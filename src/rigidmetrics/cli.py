@@ -105,11 +105,16 @@ def _decoding(what: str):
         raise ValueError(f"malformed {what}: {type(exc).__name__} {exc}") from exc
 
 
-def _read_metric(path: Path, fmt: str) -> FiniteMetric:
+def _load_metric(path: Path, fmt: str) -> FiniteMetric:
+    """Decode a metric file; a ``.csv`` suffix selects CSV over the default."""
     if fmt == "json" and path.suffix == ".csv":
         fmt = "csv"
     with _decoding("metric"):
-        metric = load_metric(path.read_text(), fmt)
+        return load_metric(path.read_text(), fmt)
+
+
+def _read_metric(path: Path, fmt: str) -> FiniteMetric:
+    metric = _load_metric(path, fmt)
     report = oracles.is_metric(metric)
     if report.verdict == "fail":
         raise DomainError(f"input is not a metric: {report.detail} {report.witnesses}")
@@ -206,8 +211,7 @@ def _all_words(alphabet: int, length: int) -> list[tuple[int, ...]]:
 
 
 def _cmd_verify(args) -> int:
-    with _decoding("metric"):
-        metric = load_metric(args.metric.read_text(), args.format)
+    metric = _load_metric(args.metric, args.format)
     mp = args.max_precision
     if args.check == "metric":
         report = oracles.is_metric(metric, mp)
@@ -232,9 +236,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    with _decoding("metric"):
-        a = load_metric(args.a.read_text(), args.format)
-        b = load_metric(args.b.read_text(), args.format)
+    a = _load_metric(args.a, args.format)
+    b = _load_metric(args.b, args.format)
     enc = oracles.sup_distance(a, b)
     if enc.lo == enc.hi:
         sys.stdout.write(f"{enc.lo.numerator}/{enc.lo.denominator}\n")

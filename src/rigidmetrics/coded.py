@@ -256,12 +256,14 @@ class CodedReal:
                     f"eval at index {n} needs 2^{tail_exp}-bit rationals; "
                     "use compare() for symbolic decisions"
                 )
-            partial = Fraction(0)
+            # the hits as one integer over 2^top, the largest exponent
+            top = sched.exponent(n)
+            hits = 0
             for i in range(n + 1):
                 if rational_at(i) in term.index_set:
-                    partial += Fraction(1, 1 << sched.exponent(i))
+                    hits += 1 << (top - sched.exponent(i))
             tail = Fraction(1, 1 << tail_exp)
-            base += term.coeff * partial
+            base += term.coeff * Fraction(hits, 1 << top)
             if term.coeff > 0:
                 hi_pad += term.coeff * tail
             else:
@@ -491,10 +493,15 @@ def _fold_ladders(value: CodedReal) -> CodedReal:
     coefficient by ``2^-(k - k0)`` keeps its value.  Values on a single
     ladder are returned as they are.
     """
-    ks = {t.k for t in value.terms}
-    if len(ks) < 2:
+    return _fold_onto(value, min((t.k for t in value.terms), default=0))
+
+
+def _fold_onto(value: CodedReal, k0: int) -> CodedReal:
+    """The same number with every term moved onto ladder ``k0``, which must
+    not exceed any of its ladders; values already on ``k0`` alone are
+    returned as they are."""
+    if all(t.k == k0 for t in value.terms):
         return value
-    k0 = min(ks)
     return CodedReal.build(
         value.offset,
         [(t.coeff / (1 << (t.k - k0)), k0, t.index_set) for t in value.terms],

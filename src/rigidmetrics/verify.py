@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the properties the pipeline promises.
+"""Independent exhaustive oracles for the properties the pipeline promises.
 
 Every oracle returns a :class:`Report` whose verdict is ``pass``, ``fail`` or
 ``unresolved``; a fail always carries a concrete witness, and a pass of an
@@ -6,11 +6,14 @@ exhaustive oracle really did check every instance.  Comparisons go through
 the exact engine of :mod:`rigidmetrics.coded`; distinctness of coded values
 additionally uses certified canonical-form separation, so strong-rigidity
 checks on pipeline outputs never hang on numerically inseparable values.
+The triangle oracles first try one rigorous rational enclosure per distance
+and send only the instances it cannot prove to the exact engine.
 
-Equality of coded entries is representation equality (identical canonical
-forms).  For rational matrices this coincides with value equality; for coded
-matrices it can only over-report distinctness in self-isometry search, which
-is documented at :func:`isometry_group`.
+Self-isometry search and near-collision grouping match entries by canonical
+form after folding every entry onto the least exponent ladder of the whole
+matrix (:func:`_value_keyed`).  Canonical forms are unique on one ladder, so
+matching folded forms means equal values, on coded matrices as on rational
+ones.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .coded import (
     LESS,
     UNRESOLVED,
     _difference,
+    _fold_onto,
     _ordering,
     compare,
     equals,
@@ -58,11 +62,37 @@ class Report:
         }
 
 
+def _enclosure_table(d: FiniteMetric) -> list[list[Enclosure | None]]:
+    """One ``eval(8)`` enclosure per distance, ``None`` where eval is out of
+    reach."""
+    n = d.size
+    table: list[list[Enclosure | None]] = [[None] * n for _ in range(n)]
+    for i, j in d.pairs():
+        try:
+            table[i][j] = table[j][i] = _eval_halving(d.at(i, j), 8)
+        except PrecisionError:
+            pass
+    return table
+
+
 def _triangle_report(
     d: FiniteMetric, strict: bool, max_precision: int
 ) -> Report:
+    """Positivity, then every triangle ``d(i,j) <= d(i,k) + d(k,j)``.
+
+    A rational enclosure per distance is a sound prefilter: an entry whose
+    enclosure lies above 0, or a triple with ``hi(i,j) < lo(i,k) + lo(k,j)``,
+    is proved positive or strict without the exact engine.  Every other
+    entry and triple takes the exact ``_difference``/``_ordering`` path in
+    the same loop order, so the prefilter only skips instances the exact
+    path would also prove and the report is the same.
+    """
     n = d.size
+    enc = _enclosure_table(d)
     for i, j in d.pairs():
+        e = enc[i][j]
+        if e is not None and e.lo > 0:
+            continue
         order = _ordering(d.at(i, j), max_precision)
         if order != GREATER:
             if order == UNRESOLVED:
@@ -72,8 +102,13 @@ def _triangle_report(
                           "nonpositive distance", max_precision)
     for i in range(n):
         for j in range(i + 1, n):
+            e_ij = enc[i][j]
             for k in range(n):
                 if k == i or k == j:
+                    continue
+                e_ik, e_kj = enc[i][k], enc[k][j]
+                if (e_ij is not None and e_ik is not None and e_kj is not None
+                        and e_ij.hi < e_ik.lo + e_kj.lo):
                     continue
                 gap = _difference(d.at(i, j), d.at(i, k), d.at(k, j))
                 order = _ordering(gap, max_precision)
@@ -177,18 +212,29 @@ def is_strongly_rigid(
                   max_precision)
 
 
+def _value_keyed(d: FiniteMetric) -> list[list[CodedReal]]:
+    """The matrix with every entry folded onto its least ladder overall.
+
+    ``<gamma_k, B> = 2^-(k - k0) <gamma_k0, B>``, and canonical forms are
+    unique on one ladder, so two folded entries are equal exactly when
+    their values are.
+    """
+    k0 = min((t.k for row in d.matrix for v in row for t in v.terms), default=0)
+    return [[_fold_onto(v, k0) for v in row] for row in d.matrix]
+
+
 def isometry_group(d: FiniteMetric, limit: int = 12) -> list[tuple[int, ...]]:
     """All distance-preserving self-bijections, as index permutations.
 
-    Backtracking with per-point distance-multiset fingerprints.  Preservation
-    is checked with representation equality of entries, which agrees with
-    value equality on rational matrices; on coded matrices the group may be
-    under-approximated (never over-), so rigidity passes are conservative.
+    Backtracking with per-point distance-multiset fingerprints.  Entries are
+    keyed by their canonical forms on the matrix's least ladder, so key
+    equality is value equality and the group is exact.
     """
     n = d.size
     if n > limit:
         raise ResourceError(f"isometry search capped at {limit} points")
-    keys = [[d.at(i, j).sort_key() for j in range(n)] for i in range(n)]
+    entries = _value_keyed(d)
+    keys = [[entries[i][j].sort_key() for j in range(n)] for i in range(n)]
     fingerprints = [tuple(sorted(keys[i][j] for j in range(n) if j != i)) for i in range(n)]
     candidates = [
         [j for j in range(n) if fingerprints[j] == fingerprints[i]] for i in range(n)
@@ -244,9 +290,10 @@ def lnm_membership(
     if m < 0:
         raise DomainError("scales are indexed by m >= 0")
     threshold = Fraction(1, 1 << m)
+    entries = _value_keyed(d)
     groups: dict[CodedReal, list[tuple[int, int]]] = {}
     for i, j in d.pairs():
-        groups.setdefault(d.at(i, j), []).append((i, j))
+        groups.setdefault(entries[i][j], []).append((i, j))
     saw_unresolved = False
     for value, pairs in groups.items():
         if len(pairs) < 2:

@@ -214,6 +214,34 @@ def test_nonmetric_input_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["rigidify", "{}", "--epsilon", "1"], id="rigidify"),
+        pytest.param(["verify", "--metric", "{}", "--check", "metric"], id="verify"),
+        pytest.param(["dist", "{}", "{}"], id="dist"),
+    ],
+)
+def test_csv_suffix_selects_csv(tmp_path, capsys, argv):
+    path = tmp_path / "m.csv"
+    path.write_text("point,a,b\na,0,1\nb,1,0\n")
+    assert main([arg.format(path) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "dist":
+        assert out.strip() == "0/1"
+    if argv[0] == "verify":
+        assert json.loads(out)["verdict"] == "pass"
+
+
+def test_verify_reports_a_nonmetric_csv(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("point,a,b,c\na,0,1,4\nb,1,0,2\nc,4,2,0\n")
+    assert main(["verify", "--metric", str(path), "--check", "metric"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["witnesses"] == [["a", "c", "b"]]
+
+
 def test_approx_flag(metric_file, capsys):
     assert main(["--approx", "rigidify", str(metric_file), "--epsilon", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

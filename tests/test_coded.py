@@ -341,3 +341,40 @@ def test_canonical_terms_match_membership_reference(raw, o1, o2):
     b = CodedReal.build(0, raw[2 * t :])
     # the triangle oracle's fused d(i,j) - d(i,k) - d(k,j)
     assert _difference(lhs, a, b) == lhs - (a + b)
+
+
+def _eval_reference(x, n):
+    """``eval`` as a sum of one ``Fraction`` per enumerated hit."""
+    base = x.offset
+    lo_pad = hi_pad = Fraction(0)
+    for term in x.terms:
+        sched = ExponentSchedule(term.k)
+        partial = Fraction(0)
+        for i in range(n + 1):
+            if rational_at(i) in term.index_set:
+                partial += Fraction(1, 1 << sched.exponent(i))
+        tail = Fraction(1, 1 << (sched.exponent(n + 1) - 1))
+        base += term.coeff * partial
+        if term.coeff > 0:
+            hi_pad += term.coeff * tail
+        else:
+            lo_pad += term.coeff * tail
+    return base + lo_pad, base + hi_pad
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_terms(), st.fractions(max_denominator=8), st.integers(0, 8))
+@example(
+    [
+        (1, 0, UNIT),
+        (Fraction(-3, 4), 3, IntervalSet.from_blocks([(0, Fraction(1, 3)), (Fraction(1, 2), 5)])),
+    ],
+    Fraction(1, 2),
+    8,
+)
+def test_integer_eval_equals_per_hit_sum(raw, offset, n):
+    x = CodedReal.build(offset, raw)
+    enc = x.eval(n)
+    lo, hi = _eval_reference(x, n)
+    assert enc.lo == lo
+    assert enc.hi == hi

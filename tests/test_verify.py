@@ -1,12 +1,27 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rational_metric
+from rigidmetrics.coded import (
+    EQUAL,
+    GREATER,
+    UNRESOLVED,
+    CodedReal,
+    _difference,
+    _ordering,
+    coded_sum,
+)
 from rigidmetrics.errors import DomainError, ResourceError
+from rigidmetrics.intervals import IntervalSet
 from rigidmetrics.metric import FiniteMetric
+from rigidmetrics.product import tau, word_label
+from rigidmetrics.registry import ValueRegistry
 from rigidmetrics.rigidify import perturb_strongly_rigid
 from rigidmetrics.verify import (
+    Report,
     distance_embedding_check,
     is_metric,
     is_rigid,
@@ -161,3 +176,137 @@ def test_reports_record_budget(d):
     ]
     assert [r.precision for r in reports] == [16] * len(reports)
     assert is_strict_triangle(d).precision == 64
+
+
+def test_rigid_sees_equal_values_on_different_ladders():
+    # d(a,b) = 1 + <g0,[0,1)> and d(a,c) = 1 + 2<g1,[0,1)> are one number
+    unit = IntervalSet.block(0, 1)
+    ab = 1 + coded_sum(0, unit)
+    ac = 1 + coded_sum(1, unit, 2)
+    d = FiniteMetric.from_entries(
+        ["a", "b", "c"],
+        [[0, ab, ac], [ab, 0, Fraction(3, 2)], [ac, Fraction(3, 2), 0]],
+    )
+    assert is_metric(d).passed
+    assert isometry_group(d) == [(0, 1, 2), (0, 2, 1)]
+    report = is_rigid(d)
+    assert report.verdict == "fail"
+    assert report.witnesses == ((0, 2, 1),)
+    # the near-collision oracle groups the two entries as well
+    assert lnm_membership(d, 0).witnesses == (("a", "b", "a", "c"),)
+    assert lnm_never_member(d).verdict == is_strongly_rigid(d).verdict == "fail"
+
+
+def _exact_triangle_report(d, strict, max_precision):
+    """The triangle oracle without the enclosure prefilter: every entry and
+    every triple through the exact engine, in the oracle's loop order."""
+    n = d.size
+    for i, j in d.pairs():
+        order = _ordering(d.at(i, j), max_precision)
+        if order != GREATER:
+            if order == UNRESOLVED:
+                return Report("unresolved", ((d.points[i], d.points[j]),),
+                              "positivity", max_precision)
+            return Report("fail", ((d.points[i], d.points[j]),),
+                          "nonpositive distance", max_precision)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                gap = _difference(d.at(i, j), d.at(i, k), d.at(k, j))
+                order = _ordering(gap, max_precision)
+                triple = (d.points[i], d.points[j], d.points[k])
+                if order == UNRESOLVED:
+                    return Report("unresolved", (triple,), "triangle comparison",
+                                  max_precision)
+                if order == GREATER or (strict and order == EQUAL):
+                    kind = "strict triangle" if strict else "triangle"
+                    return Report("fail", (triple,), f"{kind} violated", max_precision)
+    return Report("pass", (), "strict triangle" if strict else "triangle",
+                  max_precision)
+
+
+# eval(8) reads indices 0-8 and pads each term by 2^-511.  <g0,[5,6)> first
+# hits index 31; <g0,[4/3,7/5)> first hits index 9 (value 4/3), so it
+# exceeds 2^-520 while no index eval(8) reads lands in it.
+_BELOW_8 = IntervalSet.block(5, 6)
+_AT_9 = IntervalSet.block(Fraction(4, 3), Fraction(7, 5))
+_TINY = Fraction(1, 1 << 520)
+
+
+def _matrix(n, entries):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = dict(zip(pairs, entries))
+    return FiniteMetric.from_pair_function([f"p{i}" for i in range(n)],
+                                           lambda i, j: values[(i, j)])
+
+
+def _triangle(xy, xz, zy):
+    return FiniteMetric.from_entries(
+        ["x", "y", "z"], [[0, xy, xz], [xy, 0, zy], [xz, zy, 0]]
+    )
+
+
+@st.composite
+def triangle_matrices(draw):
+    """Symmetric matrices for the triangle oracles: small-denominator
+    rationals or distances of points on a line (violated and degenerate
+    triangles, nonpositive entries),
+    optionally shifted by coded or tiny rational amounts that sit at or below
+    the enclosure's resolution, or a tau product metric plus such a matrix."""
+    n = draw(st.integers(2, 5))
+    count = n * (n - 1) // 2
+    low = draw(st.sampled_from([-1, 0, 1]))
+    den = draw(st.sampled_from([1, 2, 4]))
+    rationals = st.fractions(min_value=low, max_value=3, max_denominator=den)
+    if draw(st.booleans()):
+        # points on a line: every triangle is degenerate or a metric fails
+        # only on coincident points
+        xs = draw(st.lists(rationals, min_size=n, max_size=n))
+        entries = [CodedReal.from_rational(abs(xs[i] - xs[j]))
+                   for i in range(n) for j in range(i + 1, n)]
+    else:
+        entries = [CodedReal.from_rational(q) for q in draw(
+            st.lists(rationals, min_size=count, max_size=count))]
+    shifts = st.just(CodedReal()) if draw(st.booleans()) else st.sampled_from([
+        CodedReal(),
+        CodedReal.from_rational(_TINY),
+        CodedReal.from_rational(-_TINY),
+        coded_sum(0, _BELOW_8),
+        coded_sum(1, _BELOW_8, -2),
+        coded_sum(0, _AT_9),
+        coded_sum(0, _AT_9, -1),
+        coded_sum(1, IntervalSet.block(0, 1), Fraction(1, 2)),
+    ])
+    entries = [e + draw(shifts) for e in entries]
+    if draw(st.booleans()):
+        alphabet, length = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+        gauge = ValueRegistry(draw(st.integers(0, 3))).fresh_gauge(draw(st.integers(0, 3)))
+        words = list(itertools.product(range(alphabet), repeat=length))
+        n = len(words)
+        count = n * (n - 1) // 2
+        entries = (entries * count)[:count] if draw(st.booleans()) else [0] * count
+        coded = [tau(gauge, gauge.k, words[i], words[j])
+                 for i in range(n) for j in range(i + 1, n)]
+        entries = [c + e for c, e in zip(coded, entries)]
+        d = _matrix(n, entries)
+        return FiniteMetric([word_label(w) for w in words], d.matrix)
+    return _matrix(n, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangle_matrices(), st.sampled_from([16, 64]))
+# a degenerate rational triangle: only the exact path sees the equality
+@example(_triangle(3, 1, 2), 64)
+# equality and violation below eval(8)'s resolution
+@example(_triangle(3 + coded_sum(0, _BELOW_8), 1 + coded_sum(0, _BELOW_8), 2), 64)
+@example(_triangle(3 + coded_sum(0, _BELOW_8), 1, 2), 64)
+# violations that a missing tail pad would hide, on either bound
+@example(_triangle(3 - _TINY + coded_sum(0, _AT_9), 1, 2), 64)
+@example(_triangle(3, 1 + _TINY - coded_sum(0, _AT_9), 2), 64)
+# a ladder too far out for any eval: the exact path alone decides
+@example(_triangle(3 + coded_sum(1 << 21, _BELOW_8), 1, 2), 64)
+def test_prefilter_cannot_change_a_report(d, max_precision):
+    for strict, oracle in ((False, is_metric), (True, is_strict_triangle)):
+        assert oracle(d, max_precision) == _exact_triangle_report(d, strict, max_precision)
