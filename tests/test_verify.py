@@ -235,11 +235,10 @@ _AT_9 = IntervalSet.block(Fraction(4, 3), Fraction(7, 5))
 _TINY = Fraction(1, 1 << 520)
 
 
-def _matrix(n, entries):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    values = dict(zip(pairs, entries))
-    return FiniteMetric.from_pair_function([f"p{i}" for i in range(n)],
-                                           lambda i, j: values[(i, j)])
+def _matrix(labels, entries):
+    n = len(labels)
+    values = dict(zip([(i, j) for i in range(n) for j in range(i + 1, n)], entries))
+    return FiniteMetric.from_pair_function(labels, lambda i, j: values[(i, j)])
 
 
 def _triangle(xy, xz, zy):
@@ -252,17 +251,17 @@ def _triangle(xy, xz, zy):
 def triangle_matrices(draw):
     """Symmetric matrices for the triangle oracles: small-denominator
     rationals or distances of points on a line (violated and degenerate
-    triangles, nonpositive entries),
-    optionally shifted by coded or tiny rational amounts that sit at or below
-    the enclosure's resolution, or a tau product metric plus such a matrix."""
+    triangles, nonpositive entries), optionally shifted by coded or tiny
+    rational amounts at or below the enclosure's resolution, or a tau
+    product metric plus such a matrix."""
     n = draw(st.integers(2, 5))
     count = n * (n - 1) // 2
     low = draw(st.sampled_from([-1, 0, 1]))
     den = draw(st.sampled_from([1, 2, 4]))
     rationals = st.fractions(min_value=low, max_value=3, max_denominator=den)
     if draw(st.booleans()):
-        # points on a line: every triangle is degenerate or a metric fails
-        # only on coincident points
+        # points on a line: every triangle is degenerate, and coincident
+        # points give zero distances
         xs = draw(st.lists(rationals, min_size=n, max_size=n))
         entries = [CodedReal.from_rational(abs(xs[i] - xs[j]))
                    for i in range(n) for j in range(i + 1, n)]
@@ -290,9 +289,8 @@ def triangle_matrices(draw):
         coded = [tau(gauge, gauge.k, words[i], words[j])
                  for i in range(n) for j in range(i + 1, n)]
         entries = [c + e for c, e in zip(coded, entries)]
-        d = _matrix(n, entries)
-        return FiniteMetric([word_label(w) for w in words], d.matrix)
-    return _matrix(n, entries)
+        return _matrix([word_label(w) for w in words], entries)
+    return _matrix([f"p{i}" for i in range(n)], entries)
 
 
 @settings(max_examples=300, deadline=None)
