@@ -13,8 +13,11 @@ the original is at most ``4 * eps`` plus the hub defect.
 ``eta = epsilon / 5``, give every block its own gauge and the product metric
 on one-letter words (diameter at most ``2^-k <= eta``), approximate the hub
 distances by hub-pool values sitting strictly inside the subadditivity
-windows, glue, and emit a certificate: the exact sup bound, strong rigidity,
-and a rational-independence certificate for every pair of point pairs.
+windows, glue, and emit a certificate: the input, the exact sup bound, strong
+rigidity, and one independence row per distance.  A row holds the distance's
+tagged components, which pass the per-sum hypotheses and sum to it, and its
+independent-of-1 trace witness; the rows' component multisets are pairwise
+different, which one sort shows.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ from .errors import DomainError, UnresolvedComparison
 from .independence import (
     IntervalTraceWitness,
     SumComponent,
-    SumIndependenceCertificate,
     find_interval_trace_witness,
-    sum_independence_check,
+    multiset_key,
+    tagged_sum_holds,
 )
 from .intervals import IntervalSet, _frac_str
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, ValueRegistry, gauge_from_snapshot
 from .verify import Report, _eval_halving, is_strongly_rigid
+
+CERTIFICATE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,10 @@ def sup_bound_check(
     offending, sup = _certify_sup_bound(d, glued, allowance, max_precision)
     if offending is None:
         return Report("pass", (), f"sup bound holds; sup in [{sup.lo}, {sup.hi}]")
+    return _sup_failure(offending)
+
+
+def _sup_failure(offending: tuple[tuple[str, str], str]) -> Report:
     pair, order = offending
     if order == GREATER:
         return Report("fail", (pair,), "sup bound exceeded")
@@ -215,6 +224,7 @@ def _abs_exact(value: CodedReal, max_precision: int) -> CodedReal:
 
 @dataclass(frozen=True)
 class RigidifyCertificate:
+    source: FiniteMetric
     epsilon: Fraction
     eta: Fraction
     k: int
@@ -227,6 +237,8 @@ class RigidifyCertificate:
 
     def to_json(self, metric: FiniteMetric) -> dict:
         return {
+            "version": CERTIFICATE_VERSION,
+            "input": self.source.to_json(),
             "metric": metric.to_json(),
             "registry": self.registry_snapshot,
             "independence": list(self.independence),
@@ -253,8 +265,7 @@ def rigidify_full(
     """Perturb ``d`` into a metric with pairwise Q-independent distances.
 
     The output is within ``epsilon`` of ``d`` in sup distance (exactly),
-    strongly rigid, and every pair of point pairs carries a validated
-    independence certificate.
+    strongly rigid, and every distance carries a validated independence row.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -302,6 +313,7 @@ def rigidify_full(
         block_gauges, registry.gauge_ids(),
     )
     certificate = RigidifyCertificate(
+        source=d,
         epsilon=epsilon,
         eta=eta,
         k=k,
@@ -396,8 +408,7 @@ def _pairwise_independence(
     block_gauges: Sequence[int],
     known: Sequence[int],
 ) -> list[dict]:
-    """One validated certificate per pair of point pairs."""
-    decomposed: dict[tuple[str, str], tuple[SumComponent, ...]] = {}
+    """One validated independence row per distance, in pair order."""
 
     def spare_gauge(exclude: int) -> int:
         for gid in block_gauges:
@@ -406,9 +417,6 @@ def _pairwise_independence(
         return RESERVED_GAUGE_ID  # single-block runs have no cross pairs anyway
 
     def components(a: str, b: str) -> tuple[SumComponent, ...]:
-        key = (a, b) if a <= b else (b, a)
-        if key in decomposed:
-            return decomposed[key]
         ba, bb = partition.block_of(a), partition.block_of(b)
         if ba == bb:
             gid = block_gauges[ba]
@@ -439,157 +447,133 @@ def _pairwise_independence(
                     value=hub_metric.distance(ha, hb),
                 ),
             )
-        decomposed[key] = comps
         return comps
 
-    pairs = [(points[i], points[j]) for i, j in glued.pairs()]
     out: list[dict] = []
-    for pair in pairs:
-        # Each distance is certified independent of 1 (hence irrational):
-        # one shared window over its component index sets.
+    keyed: list[tuple[tuple, tuple[str, str]]] = []
+    for i, j in glued.pairs():
+        pair = (points[i], points[j])
         comps = components(*pair)
-        sets = []
-        for comp in comps:
-            for term in comp.value.terms:
-                if term.index_set not in sets:
-                    sets.append(term.index_set)
-        ks = {t.k for comp in comps for t in comp.value.terms}
-        if sets and len(ks) == 1:
-            witness = find_interval_trace_witness(sets, ks.pop())
-            if witness is not None:
-                out.append(
-                    {
-                        "pair_left": list(pair),
-                        "pair_right": ["1"],
-                        "trace_witness": witness.to_json(),
-                    }
-                )
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            left = components(*pairs[a])
-            right = components(*pairs[b])
-            cert = sum_independence_check(left, right, known)
-            if cert is None:
-                raise UnresolvedComparison(
-                    f"independence hypotheses failed for {pairs[a]} vs {pairs[b]}"
-                )
-            record = {
-                "pair_left": list(pairs[a]),
-                "pair_right": list(pairs[b]),
-                "certificate": cert.to_json(),
+        if not tagged_sum_holds(comps, known):
+            raise UnresolvedComparison(f"independence hypotheses failed for {pair}")
+        witness = _trace_witness_for(comps)
+        if witness is None:
+            raise UnresolvedComparison(f"no independent-of-1 witness for {pair}")
+        keyed.append((multiset_key(comps), pair))
+        out.append(
+            {
+                "pair_left": list(pair),
+                "pair_right": ["1"],
+                "certificate": {"kind": "tagged-sum", "left": [c.to_json() for c in comps]},
+                "trace_witness": witness.to_json(),
             }
-            witness = _trace_witness_for(glued, pairs[a], pairs[b])
-            if witness is not None:
-                record["trace_witness"] = witness.to_json()
-            out.append(record)
+        )
+    clash = _equal_multisets(keyed)
+    if clash is not None:
+        raise UnresolvedComparison(f"equal component multisets for {clash[0]} and {clash[1]}")
     return out
 
 
-def _trace_witness_for(
-    glued: FiniteMetric, pair_a: tuple[str, str], pair_b: tuple[str, str]
-) -> IntervalTraceWitness | None:
-    va, vb = glued.distance(*pair_a), glued.distance(*pair_b)
-    ks = {t.k for t in (*va.terms, *vb.terms)}
-    if len(ks) != 1 or len(va.terms) != 1 or len(vb.terms) != 1:
+def _trace_witness_for(components: Sequence[SumComponent]) -> IntervalTraceWitness | None:
+    """A distance's independent-of-1 witness: one shared window over the
+    distinct index sets of its components."""
+    shape = _unit_witness_shape(components)
+    return None if shape is None else find_interval_trace_witness(shape[1], shape[0])
+
+
+def _unit_witness_shape(
+    components: Sequence[SumComponent],
+) -> tuple[int, tuple[IntervalSet, ...]] | None:
+    """The ladder and distinct index sets, in order, that a unit witness of
+    these components must cover; None unless there are sets on one ladder."""
+    terms = [t for c in components for t in c.value.terms]
+    ks = {t.k for t in terms}
+    if len(ks) != 1:
         return None
-    (k,) = ks
-    return find_interval_trace_witness([va.terms[0].index_set, vb.terms[0].index_set], k)
+    return ks.pop(), tuple(dict.fromkeys(t.index_set for t in terms))
+
+
+def _equal_multisets(
+    keyed: list[tuple[tuple, tuple[str, str]]],
+) -> tuple[tuple[str, str], tuple[str, str]] | None:
+    """Two pairs whose multiset keys agree, found by one sort; else None."""
+    ordered = sorted(keyed, key=lambda item: item[0])
+    for (key, pair), (next_key, next_pair) in zip(ordered, ordered[1:]):
+        if key == next_key:
+            return pair, next_pair
+    return None
 
 
 def verify_certificate(data: dict) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
-    Every record is checked: the syntactic independence hypotheses of its
-    certificate, the replay of each tagged component from the raw draws in
-    the registry snapshot (block values through gauges replayed with
-    ``parameters.k`` and ``parameters.partition``, which are required; hub
-    values as ``p + q * basis``), that each side's components sum exactly to
-    the metric entry of the pair it names, and its trace witness.  The records
-    must name only pairs of the metric and give every unordered pair of
-    distinct pairs exactly one certificate.
+    A certificate of another ``version`` raises ``ValueError``.  There must be
+    one independence row per distance, in the metric's pair order, and each
+    row is checked once: the hypotheses of its tagged sum, the replay of each
+    component from the raw draws in the registry snapshot (block values
+    through gauges replayed with ``parameters.k`` and
+    ``parameters.partition``, which are required; hub values as
+    ``p + q * basis``), that the components sum exactly to the row's metric
+    entry, and its unit trace witness, which must cover exactly the distinct
+    index sets of the row's components.  One sort of the rows' component
+    multisets then shows that no two distances share one.  The sup bound is
+    recomputed from ``input`` and must equal the claimed enclosure.
 
     Each distinct piece (component, interval set, trace witness) is decoded
     once per call, keyed by its full JSON content, and each distinct
-    component is replayed once, when the first record naming it has passed
-    its syntactic check.
+    component is replayed once.
     """
+    if data.get("version") != CERTIFICATE_VERSION:
+        raise ValueError("unsupported certificate version")
     metric = FiniteMetric.from_json(data["metric"])
+    source = FiniteMetric.from_json(data["input"])
     snapshot = data["registry"]
     known = {int(g) for g in snapshot.get("gauges", {})}
     parameters = data.get("parameters", {})
     if "k" not in parameters or "partition" not in parameters:
         return Report("fail", (), "component replay failed: no parameters.k or partition")
     pieces = _CertificatePieces(_ComponentReplay(parameters, snapshot))
-    pair_index: dict[tuple[str, str], tuple[int, int]] = {}
-    for i, j in metric.pairs():
-        a, b = metric.points[i], metric.points[j]
-        pair_index[(a, b)] = pair_index[(b, a)] = (i, j)
-    bound: set[tuple] = set()
-    covered: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    records = data.get("independence", [])
-    for record in records:
-        if "certificate" not in record and "trace_witness" not in record:
-            return Report("fail", (), "empty independence record")
-        names = (tuple(record["pair_left"]), tuple(record["pair_right"]))
-        cert = None
-        if "certificate" in record:
-            cert = SumIndependenceCertificate.from_json(
-                record["certificate"], pieces.component
-            )
-            if not cert.verify(known):
-                return Report("fail", (names,), "independence certificate failed")
-            for side in (cert.left, cert.right):
-                for comp in side:
-                    problem = pieces.replay(comp)
-                    if problem is not None:
-                        return Report("fail", (problem,), "component replay failed")
-        if "trace_witness" in record and not pieces.witness(record["trace_witness"]):
-            return Report("fail", (), "trace witness failed")
-        left, right = pair_index.get(names[0]), pair_index.get(names[1])
-        against_one = cert is None and names[1] == ("1",)
-        if left is None or (right is None and not against_one):
-            return Report("fail", (names,), "record names a pair outside the metric")
-        if cert is None:
-            continue
-        if left == right:
-            return Report("fail", (names,), "record pairs a distance with itself")
-        for pair, side in ((left, cert.left), (right, cert.right)):
-            # one decoded instance per distinct component, so ids stand for content
-            key = (pair, tuple(map(id, side)))
-            if key not in bound:
-                if _component_sum(side) != metric.at(*pair):
-                    return Report(
-                        "fail", (names,), "components do not sum to the metric entry"
-                    )
-                bound.add(key)
-        key = (min(left, right), max(left, right))
-        if key in covered:
-            return Report("fail", (names,), "duplicate independence record")
-        covered.add(key)
+    rows = data["independence"]
     pairs = list(metric.pairs())
-    wanted = len(pairs) * (len(pairs) - 1) // 2
-    if len(covered) != wanted:
-        missing = next(
-            (p, q)
-            for a, p in enumerate(pairs)
-            for q in pairs[a + 1:]
-            if (p, q) not in covered
-        )
-        labels = tuple(tuple(metric.points[i] for i in pair) for pair in missing)
-        return Report(
-            "fail",
-            (labels,),
-            f"independence records cover {len(covered)} of {wanted} pairs of distances",
-        )
-    sup = data.get("sup_bound", {})
-    if sup:
-        eps = Fraction(sup["epsilon"])
-        if Fraction(sup["achieved_hi"]) > eps:
-            return Report("fail", (), "claimed sup bound exceeds epsilon")
+    keyed: list[tuple[tuple, tuple[str, str]]] = []
+    for t, (i, j) in enumerate(pairs):
+        pair = (metric.points[i], metric.points[j])
+        row = rows[t] if t < len(rows) else None
+        if row is None or (tuple(row["pair_left"]), tuple(row["pair_right"])) != (pair, ("1",)):
+            return Report("fail", (pair,), f"no independence row {t} covers this distance")
+        comps = tuple(pieces.component(c) for c in row["certificate"]["left"])
+        if not tagged_sum_holds(comps, known):
+            return Report("fail", (pair,), "independence hypotheses failed")
+        for comp in comps:
+            problem = pieces.replay(comp)
+            if problem is not None:
+                return Report("fail", (problem,), "component replay failed")
+        if _component_sum(comps) != metric.at(i, j):
+            return Report("fail", (pair,), "components do not sum to the metric entry")
+        witness = pieces.witness(row["trace_witness"]) if "trace_witness" in row else None
+        if witness is None or (witness.k, witness.index_sets) != _unit_witness_shape(comps):
+            return Report("fail", (pair,), "unit witness failed")
+        keyed.append((multiset_key(comps), pair))
+    if len(rows) != len(pairs):
+        extra = tuple(rows[len(pairs)]["pair_left"])
+        return Report("fail", (extra,), f"{len(rows)} independence rows for {len(pairs)} distances")
+    clash = _equal_multisets(keyed)
+    if clash is not None:
+        return Report("fail", clash, "two distances have equal component multisets")
+    if source.points != metric.points:
+        return Report("fail", (), "input and metric have different points")
+    sup = data["sup_bound"]
+    offending, enc = _certify_sup_bound(
+        source, metric, Fraction(sup["epsilon"]), DEFAULT_MAX_PRECISION
+    )
+    if offending is not None:
+        return _sup_failure(offending)
+    if (Fraction(sup["achieved_lo"]), Fraction(sup["achieved_hi"])) != (enc.lo, enc.hi):
+        return Report("fail", (), "claimed sup bound differs from the recomputed one")
     rigidity = is_strongly_rigid(metric)
     if not rigidity.passed:
         return Report(rigidity.verdict, rigidity.witnesses, "strong rigidity recheck")
-    return Report("pass", (), f"{len(records)} certificates verified")
+    return Report("pass", (), f"{len(rows)} independence rows verified")
 
 
 def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
@@ -614,7 +598,7 @@ class _CertificatePieces:
         self._components: dict[str, SumComponent] = {}
         self._replayed: dict[int, object | None] = {}
         self._sets: dict[str, IntervalSet] = {}
-        self._witnesses: dict[str, bool] = {}
+        self._witnesses: dict[str, IntervalTraceWitness | None] = {}
 
     def component(self, data: dict) -> SumComponent:
         key = repr(data)
@@ -636,13 +620,13 @@ class _CertificatePieces:
             sett = self._sets[key] = IntervalSet.from_json(data)
         return sett
 
-    def witness(self, data: dict) -> bool:
+    def witness(self, data: dict) -> IntervalTraceWitness | None:
+        """The decoded witness, or None when it does not verify."""
         key = repr(data)
-        ok = self._witnesses.get(key)
-        if ok is None:
+        if key not in self._witnesses:
             witness = IntervalTraceWitness.from_json(data, self.interval_set)
-            ok = self._witnesses[key] = witness.verify()
-        return ok
+            self._witnesses[key] = witness if witness.verify() else None
+        return self._witnesses[key]
 
 
 class _ComponentReplay:

@@ -1,6 +1,6 @@
 """Certificates of linear independence over the rationals.
 
-Two certificate shapes are produced and re-checked here.
+Two pieces of evidence are produced and re-checked here.
 
 * :class:`IntervalTraceWitness`: a window ``[n, n+1)`` in which every index
   set under consideration traces exactly ``[a, b_i)`` with one shared left
@@ -8,13 +8,13 @@ Two certificate shapes are produced and re-checked here.
   coded sums of those sets, together with 1, to be linearly independent over
   the rationals; the witness is re-verified by redoing the intersections.
 
-* :class:`SumIndependenceCertificate`: for two numbers that are each a sum of
-  at most three tagged components (two block values drawn from distinct gauge
-  families plus one hub value), the hypotheses that force independence are
-  syntactic: distinct gauge tags inside each sum, hub components from the hub
-  pool, different component multisets, and both sums nonzero.  The certificate
-  records the tags and the multiset-difference witness so a checker can replay
-  the test against a registry snapshot.
+* Tagged sums: a distance that is a sum of at most three tagged components
+  (two block values drawn from distinct gauge families plus one hub value).
+  The hypotheses that force independence are syntactic.  Each sum must pass
+  :func:`tagged_sum_holds` on its own (distinct registered gauge tags, at most
+  one hub component, not every component zero), and two sums must have
+  different component multisets, which :func:`multiset_key` turns into a
+  sort: two sums differ exactly when their keys do.
 """
 
 from __future__ import annotations
@@ -166,77 +166,28 @@ class SumComponent:
         )
 
 
-@dataclass(frozen=True)
-class SumIndependenceCertificate:
-    left: tuple[SumComponent, ...]
-    right: tuple[SumComponent, ...]
+def tagged_sum_holds(side: Sequence[SumComponent], known_gauges: Iterable[int]) -> bool:
+    """The syntactic hypotheses on one tagged sum.
 
-    def verify(self, known_gauges: Iterable[int] | None = None) -> bool:
-        """Replay the syntactic hypotheses that force independence."""
-        for side in (self.left, self.right):
-            if not 1 <= len(side) <= 3:
-                return False
-            gauge_ids = [c.gauge_id for c in side if c.kind == "block" and not c.value.is_zero_form()]
-            if len(gauge_ids) != len(set(gauge_ids)):
-                return False
-            if known_gauges is not None:
-                pool = set(known_gauges)
-                for gid in gauge_ids:
-                    if gid not in pool:
-                        return False
-            hubs = [c for c in side if c.kind == "hub"]
-            if len(hubs) > 1:
-                return False
-            # The sum must be nonzero: zero is dependent with everything.
-            if all(c.value.is_zero_form() for c in side):
-                return False
-        return _component_multisets_differ(self.left, self.right)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "sum-independence",
-            "left": [c.to_json() for c in self.left],
-            "right": [c.to_json() for c in self.right],
-        }
-
-    @staticmethod
-    def from_json(
-        data: dict,
-        decode_component: Callable[[dict], SumComponent] = SumComponent.from_json,
-    ) -> "SumIndependenceCertificate":
-        return SumIndependenceCertificate(
-            left=tuple(decode_component(c) for c in data["left"]),
-            right=tuple(decode_component(c) for c in data["right"]),
-        )
-
-
-def _component_multisets_differ(
-    left: Sequence[SumComponent], right: Sequence[SumComponent]
-) -> bool:
-    # values are canonical forms, so == is equality of their serializations
-    rest = [c.value for c in right]
-    for c in left:
-        if c.value not in rest:
-            return True
-        rest.remove(c.value)
-    return bool(rest)
-
-
-def sum_independence_check(
-    left: Sequence[SumComponent],
-    right: Sequence[SumComponent],
-    known_gauges: Iterable[int] | None = None,
-) -> SumIndependenceCertificate | None:
-    """Certificate that two tagged sums are linearly independent over Q.
-
-    ``None`` means the hypotheses do not hold (inconclusive).  Components
-    tagged with gauges outside ``known_gauges`` raise a domain error: a
-    checker cannot vouch for families it has never registered.
+    One to three components; the nonzero block components carry distinct
+    gauges, all in ``known_gauges`` (a checker cannot vouch for families it
+    has never registered); at most one hub component; and the sum is nonzero,
+    since zero is dependent with everything.
     """
-    if known_gauges is not None:
-        pool = set(known_gauges)
-        for c in (*left, *right):
-            if c.kind == "block" and not c.value.is_zero_form() and c.gauge_id not in pool:
-                raise DomainError(f"component uses unregistered gauge {c.gauge_id}")
-    cert = SumIndependenceCertificate(tuple(left), tuple(right))
-    return cert if cert.verify(known_gauges) else None
+    if not 1 <= len(side) <= 3:
+        return False
+    gauge_ids = [c.gauge_id for c in side if c.kind == "block" and not c.value.is_zero_form()]
+    if len(gauge_ids) != len(set(gauge_ids)) or not set(gauge_ids) <= set(known_gauges):
+        return False
+    if sum(c.kind == "hub" for c in side) > 1:
+        return False
+    return not all(c.value.is_zero_form() for c in side)
+
+
+def multiset_key(side: Sequence[SumComponent]) -> tuple:
+    """Sort key of a tagged sum's multiset of component values.
+
+    Values are canonical forms, so two sums have equal keys exactly when
+    their component multisets agree, tags and order aside.
+    """
+    return tuple(sorted(c.value.sort_key() for c in side))

@@ -15,7 +15,7 @@ from rigidmetrics.cli import main
 from rigidmetrics.metric import FiniteMetric, dump_metric
 
 # distances in [1, 2] on a grid of step 1/8: with epsilon 1/2 every point is
-# its own block, so the hub path and the pairwise records do the work
+# its own block, so the hub path and the independence rows do the work
 SPREAD_6 = (
     ["p0", "p1", "p2", "p3", "p4", "p5"],
     {
@@ -41,11 +41,11 @@ CLUSTERED_2X3 = (
 RIGIDIFY_DIGESTS = {
     "spread-6": (
         "99390c2083ca63688003c9f43ecc2b1f0d59996e9d5ab26bc02cfc2e36294596",
-        "332fd68802d441701c77bcde1b9f04e2029281b277600cefeca2f01abe70838e",
+        "72855bf2e7a1119bbe8ab141859781adf72d16df002201661da237f932991af5",
     ),
     "clustered-2x3": (
         "ec804d1496bfa240fc2893ccb5b3bf4cadb0fc90d0944d5cda7d0a8cbc46ac10",
-        "29cb25aa156efc5749c21d858377d5638af7fa5681ac7a007666b9c9536a085a",
+        "e8adfe692371bc56af46f456aa8ef82877ebe17f8857adefed04449c58ce9f9f",
     ),
 }
 

@@ -250,7 +250,7 @@ def test_approx_flag(metric_file, capsys):
 
 @pytest.fixture
 def clustered_certificate(tmp_path):
-    """A clustered input's certificate, whose block components recur in many records."""
+    """A clustered input's certificate, whose block components recur in several rows."""
     path = tmp_path / "clustered.json"
     path.write_text(dump_metric(clustered_metric(random.Random(3), 3, 2)))
     cert_path = tmp_path / "clustered.cert.json"
@@ -260,12 +260,12 @@ def clustered_certificate(tmp_path):
 
 
 def _most_shared_block_component(cert):
-    """Records holding the block component that the most records share, and its text."""
+    """Rows holding the block component that the most rows share, and its text."""
     holders: dict[str, list] = {}
-    for record in cert["independence"]:
-        for comp in record.get("certificate", {}).get("left", []):
+    for row in cert["independence"]:
+        for comp in row["certificate"]["left"]:
             if comp["kind"] == "block" and comp["value"]["terms"]:
-                holders.setdefault(json.dumps(comp, sort_keys=True), []).append(record)
+                holders.setdefault(json.dumps(comp, sort_keys=True), []).append(row)
     text = max(holders, key=lambda t: len(holders[t]))
     return text, holders[text]
 
@@ -308,3 +308,23 @@ def test_indep_malformed_certificate_is_a_parse_error(
     bad.write_text(json.dumps(cert))
     assert main(["indep", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_indep_refuses_a_v0_certificate(clustered_certificate, tmp_path, capsys):
+    cert = json.loads(clustered_certificate.read_text())
+    # the v0 shape: no version or input, one record per pair of distances
+    del cert["version"], cert["input"]
+    first, second = cert["independence"][:2]
+    cert["independence"] = [{
+        "pair_left": first["pair_left"],
+        "pair_right": second["pair_left"],
+        "certificate": {
+            "kind": "sum-independence",
+            "left": first["certificate"]["left"],
+            "right": second["certificate"]["left"],
+        },
+    }]
+    old = tmp_path / "v0.cert.json"
+    old.write_text(json.dumps(cert))
+    assert main(["indep", str(old)]) == 3
+    assert capsys.readouterr().err == "parse error: unsupported certificate version\n"

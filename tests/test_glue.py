@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from conftest import clustered_metric, mixed_scale_metrics, rational_metric
 from rigidmetrics import glue
 from rigidmetrics.coded import coded_sum
-from rigidmetrics.errors import DomainError
+from rigidmetrics.errors import DomainError, UnresolvedComparison
 from rigidmetrics.glue import (
+    CERTIFICATE_VERSION,
     Partition,
     amalgamate,
     partition_by_diameter,
@@ -17,6 +18,7 @@ from rigidmetrics.glue import (
     sup_bound_check,
     verify_certificate,
 )
+from rigidmetrics.independence import IntervalTraceWitness, find_interval_trace_witness
 from rigidmetrics.intervals import IntervalSet
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.verify import is_metric, is_strongly_rigid, sup_distance
@@ -158,8 +160,9 @@ def test_rigidify_full_six_points(rng):
     assert is_metric(out).passed
     assert is_strongly_rigid(out).passed
     assert cert.sup_hi <= Fraction(1, 2)
-    pair_records = [r for r in cert.independence if "certificate" in r]
-    assert len(pair_records) == 15 * 14 // 2
+    assert [r["pair_left"] for r in cert.independence] == [
+        [out.points[i], out.points[j]] for i, j in out.pairs()
+    ]
     blob = json.loads(json.dumps(cert.to_json(out), sort_keys=True))
     assert verify_certificate(blob).passed
 
@@ -218,6 +221,20 @@ def test_rigidify_full_guards():
         rigidify_full(mixed, Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "name, stub, message",
+    [("find_interval_trace_witness", lambda sets, k: None,
+      "no independent-of-1 witness for ('p0', 'p1')"),
+     ("multiset_key", lambda side: (), "equal component multisets for")],
+)
+def test_build_refuses_a_distance_it_cannot_certify(monkeypatch, name, stub, message):
+    d = rational_metric(random.Random(3), 4)
+    monkeypatch.setattr(glue, name, stub)
+    with pytest.raises(UnresolvedComparison) as raised:
+        rigidify_full(d, Fraction(1, 2))
+    assert str(raised.value).startswith(message)
+
+
 def test_certificate_tamper_detection(rng):
     d = rational_metric(rng, 4)
     out, cert = rigidify_full(d, Fraction(1, 2))
@@ -273,8 +290,8 @@ def certificates():
     return out
 
 
-def _pair_records(blob):
-    return [r for r in blob["independence"] if "certificate" in r]
+def _rows(blob):
+    return blob["independence"]
 
 
 def _empty_list(blob):
@@ -282,11 +299,11 @@ def _empty_list(blob):
 
 
 def _dropped_record(blob):
-    blob["independence"].remove(_pair_records(blob)[-1])
+    _rows(blob).pop()
 
 
 def _duplicated_record(blob):
-    blob["independence"].append(_pair_records(blob)[0])
+    _rows(blob).append(_rows(blob)[0])
 
 
 def _swapped_metric(blob):
@@ -304,26 +321,102 @@ def _deleted_parameters(blob):
 
 
 def _foreign_pair(blob):
-    _pair_records(blob)[0]["pair_left"] = ["nowhere", "else"]
+    _rows(blob)[0]["pair_left"] = ["nowhere", "else"]
 
 
 def _self_pair(blob):
-    record = _pair_records(blob)[0]
-    record["pair_right"] = list(record["pair_left"])
-    record["certificate"]["right"] = record["certificate"]["left"]
+    row = _rows(blob)[0]
+    row["pair_right"] = list(row["pair_left"])
+
+
+def _equal_multisets(blob):
+    # row 1 takes row 0's components and witness, and the metric entry of
+    # pair 1 takes pair 0's value, so that row passes every check of its own
+    first, second = _rows(blob)[:2]
+    second["certificate"] = first["certificate"]
+    second["trace_witness"] = first["trace_witness"]
+    points, matrix = blob["metric"]["points"], blob["metric"]["matrix"]
+    (a, b), (c, e) = ([points.index(x) for x in row["pair_left"]] for row in (first, second))
+    matrix[c][e] = matrix[e][c] = matrix[a][b]
+
+
+def _zeroed_sup(blob):
+    blob["sup_bound"]["achieved_hi"] = "0/1"
+
+
+def _copied_witness(blob):
+    _rows(blob)[1]["trace_witness"] = _rows(blob)[0]["trace_witness"]
+
+
+def _deleted_witness(blob):
+    del _rows(blob)[-1]["trace_witness"]
+
+
+def _shifted_input(blob):
+    matrix = blob["input"]["matrix"]
+    shifted = str(Fraction(matrix[0][1]["offset"]) + 1)
+    matrix[0][1]["offset"] = matrix[1][0]["offset"] = shifted
+
+
+def _renamed_input(blob):
+    blob["input"]["points"][0] = "elsewhere"
 
 
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 @pytest.mark.parametrize(
     "forge",
     [_empty_list, _dropped_record, _duplicated_record, _swapped_metric,
-     _deleted_parameters, _foreign_pair, _self_pair],
+     _deleted_parameters, _foreign_pair, _self_pair, _equal_multisets,
+     _zeroed_sup, _copied_witness, _deleted_witness, _shifted_input,
+     _renamed_input],
 )
 def test_certificate_forgeries_fail(certificates, kind, forge):
     blob = json.loads(certificates[kind])
     assert verify_certificate(blob).passed
     forge(blob)
     assert verify_certificate(blob).verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "forge, detail",
+    [(_equal_multisets, "equal component multisets"),
+     (_zeroed_sup, "claimed sup bound"),
+     (_copied_witness, "unit witness"),
+     (_deleted_witness, "unit witness"),
+     (_shifted_input, "sup bound exceeded"),
+     (_renamed_input, "different points")],
+)
+def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
+    blob = json.loads(certificates["spread"])
+    forge(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and detail in report.detail
+    if forge is _equal_multisets:
+        assert report.witnesses == tuple(tuple(r["pair_left"]) for r in _rows(blob)[:2])
+
+
+def test_unit_witness_must_cover_every_index_set_of_its_row(certificates):
+    blob = json.loads(certificates["clustered"])
+    row = next(r for r in _rows(blob) if len(r["trace_witness"]["index_sets"]) >= 2)
+    witness = IntervalTraceWitness.from_json(row["trace_witness"])
+    subset = find_interval_trace_witness(witness.index_sets[:1], witness.k)
+    assert subset is not None and subset.verify()
+    row["trace_witness"] = subset.to_json()
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and "unit witness" in report.detail
+    assert report.witnesses == (tuple(row["pair_left"]),)
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, "1"])
+def test_other_certificate_versions_are_refused(certificates, version):
+    blob = json.loads(certificates["spread"])
+    assert blob["version"] == CERTIFICATE_VERSION
+    if version is None:
+        del blob["version"]
+    else:
+        blob["version"] = version
+    with pytest.raises(ValueError, match="unsupported certificate version"):
+        verify_certificate(blob)
 
 
 def test_swapped_metric_fails_the_binding(certificates):
@@ -335,21 +428,20 @@ def test_swapped_metric_fails_the_binding(certificates):
 
 
 def test_coverage_failure_names_the_missing_pair(certificates):
-    blob = json.loads(certificates["spread"])
-    dropped = _pair_records(blob)[-1]
-    blob["independence"].remove(dropped)
-    report = verify_certificate(blob)
-    assert "cover" in report.detail
-    assert report.witnesses == ((tuple(dropped["pair_left"]), tuple(dropped["pair_right"])),)
+    for position in (-1, 3):
+        blob = json.loads(certificates["spread"])
+        dropped = _rows(blob).pop(position)
+        report = verify_certificate(blob)
+        assert "cover" in report.detail
+        assert report.witnesses == (tuple(dropped["pair_left"]),)
 
 
 def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
     blob = json.loads(certificates["clustered"])
     distinct = {
         repr(c)
-        for r in _pair_records(blob)
-        for side in ("left", "right")
-        for c in r["certificate"][side]
+        for r in _rows(blob)
+        for c in r["certificate"]["left"]
         if c["kind"] in ("block", "hub") and c["value"]["terms"]
     }
     calls = []
@@ -361,4 +453,9 @@ def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
 
     monkeypatch.setattr(glue, "tau", counting_tau)
     assert verify_certificate(blob).passed
-    assert 0 < len(calls) <= len(distinct) < len(_pair_records(blob))
+    copies = sum(
+        c["kind"] in ("block", "hub") and bool(c["value"]["terms"])
+        for r in _rows(blob)
+        for c in r["certificate"]["left"]
+    )
+    assert 0 < len(calls) <= len(distinct) < copies
