@@ -252,7 +252,9 @@ def _cmd_dist(args) -> int:
 def _cmd_indep(args) -> int:
     # the checker decodes the certificate as it checks it
     with _decoding("certificate"):
-        report = verify_certificate(json.loads(args.certificate.read_text()))
+        report = verify_certificate(
+            json.loads(args.certificate.read_text()), args.max_precision
+        )
     sys.stdout.write(dumps_canonical(report.to_json()))
     if report.verdict == "pass":
         return EXIT_PASS

@@ -241,7 +241,11 @@ class CodedReal:
     __rmul__ = __mul__
 
     def eval(self, precision_index: int) -> Enclosure:
-        """Rational enclosure from the first ``precision_index + 1`` indices."""
+        """Rational enclosure from the first ``precision_index + 1`` indices.
+
+        The enumeration values at those indices are read from one memoized
+        list shared by all terms and calls.
+        """
         n = precision_index
         if n < 0:
             raise ValueError("precision index must be nonnegative")
@@ -259,8 +263,8 @@ class CodedReal:
             # the hits as one integer over 2^top, the largest exponent
             top = sched.exponent(n)
             hits = 0
-            for i in range(n + 1):
-                if rational_at(i) in term.index_set:
+            for i, q in enumerate(_enumeration_prefix(n + 1)):
+                if q in term.index_set:
                     hits += 1 << (top - sched.exponent(i))
             tail = Fraction(1, 1 << tail_exp)
             base += term.coeff * Fraction(hits, 1 << top)
@@ -306,6 +310,16 @@ class CodedReal:
         bits = [str(self.offset)] if self.offset else []
         bits += [f"{t.coeff}*<g{t.k}, {t.index_set!r}>" for t in self.terms]
         return "CodedReal(" + " + ".join(bits) + ")"
+
+
+_enumerated: list[Fraction] = []
+
+
+def _enumeration_prefix(count: int) -> list[Fraction]:
+    """``rational_at(0), ..., rational_at(count - 1)``, memoized for eval."""
+    while len(_enumerated) < count:
+        _enumerated.append(rational_at(len(_enumerated)))
+    return _enumerated[:count]
 
 
 def as_coded(value: "CodedReal | Fraction | int") -> CodedReal:

@@ -18,6 +18,11 @@ rigidity, and one independence row per distance.  A row holds the distance's
 tagged components, which pass the per-sum hypotheses and sum to it, and its
 independent-of-1 trace witness; the rows' component multisets are pairwise
 different, which one sort shows.
+
+The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
+``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
+whose rational enclosure lies strictly inside the allowance is settled by
+it; only the rest go through the exact engine.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .coded import (
     as_coded,
     compare,
 )
-from .errors import DomainError, UnresolvedComparison
+from .errors import DomainError, PrecisionError, UnresolvedComparison
 from .independence import (
     IntervalTraceWitness,
     SumComponent,
@@ -50,7 +55,7 @@ from .intervals import IntervalSet, _frac_str
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, ValueRegistry, gauge_from_snapshot
-from .verify import Report, _eval_halving, is_strongly_rigid
+from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
 CERTIFICATE_VERSION = 1
 
@@ -192,9 +197,11 @@ def sup_bound_check(
                         "fail",
                         ((block[i], block[j]),),
                         "precondition-failure: block diameter exceeds epsilon",
+                        max_precision,
                     )
                 if order == UNRESOLVED:
-                    return Report("unresolved", ((block[i], block[j]),), "precondition")
+                    return Report("unresolved", ((block[i], block[j]),), "precondition",
+                                  max_precision)
     hub_defect = as_coded(0)
     d_hubs = d.restrict(list(partition.hubs))
     for i, j in d_hubs.pairs():
@@ -204,15 +211,16 @@ def sup_bound_check(
     allowance = as_coded(4 * epsilon) + hub_defect
     offending, sup = _certify_sup_bound(d, glued, allowance, max_precision)
     if offending is None:
-        return Report("pass", (), f"sup bound holds; sup in [{sup.lo}, {sup.hi}]")
-    return _sup_failure(offending)
+        return Report("pass", (), f"sup bound holds; sup in [{sup.lo}, {sup.hi}]",
+                      max_precision)
+    return _sup_failure(offending, max_precision)
 
 
-def _sup_failure(offending: tuple[tuple[str, str], str]) -> Report:
+def _sup_failure(offending: tuple[tuple[str, str], str], max_precision: int) -> Report:
     pair, order = offending
     if order == GREATER:
-        return Report("fail", (pair,), "sup bound exceeded")
-    return Report("unresolved", (pair,), "sup bound")
+        return Report("fail", (pair,), "sup bound exceeded", max_precision)
+    return Report("unresolved", (pair,), "sup bound", max_precision)
 
 
 def _abs_exact(value: CodedReal, max_precision: int) -> CodedReal:
@@ -380,19 +388,43 @@ def _certify_sup_bound(
     allowance: Fraction | CodedReal,
     max_precision: int,
 ) -> tuple[tuple[tuple[str, str], str] | None, Enclosure]:
-    """Exact per-pair scan of ``|glued - d| <= allowance`` on shared labels.
+    """Per-pair scan of ``|glued - d| <= allowance`` on shared labels.
 
     Returns the first pair that exceeds the allowance or cannot be compared
     with it, with that ordering (or None when every pair is within), and an
     enclosure of the sup over the pairs scanned before it.
+
+    Each pair's difference gets one ``eval`` enclosure, the one the sup is
+    read from.  When it lies strictly above or below 0 and its absolute
+    ``hi`` is strictly below the allowance (below the ``lo`` of the
+    allowance's own enclosure when that is coded), the pair is within and
+    the exact engine is skipped.  Every other pair, including one whose
+    enclosure is out of reach, is oriented and compared exactly in the same
+    loop order, so the first offending pair and its ordering are those of
+    the exact scan.  ``eval(-x)`` is ``eval(x)`` mirrored, so the sup
+    enclosure is the same either way.  A settled pair is never sent to the
+    exact engine, so one whose index sets reach past the engine's level
+    range no longer raises ``PrecisionError`` here.
     """
+    try:
+        allowance_lo = _eval_halving(as_coded(allowance)).lo
+    except PrecisionError:
+        allowance_lo = None
     sup_lo = sup_hi = Fraction(0)
     for i, j in d.pairs():
-        gap = _abs_exact(glued.at(i, j) - d.at(i, j), max_precision)
-        order = compare(gap, allowance, max_precision)
-        if order in (GREATER, UNRESOLVED):
-            return ((d.points[i], d.points[j]), order), Enclosure(sup_lo, sup_hi)
-        enc = _eval_halving(gap)
+        diff = glued.at(i, j) - d.at(i, j)
+        try:
+            # lo > 0 exactly when diff's enclosure lies strictly off 0
+            enc = _abs_enclosure(diff, 8)
+        except PrecisionError:
+            enc = None
+        if (enc is None or allowance_lo is None
+                or not (enc.lo > 0 and enc.hi < allowance_lo)):
+            gap = _abs_exact(diff, max_precision)
+            order = compare(gap, allowance, max_precision)
+            if order in (GREATER, UNRESOLVED):
+                return ((d.points[i], d.points[j]), order), Enclosure(sup_lo, sup_hi)
+            enc = _eval_halving(gap)
         sup_lo = max(sup_lo, enc.lo)
         sup_hi = max(sup_hi, enc.hi)
     return None, Enclosure(sup_lo, sup_hi)
@@ -504,7 +536,7 @@ def _equal_multisets(
     return None
 
 
-def verify_certificate(data: dict) -> Report:
+def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
     A certificate of another ``version`` raises ``ValueError``.  There must be
@@ -517,7 +549,9 @@ def verify_certificate(data: dict) -> Report:
     entry, and its unit trace witness, which must cover exactly the distinct
     index sets of the row's components.  One sort of the rows' component
     multisets then shows that no two distances share one.  The sup bound is
-    recomputed from ``input`` and must equal the claimed enclosure.
+    recomputed from ``input`` and must equal the claimed enclosure.  The sup
+    bound and the strong-rigidity recheck run under ``max_precision``, which
+    every report records.
 
     Each distinct piece (component, interval set, trace witness) is decoded
     once per call, keyed by its full JSON content, and each distinct
@@ -531,7 +565,8 @@ def verify_certificate(data: dict) -> Report:
     known = {int(g) for g in snapshot.get("gauges", {})}
     parameters = data.get("parameters", {})
     if "k" not in parameters or "partition" not in parameters:
-        return Report("fail", (), "component replay failed: no parameters.k or partition")
+        return Report("fail", (), "component replay failed: no parameters.k or partition",
+                      max_precision)
     pieces = _CertificatePieces(_ComponentReplay(parameters, snapshot))
     rows = data["independence"]
     pairs = list(metric.pairs())
@@ -540,40 +575,46 @@ def verify_certificate(data: dict) -> Report:
         pair = (metric.points[i], metric.points[j])
         row = rows[t] if t < len(rows) else None
         if row is None or (tuple(row["pair_left"]), tuple(row["pair_right"])) != (pair, ("1",)):
-            return Report("fail", (pair,), f"no independence row {t} covers this distance")
+            return Report("fail", (pair,), f"no independence row {t} covers this distance",
+                          max_precision)
         comps = tuple(pieces.component(c) for c in row["certificate"]["left"])
         if not tagged_sum_holds(comps, known):
-            return Report("fail", (pair,), "independence hypotheses failed")
+            return Report("fail", (pair,), "independence hypotheses failed", max_precision)
         for comp in comps:
             problem = pieces.replay(comp)
             if problem is not None:
-                return Report("fail", (problem,), "component replay failed")
+                return Report("fail", (problem,), "component replay failed", max_precision)
         if _component_sum(comps) != metric.at(i, j):
-            return Report("fail", (pair,), "components do not sum to the metric entry")
+            return Report("fail", (pair,), "components do not sum to the metric entry",
+                          max_precision)
         witness = pieces.witness(row["trace_witness"]) if "trace_witness" in row else None
         if witness is None or (witness.k, witness.index_sets) != _unit_witness_shape(comps):
-            return Report("fail", (pair,), "unit witness failed")
+            return Report("fail", (pair,), "unit witness failed", max_precision)
         keyed.append((multiset_key(comps), pair))
     if len(rows) != len(pairs):
         extra = tuple(rows[len(pairs)]["pair_left"])
-        return Report("fail", (extra,), f"{len(rows)} independence rows for {len(pairs)} distances")
+        return Report("fail", (extra,),
+                      f"{len(rows)} independence rows for {len(pairs)} distances", max_precision)
     clash = _equal_multisets(keyed)
     if clash is not None:
-        return Report("fail", clash, "two distances have equal component multisets")
+        return Report("fail", clash, "two distances have equal component multisets",
+                      max_precision)
     if source.points != metric.points:
-        return Report("fail", (), "input and metric have different points")
+        return Report("fail", (), "input and metric have different points", max_precision)
     sup = data["sup_bound"]
     offending, enc = _certify_sup_bound(
-        source, metric, Fraction(sup["epsilon"]), DEFAULT_MAX_PRECISION
+        source, metric, Fraction(sup["epsilon"]), max_precision
     )
     if offending is not None:
-        return _sup_failure(offending)
+        return _sup_failure(offending, max_precision)
     if (Fraction(sup["achieved_lo"]), Fraction(sup["achieved_hi"])) != (enc.lo, enc.hi):
-        return Report("fail", (), "claimed sup bound differs from the recomputed one")
-    rigidity = is_strongly_rigid(metric)
+        return Report("fail", (), "claimed sup bound differs from the recomputed one",
+                      max_precision)
+    rigidity = is_strongly_rigid(metric, max_precision)
     if not rigidity.passed:
-        return Report(rigidity.verdict, rigidity.witnesses, "strong rigidity recheck")
-    return Report("pass", (), f"{len(rows)} independence rows verified")
+        return Report(rigidity.verdict, rigidity.witnesses, "strong rigidity recheck",
+                      max_precision)
+    return Report("pass", (), f"{len(rows)} independence rows verified", max_precision)
 
 
 def _component_sum(side: Sequence[SumComponent]) -> CodedReal:

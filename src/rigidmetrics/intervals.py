@@ -59,7 +59,7 @@ class IntervalSet:
         return not self.blocks
 
     def __contains__(self, q: Fraction) -> bool:
-        q = Fraction(q)
+        q = _as_fraction(q)
         lo, hi = 0, len(self.blocks)
         while lo < hi:
             mid = (lo + hi) // 2

@@ -107,11 +107,24 @@ class FiniteMetric:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteMetric":
+        """Decode a matrix, each distinct entry once.
+
+        Entries are keyed by the ``repr`` of their JSON, their full content,
+        so a mirror entry written the same way shares its decoding; entries
+        written differently are decoded apart and compared by value.
+        """
+        decoded: dict[str, CodedReal] = {}
+
+        def entry(e: dict) -> CodedReal:
+            key = repr(e)
+            value = decoded.get(key)
+            if value is None:
+                value = decoded[key] = CodedReal.from_json(e)
+            return value
+
         return FiniteMetric(
             tuple(data["points"]),
-            tuple(
-                tuple(CodedReal.from_json(e) for e in row) for row in data["matrix"]
-            ),
+            tuple(tuple(entry(e) for e in row) for row in data["matrix"]),
         )
 
     def to_csv(self) -> str:

@@ -32,11 +32,16 @@ def test_verify_exit_codes(metric_file, capsys):
     assert '"verdict":"fail"' in out
 
 
-def test_report_records_precision_budget(metric_file, capsys):
+def test_report_records_precision_budget(metric_file, tmp_path, capsys):
     argv = ["verify", "--metric", str(metric_file), "--check"]
     for check in (["metric"], ["strict"], ["sr"], ["lnm"], ["embed", "--xi", "a"]):
         assert main(["--max-precision", "16", *argv, *check]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["precision"] == 16
+    cert = tmp_path / "m.cert.json"
+    assert main(["rigidify", str(metric_file), "--epsilon", "1/2", "--full",
+                 "--out", str(tmp_path / "out.json"), "--certificate", str(cert)]) == 0
+    assert main(["--max-precision", "16", "indep", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 16
     # the default budget is reported as before
     assert main([*argv, "strict"]) == 0
     assert json.loads(capsys.readouterr().out)["precision"] == 64

@@ -378,3 +378,12 @@ def test_integer_eval_equals_per_hit_sum(raw, offset, n):
     lo, hi = _eval_reference(x, n)
     assert enc.lo == lo
     assert enc.hi == hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_terms(), st.fractions(max_denominator=8), st.integers(0, 8))
+def test_negation_mirrors_eval(raw, offset, n):
+    # the sup-bound scan reads |x|'s enclosure off x's own
+    x = CodedReal.build(offset, raw)
+    enc = x.eval(n)
+    assert (-x).eval(n) == Enclosure(-enc.hi, -enc.lo)

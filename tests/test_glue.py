@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import clustered_metric, mixed_scale_metrics, rational_metric
 from rigidmetrics import glue
-from rigidmetrics.coded import coded_sum
+from rigidmetrics.coded import GREATER, UNRESOLVED, CodedReal, Enclosure, coded_sum, compare
 from rigidmetrics.errors import DomainError, UnresolvedComparison
 from rigidmetrics.glue import (
     CERTIFICATE_VERSION,
@@ -21,7 +21,7 @@ from rigidmetrics.glue import (
 from rigidmetrics.independence import IntervalTraceWitness, find_interval_trace_witness
 from rigidmetrics.intervals import IntervalSet
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
-from rigidmetrics.verify import is_metric, is_strongly_rigid, sup_distance
+from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
 
 
 def test_partition_far_points_become_singletons(rng):
@@ -132,6 +132,7 @@ def test_sup_bound_exceeded_names_the_first_pair(rng):
     assert report.verdict == "fail"
     assert report.witnesses == ((d.points[0], d.points[1]),)
     assert report.detail == "sup bound exceeded"
+    assert sup_bound_check(d, glued, part, Fraction(1, 4), d, 16).precision == 16
 
 
 def test_sup_bound_reports_precondition_failure(rng):
@@ -142,6 +143,114 @@ def test_sup_bound_reports_precondition_failure(rng):
     report = sup_bound_check(d, glued, part, Fraction(1, 8), hub)
     assert report.verdict == "fail"
     assert "precondition" in report.detail
+
+
+def _exact_sup_scan(d, glued, allowance, max_precision):
+    """The sup-bound scan without the enclosure prefilter: every pair is
+    oriented and compared through the exact engine, in the scan's order."""
+    sup_lo = sup_hi = Fraction(0)
+    for i, j in d.pairs():
+        gap = glue._abs_exact(glued.at(i, j) - d.at(i, j), max_precision)
+        order = compare(gap, allowance, max_precision)
+        if order in (GREATER, UNRESOLVED):
+            return ((d.points[i], d.points[j]), order), Enclosure(sup_lo, sup_hi)
+        enc = _eval_halving(gap)
+        sup_lo = max(sup_lo, enc.lo)
+        sup_hi = max(sup_hi, enc.hi)
+    return None, Enclosure(sup_lo, sup_hi)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except Exception as exc:  # the same exception must come from both scans
+        return type(exc), str(exc)
+
+
+# eval(8) reads indices 0-8 and pads each term by 2^-511.  <g0,[5,6)> first
+# hits index 31; <g0,[4/3,7/5)> first hits index 9.  Every rational in
+# [1/23, 1/22) sits at Calkin-Wilf depth 22 or more, past the symbolic index
+# range, so the exact engine cannot tell <g0,[1/23,1/22)> from 0.
+_BELOW_8 = IntervalSet.block(5, 6)
+_AT_9 = IntervalSet.block(Fraction(4, 3), Fraction(7, 5))
+_DEEP = IntervalSet.block(Fraction(1, 23), Fraction(1, 22))
+_TINY = Fraction(1, 1 << 520)
+_EPS = Fraction(1, 2)
+_UNPLACEABLE = _EPS - coded_sum(0, _DEEP)  # below epsilon by an amount no engine sees
+_JUST_ABOVE = _EPS + coded_sum(0, _BELOW_8)
+_JUST_BELOW = _EPS - coded_sum(0, _AT_9)
+_UNORIENTED = coded_sum(0, _BELOW_8) - _TINY  # eval(8) straddles 0
+_OUT_OF_REACH = coded_sum(1 << 21, _BELOW_8)  # no eval at any precision
+_GAPS = [
+    CodedReal.from_rational(_EPS),
+    CodedReal.from_rational(_EPS + _TINY),
+    CodedReal.from_rational(_EPS - _TINY),
+    CodedReal.from_rational(_TINY),
+    _UNPLACEABLE,
+    _JUST_ABOVE,
+    _JUST_BELOW,
+    _EPS - _TINY + coded_sum(0, _AT_9),
+    coded_sum(0, _BELOW_8),
+    _UNORIENTED,
+    coded_sum(0, _DEEP),
+    coded_sum(1, _AT_9, Fraction(1, 2)),
+    _OUT_OF_REACH,
+]
+_ALLOWANCES = [
+    CodedReal.from_rational(_EPS),
+    _EPS + coded_sum(0, _AT_9),
+    _EPS - coded_sum(0, _DEEP),
+    _EPS + _OUT_OF_REACH,
+]
+
+
+def _shifted(d, shifts):
+    values = dict(zip(d.pairs(), shifts))
+    return FiniteMetric.from_pair_function(d.points, lambda i, j: d.at(i, j) + values[(i, j)])
+
+
+@st.composite
+def sup_scans(draw):
+    """An input metric, an output within or beyond the allowance by amounts
+    at and below eval(8)'s resolution, of either sign, and an allowance that
+    is a plain ``Fraction`` or coded, as ``sup_bound_check`` passes it."""
+    n = draw(st.integers(2, 4))
+    count = n * (n - 1) // 2
+    d = rational_metric(random.Random(draw(st.integers(0, 99))), n)
+    gaps = st.one_of(
+        st.fractions(min_value=-1, max_value=1, max_denominator=4).map(CodedReal.from_rational),
+        st.sampled_from(_GAPS),
+    )
+    shifts = [g if draw(st.booleans()) else -g
+              for g in draw(st.lists(gaps, min_size=count, max_size=count))]
+    allowance = _EPS if draw(st.booleans()) else draw(st.sampled_from(_ALLOWANCES))
+    return d, _shifted(d, shifts), allowance
+
+
+def _scan_case(shifts, allowance=_EPS):
+    d = rational_metric(random.Random(0), 3)
+    return d, _shifted(d, shifts), allowance
+
+
+@settings(max_examples=300, deadline=None)
+@given(sup_scans(), st.sampled_from([16, 64]))
+# a gap equal to epsilon, and one that only the exact engine cannot place
+# against it: the prefilter must leave both to the exact path
+@example(_scan_case([_EPS, 0, 0]), 64)
+@example(_scan_case([0, _UNPLACEABLE, _EPS]), 64)
+@example(_scan_case([_UNPLACEABLE, -_UNPLACEABLE, 0], _ALLOWANCES[1]), 64)
+# just above and just below epsilon, below eval(8)'s resolution
+@example(_scan_case([_EPS - _TINY, -_JUST_ABOVE, -(_EPS + _TINY)]), 64)
+@example(_scan_case([_JUST_BELOW, -_JUST_BELOW, coded_sum(0, _BELOW_8)], _ALLOWANCES[2]), 64)
+# a gap eval(8) cannot orient, one the exact engine cannot orient either,
+# and gaps or an allowance whose eval is out of reach
+@example(_scan_case([_UNORIENTED, -coded_sum(0, _DEEP), 0]), 64)
+@example(_scan_case([Fraction(1, 4), -_OUT_OF_REACH, 0]), 64)
+@example(_scan_case([Fraction(1, 4), 0, 0], _ALLOWANCES[3]), 16)
+def test_sup_prefilter_cannot_change_the_scan(case, max_precision):
+    d, glued, allowance = case
+    assert _outcome(glue._certify_sup_bound, d, glued, allowance, max_precision) == \
+        _outcome(_exact_sup_scan, d, glued, allowance, max_precision)
 
 
 def test_rigidify_full_two_points():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidmetrics.coded import coded_sum
+from rigidmetrics.coded import CodedReal, coded_sum
 from rigidmetrics.errors import DomainError
 from rigidmetrics.intervals import IntervalSet
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
@@ -65,3 +65,51 @@ def test_scaled():
     assert m.scaled(Fraction(1, 4)).at(0, 1).rational_value() == Fraction(1, 2)
     with pytest.raises(DomainError):
         m.scaled(Fraction(0))
+
+
+def _coded_metric():
+    x = coded_sum(3, IntervalSet.from_blocks([(0, Fraction(1, 2)), (1, Fraction(4, 3))]))
+    return FiniteMetric.from_entries(
+        ["a", "b", "c", "d"],
+        [
+            [0, x, x + 1, Fraction(5, 3)],
+            [x, 0, Fraction(5, 3), x + 1],
+            [x + 1, Fraction(5, 3), 0, x],
+            [Fraction(5, 3), x + 1, x, 0],
+        ],
+    )
+
+
+def test_from_json_decodes_each_distinct_entry_once(monkeypatch):
+    data = _coded_metric().to_json()
+    distinct = {repr(e) for row in data["matrix"] for e in row}
+    seen = []
+    real = CodedReal.from_json
+
+    def counting(entry):
+        seen.append(repr(entry))
+        return real(entry)
+
+    monkeypatch.setattr(CodedReal, "from_json", staticmethod(counting))
+    assert FiniteMetric.from_json(data) == _coded_metric()
+    assert sorted(seen) == sorted(distinct)
+    assert len(distinct) < 16
+
+
+def test_from_json_still_compares_mirror_entries():
+    data = _coded_metric().to_json()
+    # mirror entries that differ in one coefficient
+    data["matrix"][1][0]["terms"][0]["coeff"] = "2/1"
+    with pytest.raises(DomainError, match="asymmetric"):
+        FiniteMetric.from_json(data)
+    # mirror entries written differently but equal in value
+    data = _coded_metric().to_json()
+    data["matrix"][0][3]["offset"] = "10/6"
+    data["matrix"][3][0]["offset"] = "5/3"
+    data["matrix"][0][1]["terms"][0]["coeff"] = "2/2"
+    assert FiniteMetric.from_json(data) == _coded_metric()
+    rational = {"points": ["a", "b"], "matrix": [
+        [{"offset": "0/1", "terms": []}, {"offset": "2/4", "terms": []}],
+        [{"offset": "1/2", "terms": []}, {"offset": "0/1", "terms": []}],
+    ]}
+    assert FiniteMetric.from_json(rational).at(0, 1).rational_value() == Fraction(1, 2)
