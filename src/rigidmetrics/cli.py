@@ -21,15 +21,16 @@ Exit codes: 0 success/pass, 1 fail, 2 unresolved, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 from .coded import DEFAULT_MAX_PRECISION
 from .errors import DomainError, PrecisionError, ResourceError, UnresolvedComparison
 from .glue import Partition, amalgamate, rigidify_full, verify_certificate
+from .intervals import _parse_frac
 from .metric import FiniteMetric, dump_metric, dumps_canonical, load_metric
 from .product import tau, word_label
 from .registry import ValueRegistry
@@ -44,7 +45,10 @@ EXIT_INVARIANT = 4
 EXIT_RESOURCE = 5
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rigidmetrics",
         description="exact strongly rigid metric constructions and checks",
@@ -94,14 +98,15 @@ def _parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _decoding(what: str):
-    """A field missing or ill-shaped while decoding an input is a parse error.
+    """A field missing or ill-shaped while decoding an input is a parse error,
+    and so is a rational with a zero denominator.
 
     Wrap only the decoding, so that errors of the pipeline itself still
     surface as they are.
     """
     try:
         yield
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {what}: {type(exc).__name__} {exc}") from exc
 
 
@@ -150,7 +155,8 @@ def _approx(entry) -> float:
 
 def _cmd_rigidify(args) -> int:
     d = _read_metric(args.input, args.format)
-    epsilon = Fraction(args.epsilon)
+    with _decoding("--epsilon"):
+        epsilon = _parse_frac(args.epsilon)
     if args.full:
         metric, certificate = rigidify_full(
             d, epsilon, seed=args.seed, max_precision=args.max_precision

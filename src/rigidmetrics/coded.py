@@ -46,7 +46,7 @@ from .enumeration import (
     tree_depth,
 )
 from .errors import DomainError, PrecisionError
-from .intervals import IntervalSet, _as_fraction, _frac_str
+from .intervals import IntervalSet, _as_fraction, _frac_str, _parse_frac
 
 Ordering = Literal["less", "equal", "greater", "unresolved"]
 
@@ -243,36 +243,44 @@ class CodedReal:
     def eval(self, precision_index: int) -> Enclosure:
         """Rational enclosure from the first ``precision_index + 1`` indices.
 
-        The enumeration values at those indices are read from one memoized
-        list shared by all terms and calls.
+        Hits and tail pads are added as integers over one denominator: the
+        lcm of the offset and coefficient denominators times ``2^E``, where
+        ``E`` is the largest tail exponent, and the two ends are built from
+        them once.  The enumeration values at those indices are read as
+        integer pairs from one memoized list shared by all terms and calls.
         """
         n = precision_index
         if n < 0:
             raise ValueError("precision index must be nonnegative")
-        base = self.offset
-        lo_pad = Fraction(0)
-        hi_pad = Fraction(0)
+        tail_exps = []
         for term in self.terms:
-            sched = ExponentSchedule(term.k)
-            tail_exp = sched.exponent(n + 1) - 1
+            tail_exp = ExponentSchedule(term.k).exponent(n + 1) - 1
             if tail_exp > _MAX_EVAL_EXPONENT:
                 raise PrecisionError(
                     f"eval at index {n} needs 2^{tail_exp}-bit rationals; "
                     "use compare() for symbolic decisions"
                 )
-            # the hits as one integer over 2^top, the largest exponent
-            top = sched.exponent(n)
+            tail_exps.append(tail_exp)
+        top = max(tail_exps, default=0)
+        offset = self.offset
+        scale = math.lcm(offset.denominator, *(t.coeff.denominator for t in self.terms))
+        base = offset.numerator * (scale // offset.denominator) << top
+        lo_pad = hi_pad = 0
+        prefix = _enumeration_prefix(n + 1)
+        for term, tail_exp in zip(self.terms, tail_exps):
+            # hits in units of 2^-(2^n + k): index i weighs 2^(2^n - 2^i) of them
             hits = 0
-            for i, q in enumerate(_enumeration_prefix(n + 1)):
-                if q in term.index_set:
-                    hits += 1 << (top - sched.exponent(i))
-            tail = Fraction(1, 1 << tail_exp)
-            base += term.coeff * Fraction(hits, 1 << top)
-            if term.coeff > 0:
-                hi_pad += term.coeff * tail
+            for i, (qn, qd) in enumerate(prefix):
+                if term.index_set._block_index(qn, qd) >= 0:
+                    hits += 1 << ((1 << n) - (1 << i))
+            c = term.coeff.numerator * (scale // term.coeff.denominator)
+            base += c * hits << (top - (1 << n) - term.k)
+            if c > 0:
+                hi_pad += c << (top - tail_exp)
             else:
-                lo_pad += term.coeff * tail
-        return Enclosure(base + lo_pad, base + hi_pad)
+                lo_pad += c << (top - tail_exp)
+        den = scale << top
+        return Enclosure(Fraction(base + lo_pad, den), Fraction(base + hi_pad, den))
 
     def sort_key(self) -> tuple:
         """Deterministic total order on canonical forms (not the value order)."""
@@ -297,9 +305,9 @@ class CodedReal:
     @staticmethod
     def from_json(data: dict) -> "CodedReal":
         return CodedReal.build(
-            Fraction(data["offset"]),
+            _parse_frac(data["offset"]),
             [
-                (Fraction(t["coeff"]), int(t["k"]), IntervalSet.from_json(t["intervals"]))
+                (_parse_frac(t["coeff"]), int(t["k"]), IntervalSet.from_json(t["intervals"]))
                 for t in data.get("terms", [])
             ],
         )
@@ -312,13 +320,15 @@ class CodedReal:
         return "CodedReal(" + " + ".join(bits) + ")"
 
 
-_enumerated: list[Fraction] = []
+_enumerated: list[tuple[int, int]] = []
 
 
-def _enumeration_prefix(count: int) -> list[Fraction]:
-    """``rational_at(0), ..., rational_at(count - 1)``, memoized for eval."""
+def _enumeration_prefix(count: int) -> list[tuple[int, int]]:
+    """``rational_at(0), ..., rational_at(count - 1)`` as (numerator,
+    denominator) pairs, memoized for eval."""
     while len(_enumerated) < count:
-        _enumerated.append(rational_at(len(_enumerated)))
+        q = rational_at(len(_enumerated))
+        _enumerated.append((q.numerator, q.denominator))
     return _enumerated[:count]
 
 
@@ -405,25 +415,6 @@ def _mixed_sign(base: Fraction, entries: Iterable[tuple[int, int]]) -> int:
         threshold = e0
 
 
-def _level_fragments(
-    index_set: IntervalSet, m: int
-) -> list[tuple[Fraction, Fraction]]:
-    trace = index_set.intersect_block(m, m + 1)
-    return [(a - m, b - m) for a, b in trace.blocks]
-
-
-_unit_rationals: list[Fraction] = [Fraction(0)]  # placeholder at 0
-
-
-def _unit_rational_cached(j: int) -> Fraction:
-    """The ``j``-th rational of (0, 1), memoized for support scans."""
-    while len(_unit_rationals) <= j:
-        t = len(_unit_rationals)
-        a, b = fusc_pair(t)
-        _unit_rationals.append(Fraction(a, a + b))
-    return _unit_rationals[j]
-
-
 _support_cache: dict[tuple[int, tuple, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -434,7 +425,10 @@ def _piece_support(
 
     The support part lists ``2^i + k`` for every enumerated index ``i`` with
     value inside the set; each tail exponent ``e`` bounds the un-enumerated
-    remainder of one integer level by ``2^(1-e)``.  Cached: index sets recur
+    remainder of one integer level by ``2^(1-e)``.  At level ``m`` the scan
+    walks the odd parts ``j`` with ``fusc_pair(j) = (a, b)`` stepped as
+    integers, and finds the fragment of the set's trace on ``[m, m+1)``
+    holding ``m + a/(a+b)`` by integer membership.  Cached: index sets recur
     across many comparisons.
     """
     key = (k, index_set.blocks, index_cap)
@@ -447,30 +441,30 @@ def _piece_support(
     for m in index_set.integer_levels():
         if m > _MAX_LEVEL:
             raise PrecisionError(f"index set reaches level {m}; out of range")
-        frags = _level_fragments(index_set, m)
+        trace = index_set.window(m)
         scan = max(_MIN_SCAN, (index_cap + 1) >> (m + 1))
-        frag_hit = [False] * len(frags)
-        if any(u == 0 for u, _ in frags):
+        frag_hit = [False] * len(trace.blocks)
+        if trace.blocks[0][0] == m:
             support.append(sched.exponent((1 << m) - 1))
-            for t, (u, _) in enumerate(frags):
-                if u == 0:
-                    frag_hit[t] = True
+            frag_hit[0] = True
+        a, b = fusc_pair(1)
         for j in range(1, scan + 1):
-            val = _unit_rational_cached(j)
-            for t, (u, v) in enumerate(frags):
-                if u <= val < v:
-                    support.append(sched.exponent((1 << m) * (2 * j + 1) - 1))
-                    frag_hit[t] = True
-                    break
+            # the j-th rational of (0, 1) is a/(a+b)
+            t = trace._block_index(m * (a + b) + a, a + b)
+            if t >= 0:
+                support.append(sched.exponent((1 << m) * (2 * j + 1) - 1))
+                frag_hit[t] = True
+            a, b = b, a + b - 2 * (a % b)  # fusc_pair(j + 1), by Newman's step
         enum_lb = (1 << m) * (2 * scan + 3) - 1
         level_lb = None
-        for t, (u, v) in enumerate(frags):
+        for t, (u, v) in enumerate(trace.blocks):
             if frag_hit[t]:
                 frag_lb = enum_lb
             else:
                 # No hit found by scanning: bound the fragment through the
                 # tree depth of its shallowest member (its index is at least
                 # 2^m * (2^depth + 1) - 1).
+                u, v = u - m, v - m
                 depth = min(tree_depth(u), tree_depth(simplest_in_open(u, v)))
                 if depth >= _MAX_SYMBOLIC_INDEX.bit_length():
                     cand = _MAX_SYMBOLIC_INDEX

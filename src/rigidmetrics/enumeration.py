@@ -153,15 +153,31 @@ def cantor_unpair(n: int) -> tuple[int, int]:
 
 
 def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational strictly inside ``(lo, hi)``, ``0 <= lo``."""
+    """Smallest-denominator rational strictly inside ``(lo, hi)``, ``0 <= lo``.
+
+    The Stern-Brocot descent as a continued-fraction walk on the integers
+    ``lo = p/q`` and ``hi = r/s``: each step takes the common whole part
+    ``w`` off both ends and inverts them, ``(lo, hi) -> (1/(hi-w), 1/(lo-w))``,
+    folding ``w`` into the convergent ``(h1*x + h0) / (k1*x + k0)`` of the
+    remaining value ``x``, until an integer (or ``1/m`` above a zero lower
+    end) fits.  One ``Fraction`` is built, for the result.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
-    if lo < 0 or not lo < hi:
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if p < 0 or not p * s < r * q:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-    whole = math.floor(lo)
-    if whole + 1 < hi:
-        return Fraction(whole + 1)
-    a, b = lo - whole, hi - whole  # 0 <= a < b <= 1
-    if a == 0:
-        m = b.denominator // b.numerator + 1
-        return whole + Fraction(1, m)
-    return whole + 1 / simplest_in_open(1 / b, 1 / a)
+    h1, h0, k1, k0 = 1, 0, 0, 1
+    while True:
+        w = p // q
+        if (w + 1) * s < r:  # the next integer lies below hi
+            x_num, x_den = w + 1, 1
+            break
+        p -= w * q  # now 0 <= p/q < r/s <= 1
+        r -= w * s
+        if p == 0:
+            m = s // r + 1  # the least m with 1/m < r/s
+            x_num, x_den = w * m + 1, m
+            break
+        h1, h0, k1, k0 = h1 * w + h0, h1, k1 * w + k0, k1
+        p, q, r, s = s, r, q, p
+    return Fraction(h1 * x_num + h0 * x_den, k1 * x_num + k0 * x_den)

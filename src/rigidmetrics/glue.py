@@ -51,7 +51,7 @@ from .independence import (
     multiset_key,
     tagged_sum_holds,
 )
-from .intervals import IntervalSet, _frac_str
+from .intervals import IntervalSet, _frac_str, _parse_frac
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, ValueRegistry, gauge_from_snapshot
@@ -603,11 +603,11 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
         return Report("fail", (), "input and metric have different points", max_precision)
     sup = data["sup_bound"]
     offending, enc = _certify_sup_bound(
-        source, metric, Fraction(sup["epsilon"]), max_precision
+        source, metric, _parse_frac(sup["epsilon"]), max_precision
     )
     if offending is not None:
         return _sup_failure(offending, max_precision)
-    if (Fraction(sup["achieved_lo"]), Fraction(sup["achieved_hi"])) != (enc.lo, enc.hi):
+    if (_parse_frac(sup["achieved_lo"]), _parse_frac(sup["achieved_hi"])) != (enc.lo, enc.hi):
         return Report("fail", (), "claimed sup bound differs from the recomputed one",
                       max_precision)
     rigidity = is_strongly_rigid(metric, max_precision)
@@ -712,7 +712,7 @@ class _ComponentReplay:
             )
             if replayed_basis != basis:
                 return comp.hub_index
-            rebuilt = as_coded(Fraction(alloc["p"])) + basis * Fraction(alloc["q"])
+            rebuilt = as_coded(_parse_frac(alloc["p"])) + basis * _parse_frac(alloc["q"])
             return None if rebuilt == comp.value else comp.hub_index
         if comp.kind == "block":
             letters = self._letters(comp.detail)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .coded import CodedReal, as_coded
 from .errors import DomainError
-from .intervals import IntervalSet, _frac_str
+from .intervals import IntervalSet, _frac_str, _parse_frac
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class IntervalTraceWitness:
     ) -> "IntervalTraceWitness":
         return IntervalTraceWitness(
             k=int(data["k"]),
-            window_start=Fraction(data["window"][0]),
-            base=Fraction(data["base"]),
-            cuts=tuple(Fraction(b) for b in data["cuts"]),
+            window_start=_parse_frac(data["window"][0]),
+            base=_parse_frac(data["base"]),
+            cuts=tuple(_parse_frac(b) for b in data["cuts"]),
             index_sets=tuple(decode_set(s) for s in data["index_sets"]),
         )
 

@@ -4,11 +4,19 @@ An :class:`IntervalSet` denotes the set of nonnegative rationals covered by
 its blocks.  Normal form is unique: blocks are sorted, pairwise disjoint,
 nonempty, and abutting blocks (``b_i == a_{i+1}``) are merged, so structural
 equality of normal forms is set equality.
+
+Endpoints stay :class:`~fractions.Fraction` objects, but the kernels compare
+them as integers, by cross-multiplying numerators and denominators or over one
+shared denominator; :meth:`IntervalSet._block_index` is the one membership
+test, used also by ``CodedReal.eval`` and the support scan.  The ``p/q``
+spelling of rationals is written by :func:`_frac_str` and read by
+:func:`_parse_frac`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -21,34 +29,44 @@ class IntervalSet:
     blocks: tuple[Block, ...] = ()
 
     def __post_init__(self) -> None:
-        prev_end: Fraction | None = None
+        prev_n, prev_d = -1, 1  # below every admissible start
         for a, b in self.blocks:
-            if a < 0:
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            if an < 0:
                 raise ValueError("intervals live in the nonnegative rationals")
-            if not a < b:
+            if not an * bd < bn * ad:
                 raise ValueError(f"degenerate block [{a}, {b})")
-            if prev_end is not None and not prev_end < a:
+            if not prev_n * ad < an * prev_d:
                 raise ValueError("blocks must be sorted, disjoint and non-abutting")
-            prev_end = b
+            prev_n, prev_d = bn, bd
 
     @staticmethod
     def from_blocks(blocks: Iterable[tuple[Fraction | int, Fraction | int]]) -> "IntervalSet":
-        """Build the union of the given intervals in normal form."""
-        cleaned = []
-        for a, b in blocks:
-            a, b = _as_fraction(a), _as_fraction(b)
-            if a < b:
-                cleaned.append((a, b))
-        cleaned.sort()
-        merged: list[list[Fraction]] = []
-        for a, b in cleaned:
-            if a < 0:
+        """Build the union of the given intervals in normal form.
+
+        Endpoints are sorted and merged as integers over the least common
+        denominator; the blocks keep the callers' endpoint objects.
+        """
+        pairs = [(_as_fraction(a), _as_fraction(b)) for a, b in blocks]
+        scale = math.lcm(*(p.denominator for pair in pairs for p in pair))
+        keyed = []
+        for a, b in pairs:
+            ia = a.numerator * (scale // a.denominator)
+            ib = b.numerator * (scale // b.denominator)
+            if ia < ib:
+                keyed.append((ia, ib, a, b))
+        keyed.sort(key=lambda entry: entry[0])
+        merged: list[list] = []
+        for ia, ib, a, b in keyed:
+            if ia < 0:
                 raise ValueError("intervals live in the nonnegative rationals")
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
+            if merged and ia <= merged[-1][1]:
+                last = merged[-1]
+                if ib > last[1]:
+                    last[1], last[3] = ib, b
             else:
-                merged.append([a, b])
-        return IntervalSet(tuple((a, b) for a, b in merged))
+                merged.append([ia, ib, a, b])
+        return IntervalSet(tuple((a, b) for _, _, a, b in merged))
 
     @staticmethod
     def block(a: Fraction | int, b: Fraction | int) -> "IntervalSet":
@@ -60,17 +78,22 @@ class IntervalSet:
 
     def __contains__(self, q: Fraction) -> bool:
         q = _as_fraction(q)
-        lo, hi = 0, len(self.blocks)
+        return self._block_index(q.numerator, q.denominator) >= 0
+
+    def _block_index(self, n: int, d: int) -> int:
+        """Index of the block holding ``n/d`` (``d > 0``), or -1."""
+        blocks = self.blocks
+        lo, hi = 0, len(blocks)
         while lo < hi:
             mid = (lo + hi) // 2
-            a, b = self.blocks[mid]
-            if q < a:
+            a, b = blocks[mid]
+            if n * a.denominator < a.numerator * d:
                 hi = mid
-            elif q >= b:
+            elif n * b.denominator >= b.numerator * d:
                 lo = mid + 1
             else:
-                return True
-        return False
+                return mid
+        return -1
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_blocks([*self.blocks, *other.blocks])
@@ -81,10 +104,12 @@ class IntervalSet:
         while i < len(self.blocks) and j < len(other.blocks):
             a1, b1 = self.blocks[i]
             a2, b2 = other.blocks[j]
-            lo, hi = max(a1, a2), min(b1, b2)
-            if lo < hi:
+            lo = a2 if a1.numerator * a2.denominator < a2.numerator * a1.denominator else a1
+            first_ends = b1.numerator * b2.denominator <= b2.numerator * b1.denominator
+            hi = b1 if first_ends else b2
+            if lo.numerator * hi.denominator < hi.numerator * lo.denominator:
                 out.append((lo, hi))
-            if b1 <= b2:
+            if first_ends:
                 i += 1
             else:
                 j += 1
@@ -128,7 +153,7 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Iterable[Iterable[str]]) -> "IntervalSet":
-        return IntervalSet.from_blocks([(Fraction(a), Fraction(b)) for a, b in data])
+        return IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
 
     def __repr__(self) -> str:
         inner = " u ".join(f"[{a}, {b})" for a, b in self.blocks)
@@ -144,3 +169,20 @@ def _as_fraction(q: Fraction | int) -> Fraction:
 
 def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+_PQ = re.compile(r"(-?[0-9]+)/([0-9]+)", re.ASCII)
+
+
+def _parse_frac(s: str) -> Fraction:
+    """Read a rational written as ``p/q``, the spelling of :func:`_frac_str`.
+
+    ``-?digits/digits`` is read as two integers; any other input goes to
+    ``Fraction`` as it is, so every spelling ``Fraction`` accepts keeps its
+    value and every one it rejects raises the same exception type (a zero
+    denominator raises ``ZeroDivisionError``).
+    """
+    m = _PQ.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        return Fraction(s)
+    return Fraction(int(m[1]), int(m[2]))

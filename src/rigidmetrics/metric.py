@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .coded import CodedReal, as_coded
 from .errors import DomainError
-from .intervals import _frac_str
+from .intervals import _frac_str, _parse_frac
 
 Entry = CodedReal | Fraction | int
 
@@ -142,7 +142,7 @@ class FiniteMetric:
     def from_csv(text: str) -> "FiniteMetric":
         rows = [r for r in csv.reader(io.StringIO(text)) if r]
         header = rows[0][1:]
-        entries = [[Fraction(cell) for cell in row[1:]] for row in rows[1:]]
+        entries = [[_parse_frac(cell) for cell in row[1:]] for row in rows[1:]]
         return FiniteMetric.from_entries(header, entries)
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .coded import CodedReal, as_coded
 from .enumeration import cantor_unpair, rational_at, simplest_in_open
 from .errors import DomainError
-from .intervals import _frac_str
+from .intervals import _frac_str, _parse_frac
 from .product import SemiMetricGauge, Word, tau
 
 RESERVED_GAUGE_ID = 0
@@ -255,5 +255,5 @@ def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
     gauge = SemiMetricGauge(gauge_id, int(data.get("k", 0)), _SealedPool())
     for key, value in data.get("draws", {}).items():
         level, a, b = (int(part) for part in key.split(":"))
-        gauge.preload((level, a, b), Fraction(value))
+        gauge.preload((level, a, b), _parse_frac(value))
     return gauge

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import clustered_metric
+from rigidmetrics import cli
 from rigidmetrics.cli import main
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
 
@@ -45,6 +46,20 @@ def test_report_records_precision_budget(metric_file, tmp_path, capsys):
     # the default budget is reported as before
     assert main([*argv, "strict"]) == 0
     assert json.loads(capsys.readouterr().out)["precision"] == 64
+
+
+def test_main_calls_share_no_parser_state(metric_file, capsys):
+    verify = ["verify", "--metric", str(metric_file), "--check"]
+    assert main(["--max-precision", "16", *verify, "metric"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 16
+    assert main([*verify, "metric"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 64
+    assert main([*verify, "lnm", "--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["detail"] == "member at m=3"
+    assert main([*verify, "lnm"]) == 0
+    assert json.loads(capsys.readouterr().out)["detail"] == "member at m=0"
+    # one parser serves every call
+    assert cli._parser() is cli._parser()
 
 
 def test_rigidify_round_trip(metric_file, tmp_path, capsys):
@@ -174,6 +189,30 @@ DIST = ["dist", "{}", "{}"]
 RIGIDIFY = ["rigidify", "{}", "--epsilon", "1"]
 
 
+def _entry(offset="0/1", intervals=None):
+    terms = [] if intervals is None else [{"coeff": "1/1", "k": 0, "intervals": intervals}]
+    return {"offset": offset, "terms": terms}
+
+
+def _two_points(d):
+    return {"points": ["a", "b"], "matrix": [[_entry(), d], [d, _entry()]]}
+
+
+ZERO_DEN_OFFSET = json.dumps(_two_points(_entry("1/0")))
+ZERO_DEN_INTERVAL = json.dumps(_two_points(_entry("1/1", [["0/1", "1/0"]])))
+ONE_POINT = {"points": ["a"], "matrix": [[_entry()]]}
+# the checker reaches sup_bound once every (here: no) row has passed
+ZERO_DEN_EPSILON_CERT = json.dumps({
+    "version": 1,
+    "metric": ONE_POINT,
+    "input": ONE_POINT,
+    "registry": {},
+    "parameters": {"k": 0, "partition": {"blocks": [["a"]], "hubs": ["a"]}},
+    "independence": [],
+    "sup_bound": {"epsilon": "1/0", "achieved_lo": "0/1", "achieved_hi": "0/1"},
+})
+
+
 @pytest.mark.parametrize(
     "name, text, argv",
     [
@@ -186,6 +225,14 @@ RIGIDIFY = ["rigidify", "{}", "--epsilon", "1"]
         pytest.param("m.json", STRING_ENTRY, DIST, id="dist-string-entry"),
         pytest.param("m.json", STRING_ENTRY, RIGIDIFY, id="rigidify-string-entry"),
         pytest.param("m.csv", "", RIGIDIFY, id="rigidify-empty-csv"),
+        pytest.param("m.json", ZERO_DEN_OFFSET, VERIFY, id="zero-denominator-offset"),
+        pytest.param("m.json", ZERO_DEN_INTERVAL, DIST, id="zero-denominator-interval"),
+        pytest.param("m.csv", "point,a,b\na,0,1/0\nb,1/0,0\n", RIGIDIFY,
+                     id="zero-denominator-csv-cell"),
+        pytest.param("m.csv", "point,a,b\na,0,1\nb,1,0\n",
+                     ["rigidify", "{}", "--epsilon", "1/0"], id="zero-denominator-epsilon"),
+        pytest.param("c.cert.json", ZERO_DEN_EPSILON_CERT, ["indep", "{}"],
+                     id="zero-denominator-certificate-epsilon"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):

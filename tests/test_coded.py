@@ -9,6 +9,7 @@ from rigidmetrics.coded import (
     Term,
     _canonical_terms,
     _difference,
+    _piece_support,
     Enclosure,
     ExponentSchedule,
     EQUAL,
@@ -21,7 +22,7 @@ from rigidmetrics.coded import (
     gamma_compare,
     sign,
 )
-from rigidmetrics.enumeration import rational_at
+from rigidmetrics.enumeration import fusc_pair, rational_at, simplest_in_open, tree_depth
 from rigidmetrics.errors import PrecisionError
 from rigidmetrics.intervals import IntervalSet
 
@@ -387,3 +388,100 @@ def test_negation_mirrors_eval(raw, offset, n):
     x = CodedReal.build(offset, raw)
     enc = x.eval(n)
     assert (-x).eval(n) == Enclosure(-enc.hi, -enc.lo)
+
+
+def _eval_fraction_reference(x, n):
+    """``eval`` as a ``Fraction`` sum per term, membership by ``Fraction``
+    comparisons against each block."""
+    lo = hi = x.offset
+    for term in x.terms:
+        sched = ExponentSchedule(term.k)
+        partial = sum(
+            (Fraction(1, 1 << sched.exponent(i)) for i in range(n + 1)
+             if any(a <= rational_at(i) < b for a, b in term.index_set.blocks)),
+            Fraction(0),
+        )
+        tail = term.coeff * Fraction(1, 1 << (sched.exponent(n + 1) - 1))
+        lo += term.coeff * partial + min(tail, 0)
+        hi += term.coeff * partial + max(tail, 0)
+    return Enclosure(lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_terms(), st.fractions(max_denominator=8), st.integers(0, 8))
+@example([], Fraction(-7, 3), 0)
+@example([(Fraction(5, 7), 0, UNIT), (Fraction(-1, 3), 2, UNIT)], Fraction(1, 6), 8)
+def test_eval_matches_fraction_reference(raw, offset, n):
+    x = CodedReal.build(offset, raw)
+    assert x.eval(n) == _eval_fraction_reference(x, n)
+
+
+def _support_reference(k, index_set, index_cap):
+    """The support scan as it compared ``Fraction``s, uncached."""
+    sched = ExponentSchedule(k)
+    support, tails = [], []
+    for m in index_set.integer_levels():
+        if m > 16:
+            raise PrecisionError(f"index set reaches level {m}; out of range")
+        trace = index_set.intersect_block(m, m + 1)
+        frags = [(a - m, b - m) for a, b in trace.blocks]
+        scan = max(8, (index_cap + 1) >> (m + 1))
+        frag_hit = [False] * len(frags)
+        if any(u == 0 for u, _ in frags):
+            support.append(sched.exponent((1 << m) - 1))
+            for t, (u, _) in enumerate(frags):
+                if u == 0:
+                    frag_hit[t] = True
+        for j in range(1, scan + 1):
+            a, b = fusc_pair(j)
+            val = Fraction(a, a + b)
+            for t, (u, v) in enumerate(frags):
+                if u <= val < v:
+                    support.append(sched.exponent((1 << m) * (2 * j + 1) - 1))
+                    frag_hit[t] = True
+                    break
+        enum_lb = (1 << m) * (2 * scan + 3) - 1
+        level_lb = None
+        for t, (u, v) in enumerate(frags):
+            if frag_hit[t]:
+                frag_lb = enum_lb
+            else:
+                depth = min(tree_depth(u), tree_depth(simplest_in_open(u, v)))
+                if depth >= (1 << 21).bit_length():
+                    cand = 1 << 21
+                else:
+                    cand = (1 << m) * ((1 << depth) + 1) - 1
+                frag_lb = max(enum_lb, cand)
+            level_lb = frag_lb if level_lb is None else min(level_lb, frag_lb)
+        if level_lb is not None:
+            tails.append(sched.exponent(min(level_lb, 1 << 21)))
+    return tuple(support), tuple(tails)
+
+
+@st.composite
+def index_sets(draw):
+    """Sets over a pool of cuts at mixed scales, now and then one that
+    reaches past the symbolic level range."""
+    pool = sorted(draw(st.lists(_ENDPOINTS, min_size=2, max_size=8, unique=True)))
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(Fraction(35, 2))
+    picks = sorted(draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8, unique=True)))
+    return IntervalSet.from_blocks([(pool[a], pool[b]) for a, b in zip(picks, picks[1:])])
+
+
+def _support_outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), index_sets(), st.sampled_from([16, 64, 200]))
+@example(0, IntervalSet.block(Fraction(1, 4096), Fraction(1, 4095)), 64)  # no scanned hit
+@example(1, IntervalSet.from_blocks([(Fraction(1, 2), 1), (2, Fraction(7, 3))]), 16)
+@example(2, IntervalSet.block(0, 17), 16)  # past level 16
+def test_piece_support_matches_fraction_reference(k, index_set, index_cap):
+    assert _support_outcome(_piece_support, k, index_set, index_cap) == _support_outcome(
+        _support_reference, k, index_set, index_cap
+    )

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rigidmetrics.enumeration import (
     calkin_wilf,
@@ -100,3 +101,48 @@ def test_simplest_in_open_membership_and_minimality(lo, width):
     for q in range(1, min(s.denominator, 12)):
         for p in range(int(lo * q), int(hi * q) + 2):
             assert not lo < Fraction(p, q) < hi
+
+
+def _simplest_reference(lo, hi):
+    """The recursive Stern-Brocot search on ``Fraction``s."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo < 0 or not lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+    whole = math.floor(lo)
+    if whole + 1 < hi:
+        return Fraction(whole + 1)
+    a, b = lo - whole, hi - whole
+    if a == 0:
+        m = b.denominator // b.numerator + 1
+        return whole + Fraction(1, m)
+    return whole + 1 / _simplest_reference(1 / b, 1 / a)
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_BOUND = st.one_of(
+    st.integers(-1, 6),
+    st.fractions(min_value=-1, max_value=6, max_denominator=4096),
+)
+# hi within 1/d of lo, so the walk runs deep
+_CLOSE = st.builds(lambda lo, d: (lo, lo + Fraction(1, d)), _BOUND, st.integers(1, 10**9))
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.tuples(_BOUND, _BOUND), _CLOSE))
+@example((Fraction(1, 2), 1))  # hi on an integer
+@example((2, 3))  # integer lo and hi
+@example((0, Fraction(1, 7)))  # lo = 0
+@example((0, Fraction(1, 4096)))
+@example((Fraction(5, 2), 3))
+@example((Fraction(333, 106), Fraction(355, 113)))  # a long continued fraction
+@example((1, 1))  # empty
+@example((Fraction(-1, 2), 1))  # negative lo
+def test_simplest_in_open_matches_recursive_reference(bounds):
+    assert _outcome(simplest_in_open, *bounds) == _outcome(_simplest_reference, *bounds)

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rigidmetrics.intervals import EMPTY_SET, IntervalSet
+from rigidmetrics.intervals import EMPTY_SET, IntervalSet, _parse_frac
 
 
 def blk(a, b):
@@ -85,3 +85,154 @@ def test_union_is_canonical(pairs1, pairs2):
     b2 = [(min(a, b), max(a, b)) for a, b in pairs2]
     u = IntervalSet.from_blocks(b1).union(IntervalSet.from_blocks(b2))
     assert u == IntervalSet.from_blocks(b1 + b2)
+
+
+# Reference copies of the kernels as they compared ``Fraction``s.
+
+
+def _from_blocks_reference(blocks):
+    cleaned = []
+    for a, b in blocks:
+        a, b = Fraction(a), Fraction(b)
+        if a < b:
+            cleaned.append((a, b))
+    cleaned.sort()
+    merged = []
+    for a, b in cleaned:
+        if a < 0:
+            raise ValueError("intervals live in the nonnegative rationals")
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
+def _validate_reference(blocks):
+    prev_end = None
+    for a, b in blocks:
+        if a < 0:
+            raise ValueError("intervals live in the nonnegative rationals")
+        if not a < b:
+            raise ValueError(f"degenerate block [{a}, {b})")
+        if prev_end is not None and not prev_end < a:
+            raise ValueError("blocks must be sorted, disjoint and non-abutting")
+        prev_end = b
+    return blocks
+
+
+def _block_index_reference(blocks, q):
+    return next((t for t, (a, b) in enumerate(blocks) if a <= q < b), -1)
+
+
+def _intersect_reference(blocks1, blocks2):
+    out = []
+    i = j = 0
+    while i < len(blocks1) and j < len(blocks2):
+        a1, b1 = blocks1[i]
+        a2, b2 = blocks2[j]
+        lo, hi = max(a1, a2), min(b1, b2)
+        if lo < hi:
+            out.append((lo, hi))
+        if b1 <= b2:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# integer parts -1 to 4 over denominators up to 4096, ints among them
+_ENDPOINT = st.one_of(
+    st.integers(-1, 5),
+    st.builds(
+        lambda m, den, num: m + Fraction(num % den, den),
+        st.integers(-1, 4),
+        st.sampled_from([1, 2, 3, 7, 8, 12, 64, 1000, 4095, 4096]),
+        st.integers(0, 4095),
+    ),
+)
+
+
+@st.composite
+def _raw_blocks(draw, nonnegative=False):
+    """Blocks over a small pool of endpoints, so that they overlap, abut,
+    repeat, or are empty or reversed."""
+    point = _ENDPOINT.filter(lambda q: q >= 0) if nonnegative else _ENDPOINT
+    pool = draw(st.lists(point, min_size=1, max_size=6))
+    pick = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(pick, pick), max_size=6))
+
+
+_ABUTTING = [(0, Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2))]
+
+
+@settings(max_examples=300)
+@given(_raw_blocks())
+@example(_ABUTTING)
+@example([(Fraction(1, 2), Fraction(1, 2)), (1, 0)])  # empty and reversed
+@example([(0, 2), (1, Fraction(3, 2))])  # nested
+@example([(Fraction(-1, 4096), 0), (0, 1)])
+def test_from_blocks_matches_fraction_reference(blocks):
+    built = _outcome(lambda: IntervalSet.from_blocks(blocks).blocks)
+    assert built == _outcome(_from_blocks_reference, blocks)
+
+
+@settings(max_examples=300)
+@given(_raw_blocks())
+@example(_ABUTTING)
+@example([(0, 1), (Fraction(1, 2), 2)])  # overlapping
+@example([(1, 2), (0, Fraction(1, 2))])  # unsorted
+@example([(Fraction(1, 3), Fraction(1, 3))])  # degenerate
+@example([(-1, 1)])  # negative start
+def test_post_init_matches_fraction_reference(blocks):
+    blocks = tuple((Fraction(a), Fraction(b)) for a, b in blocks)
+    checked = _outcome(lambda: IntervalSet(blocks).blocks)
+    assert checked == _outcome(_validate_reference, blocks)
+
+
+@settings(max_examples=300)
+@given(_raw_blocks(nonnegative=True), _raw_blocks(nonnegative=True), st.lists(_ENDPOINT, max_size=4))
+def test_membership_and_intersect_match_fraction_reference(blocks1, blocks2, extra):
+    s, t = IntervalSet.from_blocks(blocks1), IntervalSet.from_blocks(blocks2)
+    ends = [Fraction(p) for blk in s.blocks + t.blocks for p in blk]
+    probes = ends + [(a + b) / 2 for a, b in s.blocks] + [Fraction(q) for q in extra]
+    for q in probes:
+        expected = _block_index_reference(s.blocks, q)
+        assert s._block_index(q.numerator, q.denominator) == expected
+        assert (q in s) == (expected >= 0)
+    assert s.intersect(t).blocks == _intersect_reference(s.blocks, t.blocks)
+
+
+_PQ_TEXT = st.text(alphabet="0123456789/-+ ._e\u0661\u0662", max_size=8)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_PQ_TEXT, st.fractions().map(lambda q: f"{q.numerator}/{q.denominator}")))
+@example(" 1/2")
+@example("+1/2")
+@example("1.5")
+@example("1e3")
+@example("-0/1")
+@example("3/-4")
+@example("1/0")
+@example("-5/0")
+@example("1_0/3")
+@example("\u0661/\u0662")  # Arabic-Indic digits
+@example("007/010")
+@example("")
+def test_parse_frac_matches_fraction(text):
+    def read(reader):
+        try:
+            value = reader(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc)
+        return type(value), value
+
+    assert read(_parse_frac) == read(Fraction)
