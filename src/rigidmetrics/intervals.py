@@ -171,7 +171,7 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_PQ = re.compile(r"(-?[0-9]+)/([0-9]+)", re.ASCII)
+_PQ = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _parse_frac(s: str) -> Fraction:

@@ -134,7 +134,7 @@ _BOUND = st.one_of(
 _CLOSE = st.builds(lambda lo, d: (lo, lo + Fraction(1, d)), _BOUND, st.integers(1, 10**9))
 
 
-@settings(max_examples=400)
+@settings(max_examples=400, deadline=None)
 @given(st.one_of(st.tuples(_BOUND, _BOUND), _CLOSE))
 @example((Fraction(1, 2), 1))  # hi on an integer
 @example((2, 3))  # integer lo and hi

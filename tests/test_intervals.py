@@ -173,7 +173,7 @@ def _raw_blocks(draw, nonnegative=False):
 _ABUTTING = [(0, Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2))]
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(_raw_blocks())
 @example(_ABUTTING)
 @example([(Fraction(1, 2), Fraction(1, 2)), (1, 0)])  # empty and reversed
@@ -184,7 +184,7 @@ def test_from_blocks_matches_fraction_reference(blocks):
     assert built == _outcome(_from_blocks_reference, blocks)
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(_raw_blocks())
 @example(_ABUTTING)
 @example([(0, 1), (Fraction(1, 2), 2)])  # overlapping
@@ -197,7 +197,7 @@ def test_post_init_matches_fraction_reference(blocks):
     assert checked == _outcome(_validate_reference, blocks)
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(_raw_blocks(nonnegative=True), _raw_blocks(nonnegative=True), st.lists(_ENDPOINT, max_size=4))
 def test_membership_and_intersect_match_fraction_reference(blocks1, blocks2, extra):
     s, t = IntervalSet.from_blocks(blocks1), IntervalSet.from_blocks(blocks2)
@@ -213,7 +213,7 @@ def test_membership_and_intersect_match_fraction_reference(blocks1, blocks2, ext
 _PQ_TEXT = st.text(alphabet="0123456789/-+ ._e\u0661\u0662", max_size=8)
 
 
-@settings(max_examples=500)
+@settings(max_examples=500, deadline=None)
 @given(st.one_of(_PQ_TEXT, st.fractions().map(lambda q: f"{q.numerator}/{q.denominator}")))
 @example(" 1/2")
 @example("+1/2")
