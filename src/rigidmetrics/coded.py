@@ -13,7 +13,11 @@ Terms are kept in a canonical weighted form: for each exponent offset ``k``
 one sweep over the block endpoints, scaled to integers over a shared
 denominator, accumulates the total weight of every elementary segment, and
 segments are regrouped by weight, so equal weighted forms denote equal
-numbers.  The form is unique per ladder ``k`` only: since
+numbers.  Input that is canonical by construction skips the sweep: a ladder
+that holds one entry, and a canonical value times a rational
+(:meth:`CodedReal.__mul__`, which at most re-sorts the terms).
+
+The form is unique per ladder ``k`` only: since
 ``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
 exactly while their canonical form stays nonzero.  :func:`sign` therefore folds values whose terms span several ladders
 onto the least one before deciding.
@@ -138,6 +142,12 @@ def _canonical_terms(
     the weights emitted in ascending order with zero dropped.  The result
     depends only on the weight function, so equal sums on one ladder get
     equal forms.  The blocks reuse the callers' endpoint objects.
+
+    A ladder that holds one entry is already canonical: its coefficient is
+    nonzero and its set is nonempty and in normal form (``IntervalSet``
+    checks that on construction), so the sweep would give back the same
+    blocks at the same weight.  Such an entry is emitted as it is, with the
+    caller's set object.
     """
     by_k: dict[int, list[tuple[Fraction, IntervalSet]]] = {}
     for coeff, k, sett in raw:
@@ -150,6 +160,10 @@ def _canonical_terms(
     out: list[Term] = []
     for k in sorted(by_k):
         entries = by_k[k]
+        if len(entries) == 1:
+            coeff, sett = entries[0]
+            out.append(Term(coeff, k, sett))
+            continue
         cden = math.lcm(*(c.denominator for c, _ in entries))
         pden = math.lcm(
             *(p.denominator for _, s in entries for blk in s.blocks for p in blk)
@@ -228,15 +242,21 @@ class CodedReal:
         return as_coded(other) - self
 
     def __mul__(self, scalar: Fraction | int) -> "CodedReal":
+        """The value times a rational, its terms mapped in place.
+
+        Scaling a canonical form by ``s != 0`` keeps every set and gives the
+        weights of a ladder distinct new values, so the result is canonical
+        once their order is restored: a negative ``s`` reverses the weights
+        within each ladder, and one sort by ``(k, coeff)`` puts them back in
+        ascending order.
+        """
         s = Fraction(scalar)
         if s == 0:
             return CodedReal()
-        # scaling by a negative factor reverses the coefficient order, so
-        # rebuild the canonical form rather than mapping terms in place
-        return CodedReal.build(
-            self.offset * s,
-            [(t.coeff * s, t.k, t.index_set) for t in self.terms],
-        )
+        terms = [Term(t.coeff * s, t.k, t.index_set) for t in self.terms]
+        if s < 0:
+            terms.sort(key=lambda t: (t.k, t.coeff))
+        return CodedReal(self.offset * s, tuple(terms))
 
     __rmul__ = __mul__
 
@@ -307,7 +327,11 @@ class CodedReal:
         return CodedReal.build(
             _parse_frac(data["offset"]),
             [
-                (_parse_frac(t["coeff"]), int(t["k"]), IntervalSet.from_json(t["intervals"]))
+                (
+                    _parse_frac(t["coeff"]),
+                    _parse_ladder(t["k"]),
+                    IntervalSet.from_json(t["intervals"]),
+                )
                 for t in data.get("terms", [])
             ],
         )
@@ -318,6 +342,17 @@ class CodedReal:
         bits = [str(self.offset)] if self.offset else []
         bits += [f"{t.coeff}*<g{t.k}, {t.index_set!r}>" for t in self.terms]
         return "CodedReal(" + " + ".join(bits) + ")"
+
+
+def _parse_ladder(value: object) -> int:
+    """Read a ladder offset ``k``, which must be a JSON integer.
+
+    ``bool`` is an ``int`` in Python but ``true`` is not an integer in JSON,
+    and ``int`` would truncate ``1.5``; both raise ``ValueError``.
+    """
+    if type(value) is not int:
+        raise ValueError(f"ladder offset k must be an integer, got {value!r}")
+    return value
 
 
 _enumerated: list[tuple[int, int]] = []

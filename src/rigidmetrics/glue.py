@@ -40,6 +40,7 @@ from .coded import (
     GREATER,
     LESS,
     UNRESOLVED,
+    _parse_ladder,
     as_coded,
     compare,
 )
@@ -373,8 +374,8 @@ def _hub_metric(
         hi = eta_h * (n + Fraction(1, 1 << n))
         target = (lo + hi) / 2
         value = registry.hub_value(k, alloc, target)
-        hub_alloc = registry.hub_allocations()[alloc]
-        fuzz = hub_alloc.q * hub_alloc.basis.eval(4).hi
+        hub_alloc = registry.hub_allocation(alloc)
+        fuzz = hub_alloc.q * hub_alloc.basis_hi
         if not (lo < hub_alloc.p and hub_alloc.p + fuzz < hi):
             raise UnresolvedComparison("hub value escaped its window")
         entries[(i, j)] = value
@@ -675,7 +676,7 @@ class _ComponentReplay:
 
     def __init__(self, parameters: dict, snapshot: dict):
         self._snapshot = snapshot
-        self._k = int(parameters["k"])
+        self._k = _parse_ladder(parameters["k"])
         self._gauges: dict[int, object] = {}
         self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
 
@@ -708,7 +709,7 @@ class _ComponentReplay:
             basis = CodedReal.from_json(alloc["basis"])
             words = [tuple(w) for w in alloc["words"]]
             replayed_basis = tau(
-                self._gauge(RESERVED_GAUGE_ID), int(alloc["k"]), words[0], words[1]
+                self._gauge(RESERVED_GAUGE_ID), _parse_ladder(alloc["k"]), words[0], words[1]
             )
             if replayed_basis != basis:
                 return comp.hub_index

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .coded import CodedReal, as_coded
+from .coded import CodedReal, _parse_ladder, as_coded
 from .errors import DomainError
 from .intervals import IntervalSet, _frac_str, _parse_frac
 
@@ -72,7 +72,7 @@ class IntervalTraceWitness:
         decode_set: Callable[[list], IntervalSet] = IntervalSet.from_json,
     ) -> "IntervalTraceWitness":
         return IntervalTraceWitness(
-            k=int(data["k"]),
+            k=_parse_ladder(data["k"]),
             window_start=_parse_frac(data["window"][0]),
             base=_parse_frac(data["base"]),
             cuts=tuple(_parse_frac(b) for b in data["cuts"]),

@@ -44,10 +44,18 @@ class IntervalSet:
     def from_blocks(blocks: Iterable[tuple[Fraction | int, Fraction | int]]) -> "IntervalSet":
         """Build the union of the given intervals in normal form.
 
-        Endpoints are sorted and merged as integers over the least common
-        denominator; the blocks keep the callers' endpoint objects.
+        A list already in normal form, such as one this program wrote, is
+        only validated: it is taken as it is when ``__post_init__`` accepts
+        it.  Any other list is sorted and merged as integers over the least
+        common denominator, which drops degenerate blocks and raises on a
+        negative start.  Either way the blocks keep the callers' endpoint
+        objects.
         """
         pairs = [(_as_fraction(a), _as_fraction(b)) for a, b in blocks]
+        try:
+            return IntervalSet(tuple(pairs))
+        except ValueError:
+            pass
         scale = math.lcm(*(p.denominator for pair in pairs for p in pair))
         keyed = []
         for a, b in pairs:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coded import CodedReal, as_coded
+from .coded import CodedReal, _parse_ladder, as_coded
 from .enumeration import cantor_unpair, rational_at, simplest_in_open
 from .errors import DomainError
 from .intervals import _frac_str, _parse_frac
@@ -69,6 +69,8 @@ class HubAllocation:
     words: tuple[Word, Word]
     basis: CodedReal
     value: CodedReal
+    # upper end of ``basis.eval(4)``, which sized ``q``; not serialized
+    basis_hi: Fraction
 
     def to_json(self) -> dict:
         return {
@@ -156,8 +158,11 @@ class ValueRegistry:
         s_hi = basis.eval(4).hi
         q = _dyadic_power_floor(Fraction(1, 1 << i) / s_hi)
         value = as_coded(p) + basis * q
-        self._hubs[i] = HubAllocation(i, k, target, p, q, words, basis, value)
+        self._hubs[i] = HubAllocation(i, k, target, p, q, words, basis, value, s_hi)
         return value
+
+    def hub_allocation(self, i: int) -> HubAllocation:
+        return self._hubs[i]
 
     def hub_allocations(self) -> dict[int, HubAllocation]:
         return dict(self._hubs)
@@ -252,7 +257,7 @@ def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
     data = snapshot.get("gauges", {}).get(str(gauge_id))
     if data is None:
         raise DomainError(f"gauge {gauge_id} is not in the snapshot")
-    gauge = SemiMetricGauge(gauge_id, int(data.get("k", 0)), _SealedPool())
+    gauge = SemiMetricGauge(gauge_id, _parse_ladder(data.get("k", 0)), _SealedPool())
     for key, value in data.get("draws", {}).items():
         level, a, b = (int(part) for part in key.split(":"))
         gauge.preload((level, a, b), _parse_frac(value))

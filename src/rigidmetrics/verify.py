@@ -18,6 +18,7 @@ ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -62,17 +63,26 @@ class Report:
         }
 
 
-def _enclosure_table(d: FiniteMetric) -> list[list[Enclosure | None]]:
-    """One ``eval(8)`` enclosure per distance, ``None`` where eval is out of
-    reach."""
+def _enclosure_ends(
+    d: FiniteMetric,
+) -> tuple[list[list[int | None]], list[list[int | None]]]:
+    """The ends of one ``eval(8)`` enclosure per distance, as the tables
+    ``lo`` and ``hi`` of integer numerators over one shared positive
+    denominator; ``None`` where eval is out of reach."""
     n = d.size
-    table: list[list[Enclosure | None]] = [[None] * n for _ in range(n)]
+    encs: dict[tuple[int, int], Enclosure] = {}
     for i, j in d.pairs():
         try:
-            table[i][j] = table[j][i] = _eval_halving(d.at(i, j), 8)
+            encs[(i, j)] = _eval_halving(d.at(i, j), 8)
         except PrecisionError:
             pass
-    return table
+    den = math.lcm(*(q.denominator for e in encs.values() for q in (e.lo, e.hi)))
+    lo: list[list[int | None]] = [[None] * n for _ in range(n)]
+    hi: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for (i, j), e in encs.items():
+        lo[i][j] = lo[j][i] = e.lo.numerator * (den // e.lo.denominator)
+        hi[i][j] = hi[j][i] = e.hi.numerator * (den // e.hi.denominator)
+    return lo, hi
 
 
 def _triangle_report(
@@ -85,13 +95,14 @@ def _triangle_report(
     is proved positive or strict without the exact engine.  Every other
     entry and triple takes the exact ``_difference``/``_ordering`` path in
     the same loop order, so the prefilter only skips instances the exact
-    path would also prove and the report is the same.
+    path would also prove and the report is the same.  The enclosure ends
+    are integers over one shared denominator, so the prefilter adds and
+    compares integers.
     """
     n = d.size
-    enc = _enclosure_table(d)
+    lo, hi = _enclosure_ends(d)
     for i, j in d.pairs():
-        e = enc[i][j]
-        if e is not None and e.lo > 0:
+        if lo[i][j] is not None and lo[i][j] > 0:
             continue
         order = _ordering(d.at(i, j), max_precision)
         if order != GREATER:
@@ -102,13 +113,13 @@ def _triangle_report(
                           "nonpositive distance", max_precision)
     for i in range(n):
         for j in range(i + 1, n):
-            e_ij = enc[i][j]
+            hi_ij = hi[i][j]
             for k in range(n):
                 if k == i or k == j:
                     continue
-                e_ik, e_kj = enc[i][k], enc[k][j]
-                if (e_ij is not None and e_ik is not None and e_kj is not None
-                        and e_ij.hi < e_ik.lo + e_kj.lo):
+                lo_ik, lo_kj = lo[i][k], lo[k][j]
+                if (hi_ij is not None and lo_ik is not None and lo_kj is not None
+                        and hi_ij < lo_ik + lo_kj):
                     continue
                 gap = _difference(d.at(i, j), d.at(i, k), d.at(k, j))
                 order = _ordering(gap, max_precision)

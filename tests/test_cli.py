@@ -7,6 +7,7 @@ import pytest
 from conftest import clustered_metric
 from rigidmetrics import cli
 from rigidmetrics.cli import main
+from rigidmetrics.glue import rigidify_full
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
 
 
@@ -189,8 +190,8 @@ DIST = ["dist", "{}", "{}"]
 RIGIDIFY = ["rigidify", "{}", "--epsilon", "1"]
 
 
-def _entry(offset="0/1", intervals=None):
-    terms = [] if intervals is None else [{"coeff": "1/1", "k": 0, "intervals": intervals}]
+def _entry(offset="0/1", intervals=None, k=0):
+    terms = [] if intervals is None else [{"coeff": "1/1", "k": k, "intervals": intervals}]
     return {"offset": offset, "terms": terms}
 
 
@@ -200,6 +201,7 @@ def _two_points(d):
 
 ZERO_DEN_OFFSET = json.dumps(_two_points(_entry("1/0")))
 ZERO_DEN_INTERVAL = json.dumps(_two_points(_entry("1/1", [["0/1", "1/0"]])))
+HALF_LADDER = json.dumps(_two_points(_entry("1/1", [["0/1", "1/1"]], k=1.5)))
 ONE_POINT = {"points": ["a"], "matrix": [[_entry()]]}
 # the checker reaches sup_bound once every (here: no) row has passed
 ZERO_DEN_EPSILON_CERT = json.dumps({
@@ -211,6 +213,32 @@ ZERO_DEN_EPSILON_CERT = json.dumps({
     "independence": [],
     "sup_bound": {"epsilon": "1/0", "achieved_lo": "0/1", "achieved_hi": "0/1"},
 })
+
+
+def _half_ladder_certificate():
+    """A 4-point ``rigidify --full`` certificate with every term's ``k``
+    raised by one half, which ``int`` would truncate back."""
+    q = Fraction
+    d = FiniteMetric.from_entries(["a", "b", "c", "d"], [
+        [0, 1, q(5, 4), q(3, 2)],
+        [1, 0, q(7, 4), q(9, 8)],
+        [q(5, 4), q(7, 4), 0, q(11, 8)],
+        [q(3, 2), q(9, 8), q(11, 8), 0],
+    ])
+    metric, cert = rigidify_full(d, q(1, 2))
+    data = cert.to_json(metric)
+
+    def walk(node):
+        if isinstance(node, list):
+            for child in node:
+                walk(child)
+        elif isinstance(node, dict):
+            if {"coeff", "k", "intervals"} <= node.keys():
+                node["k"] += 0.5
+            walk(list(node.values()))
+
+    walk(data)
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize(
@@ -233,6 +261,9 @@ ZERO_DEN_EPSILON_CERT = json.dumps({
                      ["rigidify", "{}", "--epsilon", "1/0"], id="zero-denominator-epsilon"),
         pytest.param("c.cert.json", ZERO_DEN_EPSILON_CERT, ["indep", "{}"],
                      id="zero-denominator-certificate-epsilon"),
+        pytest.param("m.json", HALF_LADDER, VERIFY, id="fractional-ladder-metric"),
+        pytest.param("c.cert.json", _half_ladder_certificate(), ["indep", "{}"],
+                     id="fractional-ladder-certificate"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):

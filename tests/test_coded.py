@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -485,3 +486,112 @@ def test_piece_support_matches_fraction_reference(k, index_set, index_cap):
     assert _support_outcome(_piece_support, k, index_set, index_cap) == _support_outcome(
         _support_reference, k, index_set, index_cap
     )
+
+
+# Reference copy of the canonicalizer that sweeps every ladder, including
+# one that holds a single entry.
+
+
+def _sweep_reference(raw):
+    by_k = {}
+    for coeff, k, sett in raw:
+        coeff = Fraction(coeff)
+        if k < 0:
+            raise ValueError("schedule offset must be nonnegative")
+        if coeff == 0 or sett.is_empty:
+            continue
+        by_k.setdefault(k, []).append((coeff, sett))
+    out = []
+    for k in sorted(by_k):
+        entries = by_k[k]
+        cden = math.lcm(*(c.denominator for c, _ in entries))
+        pden = math.lcm(
+            *(p.denominator for _, s in entries for blk in s.blocks for p in blk)
+        )
+        delta, endpoint = {}, {}
+        for coeff, s in entries:
+            c = coeff.numerator * (cden // coeff.denominator)
+            for a, b in s.blocks:
+                ia = a.numerator * (pden // a.denominator)
+                ib = b.numerator * (pden // b.denominator)
+                delta[ia] = delta.get(ia, 0) + c
+                delta[ib] = delta.get(ib, 0) - c
+                endpoint[ia] = a
+                endpoint[ib] = b
+        runs = {}
+        w = prev = 0
+        for x in sorted(delta):
+            if w:
+                blocks = runs.setdefault(w, [])
+                if blocks and blocks[-1][1] == prev:
+                    blocks[-1][1] = x
+                else:
+                    blocks.append([prev, x])
+            w += delta[x]
+            prev = x
+        for w in sorted(runs):
+            sett = IntervalSet(tuple((endpoint[a], endpoint[b]) for a, b in runs[w]))
+            out.append(Term(Fraction(w, cden), k, sett))
+    return tuple(out)
+
+
+@st.composite
+def ladder_entries(draw):
+    """One to three ladders of one to three entries each, over one pool of
+    cuts, now and then with a zero coefficient or an empty set."""
+    pool = sorted(draw(st.lists(_ENDPOINTS, min_size=3, max_size=7, unique=True)))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    entries = []
+    for k in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 3))):
+            picks = sorted(draw(st.lists(
+                st.integers(0, len(pool) - 1), min_size=0, max_size=5, unique=True
+            )))
+            sett = IntervalSet.from_blocks(
+                [(pool[a], pool[b]) for a, b in zip(picks[::2], picks[1::2])]
+            )
+            entries.append((draw(coeffs), k, sett))
+    return draw(st.permutations(entries))
+
+
+_HALF = IntervalSet.block(0, Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_entries())
+@example([(Fraction(1, 3), 2, _TWO_BLOCKS)])  # one entry
+@example([(1, 0, _HALF), (1, 0, IntervalSet.block(Fraction(1, 2), 1))])  # two that merge
+@example([(1, 0, _HALF), (-1, 0, _HALF), (2, 1, _TWO_BLOCKS)])  # two that cancel, one alone
+@example([(0, 0, _HALF), (2, 0, _TWO_BLOCKS), (1, 3, IntervalSet())])  # one left after drops
+def test_canonical_terms_match_sweep_reference(raw):
+    terms = _canonical_terms(raw)
+    reference = _sweep_reference(raw)
+    assert terms == reference
+    assert CodedReal(0, terms).to_json() == CodedReal(0, reference).to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw_terms(),
+    st.fractions(max_denominator=8),
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9)),
+)
+@example(
+    [(1, 0, _HALF), (2, 0, _TWO_BLOCKS), (Fraction(1, 2), 2, UNIT), (-1, 2, _HALF)],
+    Fraction(1, 3),
+    Fraction(-2, 3),
+)
+def test_scaling_matches_rebuild(raw, offset, s):
+    x = CodedReal.build(offset, raw)
+    scaled = x * s
+    rebuilt = CodedReal.build(x.offset * s, [(t.coeff * s, t.k, t.index_set) for t in x.terms])
+    assert scaled == rebuilt
+    assert scaled.to_json() == rebuilt.to_json()
+    assert -x == CodedReal.build(-x.offset, [(-t.coeff, t.k, t.index_set) for t in x.terms])
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, True, "1", None])
+def test_from_json_needs_an_integer_ladder(k):
+    data = {"offset": "0/1", "terms": [{"coeff": "1/1", "k": k, "intervals": [["0/1", "1/1"]]}]}
+    with pytest.raises(ValueError, match="ladder offset k must be an integer"):
+        CodedReal.from_json(data)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,50 @@ def test_parse_frac_matches_fraction(text):
         return type(value), value
 
     assert read(_parse_frac) == read(Fraction)
+
+
+def _from_blocks_sweep_reference(blocks):
+    """``from_blocks`` as it sorted and merged every list over the least
+    common denominator, normal or not."""
+    pairs = [(Fraction(a), Fraction(b)) for a, b in blocks]
+    scale = math.lcm(*(p.denominator for pair in pairs for p in pair))
+    keyed = []
+    for a, b in pairs:
+        ia = a.numerator * (scale // a.denominator)
+        ib = b.numerator * (scale // b.denominator)
+        if ia < ib:
+            keyed.append((ia, ib, a, b))
+    keyed.sort(key=lambda entry: entry[0])
+    merged = []
+    for ia, ib, a, b in keyed:
+        if ia < 0:
+            raise ValueError("intervals live in the nonnegative rationals")
+        if merged and ia <= merged[-1][1]:
+            last = merged[-1]
+            if ib > last[1]:
+                last[1], last[3] = ib, b
+        else:
+            merged.append([ia, ib, a, b])
+    return IntervalSet(tuple((a, b) for _, _, a, b in merged))
+
+
+# normal-form lists as this program writes them, next to raw ones
+_NORMAL_BLOCKS = _raw_blocks(nonnegative=True).map(
+    lambda blocks: list(IntervalSet.from_blocks(blocks).blocks)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_NORMAL_BLOCKS, _raw_blocks()))
+@example([])
+@example([(0, Fraction(1, 3)), (Fraction(1, 2), 2)])  # normal, int endpoints
+@example(_ABUTTING)
+@example([(0, 1), (Fraction(1, 2), 2)])  # overlapping
+@example([(1, 2), (0, Fraction(1, 2))])  # unsorted
+@example([(0, 1), (Fraction(1, 3), Fraction(1, 3))])  # degenerate, dropped
+@example([(-1, 1)])  # negative start
+@example([(Fraction(1, 2), Fraction(-1, 2))])  # negative but degenerate, dropped
+def test_from_blocks_matches_sweep_reference(blocks):
+    assert _outcome(IntervalSet.from_blocks, blocks) == _outcome(
+        _from_blocks_sweep_reference, blocks
+    )
