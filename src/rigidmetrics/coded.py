@@ -19,8 +19,9 @@ that holds one entry, and a canonical value times a rational
 
 The form is unique per ladder ``k`` only: since
 ``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
-exactly while their canonical form stays nonzero.  :func:`sign` therefore folds values whose terms span several ladders
-onto the least one before deciding.
+exactly while their canonical form stays nonzero.  :func:`_on_least_ladder`
+folds a family onto its least ladder, where equal numbers have equal forms, so
+:func:`equals` is always decided; :func:`sign` folds its value first.
 
 Two evaluation routes are provided.
 
@@ -529,16 +530,6 @@ def _piece_events(
     return events, tails
 
 
-def _fold_ladders(value: CodedReal) -> CodedReal:
-    """The same number with every term moved onto its least ladder ``k0``.
-
-    ``<gamma_k, B> = 2^-(k - k0) * <gamma_k0, B>``, so scaling a term's
-    coefficient by ``2^-(k - k0)`` keeps its value.  Values on a single
-    ladder are returned as they are.
-    """
-    return _fold_onto(value, min((t.k for t in value.terms), default=0))
-
-
 def _fold_onto(value: CodedReal, k0: int) -> CodedReal:
     """The same number with every term moved onto ladder ``k0``, which must
     not exceed any of its ladders; values already on ``k0`` alone are
@@ -549,6 +540,15 @@ def _fold_onto(value: CodedReal, k0: int) -> CodedReal:
         value.offset,
         [(t.coeff / (1 << (t.k - k0)), k0, t.index_set) for t in value.terms],
     )
+
+
+def _on_least_ladder(values: Iterable[CodedReal]) -> list[CodedReal]:
+    """The values with every term moved onto the least ladder of the whole
+    family, where two values are equal exactly when their forms are (see
+    :func:`equals`); a family on one ladder comes back as the same objects."""
+    values = list(values)
+    k0 = min((t.k for v in values for t in v.terms), default=0)
+    return [_fold_onto(v, k0) for v in values]
 
 
 def sign(
@@ -564,7 +564,7 @@ def sign(
     value whose terms span several ladders is first folded onto the least
     one; exact zeros that span ladders then cancel and get sign 0.
     """
-    value = _fold_ladders(value)
+    (value,) = _on_least_ladder([value])
     if not value.terms and not extra:
         return _sgn(value.offset)
     caps = sorted({min(16, max_precision), min(64, max_precision), max_precision})
@@ -649,29 +649,15 @@ def gamma_compare(
     return _ordering(as_coded(value), max_precision, ((e, -Fraction(coeff)),))
 
 
-def equals(
-    x: CodedReal | Fraction | int,
-    y: CodedReal | Fraction | int,
-    max_precision: int = DEFAULT_MAX_PRECISION,
-) -> bool | None:
-    """Equality oracle: True, False, or None (unresolved).
+def equals(x: CodedReal | Fraction | int, y: CodedReal | Fraction | int) -> bool:
+    """Exact equality, never unresolved: the forms agree on the least ladder.
 
-    True comes from identical canonical forms or from a settled ``EQUAL``
-    comparison (distinct forms that span ladders can still denote one number).
-    False comes either from a settled numeric comparison or from distinctness
-    of canonical forms certified by a shared interval-trace witness (see
-    :mod:`rigidmetrics.independence`).
+    On one ladder ``k``, distinct forms denote distinct numbers.  Were they
+    equal, pick a deep index ``n`` where the integer-scaled weights differ:
+    times ``2^(2^n + k)`` all is an integer but a tail below 1, and all other
+    indices contribute multiples of ``2^(2^n - 2^(n-1))``, which the bounded
+    weight at ``n`` is not.  Index sets are infinite or empty, so such ``n``
+    exist beyond every bound.
     """
-    cx, cy = as_coded(x), as_coded(y)
-    if cx == cy:
-        return True
-    order = compare(cx, cy, max_precision)
-    if order in (LESS, GREATER):
-        return False
-    if order == EQUAL:
-        return True
-    from .independence import certified_distinct
-
-    if certified_distinct(cx, cy):
-        return False
-    return None
+    a, b = _on_least_ladder([as_coded(x), as_coded(y)])
+    return a == b

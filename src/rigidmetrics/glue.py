@@ -529,26 +529,30 @@ def _unit_witness_shape(
 def _equal_multisets(
     keyed: list[tuple[tuple, tuple[str, str]]],
 ) -> tuple[tuple[str, str], tuple[str, str]] | None:
-    """Two pairs whose multiset keys agree, found by one sort; else None."""
-    ordered = sorted(keyed, key=lambda item: item[0])
-    for (key, pair), (next_key, next_pair) in zip(ordered, ordered[1:]):
-        if key == next_key:
-            return pair, next_pair
+    """The earlier and the later of two pairs whose multiset keys agree, found
+    in one pass in row order; else None."""
+    first: dict[tuple, int] = {}
+    for t, (key, pair) in enumerate(keyed):
+        earlier = first.setdefault(key, t)
+        if earlier != t:
+            return keyed[earlier][1], pair
     return None
 
 
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
-    A certificate of another ``version`` raises ``ValueError``.  There must be
-    one independence row per distance, in the metric's pair order, and each
+    A certificate of another ``version`` raises ``ValueError``.  The registry
+    snapshot must keep the invariants the independence argument rests on
+    (:meth:`_ComponentReplay.registry_problem`).  There must be one
+    independence row per distance, in the metric's pair order, and each
     row is checked once: the hypotheses of its tagged sum, the replay of each
     component from the raw draws in the registry snapshot (block values
     through gauges replayed with ``parameters.k`` and
     ``parameters.partition``, which are required; hub values as
     ``p + q * basis``), that the components sum exactly to the row's metric
     entry, and its unit trace witness, which must cover exactly the distinct
-    index sets of the row's components.  One sort of the rows' component
+    index sets of the row's components.  One pass over the rows' component
     multisets then shows that no two distances share one.  The sup bound is
     recomputed from ``input`` and must equal the claimed enclosure.  The sup
     bound and the strong-rigidity recheck run under ``max_precision``, which
@@ -563,12 +567,16 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     metric = FiniteMetric.from_json(data["metric"])
     source = FiniteMetric.from_json(data["input"])
     snapshot = data["registry"]
-    known = {int(g) for g in snapshot.get("gauges", {})}
     parameters = data.get("parameters", {})
     if "k" not in parameters or "partition" not in parameters:
         return Report("fail", (), "component replay failed: no parameters.k or partition",
                       max_precision)
-    pieces = _CertificatePieces(_ComponentReplay(parameters, snapshot))
+    replay = _ComponentReplay(parameters, snapshot)
+    problem = replay.registry_problem()
+    if problem is not None:
+        return Report("fail", (), f"registry invariant failed: {problem}", max_precision)
+    known = set(replay.gauges)
+    pieces = _CertificatePieces(replay)
     rows = data["independence"]
     pairs = list(metric.pairs())
     keyed: list[tuple[tuple, tuple[str, str]]] = []
@@ -677,13 +685,36 @@ class _ComponentReplay:
     def __init__(self, parameters: dict, snapshot: dict):
         self._snapshot = snapshot
         self._k = _parse_ladder(parameters["k"])
-        self._gauges: dict[int, object] = {}
+        gauge_ids = [int(g) for g in snapshot.get("gauges", {})]
+        self.gauges = {g: gauge_from_snapshot(g, snapshot) for g in gauge_ids}
         self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
 
+    def registry_problem(self) -> str | None:
+        """The first registry invariant the snapshot breaks, or None.
+
+        The independence argument rests on them: every gauge value is a fresh
+        rational, of level ``l`` in ``(l, l+1)``; no two hub bases come from
+        one word pair; and every hub sits on ladder ``parameters.k`` like the
+        blocks, so comparing component forms compares their values.
+        """
+        draws = [(lv, v) for g in self.gauges.values() for (lv, _, _), v in g.drawn().items()]
+        if len({v for _, v in draws}) < len(draws):
+            return "a gauge draw is repeated"
+        for level, value in draws:
+            if not level < value < level + 1:
+                return f"draw {value} lies outside level {level}"
+        hubs = self._snapshot.get("hubs", {}).values()
+        if any(_parse_ladder(alloc["k"]) != self._k for alloc in hubs):
+            return f"a hub is off ladder {self._k}"
+        pairs = [tuple(sorted(tuple(w) for w in alloc["words"])) for alloc in hubs]
+        if len(set(pairs)) < len(pairs):
+            return "two hubs share a word pair"
+        return None
+
     def _gauge(self, gauge_id: int):
-        if gauge_id not in self._gauges:
-            self._gauges[gauge_id] = gauge_from_snapshot(gauge_id, self._snapshot)
-        return self._gauges[gauge_id]
+        if gauge_id not in self.gauges:
+            raise DomainError(f"gauge {gauge_id} is not in the snapshot")
+        return self.gauges[gauge_id]
 
     def _letters(self, labels: tuple[str, ...]) -> tuple[int, ...] | None:
         for block in self._blocks:
@@ -708,9 +739,7 @@ class _ComponentReplay:
                 return comp.hub_index
             basis = CodedReal.from_json(alloc["basis"])
             words = [tuple(w) for w in alloc["words"]]
-            replayed_basis = tau(
-                self._gauge(RESERVED_GAUGE_ID), _parse_ladder(alloc["k"]), words[0], words[1]
-            )
+            replayed_basis = tau(self._gauge(RESERVED_GAUGE_ID), self._k, words[0], words[1])
             if replayed_basis != basis:
                 return comp.hub_index
             rebuilt = as_coded(_parse_frac(alloc["p"])) + basis * _parse_frac(alloc["q"])

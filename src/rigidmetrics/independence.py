@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .coded import CodedReal, _parse_ladder, as_coded
+from .coded import CodedReal, _parse_ladder
 from .errors import DomainError
 from .intervals import IntervalSet, _frac_str, _parse_frac
 
@@ -114,26 +114,6 @@ def find_interval_trace_witness(
         assert witness.verify()
         return witness
     return None
-
-
-def certified_distinct(x: CodedReal, y: CodedReal) -> bool:
-    """True when distinct canonical forms provably denote distinct numbers.
-
-    Sound for values whose coded terms all share one exponent ladder: suppose
-    the combined weight functions differed yet the numbers were equal.  Scale
-    to integer weights and pick a deep enumeration index ``n`` where the
-    weights differ; multiplying by ``2^(2^n + k)`` makes everything an
-    integer except a tail below 1, and every contribution other than index
-    ``n`` is divisible by the exponent gap ``2^(2^n - 2^(n-1))``, which the
-    bounded weight at ``n`` cannot be.  Index sets are infinite (or empty) by
-    construction, so such ``n`` exist beyond every bound.  Mixed ladders are
-    not certified here.
-    """
-    cx, cy = as_coded(x), as_coded(y)
-    if cx == cy:
-        return False
-    ks = {t.k for t in cx.terms} | {t.k for t in cy.terms}
-    return len(ks) == 1
 
 
 @dataclass(frozen=True)

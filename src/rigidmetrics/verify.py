@@ -3,17 +3,15 @@
 Every oracle returns a :class:`Report` whose verdict is ``pass``, ``fail`` or
 ``unresolved``; a fail always carries a concrete witness, and a pass of an
 exhaustive oracle really did check every instance.  Comparisons go through
-the exact engine of :mod:`rigidmetrics.coded`; distinctness of coded values
-additionally uses certified canonical-form separation, so strong-rigidity
-checks on pipeline outputs never hang on numerically inseparable values.
-The triangle oracles first try one rigorous rational enclosure per distance
-and send only the instances it cannot prove to the exact engine.
+the exact engine of :mod:`rigidmetrics.coded`.  The triangle oracles first
+try one rigorous rational enclosure per distance and send only the instances
+it cannot prove to the exact engine.
 
-Self-isometry search and near-collision grouping match entries by canonical
-form after folding every entry onto the least exponent ladder of the whole
-matrix (:func:`_value_keyed`).  Canonical forms are unique on one ladder, so
-matching folded forms means equal values, on coded matrices as on rational
-ones.
+Strong rigidity, the distance embedding, self-isometry search and
+near-collision grouping match entries by canonical form after folding them
+onto their least exponent ladder (:func:`_by_value`).  Forms are unique on
+one ladder, so matching forms means equal values and equality is never
+unresolved; only ordering can be.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .coded import (
     DEFAULT_MAX_PRECISION,
@@ -32,10 +30,9 @@ from .coded import (
     LESS,
     UNRESOLVED,
     _difference,
-    _fold_onto,
+    _on_least_ladder,
     _ordering,
     compare,
-    equals,
 )
 from .errors import DomainError, PrecisionError, ResourceError
 from .metric import FiniteMetric
@@ -181,71 +178,40 @@ def _abs_enclosure(value: CodedReal, precision_index: int) -> Enclosure:
     return Enclosure(Fraction(0), max(-enc.lo, enc.hi))
 
 
-def _distinctness(
-    values: Sequence[tuple[tuple[str, ...], CodedReal]],
-    max_precision: int,
-) -> tuple[Verdict, tuple]:
-    """Classify a tagged value family as all-distinct / collision / unresolved."""
-    groups: dict[CodedReal, list[tuple[str, ...]]] = {}
-    for tag, value in values:
+def _by_value(tagged: Sequence[tuple[object, CodedReal]]) -> dict[CodedReal, list]:
+    """The tags grouped by value, folded onto the family's least ladder."""
+    groups: dict[CodedReal, list] = {}
+    for (tag, _), value in zip(tagged, _on_least_ladder(v for _, v in tagged)):
         groups.setdefault(value, []).append(tag)
-    collisions = [tuple(tags) for tags in groups.values() if len(tags) > 1]
-    if collisions:
-        return "fail", tuple(collisions)
-    distinct = list(groups)
-    ks = {t.k for v in distinct for t in v.terms}
-    if len(ks) <= 1:
-        # One shared exponent ladder (or none): distinct canonical forms
-        # denote distinct numbers, see independence.certified_distinct.
-        return "pass", ()
-    unresolved = []
-    for a in range(len(distinct)):
-        for b in range(a + 1, len(distinct)):
-            verdict = equals(distinct[a], distinct[b], max_precision)
-            if verdict is True:
-                return "fail", (tuple(groups[distinct[a]] + groups[distinct[b]]),)
-            if verdict is None:
-                unresolved.append((groups[distinct[a]][0], groups[distinct[b]][0]))
-    if unresolved:
-        return "unresolved", tuple(unresolved)
-    return "pass", ()
+    return groups
+
+
+def _distinctness(values: Sequence[tuple[tuple, CodedReal]]) -> tuple[Verdict, tuple]:
+    """``fail`` with every group of tags that share one value, else ``pass``."""
+    collisions = tuple(tuple(tags) for tags in _by_value(values).values() if len(tags) > 1)
+    return ("fail", collisions) if collisions else ("pass", ())
 
 
 def is_strongly_rigid(
     d: FiniteMetric, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> Report:
     """No positive distance may be attained by two different point pairs."""
-    tagged = [
-        ((d.points[i], d.points[j]), d.at(i, j)) for i, j in d.pairs()
-    ]
-    verdict, witnesses = _distinctness(tagged, max_precision)
-    return Report(verdict, witnesses, "pairwise distinct positive distances",
+    tagged = [((d.points[i], d.points[j]), d.at(i, j)) for i, j in d.pairs()]
+    return Report(*_distinctness(tagged), "pairwise distinct positive distances",
                   max_precision)
 
 
-def _value_keyed(d: FiniteMetric) -> list[list[CodedReal]]:
-    """The matrix with every entry folded onto its least ladder overall.
-
-    ``<gamma_k, B> = 2^-(k - k0) <gamma_k0, B>``, and canonical forms are
-    unique on one ladder, so two folded entries are equal exactly when
-    their values are.
-    """
-    k0 = min((t.k for row in d.matrix for v in row for t in v.terms), default=0)
-    return [[_fold_onto(v, k0) for v in row] for row in d.matrix]
-
-
-def isometry_group(d: FiniteMetric, limit: int = 12) -> list[tuple[int, ...]]:
-    """All distance-preserving self-bijections, as index permutations.
-
-    Backtracking with per-point distance-multiset fingerprints.  Entries are
-    keyed by their canonical forms on the matrix's least ladder, so key
-    equality is value equality and the group is exact.
-    """
+def _isometries(d: FiniteMetric, limit: int) -> Iterator[tuple[int, ...]]:
+    """The distance-preserving self-bijections, as index permutations, in
+    backtracking order with per-point distance-multiset fingerprints.  Each
+    entry is keyed by the number of its value class (:func:`_by_value`), so
+    the search is exact.  The point cap is checked on the call."""
     n = d.size
     if n > limit:
         raise ResourceError(f"isometry search capped at {limit} points")
-    entries = _value_keyed(d)
-    keys = [[entries[i][j].sort_key() for j in range(n)] for i in range(n)]
+    cells = [((i, j), d.at(i, j)) for i in range(n) for j in range(n)]
+    classes = {ij: key for key, group in enumerate(_by_value(cells).values()) for ij in group}
+    keys = [[classes[i, j] for j in range(n)] for i in range(n)]
     fingerprints = [tuple(sorted(keys[i][j] for j in range(n) if j != i)) for i in range(n)]
     candidates = [
         [j for j in range(n) if fingerprints[j] == fingerprints[i]] for i in range(n)
@@ -253,38 +219,37 @@ def isometry_group(d: FiniteMetric, limit: int = 12) -> list[tuple[int, ...]]:
     order = sorted(range(n), key=lambda i: len(candidates[i]))
     mapping = [-1] * n
     used = [False] * n
-    found: list[tuple[int, ...]] = []
 
-    def extend(pos: int) -> None:
+    def extend(pos: int) -> Iterator[tuple[int, ...]]:
         if pos == n:
-            found.append(tuple(mapping))
+            yield tuple(mapping)
             return
         i = order[pos]
         for j in candidates[i]:
             if used[j]:
                 continue
-            ok = True
-            for prev in order[:pos]:
-                if keys[i][prev] != keys[j][mapping[prev]]:
-                    ok = False
-                    break
-            if ok:
+            if all(keys[i][prev] == keys[j][mapping[prev]] for prev in order[:pos]):
                 mapping[i] = j
                 used[j] = True
-                extend(pos + 1)
+                yield from extend(pos + 1)
                 used[j] = False
                 mapping[i] = -1
 
-    extend(0)
-    return sorted(found)
+    return extend(0)
+
+
+def isometry_group(d: FiniteMetric, limit: int = 12) -> list[tuple[int, ...]]:
+    """All distance-preserving self-bijections, as sorted index permutations."""
+    return sorted(_isometries(d, limit))
 
 
 def is_rigid(d: FiniteMetric, limit: int = 12) -> Report:
-    group = isometry_group(d, limit)
+    """Only the identity preserves distances; a fail names the first other
+    isometry the search finds, which ends it."""
     identity = tuple(range(d.size))
-    extras = tuple(g for g in group if g != identity)
-    if extras:
-        return Report("fail", extras, "nontrivial self-isometries")
+    extra = next((g for g in _isometries(d, limit) if g != identity), None)
+    if extra is not None:
+        return Report("fail", (extra,), "nontrivial self-isometry")
     return Report("pass", (), "only the identity isometry")
 
 
@@ -301,10 +266,7 @@ def lnm_membership(
     if m < 0:
         raise DomainError("scales are indexed by m >= 0")
     threshold = Fraction(1, 1 << m)
-    entries = _value_keyed(d)
-    groups: dict[CodedReal, list[tuple[int, int]]] = {}
-    for i, j in d.pairs():
-        groups.setdefault(entries[i][j], []).append((i, j))
+    groups = _by_value([((i, j), d.at(i, j)) for i, j in d.pairs()])
     saw_unresolved = False
     for value, pairs in groups.items():
         if len(pairs) < 2:
@@ -370,8 +332,5 @@ def distance_embedding_check(
 ) -> Report:
     """Injectivity of ``x -> d(x, xi)`` (a topological embedding at finite scale)."""
     base = d.index(xi)
-    tagged = [
-        ((d.points[i],), d.at(i, base)) for i in range(d.size)
-    ]
-    verdict, witnesses = _distinctness(tagged, max_precision)
-    return Report(verdict, witnesses, f"distance column at {xi}", max_precision)
+    tagged = [((d.points[i],), d.at(i, base)) for i in range(d.size)]
+    return Report(*_distinctness(tagged), f"distance column at {xi}", max_precision)

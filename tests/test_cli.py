@@ -286,6 +286,21 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("xy_cut, code", [("499999999/1000000000", 0), ("1/2", 1)])
+def test_verify_sr_decides_equality_across_ladders(tmp_path, capsys, xy_cut, code):
+    # d(x,y) = 1 + <g0,[0,xy_cut)>, d(x,z) = 1 + 2<g1,[0,1/2)>: one number
+    # exactly when xy_cut is 1/2, and no budget orders them otherwise
+    xy = _entry("1/1", [["0/1", xy_cut]])
+    xz = {"offset": "1/1",
+          "terms": [{"coeff": "2/1", "k": 1, "intervals": [["0/1", "1/2"]]}]}
+    yz = _entry("2/1")
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"points": ["x", "y", "z"], "matrix": [
+        [_entry(), xy, xz], [xy, _entry(), yz], [xz, yz, _entry()]]}))
+    assert main(["verify", "--metric", str(path), "--check", "sr"]) == code
+    assert json.loads(capsys.readouterr().out)["verdict"] == ("pass", "fail")[code]
+
+
 def test_nonmetric_input_rejected(tmp_path, capsys):
     bad = FiniteMetric.from_entries(
         ["a", "b", "c"],

@@ -175,6 +175,17 @@ def test_exact_zero_across_ladders():
     assert sign(zero) == 0
 
 
+def test_equals_compares_forms_on_the_least_ladder():
+    a = coded_sum(0, IntervalSet.block(0, Fraction(1, 2)))
+    b = coded_sum(0, IntervalSet.block(0, Fraction(3, 4)))
+    assert equals(a, b) is False
+    assert equals(a, a) is True
+    # across ladders: <g1,[0,3/4)> = 1/2 <g0,[0,3/4)>, another form than a's
+    c = coded_sum(1, IntervalSet.block(0, Fraction(3, 4)))
+    assert equals(a, c) is False
+    assert equals(c, coded_sum(0, IntervalSet.block(0, Fraction(3, 4)), Fraction(1, 2))) is True
+
+
 def test_sign_of_rationals():
     assert sign(CodedReal.from_rational(Fraction(-3, 7))) == -1
     assert sign(CodedReal.from_rational(0)) == 0
@@ -183,7 +194,7 @@ def test_sign_of_rationals():
 def test_unresolved_order_with_certified_distinctness():
     # The sets differ only across a sliver whose simplest member is buried
     # astronomically deep in the tree: the order stays unresolved at default
-    # precision, yet distinctness is still certified by a shared window.
+    # precision, yet the two distinct forms on one ladder are unequal.
     near_half = Fraction(10**9 // 2 - 1, 10**9)
     a = coded_sum(0, IntervalSet.block(0, near_half))
     b = coded_sum(0, IntervalSet.block(0, Fraction(1, 2)))

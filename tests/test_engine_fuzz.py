@@ -15,12 +15,14 @@ from rigidmetrics.coded import (
     EQUAL,
     GREATER,
     LESS,
+    UNRESOLVED,
     coded_sum,
     compare,
     equals,
     sign,
 )
 from rigidmetrics.intervals import IntervalSet
+from rigidmetrics.verify import _distinctness
 
 # Precision budget that resolves every value the strategies below draw.  A
 # sign is settled once the support scan reaches the first member of each
@@ -125,7 +127,85 @@ def test_compare_antisymmetric(x, y):
     flips = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
     assert yx == flips[xy]
     if xy == EQUAL:
-        assert equals(x, y, FUZZ_PRECISION) is True
+        assert equals(x, y) is True
+
+
+def lifted(x, j):
+    """``x`` with every term moved up ``j`` ladders: <g_k, B> = 2^j <g_(k+j), B>."""
+    return CodedReal.build(
+        x.offset, [(t.coeff * (1 << j), t.k + j, t.index_set) for t in x.terms]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(coded_values(), coded_values(), st.integers(0, 2))
+@example(ZERO_ACROSS_LADDERS, CodedReal(), 1)
+def test_equals_agrees_with_decided_compare(x, y, j):
+    # pairs of unrelated values, and equal values written on other ladders
+    for a, b in ((x, y), (x, lifted(x, j)), (x + y, lifted(y, j) + x)):
+        order = compare(a, b, FUZZ_PRECISION)
+        if order != UNRESOLVED:
+            assert equals(a, b) is (order == EQUAL)
+
+
+def _equals_before_folding(x, y, max_precision):
+    """``equals`` as it was before equality compared folded forms: the sign
+    engine, then distinct forms on one shared ladder; None if undecided."""
+    if x == y:
+        return True
+    order = compare(x, y, max_precision)
+    if order in (LESS, GREATER):
+        return False
+    if order == EQUAL:
+        return True
+    return False if len({t.k for t in x.terms} | {t.k for t in y.terms}) == 1 else None
+
+
+def _distinctness_before_folding(values, max_precision):
+    """``verify._distinctness`` as it was before it grouped folded values."""
+    groups = {}
+    for tag, value in values:
+        groups.setdefault(value, []).append(tag)
+    collisions = [tuple(tags) for tags in groups.values() if len(tags) > 1]
+    if collisions:
+        return "fail", tuple(collisions)
+    distinct = list(groups)
+    ks = {t.k for v in distinct for t in v.terms}
+    if len(ks) <= 1:
+        return "pass", ()
+    unresolved = []
+    for a in range(len(distinct)):
+        for b in range(a + 1, len(distinct)):
+            verdict = _equals_before_folding(distinct[a], distinct[b], max_precision)
+            if verdict is True:
+                return "fail", (tuple(groups[distinct[a]] + groups[distinct[b]]),)
+            if verdict is None:
+                unresolved.append((groups[distinct[a]][0], groups[distinct[b]][0]))
+    if unresolved:
+        return "unresolved", tuple(unresolved)
+    return "pass", ()
+
+
+@st.composite
+def tagged_families(draw):
+    """Tagged coded values, some repeated as they are or on another ladder."""
+    values = draw(st.lists(coded_values(), min_size=1, max_size=4))
+    for x in draw(st.lists(st.sampled_from(values), max_size=2)):
+        values.append(lifted(x, draw(st.integers(0, 2))))
+    return [((f"t{i}",), v) for i, v in enumerate(values)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tagged_families())
+def test_distinctness_agrees_with_the_sign_engine(values):
+    verdict, witnesses = _distinctness(values)
+    old_verdict, old_witnesses = _distinctness_before_folding(values, FUZZ_PRECISION)
+    if old_verdict == "unresolved":
+        return
+    assert verdict == old_verdict
+    # the old check stopped at its first collision; each is inside a new group
+    groups = [set(group) for group in witnesses]
+    assert all(any(set(w) <= g for g in groups) for w in old_witnesses)
 
 
 @settings(max_examples=60, deadline=None)

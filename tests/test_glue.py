@@ -18,8 +18,12 @@ from rigidmetrics.glue import (
     sup_bound_check,
     verify_certificate,
 )
-from rigidmetrics.independence import IntervalTraceWitness, find_interval_trace_witness
-from rigidmetrics.intervals import IntervalSet
+from rigidmetrics.independence import (
+    IntervalTraceWitness,
+    SumComponent,
+    find_interval_trace_witness,
+)
+from rigidmetrics.intervals import IntervalSet, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
 
@@ -471,13 +475,104 @@ def _renamed_input(blob):
     blob["input"]["points"][0] = "elsewhere"
 
 
+def _entry(blob, name, pair):
+    points = blob[name]["points"]
+    a, b = (points.index(x) for x in pair)
+    return CodedReal.from_json(blob[name]["matrix"][a][b])
+
+
+def _set_entry(blob, name, pair, value):
+    points, matrix = blob[name]["points"], blob[name]["matrix"]
+    a, b = (points.index(x) for x in pair)
+    matrix[a][b] = matrix[b][a] = value.to_json()
+
+
+def _hub_pair_rows(blob):
+    """Rows of two hubs: the hub value is their only nonzero component."""
+    hubs = set(blob["parameters"]["partition"]["hubs"])
+    return [r for r in _rows(blob) if set(r["pair_left"]) <= hubs]
+
+
+def _hub_of(row):
+    return next((c for c in row["certificate"]["left"] if c["kind"] == "hub"), None)
+
+
+def _reallocate_hub(blob, index, fields, value, input_shift):
+    """Rewrite hub allocation ``index`` with ``fields`` and value ``value`` and
+    carry it through every row that names it: its hub component, a unit
+    witness found afresh, its metric entry (the sum of its components) and
+    its input entry (moved by ``input_shift``).  The claimed sup is then
+    restated as the checker recomputes it, so only the registry is at odds."""
+    blob["registry"]["hubs"][str(index)].update(fields, value=value.to_json())
+    for row in _rows(blob):
+        hub = _hub_of(row)
+        if hub is None or hub["hub_index"] != index:
+            continue
+        hub["value"] = value.to_json()
+        comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
+        row["trace_witness"] = glue._trace_witness_for(comps).to_json()
+        pair = row["pair_left"]
+        _set_entry(blob, "metric", pair, glue._component_sum(comps))
+        _set_entry(blob, "input", pair, _entry(blob, "input", pair) + input_shift)
+    _, sup = glue._certify_sup_bound(
+        FiniteMetric.from_json(blob["input"]), FiniteMetric.from_json(blob["metric"]),
+        Fraction(blob["sup_bound"]["epsilon"]), 64,
+    )
+    blob["sup_bound"].update(achieved_lo=_frac_str(sup.lo), achieved_hi=_frac_str(sup.hi))
+
+
+def _doubled_hub(blob, share_draws):
+    """The second hub pair's distance becomes twice the first's, a
+    Q-dependence: its hub takes the first hub's basis and ladder with ``p``
+    and ``q`` doubled, and either the first hub's word pair or its own words
+    with their reserved-gauge draws copied from the first hub's; the input
+    entry doubles too."""
+    first, second = _hub_pair_rows(blob)[:2]
+    hubs = blob["registry"]["hubs"]
+    one = hubs[str(_hub_of(first)["hub_index"])]
+    index = _hub_of(second)["hub_index"]
+    fields = {"k": one["k"], "basis": one["basis"], "words": one["words"],
+              "p": _frac_str(2 * Fraction(one["p"])), "q": _frac_str(2 * Fraction(one["q"]))}
+    if share_draws:
+        fields["words"] = hubs[str(index)]["words"]
+        draws = blob["registry"]["gauges"]["0"]["draws"]
+        ((a,), (b,)), ((c,), (e,)) = one["words"], fields["words"]
+        for level in (0, 1):
+            draws[f"{level}:{c}:{e}"] = draws[f"{level}:{a}:{b}"]
+    shift = 2 * _entry(blob, "input", first["pair_left"]) - _entry(blob, "input", second["pair_left"])
+    _reallocate_hub(blob, index, fields, CodedReal.from_json(one["value"]) * 2, shift)
+
+
+def _shared_word_pair(blob):
+    _doubled_hub(blob, share_draws=False)
+
+
+def _repeated_draws(blob):
+    _doubled_hub(blob, share_draws=True)
+
+
+def _hub_off_ladder(blob):
+    # the first hub moves to ladder k + 1 with q doubled: the same number in
+    # another form, so the row's components and the metric no longer share
+    # one ladder
+    row = _hub_pair_rows(blob)[0]
+    index = _hub_of(row)["hub_index"]
+    alloc = blob["registry"]["hubs"][str(index)]
+    k = alloc["k"] + 1
+    basis = CodedReal.build(0, [(t.coeff, k, t.index_set)
+                                for t in CodedReal.from_json(alloc["basis"]).terms])
+    q = 2 * Fraction(alloc["q"])
+    fields = {"k": k, "basis": basis.to_json(), "q": _frac_str(q)}
+    _reallocate_hub(blob, index, fields, Fraction(alloc["p"]) + basis * q, 0)
+
+
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 @pytest.mark.parametrize(
     "forge",
     [_empty_list, _dropped_record, _duplicated_record, _swapped_metric,
      _deleted_parameters, _foreign_pair, _self_pair, _equal_multisets,
      _zeroed_sup, _copied_witness, _deleted_witness, _shifted_input,
-     _renamed_input],
+     _renamed_input, _shared_word_pair, _repeated_draws],
 )
 def test_certificate_forgeries_fail(certificates, kind, forge):
     blob = json.loads(certificates[kind])
@@ -502,6 +597,34 @@ def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
     assert report.verdict == "fail" and detail in report.detail
     if forge is _equal_multisets:
         assert report.witnesses == tuple(tuple(r["pair_left"]) for r in _rows(blob)[:2])
+
+
+@pytest.mark.parametrize(
+    "kind, forge, detail",
+    [("spread", _shared_word_pair, "share a word pair"),
+     ("clustered", _shared_word_pair, "share a word pair"),
+     ("spread", _repeated_draws, "gauge draw is repeated"),
+     ("clustered", _repeated_draws, "gauge draw is repeated"),
+     # a clustered hub also sits in rows with block components, whose unit
+     # witness needs one ladder, so only the spread case gets this far
+     ("spread", _hub_off_ladder, "off ladder")],
+)
+def test_registry_forgeries_fail_the_invariant_aimed_at(certificates, kind, forge, detail):
+    blob = json.loads(certificates[kind])
+    assert verify_certificate(blob).passed
+    forge(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and "registry invariant" in report.detail
+    assert detail in report.detail
+
+
+def test_draws_must_lie_in_their_level(certificates):
+    blob = json.loads(certificates["clustered"])
+    draws = blob["registry"]["gauges"]["1"]["draws"]
+    key = next(key for key in sorted(draws) if key.startswith("1:"))
+    draws[key] = "99/10"
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and "lies outside level 1" in report.detail
 
 
 def test_unit_witness_must_cover_every_index_set_of_its_row(certificates):

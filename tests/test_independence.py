@@ -4,7 +4,6 @@ from rigidmetrics.coded import CodedReal, coded_sum
 from rigidmetrics.independence import (
     IntervalTraceWitness,
     SumComponent,
-    certified_distinct,
     find_interval_trace_witness,
     multiset_key,
     tagged_sum_holds,
@@ -68,16 +67,6 @@ def test_witness_json_round_trip():
     w = find_interval_trace_witness([blk(0, Fraction(1, 2)), blk(0, Fraction(3, 4))])
     again = IntervalTraceWitness.from_json(w.to_json())
     assert again == w and again.verify()
-
-
-def test_certified_distinct():
-    a = coded_sum(0, blk(0, Fraction(1, 2)))
-    b = coded_sum(0, blk(0, Fraction(3, 4)))
-    assert certified_distinct(a, b)
-    assert not certified_distinct(a, a)
-    # mixed schedules are out of reach for this certificate
-    c = coded_sum(1, blk(0, Fraction(3, 4)))
-    assert not certified_distinct(a, c)
 
 
 def _component(gauge, a, b, value):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,41 @@ def test_rigid_sees_equal_values_on_different_ladders():
     # the near-collision oracle groups the two entries as well
     assert lnm_membership(d, 0).witnesses == (("a", "b", "a", "c"),)
     assert lnm_never_member(d).verdict == is_strongly_rigid(d).verdict == "fail"
+
+
+# d(x,y) and d(x,z) lie on ladders 0 and 1 and differ only inside
+# [499999999/10^9, 1/2), whose simplest member is too deep for any budget to
+# order them.  With d(x,y) = 1 + <g0,[0,1/2)> they are one number.
+NEAR_HALF = Fraction(499999999, 10**9)
+
+
+def _mixed_ladder_metric(xy_cut):
+    xy = 1 + coded_sum(0, IntervalSet.block(0, xy_cut))
+    xz = 1 + coded_sum(1, IntervalSet.block(0, Fraction(1, 2)), 2)
+    return triangle(xy, xz, 2)
+
+
+def test_equality_across_ladders_is_decided():
+    d = _mixed_ladder_metric(NEAR_HALF)
+    assert is_strongly_rigid(d).verdict == "pass"
+    assert distance_embedding_check(d, "x").verdict == "pass"
+    d = _mixed_ladder_metric(Fraction(1, 2))
+    report = is_strongly_rigid(d)
+    assert report.verdict == "fail"
+    assert report.witnesses == ((("x", "y"), ("x", "z")),)
+    report = distance_embedding_check(d, "x")
+    assert report.verdict == "fail"
+    assert report.witnesses == ((("y",), ("z",)),)
+
+
+def test_is_rigid_stops_at_the_first_nontrivial_isometry():
+    uniform = FiniteMetric.from_pair_function([f"p{i}" for i in range(9)], lambda i, j: 1)
+    start = time.perf_counter()
+    report = is_rigid(uniform)
+    assert time.perf_counter() - start < 0.5
+    assert report.verdict == "fail" and len(report.witnesses) == 1
+    (witness,) = report.witnesses
+    assert sorted(witness) == list(range(9)) and witness != tuple(range(9))
 
 
 def _exact_triangle_report(d, strict, max_precision):
