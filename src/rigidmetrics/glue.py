@@ -43,6 +43,7 @@ from .coded import (
     _parse_ladder,
     as_coded,
     compare,
+    equals,
 )
 from .errors import DomainError, PrecisionError, UnresolvedComparison
 from .independence import (
@@ -55,7 +56,7 @@ from .independence import (
 from .intervals import IntervalSet, _frac_str, _parse_frac
 from .metric import FiniteMetric
 from .product import tau
-from .registry import RESERVED_GAUGE_ID, ValueRegistry, gauge_from_snapshot
+from .registry import RESERVED_GAUGE_ID, HubAllocation, ValueRegistry, gauge_from_snapshot
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
 CERTIFICATE_VERSION = 1
@@ -146,7 +147,8 @@ def amalgamate(
     if tuple(hub_metric.points) != tuple(partition.hubs):
         raise DomainError("hub metric points must match the hubs")
     for i, j in hub_metric.pairs():
-        if hub_metric.at(i, j).is_zero_form():
+        value = hub_metric.at(i, j)
+        if value.is_zero_form() or equals(value, 0):
             raise DomainError("hub metric must be positive off the diagonal")
 
     labels = partition.labels()
@@ -549,18 +551,16 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     row is checked once: the hypotheses of its tagged sum, the replay of each
     component from the raw draws in the registry snapshot (block values
     through gauges replayed with ``parameters.k`` and
-    ``parameters.partition``, which are required; hub values as
-    ``p + q * basis``), that the components sum exactly to the row's metric
-    entry, and its unit trace witness, which must cover exactly the distinct
-    index sets of the row's components.  One pass over the rows' component
-    multisets then shows that no two distances share one.  The sup bound is
-    recomputed from ``input`` and must equal the claimed enclosure.  The sup
-    bound and the strong-rigidity recheck run under ``max_precision``, which
-    every report records.
-
-    Each distinct piece (component, interval set, trace witness) is decoded
-    once per call, keyed by its full JSON content, and each distinct
-    component is replayed once.
+    ``parameters.partition``, which are required; hub values as the value
+    of their :class:`HubAllocation`, whose basis is replayed from its words),
+    that the components sum exactly to the row's metric entry, and its unit
+    trace witness, which must cover exactly the distinct index sets of the
+    row's components.  One pass over the rows' component multisets then
+    shows that no two distances share one.  The sup bound is recomputed from
+    ``input`` and must equal the claimed enclosure.  The sup bound and the
+    strong-rigidity recheck run under ``max_precision``, which every report
+    records.  Snapshot fields the replay does not read (a hub's ``value`` or
+    ``target``, ``streams``) are ignored.
     """
     if data.get("version") != CERTIFICATE_VERSION:
         raise ValueError("unsupported certificate version")
@@ -576,7 +576,6 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     if problem is not None:
         return Report("fail", (), f"registry invariant failed: {problem}", max_precision)
     known = set(replay.gauges)
-    pieces = _CertificatePieces(replay)
     rows = data["independence"]
     pairs = list(metric.pairs())
     keyed: list[tuple[tuple, tuple[str, str]]] = []
@@ -586,18 +585,20 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
         if row is None or (tuple(row["pair_left"]), tuple(row["pair_right"])) != (pair, ("1",)):
             return Report("fail", (pair,), f"no independence row {t} covers this distance",
                           max_precision)
-        comps = tuple(pieces.component(c) for c in row["certificate"]["left"])
+        comps = tuple(replay.component(c) for c in row["certificate"]["left"])
         if not tagged_sum_holds(comps, known):
             return Report("fail", (pair,), "independence hypotheses failed", max_precision)
         for comp in comps:
-            problem = pieces.replay(comp)
+            problem = replay.check(comp)
             if problem is not None:
                 return Report("fail", (problem,), "component replay failed", max_precision)
         if _component_sum(comps) != metric.at(i, j):
             return Report("fail", (pair,), "components do not sum to the metric entry",
                           max_precision)
-        witness = pieces.witness(row["trace_witness"]) if "trace_witness" in row else None
-        if witness is None or (witness.k, witness.index_sets) != _unit_witness_shape(comps):
+        witness = row.get("trace_witness")
+        witness = None if witness is None else IntervalTraceWitness.from_json(witness)
+        if (witness is None or not witness.verify()
+                or (witness.k, witness.index_sets) != _unit_witness_shape(comps)):
             return Report("fail", (pair,), "unit witness failed", max_precision)
         keyed.append((multiset_key(comps), pair))
     if len(rows) != len(pairs):
@@ -633,61 +634,22 @@ def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
     )
 
 
-class _CertificatePieces:
-    """The pieces of one certificate, each decoded and checked once.
+class _ComponentReplay:
+    """Recomputes tagged component values from snapshot draws.
 
-    Components, interval sets and trace witnesses are keyed by the ``repr``
-    of their JSON, which is their full content, so two pieces share a
-    decoding only when every field agrees.  There is one decoded component
-    instance per distinct content, so its replay verdict is keyed by the
-    instance.
+    The snapshot's gauges and hub allocations are decoded once.  Components
+    are keyed by the ``repr`` of their JSON, their full content, so each
+    distinct component is decoded once and, as one instance, replayed once.
     """
 
-    def __init__(self, replay: "_ComponentReplay"):
-        self._replay = replay
-        self._components: dict[str, SumComponent] = {}
-        self._replayed: dict[int, object | None] = {}
-        self._sets: dict[str, IntervalSet] = {}
-        self._witnesses: dict[str, IntervalTraceWitness | None] = {}
-
-    def component(self, data: dict) -> SumComponent:
-        key = repr(data)
-        comp = self._components.get(key)
-        if comp is None:
-            comp = self._components[key] = SumComponent.from_json(data)
-        return comp
-
-    def replay(self, comp: SumComponent) -> object | None:
-        """None when the component replays to its embedded value."""
-        if id(comp) not in self._replayed:
-            self._replayed[id(comp)] = self._replay.check(comp)
-        return self._replayed[id(comp)]
-
-    def interval_set(self, data: list) -> IntervalSet:
-        key = repr(data)
-        sett = self._sets.get(key)
-        if sett is None:
-            sett = self._sets[key] = IntervalSet.from_json(data)
-        return sett
-
-    def witness(self, data: dict) -> IntervalTraceWitness | None:
-        """The decoded witness, or None when it does not verify."""
-        key = repr(data)
-        if key not in self._witnesses:
-            witness = IntervalTraceWitness.from_json(data, self.interval_set)
-            self._witnesses[key] = witness if witness.verify() else None
-        return self._witnesses[key]
-
-
-class _ComponentReplay:
-    """Recomputes tagged component values from snapshot draws."""
-
     def __init__(self, parameters: dict, snapshot: dict):
-        self._snapshot = snapshot
         self._k = _parse_ladder(parameters["k"])
         gauge_ids = [int(g) for g in snapshot.get("gauges", {})]
         self.gauges = {g: gauge_from_snapshot(g, snapshot) for g in gauge_ids}
+        self.hubs = {i: HubAllocation.from_json(a) for i, a in snapshot.get("hubs", {}).items()}
         self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
+        self._components: dict[str, SumComponent] = {}
+        self._verdicts: dict[int, object | None] = {}
 
     def registry_problem(self) -> str | None:
         """The first registry invariant the snapshot breaks, or None.
@@ -703,13 +665,19 @@ class _ComponentReplay:
         for level, value in draws:
             if not level < value < level + 1:
                 return f"draw {value} lies outside level {level}"
-        hubs = self._snapshot.get("hubs", {}).values()
-        if any(_parse_ladder(alloc["k"]) != self._k for alloc in hubs):
+        if any(alloc.k != self._k for alloc in self.hubs.values()):
             return f"a hub is off ladder {self._k}"
-        pairs = [tuple(sorted(tuple(w) for w in alloc["words"])) for alloc in hubs]
+        pairs = [tuple(sorted(alloc.words)) for alloc in self.hubs.values()]
         if len(set(pairs)) < len(pairs):
             return "two hubs share a word pair"
         return None
+
+    def component(self, data: dict) -> SumComponent:
+        key = repr(data)
+        comp = self._components.get(key)
+        if comp is None:
+            comp = self._components[key] = SumComponent.from_json(data)
+        return comp
 
     def _gauge(self, gauge_id: int):
         if gauge_id not in self.gauges:
@@ -724,26 +692,24 @@ class _ComponentReplay:
 
     def check(self, comp: SumComponent) -> object | None:
         """None when the component replays to its embedded value."""
-        try:
-            return self._check(comp)
-        except DomainError:
-            # missing draws or gauges in the snapshot
-            return comp.detail or comp.hub_index
+        if id(comp) not in self._verdicts:
+            try:
+                self._verdicts[id(comp)] = self._check(comp)
+            except DomainError:
+                # missing draws or gauges in the snapshot
+                self._verdicts[id(comp)] = comp.detail or comp.hub_index
+        return self._verdicts[id(comp)]
 
     def _check(self, comp: SumComponent) -> object | None:
         if comp.kind == "zero" or comp.value.is_zero_form():
             return None if comp.value.is_zero_form() else comp.detail
         if comp.kind == "hub":
-            alloc = self._snapshot.get("hubs", {}).get(str(comp.hub_index))
+            alloc = self.hubs.get(str(comp.hub_index))
             if alloc is None:
                 return comp.hub_index
-            basis = CodedReal.from_json(alloc["basis"])
-            words = [tuple(w) for w in alloc["words"]]
-            replayed_basis = tau(self._gauge(RESERVED_GAUGE_ID), self._k, words[0], words[1])
-            if replayed_basis != basis:
+            if tau(self._gauge(RESERVED_GAUGE_ID), self._k, *alloc.words) != alloc.basis:
                 return comp.hub_index
-            rebuilt = as_coded(_parse_frac(alloc["p"])) + basis * _parse_frac(alloc["q"])
-            return None if rebuilt == comp.value else comp.hub_index
+            return None if alloc.value == comp.value else comp.hub_index
         if comp.kind == "block":
             letters = self._letters(comp.detail)
             if letters is None or len(letters) != 2:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .coded import CodedReal, _parse_ladder
+from .coded import CodedReal, _parse_ladder, equals
 from .errors import DomainError
 from .intervals import IntervalSet, _frac_str, _parse_frac
 
@@ -67,16 +67,13 @@ class IntervalTraceWitness:
         }
 
     @staticmethod
-    def from_json(
-        data: dict,
-        decode_set: Callable[[list], IntervalSet] = IntervalSet.from_json,
-    ) -> "IntervalTraceWitness":
+    def from_json(data: dict) -> "IntervalTraceWitness":
         return IntervalTraceWitness(
             k=_parse_ladder(data["k"]),
             window_start=_parse_frac(data["window"][0]),
             base=_parse_frac(data["base"]),
             cuts=tuple(_parse_frac(b) for b in data["cuts"]),
-            index_sets=tuple(decode_set(s) for s in data["index_sets"]),
+            index_sets=tuple(IntervalSet.from_json(s) for s in data["index_sets"]),
         )
 
 
@@ -156,12 +153,13 @@ def tagged_sum_holds(side: Sequence[SumComponent], known_gauges: Iterable[int]) 
     """
     if not 1 <= len(side) <= 3:
         return False
-    gauge_ids = [c.gauge_id for c in side if c.kind == "block" and not c.value.is_zero_form()]
+    zero = [c.value.is_zero_form() or equals(c.value, 0) for c in side]
+    gauge_ids = [c.gauge_id for c, z in zip(side, zero) if c.kind == "block" and not z]
     if len(gauge_ids) != len(set(gauge_ids)) or not set(gauge_ids) <= set(known_gauges):
         return False
     if sum(c.kind == "hub" for c in side) > 1:
         return False
-    return not all(c.value.is_zero_form() for c in side)
+    return not all(zero)
 
 
 def multiset_key(side: Sequence[SumComponent]) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .coded import CodedReal, as_coded
+from .coded import CodedReal, as_coded, equals
 from .errors import DomainError
 from .intervals import _frac_str, _parse_frac
 
@@ -33,11 +33,14 @@ class FiniteMetric:
             raise DomainError("point labels must be distinct")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise DomainError("matrix shape does not match the point count")
+        # equal forms are equal values; other forms are compared by value
         for i in range(n):
-            if not self.matrix[i][i].is_zero_form():
+            diagonal = self.matrix[i][i]
+            if not (diagonal.is_zero_form() or equals(diagonal, 0)):
                 raise DomainError(f"nonzero diagonal at {self.points[i]}")
             for j in range(i + 1, n):
-                if self.matrix[i][j] != self.matrix[j][i]:
+                a, b = self.matrix[i][j], self.matrix[j][i]
+                if not (a == b or equals(a, b)):
                     raise DomainError(
                         f"asymmetric entries at ({self.points[i]}, {self.points[j]})"
                     )

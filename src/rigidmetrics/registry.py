@@ -7,20 +7,22 @@ The registry is the single mutable component of the package.  It owns
 * gauge allocation (ids never reused; id 0 is reserved for the basis values
   used inside hub allocations and is never handed out for blocks);
 * hub allocations: for a fresh index ``i`` and a positive rational target it
-  returns ``P + q * s`` where ``P`` is an unused rational within ``2^-(i+1)``
+  returns ``p + q * s`` where ``p`` is an unused rational within ``2^-(i+1)``
   of the target, ``s`` is a fresh positive product-metric value from the
   reserved gauge, and ``q`` is the largest dyadic power with
   ``q * upper(s) <= 2^-i``; the result is then within ``2^-(i+1) + 2^-i`` of
   the target.
 
-Snapshots of all allocations serialize with every certificate so that checks
-remain replayable offline.
+A snapshot of the gauges' draws and the hub allocations serializes with every
+certificate so that checks remain replayable offline.  :class:`HubAllocation`
+both writes and reads a hub's record; the value is not stored but computed
+from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coded import CodedReal, _parse_ladder, as_coded
@@ -61,28 +63,45 @@ class _IntervalEnumerator:
 
 @dataclass
 class HubAllocation:
+    """The record of hub value ``index``: ``p + q * basis``, where ``basis``
+    is the ``tau`` of ``words`` on the reserved gauge and ladder ``k``.  The
+    value is computed, never stored; the JSON record holds the six fields."""
+
     index: int
     k: int
-    target: Fraction
     p: Fraction
     q: Fraction
     words: tuple[Word, Word]
     basis: CodedReal
-    value: CodedReal
-    # upper end of ``basis.eval(4)``, which sized ``q``; not serialized
-    basis_hi: Fraction
+    # upper end of ``basis.eval(4)``, which sized ``q``; not serialized, so
+    # None after ``from_json``
+    basis_hi: Fraction | None = field(default=None, compare=False)
+
+    @property
+    def value(self) -> CodedReal:
+        return as_coded(self.p) + self.basis * self.q
 
     def to_json(self) -> dict:
         return {
             "index": self.index,
             "k": self.k,
-            "target": _frac_str(self.target),
             "p": _frac_str(self.p),
             "q": _frac_str(self.q),
             "words": [list(w) for w in self.words],
             "basis": self.basis.to_json(),
-            "value": self.value.to_json(),
         }
+
+    @staticmethod
+    def from_json(data: dict) -> "HubAllocation":
+        left, right = data["words"]
+        return HubAllocation(
+            index=data["index"],
+            k=_parse_ladder(data["k"]),
+            p=_parse_frac(data["p"]),
+            q=_parse_frac(data["q"]),
+            words=(tuple(left), tuple(right)),
+            basis=CodedReal.from_json(data["basis"]),
+        )
 
 
 class ValueRegistry:
@@ -157,15 +176,11 @@ class ValueRegistry:
         basis = tau(self._reserved, k, words[0], words[1])
         s_hi = basis.eval(4).hi
         q = _dyadic_power_floor(Fraction(1, 1 << i) / s_hi)
-        value = as_coded(p) + basis * q
-        self._hubs[i] = HubAllocation(i, k, target, p, q, words, basis, value, s_hi)
-        return value
+        alloc = self._hubs[i] = HubAllocation(i, k, p, q, words, basis, s_hi)
+        return alloc.value
 
     def hub_allocation(self, i: int) -> HubAllocation:
         return self._hubs[i]
-
-    def hub_allocations(self) -> dict[int, HubAllocation]:
-        return dict(self._hubs)
 
     def _draw_p(self, lo: Fraction, hi: Fraction) -> Fraction:
         key = (lo, hi, 2)
@@ -194,10 +209,6 @@ class ValueRegistry:
             "seed": self.seed,
             "gauges": gauges,
             "hubs": {str(i): alloc.to_json() for i, alloc in sorted(self._hubs.items())},
-            "streams": {
-                str(alpha): [_frac_str(v) for v in stream.emitted]
-                for alpha, stream in sorted(self._streams.items())
-            },
         }
 
 
@@ -214,7 +225,6 @@ class DenseStream:
         self.family_index = family_index
         self._registry = registry
         self._cursor = 0
-        self.emitted: list[Fraction] = []
 
     def draw_next(self) -> Fraction:
         n = self._cursor
@@ -222,14 +232,10 @@ class DenseStream:
         j, width_index = cantor_unpair(n)
         lo = rational_at(j + 1)
         hi = lo + Fraction(1, width_index + 1)
-        value = self._registry.draw_value(lo, hi, salt=self.family_index)
-        self.emitted.append(value)
-        return value
+        return self._registry.draw_value(lo, hi, salt=self.family_index)
 
     def draw_in(self, lo: Fraction, hi: Fraction) -> Fraction:
-        value = self._registry.draw_value(lo, hi, salt=self.family_index)
-        self.emitted.append(value)
-        return value
+        return self._registry.draw_value(lo, hi, salt=self.family_index)
 
 
 def _dyadic_power_floor(x: Fraction) -> Fraction:

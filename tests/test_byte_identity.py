@@ -41,11 +41,11 @@ CLUSTERED_2X3 = (
 RIGIDIFY_DIGESTS = {
     "spread-6": (
         "99390c2083ca63688003c9f43ecc2b1f0d59996e9d5ab26bc02cfc2e36294596",
-        "72855bf2e7a1119bbe8ab141859781adf72d16df002201661da237f932991af5",
+        "076d5c0626eaf3ab9e43de0c0d6914b8a30aa365572bce4b5a296cb4ea4084e1",
     ),
     "clustered-2x3": (
         "ec804d1496bfa240fc2893ccb5b3bf4cadb0fc90d0944d5cda7d0a8cbc46ac10",
-        "e8adfe692371bc56af46f456aa8ef82877ebe17f8857adefed04449c58ce9f9f",
+        "0b832ce129a83353133b545bcb2452adf6a0ddd38ec5dd8c93763925e42f62ea",
     ),
 }
 

@@ -408,6 +408,16 @@ def test_indep_malformed_certificate_is_a_parse_error(
     assert capsys.readouterr().err.startswith("parse error:")
 
 
+def test_indep_refuses_a_fractional_hub_ladder(clustered_certificate, tmp_path, capsys):
+    cert = json.loads(clustered_certificate.read_text())
+    alloc = next(iter(cert["registry"]["hubs"].values()))
+    alloc["k"] += 0.5
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(cert))
+    assert main(["indep", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("parse error: ladder offset k")
+
+
 def test_indep_refuses_a_v0_certificate(clustered_certificate, tmp_path, capsys):
     cert = json.loads(clustered_certificate.read_text())
     # the v0 shape: no version or input, one record per pair of distances

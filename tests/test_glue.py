@@ -93,6 +93,17 @@ def test_amalgamate_rejects_zero_hub_distance():
         amalgamate(part, [e1, e2], hub)
 
 
+def test_amalgamate_rejects_a_hub_distance_worth_zero():
+    part = Partition((("a",), ("b",)), ("a", "b"))
+    e1 = FiniteMetric.from_entries(["a"], [[0]])
+    e2 = FiniteMetric.from_entries(["b"], [[0]])
+    # <g0,[0,1)> - 2<g1,[0,1)>: not the zero form, but 0
+    z = coded_sum(0, IntervalSet.block(0, 1)) - coded_sum(1, IntervalSet.block(0, 1), 2)
+    hub = FiniteMetric.from_entries(["a", "b"], [[0, z], [z, 0]])
+    with pytest.raises(DomainError, match="positive off the diagonal"):
+        amalgamate(part, [e1, e2], hub)
+
+
 def test_sup_bound_singleton_blocks_zero_defect(rng):
     d = rational_metric(rng, 5)
     part = Partition(tuple((p,) for p in d.points), d.points)
@@ -498,12 +509,12 @@ def _hub_of(row):
 
 
 def _reallocate_hub(blob, index, fields, value, input_shift):
-    """Rewrite hub allocation ``index`` with ``fields`` and value ``value`` and
-    carry it through every row that names it: its hub component, a unit
+    """Rewrite hub allocation ``index`` with ``fields`` and carry its new
+    value ``value`` through every row that names it: its hub component, a unit
     witness found afresh, its metric entry (the sum of its components) and
     its input entry (moved by ``input_shift``).  The claimed sup is then
     restated as the checker recomputes it, so only the registry is at odds."""
-    blob["registry"]["hubs"][str(index)].update(fields, value=value.to_json())
+    blob["registry"]["hubs"][str(index)].update(fields)
     for row in _rows(blob):
         hub = _hub_of(row)
         if hub is None or hub["hub_index"] != index:
@@ -540,7 +551,7 @@ def _doubled_hub(blob, share_draws):
         for level in (0, 1):
             draws[f"{level}:{c}:{e}"] = draws[f"{level}:{a}:{b}"]
     shift = 2 * _entry(blob, "input", first["pair_left"]) - _entry(blob, "input", second["pair_left"])
-    _reallocate_hub(blob, index, fields, CodedReal.from_json(one["value"]) * 2, shift)
+    _reallocate_hub(blob, index, fields, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
 
 
 def _shared_word_pair(blob):
@@ -637,6 +648,32 @@ def test_unit_witness_must_cover_every_index_set_of_its_row(certificates):
     report = verify_certificate(blob)
     assert report.verdict == "fail" and "unit witness" in report.detail
     assert report.witnesses == (tuple(row["pair_left"]),)
+
+
+def test_hub_allocations_hold_only_the_replayed_fields(certificates):
+    for text in certificates.values():
+        snapshot = json.loads(text)["registry"]
+        assert set(snapshot) == {"seed", "gauges", "hubs"}
+        assert snapshot["hubs"]
+        for alloc in snapshot["hubs"].values():
+            assert set(alloc) == {"index", "k", "p", "q", "words", "basis"}
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+def test_certificate_with_the_dropped_fields_still_passes(certificates, kind):
+    # the earlier writer also put each hub's value and target and an empty
+    # "streams" into the snapshot; the checker reads none of them
+    blob = json.loads(certificates[kind])
+    values = {
+        str(c["hub_index"]): c["value"]
+        for r in _rows(blob) for c in r["certificate"]["left"] if c["kind"] == "hub"
+    }
+    hubs = blob["registry"]["hubs"]
+    assert set(values) == set(hubs)
+    for index, alloc in hubs.items():
+        alloc.update(value=values[index], target=alloc["p"])
+    blob["registry"]["streams"] = {}
+    assert verify_certificate(blob).passed
 
 
 @pytest.mark.parametrize("version", [None, 0, 2, "1"])

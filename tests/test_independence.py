@@ -130,3 +130,21 @@ def test_sum_hypotheses_bound_the_shape():
     assert not tagged_sum_holds((), [1])
     assert not tagged_sum_holds((hub, hub), [1])
     assert not tagged_sum_holds((_component(1, "x", "y", v),) + (SumComponent("zero"),) * 3, [1])
+
+
+def _zero_across_ladders():
+    # <g0,[0,1)> - 2<g1,[0,1)>: 0 in another form than the zero form
+    z = coded_sum(0, blk(0, 1)) - coded_sum(1, blk(0, 1), 2)
+    assert not z.is_zero_form()
+    return z
+
+
+def test_sum_of_zero_value_fails_whatever_its_form():
+    z = _zero_across_ladders()
+    assert not tagged_sum_holds((SumComponent("hub", hub_index=1, value=z),), [1])
+
+
+def test_block_worth_zero_may_repeat_a_tag_whatever_its_form():
+    v = coded_sum(0, blk(0, Fraction(1, 3)))
+    z = _zero_across_ladders()
+    assert tagged_sum_holds((_component(1, "x", "p", v), _component(1, "p", "p", z)), [1])

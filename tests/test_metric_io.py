@@ -113,3 +113,29 @@ def test_from_json_still_compares_mirror_entries():
         [{"offset": "1/2", "terms": []}, {"offset": "0/1", "terms": []}],
     ]}
     assert FiniteMetric.from_json(rational).at(0, 1).rational_value() == Fraction(1, 2)
+
+
+def _zero_across_ladders():
+    # <g0,[0,1)> - 2<g1,[0,1)>: a nonzero form whose value is 0
+    b = IntervalSet.block(0, 1)
+    return coded_sum(0, b) - coded_sum(1, b, 2)
+
+
+def test_diagonal_is_tested_by_value():
+    z = _zero_across_ladders()
+    assert not z.is_zero_form()
+    m = FiniteMetric.from_entries(["a", "b"], [[z, 1], [1, 0]])
+    assert m.at(0, 0) is z
+    with pytest.raises(DomainError, match="nonzero diagonal"):
+        FiniteMetric.from_entries(["a", "b"], [[z + 1, 1], [1, 0]])
+
+
+def test_mirror_entries_are_compared_by_value():
+    # x = <g1,[0,1)> and y = 1/2 <g0,[0,1)>: two forms of one number
+    b = IntervalSet.block(0, 1)
+    x, y = coded_sum(1, b), coded_sum(0, b, Fraction(1, 2))
+    assert x != y
+    m = FiniteMetric.from_entries(["a", "b"], [[0, 1 + x], [1 + y, 0]])
+    assert m.at(0, 1) == 1 + x and m.at(1, 0) == 1 + y
+    with pytest.raises(DomainError, match="asymmetric"):
+        FiniteMetric.from_entries(["a", "b"], [[0, 1 + x], [1 + 2 * y, 0]])

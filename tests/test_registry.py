@@ -6,7 +6,12 @@ import pytest
 from rigidmetrics.coded import compare, equals, EQUAL
 from rigidmetrics.errors import DomainError
 from rigidmetrics.product import tau
-from rigidmetrics.registry import RESERVED_GAUGE_ID, ValueRegistry, _dyadic_power_floor
+from rigidmetrics.registry import (
+    RESERVED_GAUGE_ID,
+    HubAllocation,
+    ValueRegistry,
+    _dyadic_power_floor,
+)
 
 
 def test_fresh_gauges_distinct():
@@ -50,12 +55,24 @@ def test_hub_value_structure():
     registry = ValueRegistry(2)
     i = 6
     value = registry.hub_value(3, i, Fraction(5, 3))
-    alloc = registry.hub_allocations()[i]
+    alloc = registry.hub_allocation(i)
     assert value.offset == alloc.p
     assert len(value.terms) >= 1
     coded_part = value - alloc.p
     enc = coded_part.eval(4)
     assert 0 <= enc.lo and enc.hi <= Fraction(1, 1 << i)
+
+
+def test_hub_allocation_json_round_trip():
+    registry = ValueRegistry(2)
+    value = registry.hub_value(3, 6, Fraction(5, 3))
+    alloc = registry.hub_allocation(6)
+    data = json.loads(json.dumps(alloc.to_json()))
+    assert set(data) == {"index", "k", "p", "q", "words", "basis"}
+    decoded = HubAllocation.from_json(data)
+    assert decoded == alloc and decoded.basis_hi is None
+    assert decoded.value == value == alloc.value
+    assert decoded.words == alloc.words == ((0,), (1,))
 
 
 def test_hub_values_distinct_for_same_target():
