@@ -205,14 +205,14 @@ class CodedReal:
 
     @staticmethod
     def from_rational(q: Fraction | int) -> "CodedReal":
-        return CodedReal(Fraction(q), ())
+        return CodedReal(_as_fraction(q), ())
 
     @staticmethod
     def build(
         offset: Fraction | int,
         parts: Iterable[tuple[Fraction | int, int, IntervalSet]] = (),
     ) -> "CodedReal":
-        return CodedReal(Fraction(offset), _canonical_terms(parts))
+        return CodedReal(_as_fraction(offset), _canonical_terms(parts))
 
     @property
     def is_rational(self) -> bool:
@@ -371,7 +371,7 @@ def _enumeration_prefix(count: int) -> list[tuple[int, int]]:
 def as_coded(value: "CodedReal | Fraction | int") -> CodedReal:
     if isinstance(value, CodedReal):
         return value
-    return CodedReal.from_rational(Fraction(value))
+    return CodedReal.from_rational(value)
 
 
 def _difference(x: CodedReal, *ys: CodedReal) -> CodedReal:

@@ -53,7 +53,7 @@ from .independence import (
     multiset_key,
     tagged_sum_holds,
 )
-from .intervals import IntervalSet, _frac_str, _parse_frac
+from .intervals import IntervalSet, _decode_scope, _frac_str, _parse_frac
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, HubAllocation, ValueRegistry, gauge_from_snapshot
@@ -561,7 +561,17 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     strong-rigidity recheck run under ``max_precision``, which every report
     records.  Snapshot fields the replay does not read (a hub's ``value`` or
     ``target``, ``streams``) are ignored.
+
+    The whole certificate is decoded in one decode scope
+    (:func:`~rigidmetrics.intervals._decode_scope`): each ``p/q`` spelling
+    and each interval list is read once, so a row's trace witness shares the
+    index sets its components already decoded.
     """
+    with _decode_scope():
+        return _verify_certificate(data, max_precision)
+
+
+def _verify_certificate(data: dict, max_precision: int) -> Report:
     if data.get("version") != CERTIFICATE_VERSION:
         raise ValueError("unsupported certificate version")
     metric = FiniteMetric.from_json(data["metric"])

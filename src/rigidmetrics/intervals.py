@@ -11,12 +11,25 @@ shared denominator; :meth:`IntervalSet._block_index` is the one membership
 test, used also by ``CodedReal.eval`` and the support scan.  The ``p/q``
 spelling of rationals is written by :func:`_frac_str` and read by
 :func:`_parse_frac`.
+
+A document is decoded under one memo (:func:`_decode_scope`, opened by
+``FiniteMetric.from_json`` and ``glue.verify_certificate``; a nested decode
+reuses the outer one, and it is dropped when the outermost decode returns or
+raises).  Inside it, :func:`_parse_frac` gives every spelling one
+``Fraction`` and :meth:`IntervalSet.from_json` every interval list one
+``IntervalSet``, so repeated endpoints and sets are the same objects and
+equality tests on them short-cut on identity.  Only a ``str``, or a list of
+two-element lists of ``str``, is a key, and a value enters the memo only once
+its own parse and validation have succeeded; any other input is decoded as
+outside a scope and raises what it raises there.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -161,7 +174,14 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Iterable[Iterable[str]]) -> "IntervalSet":
-        return IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
+        memo = _decode_memo.get()
+        key = None if memo is None else _interval_key(data)
+        sett = None if key is None else memo.get(key)
+        if sett is None:
+            sett = IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
+            if key is not None:
+                memo[key] = sett
+        return sett
 
     def __repr__(self) -> str:
         inner = " u ".join(f"[{a}, {b})" for a, b in self.blocks)
@@ -188,9 +208,53 @@ def _parse_frac(s: str) -> Fraction:
     ``-?digits/digits`` is read as two integers; any other input goes to
     ``Fraction`` as it is, so every spelling ``Fraction`` accepts keeps its
     value and every one it rejects raises the same exception type (a zero
-    denominator raises ``ZeroDivisionError``).
+    denominator raises ``ZeroDivisionError``).  Inside a decode scope each
+    ``str`` is read once.
     """
+    memo = _decode_memo.get()
+    if memo is None or type(s) is not str:
+        return _read_frac(s)
+    q = memo.get(s)
+    if q is None:
+        q = memo[s] = _read_frac(s)
+    return q
+
+
+def _read_frac(s: str) -> Fraction:
     m = _PQ.fullmatch(s) if isinstance(s, str) else None
     if m is None:
         return Fraction(s)
     return Fraction(int(m[1]), int(m[2]))
+
+
+# the open decode scope's memo: p/q spellings and interval-list keys
+_decode_memo: ContextVar[dict | None] = ContextVar("_decode_memo", default=None)
+
+
+@contextmanager
+def _decode_scope() -> Iterator[None]:
+    """Share decoded rationals and interval sets within one document."""
+    if _decode_memo.get() is not None:
+        yield
+        return
+    token = _decode_memo.set({})
+    try:
+        yield
+    finally:
+        _decode_memo.reset(token)
+
+
+def _interval_key(data: object) -> tuple[tuple[str, str], ...] | None:
+    """``data`` as a tuple of string pairs, or None unless it is a list of
+    two-element lists of ``str``."""
+    if type(data) is not list:
+        return None
+    key = []
+    for blk in data:
+        if type(blk) is not list or len(blk) != 2:
+            return None
+        a, b = blk
+        if type(a) is not str or type(b) is not str:
+            return None
+        key.append((a, b))
+    return tuple(key)

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .coded import CodedReal, as_coded, equals
 from .errors import DomainError
-from .intervals import _frac_str, _parse_frac
+from .intervals import _decode_scope, _frac_str, _parse_frac
 
 Entry = CodedReal | Fraction | int
 
@@ -114,7 +114,11 @@ class FiniteMetric:
 
         Entries are keyed by the ``repr`` of their JSON, their full content,
         so a mirror entry written the same way shares its decoding; entries
-        written differently are decoded apart and compared by value.
+        written differently are decoded apart and compared by value.  The
+        whole matrix is read in one decode scope
+        (:func:`~rigidmetrics.intervals._decode_scope`, or the caller's when
+        one is open), so each ``p/q`` spelling and each interval list is
+        decoded once, and entries that repeat an endpoint or a set share it.
         """
         decoded: dict[str, CodedReal] = {}
 
@@ -125,10 +129,11 @@ class FiniteMetric:
                 value = decoded[key] = CodedReal.from_json(e)
             return value
 
-        return FiniteMetric(
-            tuple(data["points"]),
-            tuple(tuple(entry(e) for e in row) for row in data["matrix"]),
-        )
+        with _decode_scope():
+            return FiniteMetric(
+                tuple(data["points"]),
+                tuple(tuple(entry(e) for e in row) for row in data["matrix"]),
+            )
 
     def to_csv(self) -> str:
         """Rational matrices only: labels in the header, entries as p/q."""

@@ -98,6 +98,7 @@ def test_rigidify_full_and_indep(metric_file, tmp_path, capsys):
 
 
 def test_cross_process_determinism(metric_file, tmp_path):
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -115,6 +116,9 @@ def test_cross_process_determinism(metric_file, tmp_path):
         cert_path = tmp_path / f"x{tag}.cert.json"
         env = {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin",
                "PYTHONPATH": package_root}
+        # a run that keeps the source tree free of bytecode keeps it so in the child
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         subprocess.run(
             [sys.executable, "-m", "rigidmetrics.cli", "--seed", "3",
              "rigidify", str(metric_file), "--epsilon", "1/2", "--full",

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import clustered_metric, mixed_scale_metrics, rational_metric
-from rigidmetrics import glue
+from rigidmetrics import glue, intervals, metric
 from rigidmetrics.coded import GREATER, UNRESOLVED, CodedReal, Enclosure, coded_sum, compare
 from rigidmetrics.errors import DomainError, UnresolvedComparison
 from rigidmetrics.glue import (
@@ -23,7 +24,7 @@ from rigidmetrics.independence import (
     SumComponent,
     find_interval_trace_witness,
 )
-from rigidmetrics.intervals import IntervalSet, _frac_str
+from rigidmetrics.intervals import IntervalSet, _decode_memo, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
 
@@ -728,3 +729,87 @@ def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
         for c in r["certificate"]["left"]
     )
     assert 0 < len(calls) <= len(distinct) < copies
+
+
+def _interval_lists(node, found):
+    """The ``repr`` of every interval list in a certificate."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "intervals":
+                found.append(repr(value))
+            elif key == "index_sets":
+                found.extend(map(repr, value))
+            else:
+                _interval_lists(value, found)
+    elif isinstance(node, list):
+        for value in node:
+            _interval_lists(value, found)
+    return found
+
+
+def test_verify_certificate_decodes_each_interval_list_and_rational_once(
+    certificates, monkeypatch
+):
+    blob = json.loads(certificates["clustered"])
+    lists = _interval_lists(blob, [])
+    decoding, builds, reads = [], [], []
+    real_from_json, real_from_blocks = IntervalSet.from_json, IntervalSet.from_blocks
+    real_read = intervals._read_frac
+
+    def counting_from_json(data):
+        decoding.append(repr(data))
+        try:
+            return real_from_json(data)
+        finally:
+            decoding.pop()
+
+    def counting_from_blocks(blocks):
+        if decoding:
+            builds.append(decoding[-1])
+        return real_from_blocks(blocks)
+
+    def counting_read(text):
+        reads.append(text)
+        return real_read(text)
+
+    monkeypatch.setattr(IntervalSet, "from_json", staticmethod(counting_from_json))
+    monkeypatch.setattr(IntervalSet, "from_blocks", staticmethod(counting_from_blocks))
+    monkeypatch.setattr(intervals, "_read_frac", counting_read)
+    assert verify_certificate(blob).passed
+    # the trace witnesses repeat their components' index sets
+    assert sorted(builds) == sorted(set(lists)) and len(builds) < len(lists)
+    assert len(reads) == len(set(reads))
+    assert _decode_memo.get() is None
+
+
+def _respell_a_repeated_endpoint(blob, spelling):
+    """Write one occurrence of ``1/2`` in a row's component as ``spelling``."""
+    assert json.dumps(blob).count('"1/2"') >= 2
+    for row in _rows(blob):
+        for comp in row["certificate"]["left"]:
+            for term in comp["value"]["terms"]:
+                for blk in term["intervals"]:
+                    if "1/2" in blk:
+                        blk[blk.index("1/2")] = spelling
+                        return
+    raise AssertionError("no component endpoint 1/2")
+
+
+@pytest.mark.parametrize("spelling, passes", [("2/4", True), ("1/3", False)])
+def test_respelled_endpoint_keeps_the_verdict(certificates, monkeypatch, spelling, passes):
+    blob = json.loads(certificates["clustered"])
+    _respell_a_repeated_endpoint(blob, spelling)
+    report = verify_certificate(blob)
+    assert report.passed == passes
+    # the verdict of a decode that shares nothing
+    monkeypatch.setattr(glue, "_decode_scope", contextlib.nullcontext)
+    monkeypatch.setattr(metric, "_decode_scope", contextlib.nullcontext)
+    assert verify_certificate(blob) == report
+
+
+def test_a_certificate_decode_that_raises_leaves_no_scope_open(certificates):
+    blob = json.loads(certificates["clustered"])
+    blob["metric"]["matrix"][-1][-1]["offset"] = "1/0"
+    with pytest.raises(ZeroDivisionError):
+        verify_certificate(blob)
+    assert _decode_memo.get() is None

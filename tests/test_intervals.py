@@ -1,10 +1,18 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rigidmetrics.intervals import EMPTY_SET, IntervalSet, _parse_frac
+from rigidmetrics.coded import CodedReal
+from rigidmetrics.intervals import (
+    EMPTY_SET,
+    IntervalSet,
+    _decode_memo,
+    _decode_scope,
+    _parse_frac,
+)
 
 
 def blk(a, b):
@@ -237,6 +245,9 @@ def test_parse_frac_matches_fraction(text):
         return type(value), value
 
     assert read(_parse_frac) == read(Fraction)
+    with _decode_scope():
+        # the second read is a memo hit when the first succeeded
+        assert read(_parse_frac) == read(_parse_frac) == read(Fraction)
 
 
 def _from_blocks_sweep_reference(blocks):
@@ -284,3 +295,82 @@ def test_from_blocks_matches_sweep_reference(blocks):
     assert _outcome(IntervalSet.from_blocks, blocks) == _outcome(
         _from_blocks_sweep_reference, blocks
     )
+
+
+def test_decode_scope_shares_repeated_spellings_and_lists():
+    data = [["0/1", "1/2"], ["1/1", "3/2"]]
+    with _decode_scope():
+        half = _parse_frac("1/2")
+        sett = IntervalSet.from_json(data)
+        with _decode_scope():  # a nested decode reuses the outer memo
+            again = IntervalSet.from_json([list(blk) for blk in data])
+        assert _parse_frac("1/2") is half and sett.blocks[0][1] is half
+        assert again is sett and IntervalSet.from_json(data) is sett
+        respelled = _parse_frac("2/4")
+        assert respelled == half and respelled is not half
+    assert _decode_memo.get() is None
+    assert IntervalSet.from_json(data) == sett
+    assert IntervalSet.from_json(data) is not IntervalSet.from_json(data)
+
+
+def _terms(intervals):
+    return {"offset": "0/1", "terms": [{"coeff": "1/1", "k": 0, "intervals": intervals}]}
+
+
+@pytest.mark.parametrize(
+    "reader, data",
+    [(_parse_frac, "1/0"),
+     (_parse_frac, "x"),
+     (IntervalSet.from_json, [["0/1", "1/2", "1/1"]]),
+     (IntervalSet.from_json, [["0/1", "1/0"]]),
+     (IntervalSet.from_json, [["-1/2", "1/2"]]),
+     (IntervalSet.from_json, [("0/1", "1/2"), 0]),
+     (CodedReal.from_json, _terms(0)),
+     (CodedReal.from_json, _terms("0/1")),
+     (CodedReal.from_json, _terms({"0/1": "1/2"})),
+     (CodedReal.from_json, {"offset": "0/1", "terms": 0})],
+)
+def test_malformed_input_raises_alike_inside_a_scope(reader, data):
+    def outcome():
+        try:
+            reader(data)
+        except Exception as exc:
+            return type(exc)
+        return None
+
+    outside = outcome()
+    assert outside is not None
+    with _decode_scope():
+        assert [outcome(), outcome()] == [outside, outside]
+        # only the spellings that parsed are kept; no failing one, no set
+        memo = _decode_memo.get()
+        assert all(isinstance(value, Fraction) for value in memo.values())
+        if isinstance(data, str):
+            assert data not in memo
+    assert _decode_memo.get() is None
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer digit cap before Python 3.10.7")
+def test_digit_cap_holds_inside_a_scope():
+    from rigidmetrics.metric import FiniteMetric
+
+    long = "7" * 700 + "/3"
+    zero = {"offset": "0/1", "terms": []}
+    # the two spellings of one entry have different keys, so each is decoded
+    first, second = {"offset": long, "terms": []}, {"terms": [], "offset": long}
+    data = {"points": ["a", "b"], "matrix": [[zero, first], [second, zero]]}
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            FiniteMetric.from_json(data)
+        with _decode_scope():
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    _parse_frac(long)
+            assert long not in _decode_memo.get()
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert _decode_memo.get() is None
+    assert FiniteMetric.from_json(data).at(0, 1).rational_value() == Fraction(long)

@@ -4,7 +4,7 @@ import pytest
 
 from rigidmetrics.coded import CodedReal, coded_sum
 from rigidmetrics.errors import DomainError
-from rigidmetrics.intervals import IntervalSet
+from rigidmetrics.intervals import IntervalSet, _decode_memo
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
 
 
@@ -94,6 +94,29 @@ def test_from_json_decodes_each_distinct_entry_once(monkeypatch):
     assert FiniteMetric.from_json(data) == _coded_metric()
     assert sorted(seen) == sorted(distinct)
     assert len(distinct) < 16
+
+
+def test_from_json_shares_repeated_endpoints_and_sets():
+    m = FiniteMetric.from_json(_coded_metric().to_json())
+    x, x1 = m.at(0, 1), m.at(0, 2)
+    # two entries written apart share their interval set and endpoints
+    assert x.terms[0].index_set is x1.terms[0].index_set
+    assert m.at(0, 3).offset is m.at(1, 2).offset
+
+
+def test_a_decode_that_raises_leaves_no_scope_open():
+    data = _coded_metric().to_json()
+    data["matrix"][3][3]["offset"] = "1/0"
+    with pytest.raises(ZeroDivisionError):
+        FiniteMetric.from_json(data)
+    assert _decode_memo.get() is None
+    data = _coded_metric().to_json()
+    # a degenerate block drops its term, so the last entry differs from its mirror
+    data["matrix"][3][2]["terms"][0]["intervals"] = [["1/2", "1/2"]]
+    with pytest.raises(DomainError, match="asymmetric"):
+        FiniteMetric.from_json(data)
+    assert _decode_memo.get() is None
+    assert FiniteMetric.from_json(_coded_metric().to_json()) == _coded_metric()
 
 
 def test_from_json_still_compares_mirror_entries():
