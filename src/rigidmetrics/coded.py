@@ -51,7 +51,7 @@ from .enumeration import (
     tree_depth,
 )
 from .errors import DomainError, PrecisionError
-from .intervals import IntervalSet, _as_fraction, _frac_str, _parse_frac
+from .intervals import IntervalSet, _as_fraction, _decode_once, _dict_key, _frac_str, _parse_frac
 
 Ordering = Literal["less", "equal", "greater", "unresolved"]
 
@@ -325,12 +325,16 @@ class CodedReal:
 
     @staticmethod
     def from_json(data: dict) -> "CodedReal":
+        return _decode_once(CodedReal._decode, data, _dict_key)
+
+    @staticmethod
+    def _decode(data: dict) -> "CodedReal":
         return CodedReal.build(
             _parse_frac(data["offset"]),
             [
                 (
                     _parse_frac(t["coeff"]),
-                    _parse_ladder(t["k"]),
+                    _parse_int(t["k"]),
                     IntervalSet.from_json(t["intervals"]),
                 )
                 for t in data.get("terms", [])
@@ -345,14 +349,15 @@ class CodedReal:
         return "CodedReal(" + " + ".join(bits) + ")"
 
 
-def _parse_ladder(value: object) -> int:
-    """Read a ladder offset ``k``, which must be a JSON integer.
+def _parse_int(value: object, what: str = "ladder offset k") -> int:
+    """Read ``what``, which must be a JSON integer.
 
     ``bool`` is an ``int`` in Python but ``true`` is not an integer in JSON,
-    and ``int`` would truncate ``1.5``; both raise ``ValueError``.
+    and ``int`` would truncate ``1.5``; both raise ``ValueError``, as does a
+    string such as ``"0"``.
     """
     if type(value) is not int:
-        raise ValueError(f"ladder offset k must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 
 

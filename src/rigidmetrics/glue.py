@@ -40,7 +40,7 @@ from .coded import (
     GREATER,
     LESS,
     UNRESOLVED,
-    _parse_ladder,
+    _parse_int,
     as_coded,
     compare,
     equals,
@@ -320,8 +320,7 @@ def rigidify_full(
         raise UnresolvedComparison(f"strong rigidity not certified: {rigidity.detail}")
 
     independence = _pairwise_independence(
-        glued, d.points, partition, block_metrics, hub_metric, hub_index,
-        block_gauges, registry.gauge_ids(),
+        glued, d.points, partition, block_metrics, hub_metric, hub_index, block_gauges
     )
     certificate = RigidifyCertificate(
         source=d,
@@ -441,7 +440,6 @@ def _pairwise_independence(
     hub_metric: FiniteMetric,
     hub_index: dict[tuple[str, str], int],
     block_gauges: Sequence[int],
-    known: Sequence[int],
 ) -> list[dict]:
     """One validated independence row per distance, in pair order."""
 
@@ -489,7 +487,7 @@ def _pairwise_independence(
     for i, j in glued.pairs():
         pair = (points[i], points[j])
         comps = components(*pair)
-        if not tagged_sum_holds(comps, known):
+        if not tagged_sum_holds(comps, block_gauges):
             raise UnresolvedComparison(f"independence hypotheses failed for {pair}")
         witness = _trace_witness_for(comps)
         if witness is None:
@@ -548,7 +546,9 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     snapshot must keep the invariants the independence argument rests on
     (:meth:`_ComponentReplay.registry_problem`).  There must be one
     independence row per distance, in the metric's pair order, and each
-    row is checked once: the hypotheses of its tagged sum, the replay of each
+    row is checked once: the hypotheses of its tagged sum (whose nonzero
+    block components carry snapshot gauges other than the reserved gauge
+    0, which backs hub bases only), the replay of each
     component from the raw draws in the registry snapshot (block values
     through gauges replayed with ``parameters.k`` and
     ``parameters.partition``, which are required; hub values as the value
@@ -563,9 +563,11 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     ``target``, ``streams``) are ignored.
 
     The whole certificate is decoded in one decode scope
-    (:func:`~rigidmetrics.intervals._decode_scope`): each ``p/q`` spelling
-    and each interval list is read once, so a row's trace witness shares the
-    index sets its components already decoded.
+    (:func:`~rigidmetrics.intervals._decode_scope`): each ``p/q`` spelling,
+    interval list, coded value and component is read once.  A row's trace
+    witness shares the index sets its components already decoded, and a
+    same-block component's value, written like the metric entry it equals,
+    is that entry.
     """
     with _decode_scope():
         return _verify_certificate(data, max_precision)
@@ -585,7 +587,8 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
     problem = replay.registry_problem()
     if problem is not None:
         return Report("fail", (), f"registry invariant failed: {problem}", max_precision)
-    known = set(replay.gauges)
+    # the reserved gauge backs hub bases only, never a block component
+    known = set(replay.gauges) - {RESERVED_GAUGE_ID}
     rows = data["independence"]
     pairs = list(metric.pairs())
     keyed: list[tuple[tuple, tuple[str, str]]] = []
@@ -595,7 +598,7 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         if row is None or (tuple(row["pair_left"]), tuple(row["pair_right"])) != (pair, ("1",)):
             return Report("fail", (pair,), f"no independence row {t} covers this distance",
                           max_precision)
-        comps = tuple(replay.component(c) for c in row["certificate"]["left"])
+        comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
         if not tagged_sum_holds(comps, known):
             return Report("fail", (pair,), "independence hypotheses failed", max_precision)
         for comp in comps:
@@ -647,18 +650,17 @@ def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
 class _ComponentReplay:
     """Recomputes tagged component values from snapshot draws.
 
-    The snapshot's gauges and hub allocations are decoded once.  Components
-    are keyed by the ``repr`` of their JSON, their full content, so each
-    distinct component is decoded once and, as one instance, replayed once.
+    The snapshot's gauges and hub allocations are decoded once.  Each
+    distinct component is decoded once by the certificate's decode scope,
+    which also keeps it alive, so as one instance it is replayed once.
     """
 
     def __init__(self, parameters: dict, snapshot: dict):
-        self._k = _parse_ladder(parameters["k"])
+        self._k = _parse_int(parameters["k"])
         gauge_ids = [int(g) for g in snapshot.get("gauges", {})]
         self.gauges = {g: gauge_from_snapshot(g, snapshot) for g in gauge_ids}
         self.hubs = {i: HubAllocation.from_json(a) for i, a in snapshot.get("hubs", {}).items()}
         self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
-        self._components: dict[str, SumComponent] = {}
         self._verdicts: dict[int, object | None] = {}
 
     def registry_problem(self) -> str | None:
@@ -681,13 +683,6 @@ class _ComponentReplay:
         if len(set(pairs)) < len(pairs):
             return "two hubs share a word pair"
         return None
-
-    def component(self, data: dict) -> SumComponent:
-        key = repr(data)
-        comp = self._components.get(key)
-        if comp is None:
-            comp = self._components[key] = SumComponent.from_json(data)
-        return comp
 
     def _gauge(self, gauge_id: int):
         if gauge_id not in self.gauges:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .coded import CodedReal, _parse_ladder, equals
+from .coded import CodedReal, _parse_int, equals
 from .errors import DomainError
-from .intervals import IntervalSet, _frac_str, _parse_frac
+from .intervals import IntervalSet, _decode_once, _dict_key, _frac_str, _parse_frac
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class IntervalTraceWitness:
     @staticmethod
     def from_json(data: dict) -> "IntervalTraceWitness":
         return IntervalTraceWitness(
-            k=_parse_ladder(data["k"]),
+            k=_parse_int(data["k"]),
             window_start=_parse_frac(data["window"][0]),
             base=_parse_frac(data["base"]),
             cuts=tuple(_parse_frac(b) for b in data["cuts"]),
@@ -134,6 +134,10 @@ class SumComponent:
 
     @staticmethod
     def from_json(data: dict) -> "SumComponent":
+        return _decode_once(SumComponent._decode, data, _dict_key)
+
+    @staticmethod
+    def _decode(data: dict) -> "SumComponent":
         return SumComponent(
             kind=data["kind"],
             gauge_id=data.get("gauge"),

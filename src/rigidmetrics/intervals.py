@@ -15,13 +15,16 @@ spelling of rationals is written by :func:`_frac_str` and read by
 A document is decoded under one memo (:func:`_decode_scope`, opened by
 ``FiniteMetric.from_json`` and ``glue.verify_certificate``; a nested decode
 reuses the outer one, and it is dropped when the outermost decode returns or
-raises).  Inside it, :func:`_parse_frac` gives every spelling one
-``Fraction`` and :meth:`IntervalSet.from_json` every interval list one
-``IntervalSet``, so repeated endpoints and sets are the same objects and
-equality tests on them short-cut on identity.  Only a ``str``, or a list of
-two-element lists of ``str``, is a key, and a value enters the memo only once
-its own parse and validation have succeeded; any other input is decoded as
-outside a scope and raises what it raises there.
+raises).  Inside it each distinct piece of the document is decoded once:
+:func:`_parse_frac` gives every ``p/q`` spelling one ``Fraction``, and
+:func:`_decode_once` gives every interval list one ``IntervalSet``, every
+coded value one ``CodedReal`` and every tagged component one
+``SumComponent``.  Repeated pieces are then the same objects, and equality
+tests on them short-cut on identity.  A key is the JSON content: the ``str``
+itself, a list of two-element lists of ``str``, or the ``repr`` of a
+``dict``.  A value enters the memo only once its own decode has returned;
+any other input is decoded as outside a scope and raises what it raises
+there.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Block = tuple[Fraction, Fraction]
 
@@ -174,14 +177,7 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Iterable[Iterable[str]]) -> "IntervalSet":
-        memo = _decode_memo.get()
-        key = None if memo is None else _interval_key(data)
-        sett = None if key is None else memo.get(key)
-        if sett is None:
-            sett = IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
-            if key is not None:
-                memo[key] = sett
-        return sett
+        return _decode_once(_read_intervals, data, _interval_key)
 
     def __repr__(self) -> str:
         inner = " u ".join(f"[{a}, {b})" for a, b in self.blocks)
@@ -227,7 +223,11 @@ def _read_frac(s: str) -> Fraction:
     return Fraction(int(m[1]), int(m[2]))
 
 
-# the open decode scope's memo: p/q spellings and interval-list keys
+def _read_intervals(data: Iterable[Iterable[str]]) -> IntervalSet:
+    return IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
+
+
+# the open decode scope's memo: p/q spellings, and (decoder, content) pairs
 _decode_memo: ContextVar[dict | None] = ContextVar("_decode_memo", default=None)
 
 
@@ -242,6 +242,30 @@ def _decode_scope() -> Iterator[None]:
         yield
     finally:
         _decode_memo.reset(token)
+
+
+def _decode_once(decode: Callable[[object], object], data: object, key: Callable) -> object:
+    """``decode(data)``, shared within the open decode scope.
+
+    The memo key is ``decode`` with ``key(data)``, the JSON content, so two
+    decoders never share an entry.  The value is stored only after ``decode``
+    returned.  Outside a scope, or when ``key`` gives None (input that is not
+    a JSON container of the expected shape), ``data`` is decoded without the
+    memo.
+    """
+    memo = _decode_memo.get()
+    content = None if memo is None else key(data)
+    if content is None:
+        return decode(data)
+    value = memo.get((decode, content))
+    if value is None:
+        value = memo[decode, content] = decode(data)
+    return value
+
+
+def _dict_key(data: object) -> str | None:
+    """The ``repr`` of a ``dict``, its full content; None for anything else."""
+    return repr(data) if type(data) is dict else None
 
 
 def _interval_key(data: object) -> tuple[tuple[str, str], ...] | None:

@@ -112,27 +112,19 @@ class FiniteMetric:
     def from_json(data: dict) -> "FiniteMetric":
         """Decode a matrix, each distinct entry once.
 
-        Entries are keyed by the ``repr`` of their JSON, their full content,
-        so a mirror entry written the same way shares its decoding; entries
-        written differently are decoded apart and compared by value.  The
-        whole matrix is read in one decode scope
+        The whole matrix is read in one decode scope
         (:func:`~rigidmetrics.intervals._decode_scope`, or the caller's when
-        one is open), so each ``p/q`` spelling and each interval list is
-        decoded once, and entries that repeat an endpoint or a set share it.
+        one is open), whose memo keys an entry by the ``repr`` of its JSON,
+        its full content: a mirror entry written the same way shares its
+        decoding, and entries written differently are decoded apart and
+        compared by value.  Each ``p/q`` spelling and each interval list is
+        decoded once too, so entries that repeat an endpoint or a set share
+        it.
         """
-        decoded: dict[str, CodedReal] = {}
-
-        def entry(e: dict) -> CodedReal:
-            key = repr(e)
-            value = decoded.get(key)
-            if value is None:
-                value = decoded[key] = CodedReal.from_json(e)
-            return value
-
         with _decode_scope():
             return FiniteMetric(
                 tuple(data["points"]),
-                tuple(tuple(entry(e) for e in row) for row in data["matrix"]),
+                tuple(tuple(CodedReal.from_json(e) for e in row) for row in data["matrix"]),
             )
 
     def to_csv(self) -> str:

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coded import CodedReal, _parse_ladder, as_coded
+from .coded import CodedReal, _parse_int, as_coded
 from .enumeration import cantor_unpair, rational_at, simplest_in_open
 from .errors import DomainError
 from .intervals import _frac_str, _parse_frac
@@ -65,7 +65,9 @@ class _IntervalEnumerator:
 class HubAllocation:
     """The record of hub value ``index``: ``p + q * basis``, where ``basis``
     is the ``tau`` of ``words`` on the reserved gauge and ladder ``k``.  The
-    value is computed, never stored; the JSON record holds the six fields."""
+    value is computed, never stored; the JSON record holds the six fields.
+    ``k`` and every word letter must be JSON integers: a letter ``"0"``
+    would pass as a word pair of its own yet replay like ``0``."""
 
     index: int
     k: int
@@ -93,13 +95,15 @@ class HubAllocation:
 
     @staticmethod
     def from_json(data: dict) -> "HubAllocation":
-        left, right = data["words"]
+        left, right = (
+            tuple(_parse_int(x, "hub word letter") for x in w) for w in data["words"]
+        )
         return HubAllocation(
             index=data["index"],
-            k=_parse_ladder(data["k"]),
+            k=_parse_int(data["k"]),
             p=_parse_frac(data["p"]),
             q=_parse_frac(data["q"]),
-            words=(tuple(left), tuple(right)),
+            words=(left, right),
             basis=CodedReal.from_json(data["basis"]),
         )
 
@@ -146,9 +150,6 @@ class ValueRegistry:
         self._gauges[gauge.gauge_id] = gauge
         self._next_gauge_id += 1
         return gauge
-
-    def gauge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._gauges))
 
     # -- streams ----------------------------------------------------------
 
@@ -263,7 +264,7 @@ def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
     data = snapshot.get("gauges", {}).get(str(gauge_id))
     if data is None:
         raise DomainError(f"gauge {gauge_id} is not in the snapshot")
-    gauge = SemiMetricGauge(gauge_id, _parse_ladder(data.get("k", 0)), _SealedPool())
+    gauge = SemiMetricGauge(gauge_id, _parse_int(data.get("k", 0)), _SealedPool())
     for key, value in data.get("draws", {}).items():
         level, a, b = (int(part) for part in key.split(":"))
         gauge.preload((level, a, b), _parse_frac(value))

@@ -422,6 +422,16 @@ def test_indep_refuses_a_fractional_hub_ladder(clustered_certificate, tmp_path, 
     assert capsys.readouterr().err.startswith("parse error: ladder offset k")
 
 
+def test_indep_refuses_string_hub_word_letters(clustered_certificate, tmp_path, capsys):
+    cert = json.loads(clustered_certificate.read_text())
+    alloc = next(iter(cert["registry"]["hubs"].values()))
+    alloc["words"] = [[str(x) for x in w] for w in alloc["words"]]
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(cert))
+    assert main(["indep", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("parse error: hub word letter")
+
+
 def test_indep_refuses_a_v0_certificate(clustered_certificate, tmp_path, capsys):
     cert = json.loads(clustered_certificate.read_text())
     # the v0 shape: no version or input, one record per pair of distances

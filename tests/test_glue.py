@@ -630,6 +630,63 @@ def test_registry_forgeries_fail_the_invariant_aimed_at(certificates, kind, forg
     assert detail in report.detail
 
 
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+def test_hub_word_letters_must_be_integers(certificates, kind):
+    # the second hub takes the first hub's word pair with its letters spelled
+    # as strings: two word pairs to a raw comparison, one to tau, so only the
+    # checker's parse can tell them apart
+    blob = json.loads(certificates[kind])
+    _shared_word_pair(blob)
+    second = _hub_of(_hub_pair_rows(blob)[1])["hub_index"]
+    alloc = blob["registry"]["hubs"][str(second)]
+    alloc["words"] = [[str(x) for x in w] for w in alloc["words"]]
+    with pytest.raises(ValueError, match="hub word letter must be an integer"):
+        verify_certificate(blob)
+
+
+def test_the_reserved_gauge_tags_no_block_component():
+    # blocks {a, b} and {c}; block {a, b}'s components are retagged with the
+    # reserved gauge 0, whose letters (0, 1) replay to the hub's basis, and
+    # the hub becomes 32 times that basis: d(a, c) = 32 d(a, b)
+    d = FiniteMetric.from_entries(
+        "abc", [[0, Fraction(1, 40), 1], [Fraction(1, 40), 0, 1], [1, 1, 0]]
+    )
+    glued, cert = rigidify_full(d, Fraction(1, 2))
+    blob = json.loads(json.dumps(cert.to_json(glued)))
+    assert blob["parameters"]["partition"]["blocks"] == [["a", "b"], ["c"]]
+    gauge = blob["parameters"]["block_gauges"][0]
+    (hub,) = blob["registry"]["hubs"].values()
+    assert hub["words"] == [[0], [1]]
+    basis = CodedReal.from_json(hub["basis"])
+    hub.update(p="0/1", q="32/1")
+    for row in _rows(blob):
+        for comp in row["certificate"]["left"]:
+            if comp["kind"] == "block" and comp["gauge"] == gauge:
+                comp["gauge"] = 0
+                if comp["value"]["terms"]:
+                    comp["value"] = basis.to_json()
+            elif comp["kind"] == "hub":
+                comp["value"] = (basis * 32).to_json()
+        comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
+        row["trace_witness"] = glue._trace_witness_for(comps).to_json()
+        value = glue._component_sum(comps)
+        _set_entry(blob, "metric", row["pair_left"], value)
+        # the input moves to the midpoint of an enclosure of the new entry
+        enc = value.eval(4)
+        mid = CodedReal.from_rational((enc.lo + enc.hi) / 2)
+        _set_entry(blob, "input", row["pair_left"], mid)
+    _, sup = glue._certify_sup_bound(
+        FiniteMetric.from_json(blob["input"]), FiniteMetric.from_json(blob["metric"]),
+        Fraction(blob["sup_bound"]["epsilon"]), 64,
+    )
+    blob["sup_bound"].update(achieved_lo=_frac_str(sup.lo), achieved_hi=_frac_str(sup.hi))
+    forged = FiniteMetric.from_json(blob["metric"])
+    assert forged.distance("a", "c") == forged.distance("a", "b") * 32
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "independence hypotheses failed"
+    assert report.witnesses == (("a", "b"),)
+
+
 def test_draws_must_lie_in_their_level(certificates):
     blob = json.loads(certificates["clustered"])
     draws = blob["registry"]["gauges"]["1"]["draws"]
@@ -729,6 +786,22 @@ def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
         for c in r["certificate"]["left"]
     )
     assert 0 < len(calls) <= len(distinct) < copies
+
+
+def test_same_block_component_is_its_metric_entry(certificates, monkeypatch):
+    # the component's value is written like the metric entry it equals, so
+    # one decode scope gives both one object
+    sides, metrics = [], []
+    real_sum, real_rigid = glue._component_sum, glue.is_strongly_rigid
+    monkeypatch.setattr(glue, "_component_sum", lambda side: sides.append(side) or real_sum(side))
+    monkeypatch.setattr(
+        glue, "is_strongly_rigid", lambda m, *args: metrics.append(m) or real_rigid(m, *args)
+    )
+    assert verify_certificate(json.loads(certificates["clustered"])).passed
+    (metric,) = metrics
+    same_block = [side[0] for side in sides if side[2].kind == "zero"]
+    assert same_block
+    assert all(c.value is metric.distance(*c.detail) for c in same_block)
 
 
 def _interval_lists(node, found):

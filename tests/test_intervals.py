@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rigidmetrics.coded import CodedReal
+from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import (
     EMPTY_SET,
     IntervalSet,
@@ -313,6 +314,18 @@ def test_decode_scope_shares_repeated_spellings_and_lists():
     assert IntervalSet.from_json(data) is not IntervalSet.from_json(data)
 
 
+def test_decoders_share_no_memo_entry():
+    # one dict read as a coded value and as a component: the memo keys by
+    # decoder and content, so each reader gets its own type, once
+    data = {"kind": "zero", "offset": "1/2", "terms": [], "value": {"offset": "1/2", "terms": []}}
+    with _decode_scope():
+        value, comp = CodedReal.from_json(data), SumComponent.from_json(data)
+        assert type(value) is CodedReal and type(comp) is SumComponent
+        assert CodedReal.from_json(dict(data)) is value
+        assert SumComponent.from_json(dict(data)) is comp
+        assert comp.value == value
+
+
 def _terms(intervals):
     return {"offset": "0/1", "terms": [{"coeff": "1/1", "k": 0, "intervals": intervals}]}
 
@@ -328,7 +341,10 @@ def _terms(intervals):
      (CodedReal.from_json, _terms(0)),
      (CodedReal.from_json, _terms("0/1")),
      (CodedReal.from_json, _terms({"0/1": "1/2"})),
-     (CodedReal.from_json, {"offset": "0/1", "terms": 0})],
+     (CodedReal.from_json, {"offset": "0/1", "terms": 0}),
+     (SumComponent.from_json, {"kind": "block", "gauge": 1, "detail": []}),
+     (SumComponent.from_json, {"gauge": 1, "value": {"offset": "0/1", "terms": []}}),
+     (SumComponent.from_json, {"kind": "block", "gauge": 1, "value": _terms(0)})],
 )
 def test_malformed_input_raises_alike_inside_a_scope(reader, data):
     def outcome():

@@ -84,13 +84,14 @@ def test_from_json_decodes_each_distinct_entry_once(monkeypatch):
     data = _coded_metric().to_json()
     distinct = {repr(e) for row in data["matrix"] for e in row}
     seen = []
-    real = CodedReal.from_json
+    real = CodedReal._decode
 
     def counting(entry):
         seen.append(repr(entry))
         return real(entry)
 
-    monkeypatch.setattr(CodedReal, "from_json", staticmethod(counting))
+    # count decodes, not the memo hits that CodedReal.from_json also serves
+    monkeypatch.setattr(CodedReal, "_decode", staticmethod(counting))
     assert FiniteMetric.from_json(data) == _coded_metric()
     assert sorted(seen) == sorted(distinct)
     assert len(distinct) < 16
