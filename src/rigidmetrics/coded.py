@@ -14,8 +14,14 @@ one sweep over the block endpoints, scaled to integers over a shared
 denominator, accumulates the total weight of every elementary segment, and
 segments are regrouped by weight, so equal weighted forms denote equal
 numbers.  Input that is canonical by construction skips the sweep: a ladder
-that holds one entry, and a canonical value times a rational
-(:meth:`CodedReal.__mul__`, which at most re-sorts the terms).
+that holds one entry, a canonical value times a rational
+(:meth:`CodedReal.__mul__`, which at most re-sorts the terms), and in a
+signed sum of values (:func:`_signed_sum`, behind ``+``, ``-`` and the
+package's n-ary sums) every ladder that only one summand touches, which
+keeps that summand's terms times its sign.  Only ladders that two or more
+summands touch are swept, once each.  This rests on one invariant: every
+``CodedReal`` the package makes comes out of :meth:`CodedReal.build`,
+``__mul__`` or :func:`_signed_sum`, so every summand is canonical already.
 
 The form is unique per ladder ``k`` only: since
 ``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
@@ -135,20 +141,18 @@ def _canonical_terms(
 ) -> tuple[Term, ...]:
     """The canonical weighted form of ``sum coeff * <gamma_k, B>`` over ``raw``.
 
-    One sweep per ladder ``k``: every block endpoint is put over one shared
-    integer denominator and every coefficient over another, each block adds
-    ``+c`` at its start and ``-c`` at its end, and a running integer weight
-    over the sorted cuts gives every elementary segment its total weight.
-    Segments of one weight are collected in order, abutting ones merged, and
-    the weights emitted in ascending order with zero dropped.  The result
-    depends only on the weight function, so equal sums on one ladder get
-    equal forms.  The blocks reuse the callers' endpoint objects.
+    One sweep per ladder ``k`` (:func:`_sweep_ladder`), ladders in ascending
+    order.  A ladder that holds one entry is already canonical: its
+    coefficient is nonzero and its set is nonempty and in normal form
+    (``IntervalSet`` checks that on construction), so the sweep would give
+    back the same blocks at the same weight.  Such an entry is emitted as it
+    is, with the caller's set object.
 
-    A ladder that holds one entry is already canonical: its coefficient is
-    nonzero and its set is nonempty and in normal form (``IntervalSet``
-    checks that on construction), so the sweep would give back the same
-    blocks at the same weight.  Such an entry is emitted as it is, with the
-    caller's set object.
+    Sums of ``CodedReal`` values do not come here: :func:`_signed_sum` keeps
+    a ladder that only one summand touches as that summand's terms times its
+    sign, since the summand's form is canonical on that ladder already and a
+    sign at most reverses the order of its weights, and it sweeps only the
+    ladders that two or more summands touch.
     """
     by_k: dict[int, list[tuple[Fraction, IntervalSet]]] = {}
     for coeff, k, sett in raw:
@@ -164,42 +168,65 @@ def _canonical_terms(
         if len(entries) == 1:
             coeff, sett = entries[0]
             out.append(Term(coeff, k, sett))
-            continue
-        cden = math.lcm(*(c.denominator for c, _ in entries))
-        pden = math.lcm(
-            *(p.denominator for _, s in entries for blk in s.blocks for p in blk)
-        )
-        delta: dict[int, int] = {}
-        endpoint: dict[int, Fraction] = {}
-        for coeff, s in entries:
-            c = coeff.numerator * (cden // coeff.denominator)
-            for a, b in s.blocks:
-                ia = a.numerator * (pden // a.denominator)
-                ib = b.numerator * (pden // b.denominator)
-                delta[ia] = delta.get(ia, 0) + c
-                delta[ib] = delta.get(ib, 0) - c
-                endpoint[ia] = a
-                endpoint[ib] = b
-        runs: dict[int, list[list[int]]] = {}
-        w = 0
-        prev = 0
-        for x in sorted(delta):
-            if w:
-                blocks = runs.setdefault(w, [])
-                if blocks and blocks[-1][1] == prev:
-                    blocks[-1][1] = x
-                else:
-                    blocks.append([prev, x])
-            w += delta[x]
-            prev = x
-        for w in sorted(runs):
-            sett = IntervalSet(tuple((endpoint[a], endpoint[b]) for a, b in runs[w]))
-            out.append(Term(Fraction(w, cden), k, sett))
+        else:
+            out.extend(_sweep_ladder(k, entries))
     return tuple(out)
+
+
+def _sweep_ladder(k: int, entries: list[tuple[Fraction, IntervalSet]]) -> list[Term]:
+    """The canonical terms of ``sum coeff * <gamma_k, B>`` on one ladder.
+
+    Every block endpoint is put over one shared integer denominator and every
+    coefficient over another, each block adds ``+c`` at its start and ``-c``
+    at its end, and a running integer weight over the sorted cuts gives every
+    elementary segment its total weight.  Segments of one weight are
+    collected in order, abutting ones merged, and the weights emitted in
+    ascending order with zero dropped.  The result depends only on the weight
+    function, so equal sums on one ladder get equal forms.  The blocks reuse
+    the callers' endpoint objects.
+    """
+    cden = math.lcm(*(c.denominator for c, _ in entries))
+    pden = math.lcm(*(p.denominator for _, s in entries for blk in s.blocks for p in blk))
+    delta: dict[int, int] = {}
+    endpoint: dict[int, Fraction] = {}
+    for coeff, s in entries:
+        c = coeff.numerator * (cden // coeff.denominator)
+        for a, b in s.blocks:
+            ia = a.numerator * (pden // a.denominator)
+            ib = b.numerator * (pden // b.denominator)
+            delta[ia] = delta.get(ia, 0) + c
+            delta[ib] = delta.get(ib, 0) - c
+            endpoint[ia] = a
+            endpoint[ib] = b
+    runs: dict[int, list[list[int]]] = {}
+    w = 0
+    prev = 0
+    for x in sorted(delta):
+        if w:
+            blocks = runs.setdefault(w, [])
+            if blocks and blocks[-1][1] == prev:
+                blocks[-1][1] = x
+            else:
+                blocks.append([prev, x])
+        w += delta[x]
+        prev = x
+    out = []
+    for w in sorted(runs):
+        sett = IntervalSet(tuple((endpoint[a], endpoint[b]) for a, b in runs[w]))
+        out.append(Term(Fraction(w, cden), k, sett))
+    return out
 
 
 @dataclass(frozen=True)
 class CodedReal:
+    """``offset`` plus the sum of ``terms``, in canonical form.
+
+    The constructor takes the terms as given, so they must be canonical
+    already; :meth:`build`, :meth:`from_rational`, :func:`coded_sum` and the
+    arithmetic operators make every value the package uses, and sums rely on
+    their summands being canonical.
+    """
+
     offset: Fraction = Fraction(0)
     terms: tuple[Term, ...] = ()
 
@@ -227,9 +254,7 @@ class CodedReal:
         return self.offset == 0 and not self.terms
 
     def __add__(self, other: "CodedReal | Fraction | int") -> "CodedReal":
-        other = as_coded(other)
-        raw = [(t.coeff, t.k, t.index_set) for t in self.terms + other.terms]
-        return CodedReal(self.offset + other.offset, _canonical_terms(raw))
+        return _signed_sum(((1, self), (1, as_coded(other))))
 
     __radd__ = __add__
 
@@ -264,15 +289,18 @@ class CodedReal:
     def eval(self, precision_index: int) -> Enclosure:
         """Rational enclosure from the first ``precision_index + 1`` indices.
 
-        Hits and tail pads are added as integers over one denominator: the
-        lcm of the offset and coefficient denominators times ``2^E``, where
-        ``E`` is the largest tail exponent, and the two ends are built from
-        them once.  The enumeration values at those indices are read as
-        integer pairs from one memoized list shared by all terms and calls.
+        A pure offset ``q`` is enclosed by ``[q, q]``.  Otherwise hits and
+        tail pads are added as integers over one denominator: the lcm of the
+        offset and coefficient denominators times ``2^E``, where ``E`` is the
+        largest tail exponent, and the two ends are built from them once.
+        The enumeration values at those indices are read as integer pairs
+        from one memoized list shared by all terms and calls.
         """
         n = precision_index
         if n < 0:
             raise ValueError("precision index must be nonnegative")
+        if not self.terms:
+            return Enclosure(self.offset, self.offset)
         tail_exps = []
         for term in self.terms:
             tail_exp = ExponentSchedule(term.k).exponent(n + 1) - 1
@@ -303,6 +331,15 @@ class CodedReal:
         den = scale << top
         return Enclosure(Fraction(base + lo_pad, den), Fraction(base + hi_pad, den))
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once per instance and kept outside the
+        # fields, so equality is unaffected
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.offset, self.terms))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def sort_key(self) -> tuple:
         """Deterministic total order on canonical forms (not the value order)."""
         return (
@@ -329,15 +366,18 @@ class CodedReal:
 
     @staticmethod
     def _decode(data: dict) -> "CodedReal":
+        offset = _parse_frac(data["offset"])
+        if data.get("terms", []) == []:
+            return CodedReal.from_rational(offset)
         return CodedReal.build(
-            _parse_frac(data["offset"]),
+            offset,
             [
                 (
                     _parse_frac(t["coeff"]),
                     _parse_int(t["k"]),
                     IntervalSet.from_json(t["intervals"]),
                 )
-                for t in data.get("terms", [])
+                for t in data["terms"]
             ],
         )
 
@@ -379,11 +419,51 @@ def as_coded(value: "CodedReal | Fraction | int") -> CodedReal:
     return CodedReal.from_rational(value)
 
 
+_ZERO = Fraction(0)
+
+
+def _signed_sum(signed: Iterable[tuple[int, CodedReal]]) -> CodedReal:
+    """``sum sign * value`` over ``(sign, value)`` pairs, each sign ``+1`` or
+    ``-1``, each value canonical.
+
+    A ladder that only one summand touches keeps that summand's terms as
+    they are, times its sign: they are a canonical form already, and for
+    ``-1`` their order is reversed, as :meth:`CodedReal.__mul__` would
+    re-sort them.  Every ladder that two or more summands touch is swept
+    once (:func:`_sweep_ladder`) over all of their terms on it.  The result
+    is canonical, with the form :meth:`CodedReal.build` gives the raw parts.
+    """
+    offset = _ZERO
+    touched: dict[int, list[tuple[int, list[Term]]]] = {}
+    for s, v in signed:
+        if v.offset:
+            offset = offset + v.offset if s > 0 else offset - v.offset
+        k_prev = None
+        for t in v.terms:
+            if t.k != k_prev:
+                k_prev = t.k
+                group: list[Term] = []
+                touched.setdefault(k_prev, []).append((s, group))
+            group.append(t)
+    terms: list[Term] = []
+    for k in sorted(touched):
+        groups = touched[k]
+        if len(groups) == 1:
+            s, group = groups[0]
+            if s > 0:
+                terms += group
+            else:
+                terms += [Term(-t.coeff, k, t.index_set) for t in reversed(group)]
+        else:
+            terms += _sweep_ladder(
+                k, [(t.coeff if s > 0 else -t.coeff, t.index_set) for s, g in groups for t in g]
+            )
+    return CodedReal(offset, tuple(terms))
+
+
 def _difference(x: CodedReal, *ys: CodedReal) -> CodedReal:
-    """``x - (y1 + y2 + ...)``, built with one canonicalization."""
-    parts = [(t.coeff, t.k, t.index_set) for t in x.terms]
-    parts += [(-t.coeff, t.k, t.index_set) for y in ys for t in y.terms]
-    return CodedReal.build(x.offset - sum(y.offset for y in ys), parts)
+    """``x - (y1 + y2 + ...)``, as one signed sum."""
+    return _signed_sum([(1, x), *((-1, y) for y in ys)])
 
 
 def coded_sum(k: int, index_set: IntervalSet, coeff: Fraction | int = 1) -> CodedReal:
@@ -456,7 +536,7 @@ def _mixed_sign(base: Fraction, entries: Iterable[tuple[int, int]]) -> int:
         threshold = e0
 
 
-_support_cache: dict[tuple[int, tuple, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_support_cache: dict[tuple[int, IntervalSet, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def _piece_support(
@@ -472,7 +552,7 @@ def _piece_support(
     holding ``m + a/(a+b)`` by integer membership.  Cached: index sets recur
     across many comparisons.
     """
-    key = (k, index_set.blocks, index_cap)
+    key = (k, index_set, index_cap)
     hit = _support_cache.get(key)
     if hit is not None:
         return hit
@@ -664,5 +744,7 @@ def equals(x: CodedReal | Fraction | int, y: CodedReal | Fraction | int) -> bool
     weight at ``n`` is not.  Index sets are infinite or empty, so such ``n``
     exist beyond every bound.
     """
-    a, b = _on_least_ladder([as_coded(x), as_coded(y)])
-    return a == b
+    x, y = as_coded(x), as_coded(y)
+    if len({t.k for t in x.terms + y.terms}) > 1:
+        x, y = _on_least_ladder([x, y])
+    return x == y

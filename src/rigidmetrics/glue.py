@@ -41,6 +41,7 @@ from .coded import (
     LESS,
     UNRESOLVED,
     _parse_int,
+    _signed_sum,
     as_coded,
     compare,
     equals,
@@ -164,11 +165,11 @@ def amalgamate(
             if ba == bb:
                 value = block_metrics[ba].distance(xa, xb)
             else:
-                value = (
-                    block_metrics[ba].distance(xa, partition.hubs[ba])
-                    + hub_metric.distance(partition.hubs[ba], partition.hubs[bb])
-                    + block_metrics[bb].distance(partition.hubs[bb], xb)
-                )
+                value = _signed_sum((
+                    (1, block_metrics[ba].distance(xa, partition.hubs[ba])),
+                    (1, hub_metric.distance(partition.hubs[ba], partition.hubs[bb])),
+                    (1, block_metrics[bb].distance(partition.hubs[bb], xb)),
+                ))
             rows[a][b] = rows[b][a] = value
     matrix = tuple(tuple(row) for row in rows)
     return FiniteMetric(tuple(labels), matrix)
@@ -641,10 +642,7 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
 
 
 def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
-    return CodedReal.build(
-        sum(c.value.offset for c in side),
-        [(t.coeff, t.k, t.index_set) for c in side for t in c.value.terms],
-    )
+    return _signed_sum((1, c.value) for c in side)
 
 
 class _ComponentReplay:
@@ -667,9 +665,11 @@ class _ComponentReplay:
         """The first registry invariant the snapshot breaks, or None.
 
         The independence argument rests on them: every gauge value is a fresh
-        rational, of level ``l`` in ``(l, l+1)``; no two hub bases come from
-        one word pair; and every hub sits on ladder ``parameters.k`` like the
-        blocks, so comparing component forms compares their values.
+        rational, of level ``l`` in ``(l, l+1)``; every hub record's
+        ``index`` is its snapshot key, the index hub components name it by;
+        no two hub bases come from one word pair; and every hub sits on
+        ladder ``parameters.k`` like the blocks, so comparing component forms
+        compares their values.
         """
         draws = [(lv, v) for g in self.gauges.values() for (lv, _, _), v in g.drawn().items()]
         if len({v for _, v in draws}) < len(draws):
@@ -677,6 +677,9 @@ class _ComponentReplay:
         for level, value in draws:
             if not level < value < level + 1:
                 return f"draw {value} lies outside level {level}"
+        for key, alloc in self.hubs.items():
+            if str(alloc.index) != key:
+                return f"hub record {key} names index {alloc.index}"
         if any(alloc.k != self._k for alloc in self.hubs.values()):
             return f"a hub is off ladder {self._k}"
         pairs = [tuple(sorted(alloc.words)) for alloc in self.hubs.values()]

@@ -138,10 +138,15 @@ class SumComponent:
 
     @staticmethod
     def _decode(data: dict) -> "SumComponent":
+        """A hub component's ``hub_index`` must be a JSON integer; any other
+        component may leave it null."""
+        hub_index = data.get("hub_index")
+        if hub_index is not None or data["kind"] == "hub":
+            hub_index = _parse_int(hub_index, "hub index")
         return SumComponent(
             kind=data["kind"],
             gauge_id=data.get("gauge"),
-            hub_index=data.get("hub_index"),
+            hub_index=hub_index,
             detail=tuple(data.get("detail", ())),
             value=CodedReal.from_json(data["value"]),
         )
@@ -166,10 +171,12 @@ def tagged_sum_holds(side: Sequence[SumComponent], known_gauges: Iterable[int]) 
     return not all(zero)
 
 
-def multiset_key(side: Sequence[SumComponent]) -> tuple:
-    """Sort key of a tagged sum's multiset of component values.
+def multiset_key(side: Sequence[SumComponent]) -> tuple[CodedReal, ...]:
+    """Sort key of a tagged sum's multiset of component values: the values
+    ordered by :meth:`CodedReal.sort_key`.
 
     Values are canonical forms, so two sums have equal keys exactly when
-    their component multisets agree, tags and order aside.
+    their component multisets agree, tags and order aside.  The key hashes
+    through the values' cached hashes.
     """
-    return tuple(sorted(c.value.sort_key() for c in side))
+    return tuple(sorted((c.value for c in side), key=CodedReal.sort_key))

@@ -96,6 +96,15 @@ class IntervalSet:
     def block(a: Fraction | int, b: Fraction | int) -> "IntervalSet":
         return IntervalSet.from_blocks([(a, b)])
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once per instance and kept outside the
+        # fields, like the window traces
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.blocks,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def is_empty(self) -> bool:
         return not self.blocks

@@ -66,8 +66,8 @@ class HubAllocation:
     """The record of hub value ``index``: ``p + q * basis``, where ``basis``
     is the ``tau`` of ``words`` on the reserved gauge and ladder ``k``.  The
     value is computed, never stored; the JSON record holds the six fields.
-    ``k`` and every word letter must be JSON integers: a letter ``"0"``
-    would pass as a word pair of its own yet replay like ``0``."""
+    ``index``, ``k`` and every word letter must be JSON integers: a letter
+    ``"0"`` would pass as a word pair of its own yet replay like ``0``."""
 
     index: int
     k: int
@@ -99,7 +99,7 @@ class HubAllocation:
             tuple(_parse_int(x, "hub word letter") for x in w) for w in data["words"]
         )
         return HubAllocation(
-            index=data["index"],
+            index=_parse_int(data["index"], "hub index"),
             k=_parse_int(data["k"]),
             p=_parse_frac(data["p"]),
             q=_parse_frac(data["q"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,11 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rigidmetrics.coded import (
+    _MAX_EVAL_EXPONENT,
     CodedReal,
     Term,
     _canonical_terms,
     _difference,
+    _enumeration_prefix,
+    _on_least_ladder,
     _piece_support,
+    _signed_sum,
     Enclosure,
     ExponentSchedule,
     EQUAL,
@@ -25,6 +30,8 @@ from rigidmetrics.coded import (
 )
 from rigidmetrics.enumeration import fusc_pair, rational_at, simplest_in_open, tree_depth
 from rigidmetrics.errors import PrecisionError
+from rigidmetrics.glue import _component_sum
+from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import IntervalSet
 
 UNIT = IntervalSet.block(0, 1)
@@ -606,3 +613,211 @@ def test_from_json_needs_an_integer_ladder(k):
     data = {"offset": "0/1", "terms": [{"coeff": "1/1", "k": k, "intervals": [["0/1", "1/1"]]}]}
     with pytest.raises(ValueError, match="ladder offset k must be an integer"):
         CodedReal.from_json(data)
+
+
+# The sums as they were built before signed sums: every raw part of every
+# summand through one canonicalization.  Kept verbatim as references.
+
+
+def _rebuilt_add(x, y):
+    raw = [(t.coeff, t.k, t.index_set) for t in x.terms + y.terms]
+    return CodedReal(x.offset + y.offset, _canonical_terms(raw))
+
+
+def _rebuilt_difference(x, *ys):
+    parts = [(t.coeff, t.k, t.index_set) for t in x.terms]
+    parts += [(-t.coeff, t.k, t.index_set) for y in ys for t in y.terms]
+    return CodedReal.build(x.offset - sum(y.offset for y in ys), parts)
+
+
+def _rebuilt_component_sum(side):
+    return CodedReal.build(
+        sum(c.value.offset for c in side),
+        [(t.coeff, t.k, t.index_set) for c in side for t in c.value.terms],
+    )
+
+
+def _rebuilt_signed_sum(signed):
+    return CodedReal.build(
+        sum(s * v.offset for s, v in signed),
+        [(s * t.coeff, t.k, t.index_set) for s, v in signed for t in v.terms],
+    )
+
+
+@st.composite
+def coded_values(draw, pool):
+    """A canonical value on one to three ladders, or now and then a pure
+    offset, with blocks cut from ``pool``."""
+    offset = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    if draw(st.integers(0, 4)) == 0:
+        return CodedReal.from_rational(offset)
+    entries = []
+    for k in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 3))):
+            picks = sorted(draw(st.lists(
+                st.integers(0, len(pool) - 1), min_size=2, max_size=5, unique=True
+            )))
+            sett = IntervalSet.from_blocks(
+                [(pool[a], pool[b]) for a, b in zip(picks[::2], picks[1::2])]
+            )
+            coeff = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+            entries.append((coeff or 1, k, sett))
+    return CodedReal.build(offset, entries)
+
+
+@st.composite
+def signed_sums(draw):
+    """One to four signed summands over one pool of cuts, so blocks of
+    different summands overlap and abut; a summand may repeat an earlier one."""
+    pool = sorted(draw(st.lists(_ENDPOINTS, min_size=3, max_size=7, unique=True)))
+    values = []
+    for _ in range(draw(st.integers(1, 4))):
+        if values and draw(st.integers(0, 3)) == 0:
+            values.append(draw(st.sampled_from(values)))
+        else:
+            values.append(draw(coded_values(pool)))
+    return [(draw(st.sampled_from([1, -1])), v) for v in values]
+
+
+_SPLIT = CodedReal.build(0, [(2, 0, _TWO_BLOCKS), (-1, 0, _HALF), (1, 2, UNIT)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums())
+@example([(1, _SPLIT), (-1, _SPLIT)])  # one ladder touched twice cancels
+@example([(-1, _SPLIT)])  # a negated ladder of several weights
+@example([(1, CodedReal.from_rational(Fraction(1, 3))), (-1, _SPLIT)])
+@example(
+    # two summands on ladder 0 whose blocks abut, one alone on ladder 3
+    [(1, coded_sum(0, _HALF)), (1, coded_sum(0, IntervalSet.block(Fraction(1, 2), 1))),
+     (-1, coded_sum(3, _TWO_BLOCKS, Fraction(-2, 3)))]
+)
+def test_signed_sums_match_the_rebuilt_sums(signed):
+    def same(a, b):
+        assert a == b
+        assert a.to_json() == b.to_json()
+
+    same(_signed_sum(signed), _rebuilt_signed_sum(signed))
+    x, *ys = (v for _, v in signed)
+    same(_difference(x, *ys), _rebuilt_difference(x, *ys))
+    for y in ys:
+        same(x + y, _rebuilt_add(x, y))
+        same(x - y, _rebuilt_difference(x, y))
+    side = tuple(SumComponent("block", value=v) for v in (x, *ys))
+    same(_component_sum(side), _rebuilt_component_sum(side))
+
+
+def test_sums_that_touch_a_ladder_once_keep_its_terms():
+    # a re-sweep would build new Term objects with equal fields
+    x = _SPLIT
+    q = Fraction(5, 7)
+    assert len(x.terms) >= 3
+    sums = [(x - q, -q), (q + x, q), (x + q, q), (_difference(x, CodedReal.from_rational(q)), -q)]
+    for total, shift in sums:
+        assert total.offset == x.offset + shift
+        assert len(total.terms) == len(x.terms)
+        assert all(a is b for a, b in zip(total.terms, x.terms))
+    # x on ladders 0 and 2, the other summand on ladder 1: all terms are kept
+    other = coded_sum(1, _HALF)
+    both = x + other
+    expected = sorted(x.terms + other.terms, key=lambda t: t.k)
+    assert len(both.terms) == len(expected)
+    assert all(a is b for a, b in zip(both.terms, expected))
+
+
+def _eval_kernel_before(x, n):
+    """``CodedReal.eval`` as it was before pure offsets took a shortcut."""
+    if n < 0:
+        raise ValueError("precision index must be nonnegative")
+    tail_exps = []
+    for term in x.terms:
+        tail_exp = ExponentSchedule(term.k).exponent(n + 1) - 1
+        if tail_exp > _MAX_EVAL_EXPONENT:
+            raise PrecisionError("out of reach")
+        tail_exps.append(tail_exp)
+    top = max(tail_exps, default=0)
+    offset = x.offset
+    scale = math.lcm(offset.denominator, *(t.coeff.denominator for t in x.terms))
+    base = offset.numerator * (scale // offset.denominator) << top
+    lo_pad = hi_pad = 0
+    prefix = _enumeration_prefix(n + 1)
+    for term, tail_exp in zip(x.terms, tail_exps):
+        hits = 0
+        for i, (qn, qd) in enumerate(prefix):
+            if term.index_set._block_index(qn, qd) >= 0:
+                hits += 1 << ((1 << n) - (1 << i))
+        c = term.coeff.numerator * (scale // term.coeff.denominator)
+        base += c * hits << (top - (1 << n) - term.k)
+        if c > 0:
+            hi_pad += c << (top - tail_exp)
+        else:
+            lo_pad += c << (top - tail_exp)
+    den = scale << top
+    return Enclosure(Fraction(base + lo_pad, den), Fraction(base + hi_pad, den))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_eval_of_a_pure_offset_matches_the_full_kernel(n):
+    for q in (Fraction(0), Fraction(-7, 3), Fraction(5, 12), Fraction(2), Fraction(1, 4096)):
+        x = CodedReal.from_rational(q)
+        assert x.eval(n) == _eval_kernel_before(x, n) == Enclosure(q, q)
+        assert x.eval(n) == CodedReal.build(q, [(1, 0, IntervalSet())]).eval(n)
+
+
+def _folded_equals(x, y):
+    a, b = _on_least_ladder([x, y])
+    return a == b
+
+
+@st.composite
+def mixed_ladder_pairs(draw):
+    """Two values, the second often the first with each term lifted from
+    ladder ``k`` to ``k + j`` at ``2^j`` times its coefficient (the same
+    number on other ladders), now and then plus a small change."""
+    pool = sorted(draw(st.lists(_ENDPOINTS, min_size=3, max_size=6, unique=True)))
+    x = draw(coded_values(pool))
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        return x, draw(coded_values(pool))
+    lifts = [draw(st.integers(0, 2)) for _ in x.terms]
+    y = CodedReal.build(
+        x.offset, [(t.coeff * (1 << j), t.k + j, t.index_set) for t, j in zip(x.terms, lifts)]
+    )
+    if choice == 2:
+        y = y + draw(coded_values(pool))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_ladder_pairs())
+@example((coded_sum(0, UNIT), coded_sum(1, UNIT, 2)))  # one number on two ladders
+@example((coded_sum(2, _HALF), coded_sum(2, _HALF)))
+@example((CodedReal.from_rational(1), coded_sum(1, _HALF) + 1))
+def test_equals_agrees_with_the_least_ladder_fold(pair):
+    x, y = pair
+    assert equals(x, y) is _folded_equals(x, y)
+    assert equals(y, x) is _folded_equals(x, y)
+    ex, ey = x.eval(5), y.eval(5)
+    if ex.hi < ey.lo or ey.hi < ex.lo:
+        assert not equals(x, y)
+
+
+def test_cached_hashes_leave_fields_and_equality_alone():
+    x = CodedReal.build(Fraction(1, 3), [(2, 0, _TWO_BLOCKS), (1, 2, UNIT)])
+    y = CodedReal.build(Fraction(1, 3), [(2, 0, _TWO_BLOCKS), (1, 2, UNIT)])
+    assert x is not y
+    assert hash(x) == hash(x) == hash((x.offset, x.terms)) == hash(y)
+    assert x == y and {x: 1}[y] == 1
+    assert [f.name for f in dataclasses.fields(CodedReal)] == ["offset", "terms"]
+    s = x.terms[0].index_set
+    assert hash(s) == hash((s.blocks,)) == hash(IntervalSet(s.blocks))
+    assert [f.name for f in dataclasses.fields(IntervalSet)] == ["blocks"]
+    assert repr(x) == repr(y) and repr(s) == repr(IntervalSet(s.blocks))
+
+
+def test_decode_of_a_pure_offset():
+    for data in ({"offset": "-7/3", "terms": []}, {"offset": "5/1"}):
+        x = CodedReal.from_json(data)
+        assert x == CodedReal.from_rational(Fraction(data["offset"])) and x.terms == ()
+    with pytest.raises(ZeroDivisionError):
+        CodedReal.from_json({"offset": "1/0", "terms": []})

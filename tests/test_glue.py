@@ -644,6 +644,53 @@ def test_hub_word_letters_must_be_integers(certificates, kind):
         verify_certificate(blob)
 
 
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+def test_hub_record_index_must_be_an_integer(certificates, kind):
+    blob = json.loads(certificates[kind])
+    for alloc in blob["registry"]["hubs"].values():
+        alloc["index"] = "not an index"
+    with pytest.raises(ValueError, match="hub index must be an integer"):
+        verify_certificate(blob)
+
+
+def test_hub_record_index_must_be_its_snapshot_key(certificates):
+    blob = json.loads(certificates["spread"])
+    first, second = sorted(blob["registry"]["hubs"], key=int)[:2]
+    blob["registry"]["hubs"][first]["index"] = int(second)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and "registry invariant" in report.detail
+    assert f"hub record {first} names index {second}" in report.detail
+
+
+def test_hub_components_name_their_record_by_an_integer(certificates):
+    blob = json.loads(certificates["spread"])
+    for row in _rows(blob):
+        hub = _hub_of(row)
+        if hub is not None:
+            hub["hub_index"] = str(hub["hub_index"])
+    with pytest.raises(ValueError, match="hub index must be an integer, got '"):
+        verify_certificate(blob)
+
+
+def test_a_hub_component_without_an_index_is_refused(certificates):
+    # the second hub pair's component drops its index and takes twice the
+    # first hub's value; with no record to replay against, the distance
+    # d(second) = 2 d(first) would pass every other check
+    blob = json.loads(certificates["spread"])
+    first, second = _hub_pair_rows(blob)[:2]
+    index = _hub_of(second)["hub_index"]
+    shift = 2 * _entry(blob, "input", first["pair_left"]) - _entry(blob, "input", second["pair_left"])
+    _reallocate_hub(blob, index, {}, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
+    for row in _rows(blob):
+        hub = _hub_of(row)
+        if hub is not None and hub["hub_index"] == index:
+            hub["hub_index"] = None
+    forged = FiniteMetric.from_json(blob["metric"])
+    assert forged.distance(*second["pair_left"]) == forged.distance(*first["pair_left"]) * 2
+    with pytest.raises(ValueError, match="hub index must be an integer, got None"):
+        verify_certificate(blob)
+
+
 def test_the_reserved_gauge_tags_no_block_component():
     # blocks {a, b} and {c}; block {a, b}'s components are retagged with the
     # reserved gauge 0, whose letters (0, 1) replay to the hub's basis, and
