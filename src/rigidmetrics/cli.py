@@ -30,7 +30,7 @@ from pathlib import Path
 from .coded import DEFAULT_MAX_PRECISION
 from .errors import DomainError, PrecisionError, ResourceError, UnresolvedComparison
 from .glue import Partition, amalgamate, rigidify_full, verify_certificate
-from .intervals import _parse_frac
+from .intervals import _frac_str, _parse_frac
 from .metric import FiniteMetric, dump_metric, dumps_canonical, load_metric
 from .product import tau, word_label
 from .registry import ValueRegistry
@@ -245,13 +245,8 @@ def _cmd_dist(args) -> int:
     a = _load_metric(args.a, args.format)
     b = _load_metric(args.b, args.format)
     enc = oracles.sup_distance(a, b)
-    if enc.lo == enc.hi:
-        sys.stdout.write(f"{enc.lo.numerator}/{enc.lo.denominator}\n")
-    else:
-        sys.stdout.write(
-            f"{enc.lo.numerator}/{enc.lo.denominator} "
-            f"{enc.hi.numerator}/{enc.hi.denominator}\n"
-        )
+    ends = (enc.lo,) if enc.lo == enc.hi else (enc.lo, enc.hi)
+    sys.stdout.write(" ".join(map(_frac_str, ends)) + "\n")
     return EXIT_PASS
 
 

@@ -15,9 +15,11 @@ on one-letter words (diameter at most ``2^-k <= eta``), approximate the hub
 distances by hub-pool values sitting strictly inside the subadditivity
 windows, glue, and emit a certificate: the input, the exact sup bound, strong
 rigidity, and one independence row per distance.  A row holds the distance's
-tagged components, which pass the per-sum hypotheses and sum to it, and its
-independent-of-1 trace witness; the rows' component multisets are pairwise
-different, which one sort shows.
+nonzero tagged components, block and hub values that pass the per-sum
+hypotheses and sum to it; its independent-of-1 trace witness is found from
+their index sets, by the builder and again by the checker, and is not
+stored.  The rows' component multisets are pairwise different, which one
+sort shows.
 
 The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
 ``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
@@ -54,13 +56,13 @@ from .independence import (
     multiset_key,
     tagged_sum_holds,
 )
-from .intervals import IntervalSet, _decode_scope, _frac_str, _parse_frac
+from .intervals import _decode_scope, _frac_str, _parse_frac
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, HubAllocation, ValueRegistry, gauge_from_snapshot
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -444,44 +446,22 @@ def _pairwise_independence(
 ) -> list[dict]:
     """One validated independence row per distance, in pair order."""
 
-    def spare_gauge(exclude: int) -> int:
-        for gid in block_gauges:
-            if gid != exclude:
-                return gid
-        return RESERVED_GAUGE_ID  # single-block runs have no cross pairs anyway
-
     def components(a: str, b: str) -> tuple[SumComponent, ...]:
+        """The nonzero ones of the distance's tagged summands."""
         ba, bb = partition.block_of(a), partition.block_of(b)
         if ba == bb:
-            gid = block_gauges[ba]
-            comps = (
-                SumComponent("block", gauge_id=gid, detail=(a, b), value=glued.distance(a, b)),
-                SumComponent("block", gauge_id=spare_gauge(gid), detail=()),
-                SumComponent("zero"),
-            )
-        else:
-            ha, hb = partition.hubs[ba], partition.hubs[bb]
-            comps = (
-                SumComponent(
-                    "block",
-                    gauge_id=block_gauges[ba],
-                    detail=(a, ha),
-                    value=block_metrics[ba].distance(a, ha),
-                ),
-                SumComponent(
-                    "block",
-                    gauge_id=block_gauges[bb],
-                    detail=(hb, b),
-                    value=block_metrics[bb].distance(hb, b),
-                ),
-                SumComponent(
-                    "hub",
-                    hub_index=hub_index[(ha, hb)],
-                    detail=(ha, hb),
-                    value=hub_metric.distance(ha, hb),
-                ),
-            )
-        return comps
+            return (SumComponent("block", gauge_id=block_gauges[ba], detail=(a, b),
+                                 value=glued.distance(a, b)),)
+        ha, hb = partition.hubs[ba], partition.hubs[bb]
+        comps = (
+            SumComponent("block", gauge_id=block_gauges[ba], detail=(a, ha),
+                         value=block_metrics[ba].distance(a, ha)),
+            SumComponent("block", gauge_id=block_gauges[bb], detail=(hb, b),
+                         value=block_metrics[bb].distance(hb, b)),
+            SumComponent("hub", hub_index=hub_index[(ha, hb)], detail=(ha, hb),
+                         value=hub_metric.distance(ha, hb)),
+        )
+        return tuple(c for c in comps if not c.value.is_zero_form())
 
     out: list[dict] = []
     keyed: list[tuple[tuple, tuple[str, str]]] = []
@@ -490,18 +470,11 @@ def _pairwise_independence(
         comps = components(*pair)
         if not tagged_sum_holds(comps, block_gauges):
             raise UnresolvedComparison(f"independence hypotheses failed for {pair}")
-        witness = _trace_witness_for(comps)
-        if witness is None:
+        if _trace_witness_for(comps) is None:
             raise UnresolvedComparison(f"no independent-of-1 witness for {pair}")
         keyed.append((multiset_key(comps), pair))
-        out.append(
-            {
-                "pair_left": list(pair),
-                "pair_right": ["1"],
-                "certificate": {"kind": "tagged-sum", "left": [c.to_json() for c in comps]},
-                "trace_witness": witness.to_json(),
-            }
-        )
+        out.append({"pair_left": list(pair), "pair_right": ["1"],
+                    "certificate": {"kind": "tagged-sum", "left": [c.to_json() for c in comps]}})
     clash = _equal_multisets(keyed)
     if clash is not None:
         raise UnresolvedComparison(f"equal component multisets for {clash[0]} and {clash[1]}")
@@ -510,21 +483,12 @@ def _pairwise_independence(
 
 def _trace_witness_for(components: Sequence[SumComponent]) -> IntervalTraceWitness | None:
     """A distance's independent-of-1 witness: one shared window over the
-    distinct index sets of its components."""
-    shape = _unit_witness_shape(components)
-    return None if shape is None else find_interval_trace_witness(shape[1], shape[0])
-
-
-def _unit_witness_shape(
-    components: Sequence[SumComponent],
-) -> tuple[int, tuple[IntervalSet, ...]] | None:
-    """The ladder and distinct index sets, in order, that a unit witness of
-    these components must cover; None unless there are sets on one ladder."""
+    distinct index sets, in order, of its components' terms; None unless
+    there are sets on one ladder and a window fits them."""
     terms = [t for c in components for t in c.value.terms]
-    ks = {t.k for t in terms}
-    if len(ks) != 1:
+    if len({t.k for t in terms}) != 1:
         return None
-    return ks.pop(), tuple(dict.fromkeys(t.index_set for t in terms))
+    return find_interval_trace_witness(tuple(dict.fromkeys(t.index_set for t in terms)))
 
 
 def _equal_multisets(
@@ -543,32 +507,33 @@ def _equal_multisets(
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
-    A certificate of another ``version`` raises ``ValueError``.  The registry
-    snapshot must keep the invariants the independence argument rests on
-    (:meth:`_ComponentReplay.registry_problem`).  There must be one
+    A certificate of another ``version`` raises ``ValueError``; this is
+    format 2, whose rows hold only nonzero components and no trace witness.
+    The registry snapshot must keep the invariants the independence argument
+    rests on (:meth:`_ComponentReplay.registry_problem`).  There must be one
     independence row per distance, in the metric's pair order, and each
-    row is checked once: the hypotheses of its tagged sum (whose nonzero
-    block components carry snapshot gauges other than the reserved gauge
-    0, which backs hub bases only), the replay of each
-    component from the raw draws in the registry snapshot (block values
-    through gauges replayed with ``parameters.k`` and
-    ``parameters.partition``, which are required; hub values as the value
-    of their :class:`HubAllocation`, whose basis is replayed from its words),
-    that the components sum exactly to the row's metric entry, and its unit
-    trace witness, which must cover exactly the distinct index sets of the
-    row's components.  One pass over the rows' component multisets then
-    shows that no two distances share one.  The sup bound is recomputed from
-    ``input`` and must equal the claimed enclosure.  The sup bound and the
-    strong-rigidity recheck run under ``max_precision``, which every report
-    records.  Snapshot fields the replay does not read (a hub's ``value`` or
-    ``target``, ``streams``) are ignored.
+    row is checked once: the hypotheses of its tagged sum (one to three
+    components, each a nonzero block or hub value; the block components
+    carry distinct snapshot gauges other than the reserved gauge 0, which
+    backs hub bases only), the replay of each component from the raw draws
+    in the registry snapshot (block values through gauges replayed with
+    ``parameters.k`` and ``parameters.partition``, which are required; hub
+    values as the value of their :class:`HubAllocation`, whose basis is
+    replayed from its words), that the components sum exactly to the row's
+    metric entry, and a unit trace witness over the distinct index sets of
+    the row's components, which the checker finds with the builder's own
+    search.  One pass over the rows' component multisets then shows that no
+    two distances share one.  The sup bound is recomputed from ``input`` and
+    must equal the claimed enclosure.  The sup bound and the strong-rigidity
+    recheck run under ``max_precision``, which every report records.
+    Fields the checker does not read (a hub's ``value`` or ``target``,
+    ``streams``) are ignored.
 
     The whole certificate is decoded in one decode scope
     (:func:`~rigidmetrics.intervals._decode_scope`): each ``p/q`` spelling,
-    interval list, coded value and component is read once.  A row's trace
-    witness shares the index sets its components already decoded, and a
-    same-block component's value, written like the metric entry it equals,
-    is that entry.
+    interval list, coded value and component is read once.  A same-block
+    component's value, written like the metric entry it equals, is that
+    entry.
     """
     with _decode_scope():
         return _verify_certificate(data, max_precision)
@@ -609,10 +574,8 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         if _component_sum(comps) != metric.at(i, j):
             return Report("fail", (pair,), "components do not sum to the metric entry",
                           max_precision)
-        witness = row.get("trace_witness")
-        witness = None if witness is None else IntervalTraceWitness.from_json(witness)
-        if (witness is None or not witness.verify()
-                or (witness.k, witness.index_sets) != _unit_witness_shape(comps)):
+        # searched after the replay, so its levels are bounded by the snapshot's draws
+        if _trace_witness_for(comps) is None:
             return Report("fail", (pair,), "unit witness failed", max_precision)
         keyed.append((multiset_key(comps), pair))
     if len(rows) != len(pairs):
@@ -709,8 +672,6 @@ class _ComponentReplay:
         return self._verdicts[id(comp)]
 
     def _check(self, comp: SumComponent) -> object | None:
-        if comp.kind == "zero" or comp.value.is_zero_form():
-            return None if comp.value.is_zero_form() else comp.detail
         if comp.kind == "hub":
             alloc = self.hubs.get(str(comp.hub_index))
             if alloc is None:
@@ -718,12 +679,9 @@ class _ComponentReplay:
             if tau(self._gauge(RESERVED_GAUGE_ID), self._k, *alloc.words) != alloc.basis:
                 return comp.hub_index
             return None if alloc.value == comp.value else comp.hub_index
-        if comp.kind == "block":
-            letters = self._letters(comp.detail)
-            if letters is None or len(letters) != 2:
-                return comp.detail
-            rebuilt = tau(
-                self._gauge(comp.gauge_id), self._k, (letters[0],), (letters[1],)
-            )
-            return None if rebuilt == comp.value else comp.detail
-        return comp.detail
+        # a block component: tagged_sum_holds admits no other kind
+        letters = self._letters(comp.detail)
+        if letters is None or len(letters) != 2:
+            return comp.detail
+        rebuilt = tau(self._gauge(comp.gauge_id), self._k, (letters[0],), (letters[1],))
+        return None if rebuilt == comp.value else comp.detail

@@ -6,15 +6,18 @@ Two pieces of evidence are produced and re-checked here.
   set under consideration traces exactly ``[a, b_i)`` with one shared left
   endpoint ``a`` and pairwise distinct cuts ``b_i``.  Such a window forces the
   coded sums of those sets, together with 1, to be linearly independent over
-  the rationals; the witness is re-verified by redoing the intersections.
+  the rationals.  :func:`find_interval_trace_witness` returns a window only
+  once :meth:`IntervalTraceWitness.verify` has redone its intersections, so
+  a checker runs the search itself and nothing is stored.
 
-* Tagged sums: a distance that is a sum of at most three tagged components
-  (two block values drawn from distinct gauge families plus one hub value).
-  The hypotheses that force independence are syntactic.  Each sum must pass
-  :func:`tagged_sum_holds` on its own (distinct registered gauge tags, at most
-  one hub component, not every component zero), and two sums must have
-  different component multisets, which :func:`multiset_key` turns into a
-  sort: two sums differ exactly when their keys do.
+* Tagged sums: a distance that is a sum of at most three nonzero tagged
+  components (two block values drawn from distinct gauge families plus one
+  hub value).  The hypotheses that force independence are syntactic.  Each
+  sum must pass :func:`tagged_sum_holds` on its own (block and hub values
+  only, none of them 0, distinct registered gauge tags, at most one hub
+  component), and two sums must have different component multisets, which
+  :func:`multiset_key` turns into a sort: two sums differ exactly when their
+  keys do.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from typing import Iterable, Sequence
 
 from .coded import CodedReal, _parse_int, equals
 from .errors import DomainError
-from .intervals import IntervalSet, _decode_once, _dict_key, _frac_str, _parse_frac
+from .intervals import IntervalSet, _decode_once, _dict_key
 
 
 @dataclass(frozen=True)
 class IntervalTraceWitness:
     """Shared-window trace data certifying Q-linear independence."""
 
-    k: int
     window_start: Fraction
     base: Fraction
     cuts: tuple[Fraction, ...]
@@ -56,34 +58,13 @@ class IntervalTraceWitness:
                 return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "interval-trace",
-            "k": self.k,
-            "window": [_frac_str(self.window_start), _frac_str(self.window_start + 1)],
-            "base": _frac_str(self.base),
-            "cuts": [_frac_str(b) for b in self.cuts],
-            "index_sets": [s.to_json() for s in self.index_sets],
-        }
 
-    @staticmethod
-    def from_json(data: dict) -> "IntervalTraceWitness":
-        return IntervalTraceWitness(
-            k=_parse_int(data["k"]),
-            window_start=_parse_frac(data["window"][0]),
-            base=_parse_frac(data["base"]),
-            cuts=tuple(_parse_frac(b) for b in data["cuts"]),
-            index_sets=tuple(IntervalSet.from_json(s) for s in data["index_sets"]),
-        )
-
-
-def find_interval_trace_witness(
-    index_sets: Sequence[IntervalSet], k: int = 0
-) -> IntervalTraceWitness | None:
+def find_interval_trace_witness(index_sets: Sequence[IntervalSet]) -> IntervalTraceWitness | None:
     """Search for a shared window certifying independence of the given sets.
 
     Returns ``None`` when no window works; that is inconclusive, not a
-    dependence proof.
+    dependence proof.  A window is returned only once
+    :meth:`IntervalTraceWitness.verify` accepts it.
     """
     if not index_sets:
         raise DomainError("need at least one index set")
@@ -101,15 +82,9 @@ def find_interval_trace_witness(
         cuts = tuple(t.blocks[0][1] for t in traces)
         if len(set(cuts)) != len(cuts):
             continue
-        witness = IntervalTraceWitness(
-            k=k,
-            window_start=Fraction(n),
-            base=base,
-            cuts=cuts,
-            index_sets=tuple(index_sets),
-        )
-        assert witness.verify()
-        return witness
+        witness = IntervalTraceWitness(Fraction(n), base, cuts, tuple(index_sets))
+        if witness.verify():
+            return witness
     return None
 
 
@@ -117,7 +92,7 @@ def find_interval_trace_witness(
 class SumComponent:
     """One tagged summand of a composite distance value."""
 
-    kind: str  # "block", "hub" or "zero"
+    kind: str  # "block" or "hub"
     gauge_id: int | None = None
     hub_index: int | None = None
     detail: tuple[str, ...] = ()
@@ -155,20 +130,21 @@ class SumComponent:
 def tagged_sum_holds(side: Sequence[SumComponent], known_gauges: Iterable[int]) -> bool:
     """The syntactic hypotheses on one tagged sum.
 
-    One to three components; the nonzero block components carry distinct
-    gauges, all in ``known_gauges`` (a checker cannot vouch for families it
-    has never registered); at most one hub component; and the sum is nonzero,
-    since zero is dependent with everything.
+    One to three components, each a block or hub value that is not 0 (a zero
+    summand leaves the sum as it is but changes its multiset); the block
+    components carry distinct gauges, all in ``known_gauges`` (a checker
+    cannot vouch for families it has never registered); and at most one hub
+    component.
     """
     if not 1 <= len(side) <= 3:
         return False
-    zero = [c.value.is_zero_form() or equals(c.value, 0) for c in side]
-    gauge_ids = [c.gauge_id for c, z in zip(side, zero) if c.kind == "block" and not z]
+    if any(c.kind not in ("block", "hub") or c.value.is_zero_form() or equals(c.value, 0)
+           for c in side):
+        return False
+    gauge_ids = [c.gauge_id for c in side if c.kind == "block"]
     if len(gauge_ids) != len(set(gauge_ids)) or not set(gauge_ids) <= set(known_gauges):
         return False
-    if sum(c.kind == "hub" for c in side) > 1:
-        return False
-    return not all(zero)
+    return sum(c.kind == "hub" for c in side) <= 1
 
 
 def multiset_key(side: Sequence[SumComponent]) -> tuple[CodedReal, ...]:

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from .errors import ResourceError
+
 Block = tuple[Fraction, Fraction]
 
 
@@ -201,7 +203,10 @@ def _as_fraction(q: Fraction | int) -> Fraction:
 
 
 def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise ResourceError(f"rational too long to write: {exc}") from exc
 
 
 _PQ = re.compile(r"(-?[0-9]+)/([0-9]+)")
@@ -213,8 +218,9 @@ def _parse_frac(s: str) -> Fraction:
     ``-?digits/digits`` is read as two integers; any other input goes to
     ``Fraction`` as it is, so every spelling ``Fraction`` accepts keeps its
     value and every one it rejects raises the same exception type (a zero
-    denominator raises ``ZeroDivisionError``).  Inside a decode scope each
-    ``str`` is read once.
+    denominator raises ``ZeroDivisionError``).  A ``p/q`` with more digits
+    than ``sys.get_int_max_str_digits()`` raises ``ResourceError``.  Inside a
+    decode scope each ``str`` is read once.
     """
     memo = _decode_memo.get()
     if memo is None or type(s) is not str:
@@ -229,7 +235,11 @@ def _read_frac(s: str) -> Fraction:
     m = _PQ.fullmatch(s) if isinstance(s, str) else None
     if m is None:
         return Fraction(s)
-    return Fraction(int(m[1]), int(m[2]))
+    try:
+        p, q = int(m[1]), int(m[2])
+    except ValueError as exc:  # digits only: more than the int-string limit
+        raise ResourceError(f"rational too long to read: {exc}") from exc
+    return Fraction(p, q)
 
 
 def _read_intervals(data: Iterable[Iterable[str]]) -> IntervalSet:

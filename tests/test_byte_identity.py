@@ -41,11 +41,11 @@ CLUSTERED_2X3 = (
 RIGIDIFY_DIGESTS = {
     "spread-6": (
         "99390c2083ca63688003c9f43ecc2b1f0d59996e9d5ab26bc02cfc2e36294596",
-        "076d5c0626eaf3ab9e43de0c0d6914b8a30aa365572bce4b5a296cb4ea4084e1",
+        "99084c2ccade1f1cf3137e29a1d1cadba6e5952b83a53036a7420ab3319ff742",
     ),
     "clustered-2x3": (
         "ec804d1496bfa240fc2893ccb5b3bf4cadb0fc90d0944d5cda7d0a8cbc46ac10",
-        "0b832ce129a83353133b545bcb2452adf6a0ddd38ec5dd8c93763925e42f62ea",
+        "990a0deff44ad056204f23300ddf67612ff2f5a2b7365914fb05e92aed7ce0b0",
     ),
 }
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import clustered_metric
 from rigidmetrics import cli
 from rigidmetrics.cli import main
-from rigidmetrics.glue import rigidify_full
+from rigidmetrics.glue import CERTIFICATE_VERSION, rigidify_full
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
 
 
@@ -25,6 +26,20 @@ def metric_file(tmp_path):
 def test_dist_zero(metric_file, capsys):
     assert main(["dist", str(metric_file), str(metric_file)]) == 0
     assert capsys.readouterr().out.strip() == "0/1"
+
+
+def test_dist_prints_an_enclosure_when_it_is_not_exact(tmp_path, capsys):
+    # |1 + <g0,[0,1/3)> - 1| has no exact rational enclosure: lo and hi differ
+    coded = {"offset": "1/1", "terms": [{"coeff": "1/1", "k": 0, "intervals": [["0/1", "1/3"]]}]}
+    paths = []
+    for name, d in (("coded", coded), ("one", {"offset": "1/1", "terms": []})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"points": ["a", "b"], "matrix": [
+            [{"offset": "0/1", "terms": []}, d], [d, {"offset": "0/1", "terms": []}]]}))
+        paths.append(str(path))
+    assert main(["dist", *paths]) == 0
+    lo, hi = (Fraction(x) for x in capsys.readouterr().out.split())
+    assert 0 < lo < hi
 
 
 def test_verify_exit_codes(metric_file, capsys):
@@ -209,7 +224,7 @@ HALF_LADDER = json.dumps(_two_points(_entry("1/1", [["0/1", "1/1"]], k=1.5)))
 ONE_POINT = {"points": ["a"], "matrix": [[_entry()]]}
 # the checker reaches sup_bound once every (here: no) row has passed
 ZERO_DEN_EPSILON_CERT = json.dumps({
-    "version": 1,
+    "version": CERTIFICATE_VERSION,
     "metric": ONE_POINT,
     "input": ONE_POINT,
     "registry": {},
@@ -450,3 +465,59 @@ def test_indep_refuses_a_v0_certificate(clustered_certificate, tmp_path, capsys)
     old.write_text(json.dumps(cert))
     assert main(["indep", str(old)]) == 3
     assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
+
+
+def test_indep_refuses_a_v1_certificate(clustered_certificate, tmp_path, capsys):
+    cert = json.loads(clustered_certificate.read_text())
+    cert["version"] = 1
+    old = tmp_path / "v1.cert.json"
+    old.write_text(json.dumps(cert))
+    assert main(["indep", str(old)]) == 3
+    assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
+
+
+@pytest.fixture
+def digit_cap():
+    """Python's int-string digit limit lowered to its least value, 640."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer digit cap before Python 3.10.7")
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
+def test_digit_cap_on_output_is_a_resource_limit(tmp_path, capsys, digit_cap):
+    # two points at distance 1 with epsilon 1/100: the hub window's ends have
+    # Theta(d / epsilon) digits, and the sup enclosure written from them more
+    # than 640
+    source = tmp_path / "two.csv"
+    source.write_text("point,a,b\na,0,1\nb,1,0\n")
+    out = tmp_path / "out.json"
+    argv = ["rigidify", str(source), "--epsilon", "1/100", "--full", "--out", str(out)]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: rational too long to write")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [source]
+
+
+def test_digit_cap_on_input_is_a_resource_limit(tmp_path, capsys, digit_cap):
+    source = tmp_path / "long.json"
+    source.write_text(json.dumps(_two_points(_entry("1" * 700 + "/1"))))
+    assert main(["verify", "--metric", str(source), "--check", "metric"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: rational too long to read")
+    assert "Traceback" not in err
+
+
+def test_digit_cap_on_a_distance_is_a_resource_limit(tmp_path, capsys, digit_cap):
+    # each entry has 401 digits, their difference's denominator about 800
+    paths = []
+    for name, den in (("a", 10**400 + 1), ("b", 10**400 + 3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_two_points(_entry(f"{den + 1}/{den}"))))
+        paths.append(str(path))
+    assert main(["dist", *paths]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: rational too long to write")

@@ -19,11 +19,7 @@ from rigidmetrics.glue import (
     sup_bound_check,
     verify_certificate,
 )
-from rigidmetrics.independence import (
-    IntervalTraceWitness,
-    SumComponent,
-    find_interval_trace_witness,
-)
+from rigidmetrics.independence import IntervalTraceWitness, SumComponent
 from rigidmetrics.intervals import IntervalSet, _decode_memo, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
@@ -274,9 +270,12 @@ def test_rigidify_full_two_points():
     out, cert = rigidify_full(d, Fraction(1, 2))
     assert cert.sup_hi <= Fraction(1, 2)
     assert is_strongly_rigid(out).passed
-    # the lone distance carries an independence-against-1 witness
+    # the lone distance is its hub value, independent of 1 by a witness that
+    # the row does not store
     unit_records = [r for r in cert.independence if r.get("pair_right") == ["1"]]
-    assert len(unit_records) == 1 and "trace_witness" in unit_records[0]
+    assert len(unit_records) == 1 and "trace_witness" not in unit_records[0]
+    (comp,) = unit_records[0]["certificate"]["left"]
+    assert comp["kind"] == "hub"
 
 
 def test_rigidify_full_six_points(rng):
@@ -348,7 +347,7 @@ def test_rigidify_full_guards():
 
 @pytest.mark.parametrize(
     "name, stub, message",
-    [("find_interval_trace_witness", lambda sets, k: None,
+    [("find_interval_trace_witness", lambda sets: None,
       "no independent-of-1 witness for ('p0', 'p1')"),
      ("multiset_key", lambda side: (), "equal component multisets for")],
 )
@@ -454,27 +453,53 @@ def _self_pair(blob):
     row["pair_right"] = list(row["pair_left"])
 
 
-def _equal_multisets(blob):
-    # row 1 takes row 0's components and witness, and the metric entry of
-    # pair 1 takes pair 0's value, so that row passes every check of its own
+def _restate_sup(blob):
+    """Claim the sup bound as the checker recomputes it."""
+    _, sup = glue._certify_sup_bound(
+        FiniteMetric.from_json(blob["input"]), FiniteMetric.from_json(blob["metric"]),
+        Fraction(blob["sup_bound"]["epsilon"]), 64,
+    )
+    blob["sup_bound"].update(achieved_lo=_frac_str(sup.lo), achieved_hi=_frac_str(sup.hi))
+
+
+def _copied_row(blob, extra=()):
+    """Row 1 takes row 0's components, followed by ``extra``; the metric and
+    input entries of pair 1 take pair 0's, and the claimed sup is restated,
+    so that row passes every check of its own."""
     first, second = _rows(blob)[:2]
-    second["certificate"] = first["certificate"]
-    second["trace_witness"] = first["trace_witness"]
-    points, matrix = blob["metric"]["points"], blob["metric"]["matrix"]
-    (a, b), (c, e) = ([points.index(x) for x in row["pair_left"]] for row in (first, second))
-    matrix[c][e] = matrix[e][c] = matrix[a][b]
+    second["certificate"] = {**first["certificate"],
+                             "left": first["certificate"]["left"] + list(extra)}
+    for name in ("metric", "input"):
+        _set_entry(blob, name, second["pair_left"], _entry(blob, name, first["pair_left"]))
+    _restate_sup(blob)
+
+
+def _equal_multisets(blob):
+    _copied_row(blob)
+
+
+_ZERO = {"offset": "0/1", "terms": []}
+
+
+def _zero_padded_row(blob):
+    # a zero summand changes row 1's multiset but not its sum; this one has
+    # the earlier format's "zero" kind
+    _copied_row(blob, [{"kind": "zero", "gauge": None, "hub_index": None, "detail": [],
+                        "value": _ZERO}])
+
+
+def _zero_block_padded_row(blob):
+    # a zero block value on a registered gauge that row 0 does not use, which
+    # replays as e(x, x): without the rule against zero components only the
+    # strong-rigidity recheck would catch the equal distances
+    x = blob["metric"]["points"][0]
+    gauge = blob["parameters"]["block_gauges"][-1]
+    _copied_row(blob, [{"kind": "block", "gauge": gauge, "hub_index": None, "detail": [x, x],
+                        "value": _ZERO}])
 
 
 def _zeroed_sup(blob):
     blob["sup_bound"]["achieved_hi"] = "0/1"
-
-
-def _copied_witness(blob):
-    _rows(blob)[1]["trace_witness"] = _rows(blob)[0]["trace_witness"]
-
-
-def _deleted_witness(blob):
-    del _rows(blob)[-1]["trace_witness"]
 
 
 def _shifted_input(blob):
@@ -511,10 +536,10 @@ def _hub_of(row):
 
 def _reallocate_hub(blob, index, fields, value, input_shift):
     """Rewrite hub allocation ``index`` with ``fields`` and carry its new
-    value ``value`` through every row that names it: its hub component, a unit
-    witness found afresh, its metric entry (the sum of its components) and
-    its input entry (moved by ``input_shift``).  The claimed sup is then
-    restated as the checker recomputes it, so only the registry is at odds."""
+    value ``value`` through every row that names it: its hub component, its
+    metric entry (the sum of its components) and its input entry (moved by
+    ``input_shift``).  The claimed sup is then restated as the checker
+    recomputes it, so only the registry is at odds."""
     blob["registry"]["hubs"][str(index)].update(fields)
     for row in _rows(blob):
         hub = _hub_of(row)
@@ -522,15 +547,10 @@ def _reallocate_hub(blob, index, fields, value, input_shift):
             continue
         hub["value"] = value.to_json()
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        row["trace_witness"] = glue._trace_witness_for(comps).to_json()
         pair = row["pair_left"]
         _set_entry(blob, "metric", pair, glue._component_sum(comps))
         _set_entry(blob, "input", pair, _entry(blob, "input", pair) + input_shift)
-    _, sup = glue._certify_sup_bound(
-        FiniteMetric.from_json(blob["input"]), FiniteMetric.from_json(blob["metric"]),
-        Fraction(blob["sup_bound"]["epsilon"]), 64,
-    )
-    blob["sup_bound"].update(achieved_lo=_frac_str(sup.lo), achieved_hi=_frac_str(sup.hi))
+    _restate_sup(blob)
 
 
 def _doubled_hub(blob, share_draws):
@@ -583,7 +603,7 @@ def _hub_off_ladder(blob):
     "forge",
     [_empty_list, _dropped_record, _duplicated_record, _swapped_metric,
      _deleted_parameters, _foreign_pair, _self_pair, _equal_multisets,
-     _zeroed_sup, _copied_witness, _deleted_witness, _shifted_input,
+     _zero_padded_row, _zero_block_padded_row, _zeroed_sup, _shifted_input,
      _renamed_input, _shared_word_pair, _repeated_draws],
 )
 def test_certificate_forgeries_fail(certificates, kind, forge):
@@ -596,9 +616,9 @@ def test_certificate_forgeries_fail(certificates, kind, forge):
 @pytest.mark.parametrize(
     "forge, detail",
     [(_equal_multisets, "equal component multisets"),
+     (_zero_padded_row, "independence hypotheses failed"),
+     (_zero_block_padded_row, "independence hypotheses failed"),
      (_zeroed_sup, "claimed sup bound"),
-     (_copied_witness, "unit witness"),
-     (_deleted_witness, "unit witness"),
      (_shifted_input, "sup bound exceeded"),
      (_renamed_input, "different points")],
 )
@@ -609,6 +629,8 @@ def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
     assert report.verdict == "fail" and detail in report.detail
     if forge is _equal_multisets:
         assert report.witnesses == tuple(tuple(r["pair_left"]) for r in _rows(blob)[:2])
+    if forge in (_zero_padded_row, _zero_block_padded_row):
+        assert report.witnesses == (tuple(_rows(blob)[1]["pair_left"]),)
 
 
 @pytest.mark.parametrize(
@@ -709,24 +731,17 @@ def test_the_reserved_gauge_tags_no_block_component():
     for row in _rows(blob):
         for comp in row["certificate"]["left"]:
             if comp["kind"] == "block" and comp["gauge"] == gauge:
-                comp["gauge"] = 0
-                if comp["value"]["terms"]:
-                    comp["value"] = basis.to_json()
+                comp.update(gauge=0, value=basis.to_json())
             elif comp["kind"] == "hub":
                 comp["value"] = (basis * 32).to_json()
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        row["trace_witness"] = glue._trace_witness_for(comps).to_json()
         value = glue._component_sum(comps)
         _set_entry(blob, "metric", row["pair_left"], value)
         # the input moves to the midpoint of an enclosure of the new entry
         enc = value.eval(4)
         mid = CodedReal.from_rational((enc.lo + enc.hi) / 2)
         _set_entry(blob, "input", row["pair_left"], mid)
-    _, sup = glue._certify_sup_bound(
-        FiniteMetric.from_json(blob["input"]), FiniteMetric.from_json(blob["metric"]),
-        Fraction(blob["sup_bound"]["epsilon"]), 64,
-    )
-    blob["sup_bound"].update(achieved_lo=_frac_str(sup.lo), achieved_hi=_frac_str(sup.hi))
+    _restate_sup(blob)
     forged = FiniteMetric.from_json(blob["metric"])
     assert forged.distance("a", "c") == forged.distance("a", "b") * 32
     report = verify_certificate(blob)
@@ -743,16 +758,42 @@ def test_draws_must_lie_in_their_level(certificates):
     assert report.verdict == "fail" and "lies outside level 1" in report.detail
 
 
-def test_unit_witness_must_cover_every_index_set_of_its_row(certificates):
+def test_unit_witness_must_cover_every_index_set_of_its_row(certificates, monkeypatch):
+    # the checker searches each row's window over the distinct index sets of
+    # all its components
     blob = json.loads(certificates["clustered"])
-    row = next(r for r in _rows(blob) if len(r["trace_witness"]["index_sets"]) >= 2)
-    witness = IntervalTraceWitness.from_json(row["trace_witness"])
-    subset = find_interval_trace_witness(witness.index_sets[:1], witness.k)
-    assert subset is not None and subset.verify()
-    row["trace_witness"] = subset.to_json()
+    searched = []
+    real_find = glue.find_interval_trace_witness
+    monkeypatch.setattr(glue, "find_interval_trace_witness",
+                        lambda sets: searched.append(sets) or real_find(sets))
+    assert verify_certificate(blob).passed
+    expected = []
+    for row in _rows(blob):
+        terms = [t for c in row["certificate"]["left"] for t in c["value"]["terms"]]
+        expected.append(tuple(dict.fromkeys(IntervalSet.from_json(t["intervals"]) for t in terms)))
+    assert searched == expected
+    assert any(len(sets) >= 3 for sets in searched)
+
+
+def test_a_window_that_fails_its_verification_is_not_a_witness(certificates, monkeypatch):
+    blob = json.loads(certificates["spread"])
+    sets = [IntervalSet.block(0, Fraction(1, 2)), IntervalSet.block(0, Fraction(3, 4))]
+    assert glue.find_interval_trace_witness(sets) is not None
+    monkeypatch.setattr(IntervalTraceWitness, "verify", lambda self: False)
+    assert glue.find_interval_trace_witness(sets) is None
     report = verify_certificate(blob)
-    assert report.verdict == "fail" and "unit witness" in report.detail
-    assert report.witnesses == (tuple(row["pair_left"]),)
+    assert report.verdict == "fail" and report.detail == "unit witness failed"
+    assert report.witnesses == (tuple(_rows(blob)[0]["pair_left"]),)
+
+
+def test_the_checker_verifies_each_window_once(certificates, monkeypatch):
+    blob = json.loads(certificates["clustered"])
+    calls = []
+    real_verify = IntervalTraceWitness.verify
+    monkeypatch.setattr(IntervalTraceWitness, "verify",
+                        lambda self: calls.append(self) or real_verify(self))
+    assert verify_certificate(blob).passed
+    assert len(calls) == len(_rows(blob))
 
 
 def test_hub_allocations_hold_only_the_replayed_fields(certificates):
@@ -781,7 +822,9 @@ def test_certificate_with_the_dropped_fields_still_passes(certificates, kind):
     assert verify_certificate(blob).passed
 
 
-@pytest.mark.parametrize("version", [None, 0, 2, "1"])
+# 1 is the earlier format, whose rows also held zero components and a
+# stored trace witness; no reader for it is kept
+@pytest.mark.parametrize("version", [None, 0, 1, 3, "2"])
 def test_other_certificate_versions_are_refused(certificates, version):
     blob = json.loads(certificates["spread"])
     assert blob["version"] == CERTIFICATE_VERSION
@@ -846,7 +889,7 @@ def test_same_block_component_is_its_metric_entry(certificates, monkeypatch):
     )
     assert verify_certificate(json.loads(certificates["clustered"])).passed
     (metric,) = metrics
-    same_block = [side[0] for side in sides if side[2].kind == "zero"]
+    same_block = [side[0] for side in sides if len(side) == 1 and side[0].kind == "block"]
     assert same_block
     assert all(c.value is metric.distance(*c.detail) for c in same_block)
 
@@ -857,8 +900,6 @@ def _interval_lists(node, found):
         for key, value in node.items():
             if key == "intervals":
                 found.append(repr(value))
-            elif key == "index_sets":
-                found.extend(map(repr, value))
             else:
                 _interval_lists(value, found)
     elif isinstance(node, list):
@@ -896,7 +937,7 @@ def test_verify_certificate_decodes_each_interval_list_and_rational_once(
     monkeypatch.setattr(IntervalSet, "from_blocks", staticmethod(counting_from_blocks))
     monkeypatch.setattr(intervals, "_read_frac", counting_read)
     assert verify_certificate(blob).passed
-    # the trace witnesses repeat their components' index sets
+    # the rows repeat their components' index sets
     assert sorted(builds) == sorted(set(lists)) and len(builds) < len(lists)
     assert len(reads) == len(set(reads))
     assert _decode_memo.get() is None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rigidmetrics.coded import CodedReal
+from rigidmetrics.errors import ResourceError
 from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import (
     EMPTY_SET,
@@ -379,11 +380,11 @@ def test_digit_cap_holds_inside_a_scope():
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceError, match="rational too long to read"):
             FiniteMetric.from_json(data)
         with _decode_scope():
             for _ in range(2):
-                with pytest.raises(ValueError):
+                with pytest.raises(ResourceError):
                     _parse_frac(long)
             assert long not in _decode_memo.get()
     finally:
