@@ -13,15 +13,16 @@ Terms are kept in a canonical weighted form: for each exponent offset ``k``
 one sweep over the block endpoints, scaled to integers over a shared
 denominator, accumulates the total weight of every elementary segment, and
 segments are regrouped by weight, so equal weighted forms denote equal
-numbers.  Input that is canonical by construction skips the sweep: a ladder
-that holds one entry, a canonical value times a rational
-(:meth:`CodedReal.__mul__`, which at most re-sorts the terms), and in a
-signed sum of values (:func:`_signed_sum`, behind ``+``, ``-`` and the
-package's n-ary sums) every ladder that only one summand touches, which
-keeps that summand's terms times its sign.  Only ladders that two or more
-summands touch are swept, once each.  This rests on one invariant: every
-``CodedReal`` the package makes comes out of :meth:`CodedReal.build`,
-``__mul__`` or :func:`_signed_sum`, so every summand is canonical already.
+numbers.  One rule, :func:`_merge_ladders`, makes the form from summands
+that are canonical on their ladders: the parts of :meth:`CodedReal.build`,
+one term each, and in a signed sum of values (:func:`_signed_sum`, behind
+``+``, ``-`` and the package's n-ary sums) each value's terms on one
+ladder.  A ladder that one summand alone touches keeps its terms times its
+sign; only ladders that two or more summands touch are swept, once each.
+A canonical value times a rational (:meth:`CodedReal.__mul__`) at most
+re-sorts its terms.  This rests on one invariant: every ``CodedReal`` the
+package makes comes out of :meth:`CodedReal.build`, ``__mul__`` or
+:func:`_signed_sum`, so every summand is canonical already.
 
 The form is unique per ladder ``k`` only: since
 ``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
@@ -57,7 +58,7 @@ from .enumeration import (
     tree_depth,
 )
 from .errors import DomainError, PrecisionError
-from .intervals import IntervalSet, _as_fraction, _decode_once, _dict_key, _frac_str, _parse_frac
+from .intervals import IntervalSet, _as_fraction, _decode_once, _frac_str, _parse_frac
 
 Ordering = Literal["less", "equal", "greater", "unresolved"]
 
@@ -136,43 +137,6 @@ class Term:
     index_set: IntervalSet
 
 
-def _canonical_terms(
-    raw: Iterable[tuple[Fraction | int, int, IntervalSet]]
-) -> tuple[Term, ...]:
-    """The canonical weighted form of ``sum coeff * <gamma_k, B>`` over ``raw``.
-
-    One sweep per ladder ``k`` (:func:`_sweep_ladder`), ladders in ascending
-    order.  A ladder that holds one entry is already canonical: its
-    coefficient is nonzero and its set is nonempty and in normal form
-    (``IntervalSet`` checks that on construction), so the sweep would give
-    back the same blocks at the same weight.  Such an entry is emitted as it
-    is, with the caller's set object.
-
-    Sums of ``CodedReal`` values do not come here: :func:`_signed_sum` keeps
-    a ladder that only one summand touches as that summand's terms times its
-    sign, since the summand's form is canonical on that ladder already and a
-    sign at most reverses the order of its weights, and it sweeps only the
-    ladders that two or more summands touch.
-    """
-    by_k: dict[int, list[tuple[Fraction, IntervalSet]]] = {}
-    for coeff, k, sett in raw:
-        coeff = _as_fraction(coeff)
-        if k < 0:
-            raise ValueError("schedule offset must be nonnegative")
-        if coeff == 0 or sett.is_empty:
-            continue
-        by_k.setdefault(k, []).append((coeff, sett))
-    out: list[Term] = []
-    for k in sorted(by_k):
-        entries = by_k[k]
-        if len(entries) == 1:
-            coeff, sett = entries[0]
-            out.append(Term(coeff, k, sett))
-        else:
-            out.extend(_sweep_ladder(k, entries))
-    return tuple(out)
-
-
 def _sweep_ladder(k: int, entries: list[tuple[Fraction, IntervalSet]]) -> list[Term]:
     """The canonical terms of ``sum coeff * <gamma_k, B>`` on one ladder.
 
@@ -239,7 +203,17 @@ class CodedReal:
         offset: Fraction | int,
         parts: Iterable[tuple[Fraction | int, int, IntervalSet]] = (),
     ) -> "CodedReal":
-        return CodedReal(_as_fraction(offset), _canonical_terms(parts))
+        """The canonical form of ``offset + sum coeff * <gamma_k, B>`` over
+        ``parts``: a zero coefficient or an empty set is dropped, and each
+        other part is its own summand of :func:`_merge_ladders`."""
+        touched: dict[int, list[tuple[int, list[Term]]]] = {}
+        for coeff, k, sett in parts:
+            coeff = _as_fraction(coeff)
+            if k < 0:
+                raise ValueError("schedule offset must be nonnegative")
+            if coeff != 0 and not sett.is_empty:
+                touched.setdefault(k, []).append((1, [Term(coeff, k, sett)]))
+        return CodedReal(_as_fraction(offset), _merge_ladders(touched))
 
     @property
     def is_rational(self) -> bool:
@@ -362,7 +336,7 @@ class CodedReal:
 
     @staticmethod
     def from_json(data: dict) -> "CodedReal":
-        return _decode_once(CodedReal._decode, data, _dict_key)
+        return _decode_once(CodedReal._decode, data)
 
     @staticmethod
     def _decode(data: dict) -> "CodedReal":
@@ -424,14 +398,9 @@ _ZERO = Fraction(0)
 
 def _signed_sum(signed: Iterable[tuple[int, CodedReal]]) -> CodedReal:
     """``sum sign * value`` over ``(sign, value)`` pairs, each sign ``+1`` or
-    ``-1``, each value canonical.
-
-    A ladder that only one summand touches keeps that summand's terms as
-    they are, times its sign: they are a canonical form already, and for
-    ``-1`` their order is reversed, as :meth:`CodedReal.__mul__` would
-    re-sort them.  Every ladder that two or more summands touch is swept
-    once (:func:`_sweep_ladder`) over all of their terms on it.  The result
-    is canonical, with the form :meth:`CodedReal.build` gives the raw parts.
+    ``-1``, each value canonical, in one pass: a value's terms on one ladder
+    are one group of :func:`_merge_ladders`.  The result is canonical, with
+    the form :meth:`CodedReal.build` gives the raw parts.
     """
     offset = _ZERO
     touched: dict[int, list[tuple[int, list[Term]]]] = {}
@@ -445,6 +414,20 @@ def _signed_sum(signed: Iterable[tuple[int, CodedReal]]) -> CodedReal:
                 group: list[Term] = []
                 touched.setdefault(k_prev, []).append((s, group))
             group.append(t)
+    return CodedReal(offset, _merge_ladders(touched))
+
+
+def _merge_ladders(touched: dict[int, list[tuple[int, list[Term]]]]) -> tuple[Term, ...]:
+    """The canonical terms of the signed groups in ``touched``, ladders in
+    ascending order.
+
+    ``touched[k]`` lists ``(sign, terms)`` groups, each a canonical form on
+    ladder ``k``.  A ladder that one group alone touches keeps that group's
+    terms, times its sign: for ``-1`` their order is reversed, as
+    :meth:`CodedReal.__mul__` would re-sort them.  Every ladder that two or
+    more groups touch is swept once (:func:`_sweep_ladder`) over all of
+    their terms, in order.
+    """
     terms: list[Term] = []
     for k in sorted(touched):
         groups = touched[k]
@@ -458,7 +441,7 @@ def _signed_sum(signed: Iterable[tuple[int, CodedReal]]) -> CodedReal:
             terms += _sweep_ladder(
                 k, [(t.coeff if s > 0 else -t.coeff, t.index_set) for s, g in groups for t in g]
             )
-    return CodedReal(offset, tuple(terms))
+    return tuple(terms)
 
 
 def _difference(x: CodedReal, *ys: CodedReal) -> CodedReal:
@@ -602,19 +585,6 @@ def _piece_support(
     return result
 
 
-def _piece_events(
-    k: int,
-    weight: int,
-    index_set: IntervalSet,
-    index_cap: int,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Support events and tail bounds of ``weight * <gamma_k, index_set>``."""
-    support, tail_exps = _piece_support(k, index_set, index_cap)
-    events = [(e, weight) for e in support]
-    tails = [(e, 2 * abs(weight)) for e in tail_exps]
-    return events, tails
-
-
 def _fold_onto(value: CodedReal, k0: int) -> CodedReal:
     """The same number with every term moved onto ladder ``k0``, which must
     not exceed any of its ladders; values already on ``k0`` alone are
@@ -673,13 +643,11 @@ def _sign_once(
     lo_pad: list[tuple[int, int]] = []
     hi_pad: list[tuple[int, int]] = []
     for term in value.terms:
+        # support events of w * <gamma_k, B>, and its tail bounds 2 * w each
         w = int(term.coeff * scale)
-        ev, tails = _piece_events(term.k, w, term.index_set, index_cap)
-        events.extend(ev)
-        if w > 0:
-            hi_pad.extend(tails)
-        else:
-            lo_pad.extend((e, -c) for e, c in tails)
+        support, tail_exps = _piece_support(term.k, term.index_set, index_cap)
+        events.extend((e, w) for e in support)
+        (hi_pad if w > 0 else lo_pad).extend((e, 2 * w) for e in tail_exps)
     lo_sign = _mixed_sign(base, events + lo_pad)
     hi_sign = _mixed_sign(base, events + hi_pad)
     if lo_sign > 0:

@@ -29,7 +29,6 @@ it; only the rest go through the exact engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -60,6 +59,7 @@ from .intervals import _decode_scope, _frac_str, _parse_frac
 from .metric import FiniteMetric
 from .product import tau
 from .registry import RESERVED_GAUGE_ID, HubAllocation, ValueRegistry, gauge_from_snapshot
+from .rigidify import snap_to_grid, subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
 CERTIFICATE_VERSION = 2
@@ -351,7 +351,7 @@ def _hub_metric(
 
     Hub distances are snapped to integers at step ``eta_h = eta / 2`` and
     replaced by hub-pool values placed strictly inside the scaled windows
-    ``(N + 2^-(N+1), N + 2^-N) * eta_h``, which certifies the strict triangle
+    ``subadditive_window(N) * eta_h``, which certifies the strict triangle
     inequality and keeps the defect below ``2 * eta_h = eta``.  Also returns
     the registry allocation index of each hub pair, in both orders.
     """
@@ -359,11 +359,10 @@ def _hub_metric(
     if len(hubs) == 1:
         return FiniteMetric.from_entries(hubs, [[0]]), {}
     eta_h = eta / 2
-    d_hubs = d.restrict(hubs)
-    integers: dict[tuple[int, int], int] = {}
-    for i, j in d_hubs.pairs():
-        value = d_hubs.at(i, j).rational_value()
-        integers[(i, j)] = math.ceil(value / eta_h)
+    snapped = snap_to_grid(d.restrict(hubs), eta_h)
+    integers = {
+        (i, j): int(snapped.at(i, j).rational_value() / eta_h) for i, j in snapped.pairs()
+    }
     n_max = max(integers.values())
     # Allocation indices large enough that the coded fuzz of every hub value
     # stays below half the narrowest window and below the least triangle
@@ -374,8 +373,7 @@ def _hub_metric(
     entries: dict[tuple[int, int], CodedReal] = {}
     hub_index: dict[tuple[str, str], int] = {}
     for alloc, ((i, j), n) in enumerate(integers.items(), start=base_index):
-        lo = eta_h * (n + Fraction(1, 1 << (n + 1)))
-        hi = eta_h * (n + Fraction(1, 1 << n))
+        lo, hi = (eta_h * end for end in subadditive_window(n))
         target = (lo + hi) / 2
         value = registry.hub_value(k, alloc, target)
         hub_alloc = registry.hub_allocation(alloc)
@@ -420,7 +418,7 @@ def _certify_sup_bound(
         diff = glued.at(i, j) - d.at(i, j)
         try:
             # lo > 0 exactly when diff's enclosure lies strictly off 0
-            enc = _abs_enclosure(diff, 8)
+            enc = _abs_enclosure(diff)
         except PrecisionError:
             enc = None
         if (enc is None or allowance_lo is None

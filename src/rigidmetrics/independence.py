@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .coded import CodedReal, _parse_int, equals
 from .errors import DomainError
-from .intervals import IntervalSet, _decode_once, _dict_key
+from .intervals import IntervalSet, _decode_once
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class SumComponent:
 
     @staticmethod
     def from_json(data: dict) -> "SumComponent":
-        return _decode_once(SumComponent._decode, data, _dict_key)
+        return _decode_once(SumComponent._decode, data)
 
     @staticmethod
     def _decode(data: dict) -> "SumComponent":

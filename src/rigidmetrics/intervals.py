@@ -21,10 +21,9 @@ raises).  Inside it each distinct piece of the document is decoded once:
 coded value one ``CodedReal`` and every tagged component one
 ``SumComponent``.  Repeated pieces are then the same objects, and equality
 tests on them short-cut on identity.  A key is the JSON content: the ``str``
-itself, a list of two-element lists of ``str``, or the ``repr`` of a
-``dict``.  A value enters the memo only once its own decode has returned;
-any other input is decoded as outside a scope and raises what it raises
-there.
+itself, or the ``repr`` of a ``dict`` or ``list``.  A value enters the memo
+only once its own decode has returned; any other input is decoded as outside
+a scope and raises what it raises there.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Iterable[Iterable[str]]) -> "IntervalSet":
-        return _decode_once(_read_intervals, data, _interval_key)
+        return _decode_once(_read_intervals, data)
 
     def __repr__(self) -> str:
         inner = " u ".join(f"[{a}, {b})" for a, b in self.blocks)
@@ -218,8 +217,9 @@ def _parse_frac(s: str) -> Fraction:
     ``-?digits/digits`` is read as two integers; any other input goes to
     ``Fraction`` as it is, so every spelling ``Fraction`` accepts keeps its
     value and every one it rejects raises the same exception type (a zero
-    denominator raises ``ZeroDivisionError``).  A ``p/q`` with more digits
-    than ``sys.get_int_max_str_digits()`` raises ``ResourceError``.  Inside a
+    denominator raises ``ZeroDivisionError``).  A spelling ``Fraction``
+    accepts, ``p/q`` or any other, that has a run of more digits than
+    ``sys.get_int_max_str_digits()`` raises ``ResourceError``.  Inside a
     decode scope each ``str`` is read once.
     """
     memo = _decode_memo.get()
@@ -233,13 +233,25 @@ def _parse_frac(s: str) -> Fraction:
 
 def _read_frac(s: str) -> Fraction:
     m = _PQ.fullmatch(s) if isinstance(s, str) else None
-    if m is None:
-        return Fraction(s)
     try:
-        p, q = int(m[1]), int(m[2])
-    except ValueError as exc:  # digits only: more than the int-string limit
+        return Fraction(s) if m is None else Fraction(int(m[1]), int(m[2]))
+    except ValueError as exc:
+        if m is None and not _refused_for_digits(s):
+            raise
         raise ResourceError(f"rational too long to read: {exc}") from exc
-    return Fraction(p, q)
+
+
+def _refused_for_digits(s: object) -> bool:
+    """Whether ``Fraction`` accepts the string ``s`` once each digit run is
+    cut to one digit.  It checks a spelling before it reads the digits, so
+    such an ``s`` that it refused was refused for the int-string limit."""
+    if not isinstance(s, str):
+        return False
+    try:
+        Fraction(re.sub(r"\d+", "1", s))
+    except ValueError:
+        return False
+    return True
 
 
 def _read_intervals(data: Iterable[Iterable[str]]) -> IntervalSet:
@@ -263,41 +275,19 @@ def _decode_scope() -> Iterator[None]:
         _decode_memo.reset(token)
 
 
-def _decode_once(decode: Callable[[object], object], data: object, key: Callable) -> object:
+def _decode_once(decode: Callable[[object], object], data: object) -> object:
     """``decode(data)``, shared within the open decode scope.
 
-    The memo key is ``decode`` with ``key(data)``, the JSON content, so two
-    decoders never share an entry.  The value is stored only after ``decode``
-    returned.  Outside a scope, or when ``key`` gives None (input that is not
-    a JSON container of the expected shape), ``data`` is decoded without the
-    memo.
+    The memo key is ``decode`` with the ``repr`` of ``data``, its JSON
+    content, so two decoders never share an entry.  The value is stored only
+    after ``decode`` returned.  Outside a scope, or when ``data`` is neither
+    a ``dict`` nor a ``list``, ``data`` is decoded without the memo.
     """
     memo = _decode_memo.get()
-    content = None if memo is None else key(data)
-    if content is None:
+    if memo is None or type(data) not in (dict, list):
         return decode(data)
-    value = memo.get((decode, content))
+    key = (decode, repr(data))
+    value = memo.get(key)
     if value is None:
-        value = memo[decode, content] = decode(data)
+        value = memo[key] = decode(data)
     return value
-
-
-def _dict_key(data: object) -> str | None:
-    """The ``repr`` of a ``dict``, its full content; None for anything else."""
-    return repr(data) if type(data) is dict else None
-
-
-def _interval_key(data: object) -> tuple[tuple[str, str], ...] | None:
-    """``data`` as a tuple of string pairs, or None unless it is a list of
-    two-element lists of ``str``."""
-    if type(data) is not list:
-        return None
-    key = []
-    for blk in data:
-        if type(blk) is not list or len(blk) != 2:
-            return None
-        a, b = blk
-        if type(a) is not str or type(b) is not str:
-            return None
-        key.append((a, b))
-    return tuple(key)

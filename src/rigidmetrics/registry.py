@@ -13,6 +13,9 @@ The registry is the single mutable component of the package.  It owns
   ``q * upper(s) <= 2^-i``; the result is then within ``2^-(i+1) + 2^-i`` of
   the target.
 
+Pool and hub ``p`` draws share one loop, :meth:`ValueRegistry._fresh`, each
+kind checked against its own set of used values.
+
 A snapshot of the gauges' draws and the hub allocations serializes with every
 certificate so that checks remain replayable offline.  :class:`HubAllocation`
 both writes and reads a hub's record; the value is not stored but computed
@@ -131,16 +134,18 @@ class ValueRegistry:
         lo, hi = Fraction(lo), Fraction(hi)
         if not 0 <= lo < hi:
             raise DomainError(f"cannot draw from ({lo}, {hi})")
-        key = (lo, hi, salt & 1)
+        return self._fresh((lo, hi, salt & 1), self.seed ^ salt, self._used)
+
+    def _fresh(self, key: tuple[Fraction, Fraction, int], seed: int, used: set) -> Fraction:
+        """The next value of the enumerator of ``key = (lo, hi, tag)``, made
+        with ``seed`` on first use, that is not in ``used``; it joins ``used``."""
         enum = self._enumerators.get(key)
         if enum is None:
-            enum = self._enumerators[key] = _IntervalEnumerator(
-                lo, hi, self.seed ^ salt
-            )
+            enum = self._enumerators[key] = _IntervalEnumerator(key[0], key[1], seed)
         while True:
             candidate = enum.next_value()
-            if candidate not in self._used:
-                self._used.add(candidate)
+            if candidate not in used:
+                used.add(candidate)
                 return candidate
 
     # -- gauges -----------------------------------------------------------
@@ -184,15 +189,7 @@ class ValueRegistry:
         return self._hubs[i]
 
     def _draw_p(self, lo: Fraction, hi: Fraction) -> Fraction:
-        key = (lo, hi, 2)
-        enum = self._enumerators.get(key)
-        if enum is None:
-            enum = self._enumerators[key] = _IntervalEnumerator(lo, hi, self.seed)
-        while True:
-            candidate = enum.next_value()
-            if candidate not in self._p_used:
-                self._p_used.add(candidate)
-                return candidate
+        return self._fresh((lo, hi, 2), self.seed, self._p_used)
 
     # -- persistence ------------------------------------------------------
 

@@ -3,11 +3,12 @@
 The pipeline: snap the metric onto the grid ``eta * Z`` (ceiling entrywise,
 ``eta = epsilon / 2``), rescale to integers, and replace the integer ``N`` of
 each point pair by a fresh rational drawn from that pair's own dense stream
-inside ``(N + 2^-(N+1), N + 2^-N)``.  Values from these windows satisfy the
-strict triangle inequality whenever the integers do (``N1 <= N2 + N3``
-forces ``M1 < M2 + M3``), pairwise distinctness comes from stream
-disjointness, and scaling back by ``eta`` lands within ``epsilon`` of the
-input in sup distance.
+inside :func:`subadditive_window` ``(N + 2^-(N+1), N + 2^-N)``, the one window
+family of the package (``glue`` places hub values in it too).  Values from
+these windows satisfy the strict triangle inequality whenever the integers do
+(``N1 <= N2 + N3`` forces ``M1 < M2 + M3``), pairwise distinctness comes from
+stream disjointness, and scaling back by ``eta`` lands within ``epsilon`` of
+the input in sup distance.
 """
 
 from __future__ import annotations
@@ -41,20 +42,22 @@ def snap_to_grid(d: FiniteMetric, eta: Fraction) -> FiniteMetric:
     return FiniteMetric.from_pair_function(d.points, snapped)
 
 
-def pick_interval_value(n: int, stream: DenseStream) -> Fraction:
-    """A fresh stream element strictly inside ``(n + 2^-(n+1), n + 2^-n)``."""
+def subadditive_window(n: int) -> tuple[Fraction, Fraction]:
+    """The open window ``(n + 2^-(n+1), n + 2^-n)`` of an integer ``n >= 1``."""
     if n < 1:
         raise DomainError("window index must be at least 1")
-    lo = n + Fraction(1, 1 << (n + 1))
-    hi = n + Fraction(1, 1 << n)
-    return stream.draw_in(lo, hi)
+    return n + Fraction(1, 1 << (n + 1)), n + Fraction(1, 1 << n)
+
+
+def pick_interval_value(n: int, stream: DenseStream) -> Fraction:
+    """A fresh stream element strictly inside :func:`subadditive_window` of ``n``."""
+    return stream.draw_in(*subadditive_window(n))
 
 
 def perturb_strongly_rigid(
     d: FiniteMetric,
     epsilon: Fraction,
     seed: int = 0,
-    registry: ValueRegistry | None = None,
 ) -> FiniteMetric:
     """A strongly rigid, uniformly discrete metric within ``epsilon`` of ``d``.
 
@@ -69,8 +72,7 @@ def perturb_strongly_rigid(
         raise DomainError("need at least two points")
     eta = epsilon / 2
     snapped = snap_to_grid(d, eta)
-    if registry is None:
-        registry = ValueRegistry(seed)
+    registry = ValueRegistry(seed)
 
     chosen: dict[tuple[int, int], Fraction] = {}
     # one stream per pair, in lexicographic pair order

@@ -70,7 +70,7 @@ def _enclosure_ends(
     encs: dict[tuple[int, int], Enclosure] = {}
     for i, j in d.pairs():
         try:
-            encs[(i, j)] = _eval_halving(d.at(i, j), 8)
+            encs[(i, j)] = _eval_halving(d.at(i, j))
         except PrecisionError:
             pass
     den = math.lcm(*(q.denominator for e in encs.values() for q in (e.lo, e.hi)))
@@ -142,24 +142,22 @@ def is_strict_triangle(
     return _triangle_report(d, strict=True, max_precision=max_precision)
 
 
-def sup_distance(
-    d: FiniteMetric, e: FiniteMetric, precision_index: int = 8
-) -> Enclosure:
+def sup_distance(d: FiniteMetric, e: FiniteMetric) -> Enclosure:
     """Exact max of ``|d - e|`` over pairs, enclosure-valued for coded entries."""
     if d.points != e.points:
         raise DomainError("sup distance needs identical point sets")
     best = Enclosure(Fraction(0), Fraction(0))
     for i, j in d.pairs():
         diff = d.at(i, j) - e.at(i, j)
-        enc = _abs_enclosure(diff, precision_index)
+        enc = _abs_enclosure(diff)
         best = Enclosure(max(best.lo, enc.lo), max(best.hi, enc.hi))
     return best
 
 
-def _eval_halving(value: CodedReal, precision_index: int = 8) -> Enclosure:
-    """``value.eval(n)`` at the largest ``n`` reachable by halving
-    ``precision_index`` that stays within the eval size cap."""
-    n = precision_index
+def _eval_halving(value: CodedReal) -> Enclosure:
+    """``value.eval(n)`` at the largest ``n`` reachable by halving 8 that
+    stays within the eval size cap."""
+    n = 8
     while True:
         try:
             return value.eval(n)
@@ -169,8 +167,8 @@ def _eval_halving(value: CodedReal, precision_index: int = 8) -> Enclosure:
             n //= 2
 
 
-def _abs_enclosure(value: CodedReal, precision_index: int) -> Enclosure:
-    enc = _eval_halving(value, precision_index)
+def _abs_enclosure(value: CodedReal) -> Enclosure:
+    enc = _eval_halving(value)
     if enc.lo >= 0:
         return enc
     if enc.hi <= 0:
@@ -295,12 +293,13 @@ def lnm_membership(
     return Report("fail", (), f"non-member at m={m}", max_precision)
 
 
-def lnm_scale_bound(d: FiniteMetric, margin: int = 2) -> int:
-    """Largest scale index worth testing: membership at any scale implies
-    membership once ``2^-m`` drops below the least positive distance."""
+def lnm_scale_bound(d: FiniteMetric) -> int:
+    """Largest scale index worth testing, two past the first ``m`` with
+    ``2^-m`` at most the least positive distance: membership at any scale
+    implies membership once ``2^-m`` drops below it."""
     least: Fraction | None = None
     for i, j in d.pairs():
-        enc = _abs_enclosure(d.at(i, j), 8)
+        enc = _abs_enclosure(d.at(i, j))
         low = enc.lo
         if low <= 0:
             raise DomainError("positivity must hold before scale analysis")
@@ -310,14 +309,12 @@ def lnm_scale_bound(d: FiniteMetric, margin: int = 2) -> int:
     m = 0
     while Fraction(1, 1 << m) > least:
         m += 1
-    return m + margin
+    return m + 2
 
 
-def lnm_never_member(
-    d: FiniteMetric, margin: int = 2, max_precision: int = DEFAULT_MAX_PRECISION
-) -> Report:
+def lnm_never_member(d: FiniteMetric, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Non-membership at every relevant scale (finite-space rigidity test)."""
-    bound = lnm_scale_bound(d, margin)
+    bound = lnm_scale_bound(d)
     for m in range(bound + 1):
         report = lnm_membership(d, m, max_precision)
         if report.verdict == "pass":

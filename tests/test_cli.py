@@ -218,6 +218,10 @@ def _two_points(d):
     return {"points": ["a", "b"], "matrix": [[_entry(), d], [d, _entry()]]}
 
 
+def _two_point_csv(cell):
+    return f"point,a,b\na,0,{cell}\nb,{cell},0\n"
+
+
 ZERO_DEN_OFFSET = json.dumps(_two_points(_entry("1/0")))
 ZERO_DEN_INTERVAL = json.dumps(_two_points(_entry("1/1", [["0/1", "1/0"]])))
 HALF_LADDER = json.dumps(_two_points(_entry("1/1", [["0/1", "1/1"]], k=1.5)))
@@ -278,6 +282,10 @@ def _half_ladder_certificate():
                      id="zero-denominator-csv-cell"),
         pytest.param("m.csv", "point,a,b\na,0,1\nb,1,0\n",
                      ["rigidify", "{}", "--epsilon", "1/0"], id="zero-denominator-epsilon"),
+        # malformed, and longer than the int-string digit limit: still a parse error
+        pytest.param("m.csv", _two_point_csv("x" + "1" * 5000), VERIFY, id="long-letter-csv-cell"),
+        pytest.param("m.csv", _two_point_csv("1" * 5000 + ".5.5"), VERIFY,
+                     id="long-two-point-csv-cell"),
         pytest.param("c.cert.json", ZERO_DEN_EPSILON_CERT, ["indep", "{}"],
                      id="zero-denominator-certificate-epsilon"),
         pytest.param("m.json", HALF_LADDER, VERIFY, id="fractional-ladder-metric"),
@@ -502,13 +510,20 @@ def test_digit_cap_on_output_is_a_resource_limit(tmp_path, capsys, digit_cap):
     assert list(tmp_path.iterdir()) == [source]
 
 
-def test_digit_cap_on_input_is_a_resource_limit(tmp_path, capsys, digit_cap):
-    source = tmp_path / "long.json"
-    source.write_text(json.dumps(_two_points(_entry("1" * 700 + "/1"))))
+@pytest.mark.parametrize(
+    "name, text",
+    [pytest.param("long.json", json.dumps(_two_points(_entry("1" * 700 + "/1"))), id="json-pq"),
+     pytest.param("long.csv", _two_point_csv("1" * 700), id="csv-integer"),
+     pytest.param("long.csv", _two_point_csv("1" * 700 + ".5"), id="csv-decimal")],
+)
+def test_digit_cap_on_input_is_a_resource_limit(tmp_path, capsys, digit_cap, name, text):
+    source = tmp_path / name
+    source.write_text(text)
     assert main(["verify", "--metric", str(source), "--check", "metric"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("resource limit: rational too long to read")
     assert "Traceback" not in err
+
 
 
 def test_digit_cap_on_a_distance_is_a_resource_limit(tmp_path, capsys, digit_cap):

@@ -10,7 +10,6 @@ from rigidmetrics.coded import (
     _MAX_EVAL_EXPONENT,
     CodedReal,
     Term,
-    _canonical_terms,
     _difference,
     _enumeration_prefix,
     _on_least_ladder,
@@ -345,7 +344,7 @@ _TWO_BLOCKS = IntervalSet.from_blocks([(0, Fraction(1, 3)), (Fraction(1, 2), 2)]
     Fraction(-3),
 )
 def test_canonical_terms_match_membership_reference(raw, o1, o2):
-    terms = _canonical_terms(raw)
+    terms = CodedReal.build(0, raw).terms
     assert terms == _membership_terms(raw)
     # same bytes, not only equal values
     assert CodedReal(0, terms).to_json() == CodedReal(0, _membership_terms(raw)).to_json()
@@ -582,7 +581,7 @@ _HALF = IntervalSet.block(0, Fraction(1, 2))
 @example([(1, 0, _HALF), (-1, 0, _HALF), (2, 1, _TWO_BLOCKS)])  # two that cancel, one alone
 @example([(0, 0, _HALF), (2, 0, _TWO_BLOCKS), (1, 3, IntervalSet())])  # one left after drops
 def test_canonical_terms_match_sweep_reference(raw):
-    terms = _canonical_terms(raw)
+    terms = CodedReal.build(0, raw).terms
     reference = _sweep_reference(raw)
     assert terms == reference
     assert CodedReal(0, terms).to_json() == CodedReal(0, reference).to_json()
@@ -621,7 +620,7 @@ def test_from_json_needs_an_integer_ladder(k):
 
 def _rebuilt_add(x, y):
     raw = [(t.coeff, t.k, t.index_set) for t in x.terms + y.terms]
-    return CodedReal(x.offset + y.offset, _canonical_terms(raw))
+    return CodedReal.build(x.offset + y.offset, raw)
 
 
 def _rebuilt_difference(x, *ys):

@@ -327,6 +327,26 @@ def test_decoders_share_no_memo_entry():
         assert comp.value == value
 
 
+_COEFF_FIRST = {"terms": [{"intervals": [["0/1", "1/2"]], "k": 0, "coeff": "2/1"}], "offset": "1/3"}
+
+
+@pytest.mark.parametrize(
+    "reader, data",
+    [(IntervalSet.from_json, [[0, 1]]),
+     (IntervalSet.from_json, [["1/2", 1], [2, "5/2"]]),
+     (CodedReal.from_json, _COEFF_FIRST),
+     (SumComponent.from_json, {"value": _COEFF_FIRST, "detail": ["a", "b"], "kind": "block"})],
+    ids=["integer-ends", "mixed-ends", "coded-reordered", "component-reordered"],
+)
+def test_other_decodable_shapes_decode_alike_inside_a_scope(reader, data):
+    outside = reader(data)
+    with _decode_scope():
+        inside = reader(data)
+        assert inside == outside and inside.to_json() == outside.to_json()
+        assert reader(data) is inside
+    assert _decode_memo.get() is None
+
+
 def _terms(intervals):
     return {"offset": "0/1", "terms": [{"coeff": "1/1", "k": 0, "intervals": intervals}]}
 

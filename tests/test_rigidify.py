@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rational_metric
+from rigidmetrics import glue
+from rigidmetrics.coded import GREATER, LESS, compare
 from rigidmetrics.errors import DomainError
 from rigidmetrics.metric import FiniteMetric
 from rigidmetrics.registry import ValueRegistry
-from rigidmetrics.rigidify import perturb_strongly_rigid, pick_interval_value, snap_to_grid
+from rigidmetrics.rigidify import (
+    perturb_strongly_rigid,
+    pick_interval_value,
+    snap_to_grid,
+    subadditive_window,
+)
 from rigidmetrics.verify import (
     is_metric,
     is_strict_triangle,
@@ -94,6 +102,40 @@ def test_pick_interval_value_windows():
     # same window, distinct streams, still distinct values
     v3 = pick_interval_value(1, registry.stream(2))
     assert v3 != v1 and Fraction(5, 4) < v3 < Fraction(3, 2)
+
+
+def test_subadditive_window_ends():
+    assert subadditive_window(1) == (Fraction(5, 4), Fraction(3, 2))
+    assert subadditive_window(3) == (Fraction(49, 16), Fraction(25, 8))
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="at least 1"):
+            subadditive_window(n)
+
+
+def _in_window(value, n, step):
+    lo, hi = subadditive_window(n)
+    return compare(value, step * lo) == GREATER and compare(value, step * hi) == LESS
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_both_paths_place_every_value_in_its_window(seed):
+    d = rational_metric(random.Random(seed), 6)
+    epsilon = Fraction(1, 2)
+    # rigidify: integers at step eta = epsilon / 2
+    eta = epsilon / 2
+    out = perturb_strongly_rigid(d, epsilon, seed=seed)
+    for i, j in d.pairs():
+        n = math.ceil(d.at(i, j).rational_value() / eta)
+        assert _in_window(out.at(i, j), n, eta)
+    # rigidify --full: hub integers at step eta / 2, with eta = epsilon / 5
+    eta = epsilon / 5
+    partition = glue.partition_by_diameter(d, eta)
+    hubs, _ = glue._hub_metric(d, partition, eta, 4, ValueRegistry(seed))
+    source = d.restrict(partition.hubs)
+    assert hubs.size == 6
+    for i, j in hubs.pairs():
+        n = math.ceil(source.at(i, j).rational_value() / (eta / 2))
+        assert _in_window(hubs.at(i, j), n, eta / 2)
 
 
 def test_subadditivity_window_oracle():
