@@ -285,7 +285,7 @@ def _half_ladder_certificate():
         # malformed, and longer than the int-string digit limit: still a parse error
         pytest.param("m.csv", _two_point_csv("x" + "1" * 5000), VERIFY, id="long-letter-csv-cell"),
         pytest.param("m.csv", _two_point_csv("1" * 5000 + ".5.5"), VERIFY,
-                     id="long-two-point-csv-cell"),
+                     id="long-two-dots-csv-cell"),
         pytest.param("c.cert.json", ZERO_DEN_EPSILON_CERT, ["indep", "{}"],
                      id="zero-denominator-certificate-epsilon"),
         pytest.param("m.json", HALF_LADDER, VERIFY, id="fractional-ladder-metric"),
@@ -523,7 +523,6 @@ def test_digit_cap_on_input_is_a_resource_limit(tmp_path, capsys, digit_cap, nam
     err = capsys.readouterr().err
     assert err.startswith("resource limit: rational too long to read")
     assert "Traceback" not in err
-
 
 
 def test_digit_cap_on_a_distance_is_a_resource_limit(tmp_path, capsys, digit_cap):
