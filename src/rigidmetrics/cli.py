@@ -197,7 +197,7 @@ def _cmd_product(args) -> int:
     registry = ValueRegistry(args.seed)
     gauge = None
     for _ in range(args.gauge):
-        gauge = registry.fresh_gauge(args.k)
+        gauge = registry.fresh_gauge()
     words = _all_words(args.alphabet, args.length)
     labels = [word_label(w) for w in words]
     values = {}

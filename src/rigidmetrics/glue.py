@@ -14,7 +14,7 @@ the original is at most ``4 * eps`` plus the hub defect.
 on one-letter words (diameter at most ``2^-k <= eta``), approximate the hub
 distances by hub-pool values sitting strictly inside the subadditivity
 windows, glue, and emit a certificate: the input, the exact sup bound, strong
-rigidity, and one independence row per distance.  A row holds the distance's
+rigidity, and one row per distance, in pair order.  A row holds the distance's
 nonzero tagged components, block and hub values that pass the per-sum
 hypotheses and sum to it; its independent-of-1 trace witness is found from
 their index sets, by the builder and again by the checker, and is not
@@ -62,7 +62,7 @@ from .registry import RESERVED_GAUGE_ID, HubAllocation, ValueRegistry, gauge_fro
 from .rigidify import snap_to_grid, subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
-CERTIFICATE_VERSION = 2
+CERTIFICATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -240,10 +240,8 @@ def _abs_exact(value: CodedReal, max_precision: int) -> CodedReal:
 class RigidifyCertificate:
     source: FiniteMetric
     epsilon: Fraction
-    eta: Fraction
     k: int
     partition: Partition
-    block_gauges: tuple[int, ...]
     sup_lo: Fraction
     sup_hi: Fraction
     independence: tuple[dict, ...]
@@ -261,12 +259,7 @@ class RigidifyCertificate:
                 "achieved_lo": _frac_str(self.sup_lo),
                 "achieved_hi": _frac_str(self.sup_hi),
             },
-            "parameters": {
-                "eta": _frac_str(self.eta),
-                "k": self.k,
-                "partition": self.partition.to_json(),
-                "block_gauges": list(self.block_gauges),
-            },
+            "parameters": {"k": self.k, "partition": self.partition.to_json()},
         }
 
 
@@ -301,7 +294,7 @@ def rigidify_full(
     block_metrics: list[FiniteMetric] = []
     block_gauges: list[int] = []
     for block in partition.blocks:
-        gauge = registry.fresh_gauge(k)
+        gauge = registry.fresh_gauge()
         block_gauges.append(gauge.gauge_id)
         block_metrics.append(
             FiniteMetric.from_pair_function(
@@ -328,10 +321,8 @@ def rigidify_full(
     certificate = RigidifyCertificate(
         source=d,
         epsilon=epsilon,
-        eta=eta,
         k=k,
         partition=partition,
-        block_gauges=tuple(block_gauges),
         sup_lo=sup.lo,
         sup_hi=sup.hi,
         independence=tuple(independence),
@@ -442,7 +433,7 @@ def _pairwise_independence(
     hub_index: dict[tuple[str, str], int],
     block_gauges: Sequence[int],
 ) -> list[dict]:
-    """One validated independence row per distance, in pair order."""
+    """One validated independence row per distance, in pair order, naming no pair."""
 
     def components(a: str, b: str) -> tuple[SumComponent, ...]:
         """The nonzero ones of the distance's tagged summands."""
@@ -471,8 +462,7 @@ def _pairwise_independence(
         if _trace_witness_for(comps) is None:
             raise UnresolvedComparison(f"no independent-of-1 witness for {pair}")
         keyed.append((multiset_key(comps), pair))
-        out.append({"pair_left": list(pair), "pair_right": ["1"],
-                    "certificate": {"kind": "tagged-sum", "left": [c.to_json() for c in comps]}})
+        out.append({"certificate": {"left": [c.to_json() for c in comps]}})
     clash = _equal_multisets(keyed)
     if clash is not None:
         raise UnresolvedComparison(f"equal component multisets for {clash[0]} and {clash[1]}")
@@ -505,26 +495,26 @@ def _equal_multisets(
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
-    A certificate of another ``version`` raises ``ValueError``; this is
-    format 2, whose rows hold only nonzero components and no trace witness.
-    The registry snapshot must keep the invariants the independence argument
-    rests on (:meth:`_ComponentReplay.registry_problem`).  There must be one
-    independence row per distance, in the metric's pair order, and each
-    row is checked once: the hypotheses of its tagged sum (one to three
-    components, each a nonzero block or hub value; the block components
-    carry distinct snapshot gauges other than the reserved gauge 0, which
-    backs hub bases only), the replay of each component from the raw draws
-    in the registry snapshot (block values through gauges replayed with
-    ``parameters.k`` and ``parameters.partition``, which are required; hub
-    values as the value of their :class:`HubAllocation`, whose basis is
-    replayed from its words), that the components sum exactly to the row's
-    metric entry, and a unit trace witness over the distinct index sets of
-    the row's components, which the checker finds with the builder's own
+    A certificate of another ``version`` raises ``ValueError``; this is format
+    3, which states each fact once.  The registry snapshot must keep the
+    invariants the independence argument rests on
+    (:meth:`_ComponentReplay.registry_problem`).  Row ``t`` belongs to pair
+    ``t`` of the metric's pair order, and each row is checked once: the
+    hypotheses of its tagged sum (one to three components, each a nonzero
+    block or hub value; the block components carry distinct snapshot gauges
+    other than the reserved gauge 0, which backs hub bases only), the replay
+    of each component from the raw draws in the registry snapshot (block
+    values through gauges replayed with ``parameters.k`` and
+    ``parameters.partition``, which are required; hub values as the value of
+    their :class:`HubAllocation` with its basis replayed from its words on
+    gauge 0 and ``parameters.k``), that the components sum exactly to the
+    row's metric entry, and a unit trace witness over the distinct index sets
+    of the row's components, which the checker finds with the builder's own
     search.  One pass over the rows' component multisets then shows that no
     two distances share one.  The sup bound is recomputed from ``input`` and
     must equal the claimed enclosure.  The sup bound and the strong-rigidity
-    recheck run under ``max_precision``, which every report records.
-    Fields the checker does not read (a hub's ``value`` or ``target``,
+    recheck run under ``max_precision``, which every report records.  Fields
+    it does not read (an earlier writer's hub ``value``, ``target``,
     ``streams``) are ignored.
 
     The whole certificate is decoded in one decode scope
@@ -554,14 +544,14 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
     # the reserved gauge backs hub bases only, never a block component
     known = set(replay.gauges) - {RESERVED_GAUGE_ID}
     rows = data["independence"]
-    pairs = list(metric.pairs())
+    pairs = [((metric.points[i], metric.points[j]), metric.at(i, j)) for i, j in metric.pairs()]
+    if len(rows) != len(pairs):
+        # name the first pair with no row, if there is one
+        return Report("fail", tuple(pair for pair, _ in pairs[len(rows):len(rows) + 1]),
+                      f"{len(rows)} independence rows cover {len(pairs)} distances",
+                      max_precision)
     keyed: list[tuple[tuple, tuple[str, str]]] = []
-    for t, (i, j) in enumerate(pairs):
-        pair = (metric.points[i], metric.points[j])
-        row = rows[t] if t < len(rows) else None
-        if row is None or (tuple(row["pair_left"]), tuple(row["pair_right"])) != (pair, ("1",)):
-            return Report("fail", (pair,), f"no independence row {t} covers this distance",
-                          max_precision)
+    for row, (pair, entry) in zip(rows, pairs):
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
         if not tagged_sum_holds(comps, known):
             return Report("fail", (pair,), "independence hypotheses failed", max_precision)
@@ -569,17 +559,13 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
             problem = replay.check(comp)
             if problem is not None:
                 return Report("fail", (problem,), "component replay failed", max_precision)
-        if _component_sum(comps) != metric.at(i, j):
+        if _component_sum(comps) != entry:
             return Report("fail", (pair,), "components do not sum to the metric entry",
                           max_precision)
         # searched after the replay, so its levels are bounded by the snapshot's draws
         if _trace_witness_for(comps) is None:
             return Report("fail", (pair,), "unit witness failed", max_precision)
         keyed.append((multiset_key(comps), pair))
-    if len(rows) != len(pairs):
-        extra = tuple(rows[len(pairs)]["pair_left"])
-        return Report("fail", (extra,),
-                      f"{len(rows)} independence rows for {len(pairs)} distances", max_precision)
     clash = _equal_multisets(keyed)
     if clash is not None:
         return Report("fail", clash, "two distances have equal component multisets",
@@ -609,14 +595,18 @@ def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
 class _ComponentReplay:
     """Recomputes tagged component values from snapshot draws.
 
-    The snapshot's gauges and hub allocations are decoded once.  Each
-    distinct component is decoded once by the certificate's decode scope,
-    which also keeps it alive, so as one instance it is replayed once.
+    The snapshot's gauges and hub records are decoded once, each keyed by
+    the id its components name: a gauge key is that id in canonical decimal.
+    Each distinct component is decoded once by the certificate's decode
+    scope, which also keeps it alive, so as one instance it is replayed once.
     """
 
     def __init__(self, parameters: dict, snapshot: dict):
         self._k = _parse_int(parameters["k"])
         gauge_ids = [int(g) for g in snapshot.get("gauges", {})]
+        for key, gauge_id in zip(snapshot.get("gauges", {}), gauge_ids):
+            if str(gauge_id) != key:
+                raise ValueError(f"gauge key {key!r} is not an id in canonical decimal")
         self.gauges = {g: gauge_from_snapshot(g, snapshot) for g in gauge_ids}
         self.hubs = {i: HubAllocation.from_json(a) for i, a in snapshot.get("hubs", {}).items()}
         self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
@@ -626,10 +616,9 @@ class _ComponentReplay:
         """The first registry invariant the snapshot breaks, or None.
 
         The independence argument rests on them: every gauge value is a fresh
-        rational, of level ``l`` in ``(l, l+1)``; every hub record's
-        ``index`` is its snapshot key, the index hub components name it by;
-        no two hub bases come from one word pair; and every hub sits on
-        ladder ``parameters.k`` like the blocks, so comparing component forms
+        rational, of level ``l`` in ``(l, l+1)``, and no two hub bases come
+        from one word pair.  Every basis is replayed on ladder
+        ``parameters.k`` like the blocks, so comparing component forms
         compares their values.
         """
         draws = [(lv, v) for g in self.gauges.values() for (lv, _, _), v in g.drawn().items()]
@@ -638,11 +627,6 @@ class _ComponentReplay:
         for level, value in draws:
             if not level < value < level + 1:
                 return f"draw {value} lies outside level {level}"
-        for key, alloc in self.hubs.items():
-            if str(alloc.index) != key:
-                return f"hub record {key} names index {alloc.index}"
-        if any(alloc.k != self._k for alloc in self.hubs.values()):
-            return f"a hub is off ladder {self._k}"
         pairs = [tuple(sorted(alloc.words)) for alloc in self.hubs.values()]
         if len(set(pairs)) < len(pairs):
             return "two hubs share a word pair"
@@ -674,9 +658,8 @@ class _ComponentReplay:
             alloc = self.hubs.get(str(comp.hub_index))
             if alloc is None:
                 return comp.hub_index
-            if tau(self._gauge(RESERVED_GAUGE_ID), self._k, *alloc.words) != alloc.basis:
-                return comp.hub_index
-            return None if alloc.value == comp.value else comp.hub_index
+            basis = tau(self._gauge(RESERVED_GAUGE_ID), self._k, *alloc.words)
+            return None if alloc.value(basis) == comp.value else comp.hub_index
         # a block component: tagged_sum_holds admits no other kind
         letters = self._letters(comp.detail)
         if letters is None or len(letters) != 2:

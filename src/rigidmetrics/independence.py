@@ -99,13 +99,9 @@ class SumComponent:
     value: CodedReal = field(default_factory=CodedReal)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gauge": self.gauge_id,
-            "hub_index": self.hub_index,
-            "detail": list(self.detail),
-            "value": self.value.to_json(),
-        }
+        tag = {"gauge": self.gauge_id} if self.kind == "block" else {"hub_index": self.hub_index}
+        return {"kind": self.kind, **tag, "detail": list(self.detail),
+                "value": self.value.to_json()}
 
     @staticmethod
     def from_json(data: dict) -> "SumComponent":
@@ -113,15 +109,13 @@ class SumComponent:
 
     @staticmethod
     def _decode(data: dict) -> "SumComponent":
-        """A hub component's ``hub_index`` must be a JSON integer; any other
-        component may leave it null."""
-        hub_index = data.get("hub_index")
-        if hub_index is not None or data["kind"] == "hub":
-            hub_index = _parse_int(hub_index, "hub index")
+        """A hub component's ``hub_index`` must be a JSON integer; no other
+        component's is read."""
+        hub = data["kind"] == "hub"
         return SumComponent(
             kind=data["kind"],
             gauge_id=data.get("gauge"),
-            hub_index=hub_index,
+            hub_index=_parse_int(data.get("hub_index"), "hub index") if hub else None,
             detail=tuple(data.get("detail", ())),
             value=CodedReal.from_json(data["value"]),
         )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -209,6 +210,10 @@ def _frac_str(q: Fraction) -> str:
 
 
 _PQ = re.compile(r"(-?[0-9]+)/([0-9]+)")
+# the exponent that ends a decimal spelling such as "1.5e-3"
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# the int-string digit limit; 0 means none, as before Python 3.10.7
+_digit_cap = getattr(sys, "get_int_max_str_digits", int)
 
 
 def _parse_frac(s: str) -> Fraction:
@@ -219,8 +224,9 @@ def _parse_frac(s: str) -> Fraction:
     value and every one it rejects raises the same exception type (a zero
     denominator raises ``ZeroDivisionError``).  A spelling ``Fraction``
     accepts, ``p/q`` or any other, that has a run of more digits than
-    ``sys.get_int_max_str_digits()`` raises ``ResourceError``.  Inside a
-    decode scope each ``str`` is read once.
+    ``sys.get_int_max_str_digits()``, or an exponent of greater absolute
+    value than that limit, raises ``ResourceError``.  Inside a decode scope
+    each ``str`` is read once.
     """
     memo = _decode_memo.get()
     if memo is None or type(s) is not str:
@@ -234,17 +240,24 @@ def _parse_frac(s: str) -> Fraction:
 def _read_frac(s: str) -> Fraction:
     m = _PQ.fullmatch(s) if isinstance(s, str) else None
     try:
-        return Fraction(s) if m is None else Fraction(int(m[1]), int(m[2]))
+        if m is not None:
+            return Fraction(int(m[1]), int(m[2]))
+        e = _EXPONENT.search(s) if isinstance(s, str) else None
+        # Fraction builds 10 ** exponent unbounded: 1e10000000 takes seconds
+        if e is not None and 0 < _digit_cap() < abs(int(e[1])):
+            raise ValueError("an exponent exceeds the digit limit")
+        return Fraction(s)
     except ValueError as exc:
-        if m is None and not _refused_for_digits(s):
+        if m is None and not _well_formed(s):
             raise
         raise ResourceError(f"rational too long to read: {exc}") from exc
 
 
-def _refused_for_digits(s: object) -> bool:
+def _well_formed(s: object) -> bool:
     """Whether ``Fraction`` accepts the string ``s`` once each digit run is
     cut to one digit.  It checks a spelling before it reads the digits, so
-    such an ``s`` that it refused was refused for the int-string limit."""
+    such an ``s`` that :func:`_read_frac` refused was refused for the
+    int-string limit."""
     if not isinstance(s, str):
         return False
     try:

@@ -81,9 +81,8 @@ class SemiMetricGauge:
     No triangle inequality is promised at this layer.
     """
 
-    def __init__(self, gauge_id: int, k: int, pool: DrawPool):
+    def __init__(self, gauge_id: int, pool: DrawPool):
         self.gauge_id = gauge_id
-        self.k = k
         self._pool = pool
         self._memo: dict[tuple[int, int, int], Fraction] = {}
 
@@ -107,7 +106,7 @@ class SemiMetricGauge:
         self._memo[key] = Fraction(value)
 
     def __repr__(self) -> str:
-        return f"SemiMetricGauge(id={self.gauge_id}, k={self.k}, draws={len(self._memo)})"
+        return f"SemiMetricGauge(id={self.gauge_id}, draws={len(self._memo)})"
 
 
 def rho(gauge: SemiMetricGauge, k: int, m: int, a: int, b: int) -> CodedReal:

@@ -18,8 +18,8 @@ kind checked against its own set of used values.
 
 A snapshot of the gauges' draws and the hub allocations serializes with every
 certificate so that checks remain replayable offline.  :class:`HubAllocation`
-both writes and reads a hub's record; the value is not stored but computed
-from it.
+both writes and reads a hub's record; neither its basis nor its value is
+stored, both are computed from it.
 """
 
 from __future__ import annotations
@@ -64,36 +64,30 @@ class _IntervalEnumerator:
         return mid
 
 
-@dataclass
+@dataclass(frozen=True)
 class HubAllocation:
-    """The record of hub value ``index``: ``p + q * basis``, where ``basis``
-    is the ``tau`` of ``words`` on the reserved gauge and ladder ``k``.  The
-    value is computed, never stored; the JSON record holds the six fields.
-    ``index``, ``k`` and every word letter must be JSON integers: a letter
-    ``"0"`` would pass as a word pair of its own yet replay like ``0``."""
+    """The record of one hub value, ``p + q * basis``, stored under its
+    allocation index.  ``basis`` is the ``tau`` of ``words`` on the reserved
+    gauge and the certificate's ladder; a checker replays it from the
+    gauge's draws, so the JSON record holds ``p``, ``q`` and ``words`` only.
+    Every word letter must be a JSON integer: a letter ``"0"`` would pass as
+    a word pair of its own yet replay like ``0``."""
 
-    index: int
-    k: int
     p: Fraction
     q: Fraction
     words: tuple[Word, Word]
-    basis: CodedReal
     # upper end of ``basis.eval(4)``, which sized ``q``; not serialized, so
     # None after ``from_json``
     basis_hi: Fraction | None = field(default=None, compare=False)
 
-    @property
-    def value(self) -> CodedReal:
-        return as_coded(self.p) + self.basis * self.q
+    def value(self, basis: CodedReal) -> CodedReal:
+        return as_coded(self.p) + basis * self.q
 
     def to_json(self) -> dict:
         return {
-            "index": self.index,
-            "k": self.k,
             "p": _frac_str(self.p),
             "q": _frac_str(self.q),
             "words": [list(w) for w in self.words],
-            "basis": self.basis.to_json(),
         }
 
     @staticmethod
@@ -102,12 +96,7 @@ class HubAllocation:
             tuple(_parse_int(x, "hub word letter") for x in w) for w in data["words"]
         )
         return HubAllocation(
-            index=_parse_int(data["index"], "hub index"),
-            k=_parse_int(data["k"]),
-            p=_parse_frac(data["p"]),
-            q=_parse_frac(data["q"]),
-            words=(left, right),
-            basis=CodedReal.from_json(data["basis"]),
+            p=_parse_frac(data["p"]), q=_parse_frac(data["q"]), words=(left, right)
         )
 
 
@@ -124,7 +113,7 @@ class ValueRegistry:
         self._streams: dict[int, DenseStream] = {}
         self._hubs: dict[int, HubAllocation] = {}
         self._hub_word_counter = 0
-        self._reserved = SemiMetricGauge(RESERVED_GAUGE_ID, 0, self)
+        self._reserved = SemiMetricGauge(RESERVED_GAUGE_ID, self)
         self._gauges[RESERVED_GAUGE_ID] = self._reserved
 
     # -- dense draws ------------------------------------------------------
@@ -150,8 +139,8 @@ class ValueRegistry:
 
     # -- gauges -----------------------------------------------------------
 
-    def fresh_gauge(self, k: int = 0) -> SemiMetricGauge:
-        gauge = SemiMetricGauge(self._next_gauge_id, k, self)
+    def fresh_gauge(self) -> SemiMetricGauge:
+        gauge = SemiMetricGauge(self._next_gauge_id, self)
         self._gauges[gauge.gauge_id] = gauge
         self._next_gauge_id += 1
         return gauge
@@ -182,8 +171,8 @@ class ValueRegistry:
         basis = tau(self._reserved, k, words[0], words[1])
         s_hi = basis.eval(4).hi
         q = _dyadic_power_floor(Fraction(1, 1 << i) / s_hi)
-        alloc = self._hubs[i] = HubAllocation(i, k, p, q, words, basis, s_hi)
-        return alloc.value
+        alloc = self._hubs[i] = HubAllocation(p, q, words, s_hi)
+        return alloc.value(basis)
 
     def hub_allocation(self, i: int) -> HubAllocation:
         return self._hubs[i]
@@ -196,13 +185,10 @@ class ValueRegistry:
     def snapshot(self) -> dict:
         gauges = {}
         for gid, gauge in sorted(self._gauges.items()):
-            gauges[str(gid)] = {
-                "k": gauge.k,
-                "draws": {
-                    f"{level}:{a}:{b}": _frac_str(v)
-                    for (level, a, b), v in sorted(gauge.drawn().items())
-                },
-            }
+            gauges[str(gid)] = {"draws": {
+                f"{level}:{a}:{b}": _frac_str(v)
+                for (level, a, b), v in sorted(gauge.drawn().items())
+            }}
         return {
             "seed": self.seed,
             "gauges": gauges,
@@ -261,7 +247,7 @@ def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
     data = snapshot.get("gauges", {}).get(str(gauge_id))
     if data is None:
         raise DomainError(f"gauge {gauge_id} is not in the snapshot")
-    gauge = SemiMetricGauge(gauge_id, _parse_int(data.get("k", 0)), _SealedPool())
+    gauge = SemiMetricGauge(gauge_id, _SealedPool())
     for key, value in data.get("draws", {}).items():
         level, a, b = (int(part) for part in key.split(":"))
         gauge.preload((level, a, b), _parse_frac(value))

@@ -41,11 +41,11 @@ CLUSTERED_2X3 = (
 RIGIDIFY_DIGESTS = {
     "spread-6": (
         "99390c2083ca63688003c9f43ecc2b1f0d59996e9d5ab26bc02cfc2e36294596",
-        "99084c2ccade1f1cf3137e29a1d1cadba6e5952b83a53036a7420ab3319ff742",
+        "4dbca19ec65dabc2f0f693cd39811dfa5c2ea7b1587e276cb78128d2a1ea6509",
     ),
     "clustered-2x3": (
         "ec804d1496bfa240fc2893ccb5b3bf4cadb0fc90d0944d5cda7d0a8cbc46ac10",
-        "990a0deff44ad056204f23300ddf67612ff2f5a2b7365914fb05e92aed7ce0b0",
+        "5de6a8d054df9c2b106f8238defe21605e295740cfcfc9376b29b2883de295e2",
     ),
 }
 

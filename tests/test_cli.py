@@ -238,9 +238,8 @@ ZERO_DEN_EPSILON_CERT = json.dumps({
 })
 
 
-def _half_ladder_certificate():
-    """A 4-point ``rigidify --full`` certificate with every term's ``k``
-    raised by one half, which ``int`` would truncate back."""
+def _four_point_certificate() -> dict:
+    """A 4-point ``rigidify --full`` certificate."""
     q = Fraction
     d = FiniteMetric.from_entries(["a", "b", "c", "d"], [
         [0, 1, q(5, 4), q(3, 2)],
@@ -249,7 +248,22 @@ def _half_ladder_certificate():
         [q(3, 2), q(9, 8), q(11, 8), 0],
     ])
     metric, cert = rigidify_full(d, q(1, 2))
-    data = cert.to_json(metric)
+    return cert.to_json(metric)
+
+
+def _respelled_gauge_certificate(key):
+    """The 4-point certificate with gauge 1 stored under ``key``, another
+    spelling that ``int`` reads as 1."""
+    data = _four_point_certificate()
+    gauges = data["registry"]["gauges"]
+    gauges[key] = gauges.pop("1")
+    return json.dumps(data)
+
+
+def _half_ladder_certificate():
+    """The 4-point certificate with every term's ``k`` raised by one half,
+    which ``int`` would truncate back."""
+    data = _four_point_certificate()
 
     def walk(node):
         if isinstance(node, list):
@@ -291,6 +305,10 @@ def _half_ladder_certificate():
         pytest.param("m.json", HALF_LADDER, VERIFY, id="fractional-ladder-metric"),
         pytest.param("c.cert.json", _half_ladder_certificate(), ["indep", "{}"],
                      id="fractional-ladder-certificate"),
+        pytest.param("c.cert.json", _respelled_gauge_certificate("01"), ["indep", "{}"],
+                     id="zero-padded-gauge-key"),
+        pytest.param("c.cert.json", _respelled_gauge_certificate(" 1"), ["indep", "{}"],
+                     id="space-padded-gauge-key"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):
@@ -411,7 +429,8 @@ def test_indep_rejects_one_altered_copy_of_a_shared_component(
         # a registered gauge that no other component of the side uses, so the
         # syntactic check still passes and only the replay can catch it
         used = {c["gauge"] for c in side}
-        comp["gauge"] = next(g for g in cert["parameters"]["block_gauges"] if g not in used)
+        blocks = sorted(int(g) for g in cert["registry"]["gauges"] if g != "0")
+        comp["gauge"] = next(g for g in blocks if g not in used)
     forged = tmp_path / "forged.json"
     forged.write_text(json.dumps(cert))
     assert main(["indep", str(clustered_certificate)]) == 0
@@ -435,16 +454,6 @@ def test_indep_malformed_certificate_is_a_parse_error(
     assert capsys.readouterr().err.startswith("parse error:")
 
 
-def test_indep_refuses_a_fractional_hub_ladder(clustered_certificate, tmp_path, capsys):
-    cert = json.loads(clustered_certificate.read_text())
-    alloc = next(iter(cert["registry"]["hubs"].values()))
-    alloc["k"] += 0.5
-    bad = tmp_path / "bad.cert.json"
-    bad.write_text(json.dumps(cert))
-    assert main(["indep", str(bad)]) == 3
-    assert capsys.readouterr().err.startswith("parse error: ladder offset k")
-
-
 def test_indep_refuses_string_hub_word_letters(clustered_certificate, tmp_path, capsys):
     cert = json.loads(clustered_certificate.read_text())
     alloc = next(iter(cert["registry"]["hubs"].values()))
@@ -455,14 +464,34 @@ def test_indep_refuses_string_hub_word_letters(clustered_certificate, tmp_path, 
     assert capsys.readouterr().err.startswith("parse error: hub word letter")
 
 
+@pytest.mark.parametrize("damage", ["no-gauge-0", "undrawn-letters"])
+def test_indep_fails_a_hub_whose_basis_cannot_be_replayed(
+    clustered_certificate, tmp_path, capsys, damage
+):
+    # each hub's basis is replayed from its words on the reserved gauge 0,
+    # which must hold every draw the replay asks for
+    cert = json.loads(clustered_certificate.read_text())
+    if damage == "no-gauge-0":
+        del cert["registry"]["gauges"]["0"]
+    else:
+        alloc = next(iter(cert["registry"]["hubs"].values()))
+        alloc["words"] = [[1000], [1001]]
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(cert))
+    assert main(["indep", str(bad)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and report["detail"] == "component replay failed"
+
+
 def test_indep_refuses_a_v0_certificate(clustered_certificate, tmp_path, capsys):
     cert = json.loads(clustered_certificate.read_text())
     # the v0 shape: no version or input, one record per pair of distances
     del cert["version"], cert["input"]
     first, second = cert["independence"][:2]
+    a, b, c = cert["metric"]["points"][:3]
     cert["independence"] = [{
-        "pair_left": first["pair_left"],
-        "pair_right": second["pair_left"],
+        "pair_left": [a, b],
+        "pair_right": [a, c],
         "certificate": {
             "kind": "sum-independence",
             "left": first["certificate"]["left"],
@@ -479,6 +508,21 @@ def test_indep_refuses_a_v1_certificate(clustered_certificate, tmp_path, capsys)
     cert = json.loads(clustered_certificate.read_text())
     cert["version"] = 1
     old = tmp_path / "v1.cert.json"
+    old.write_text(json.dumps(cert))
+    assert main(["indep", str(old)]) == 3
+    assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
+
+
+def test_indep_refuses_a_v2_certificate(clustered_certificate, tmp_path, capsys):
+    cert = json.loads(clustered_certificate.read_text())
+    # the v2 shape: each row also names its pair
+    points = cert["metric"]["points"]
+    pairs = [[a, b] for i, a in enumerate(points) for b in points[i + 1:]]
+    for row, pair in zip(cert["independence"], pairs):
+        row.update(pair_left=pair, pair_right=["1"])
+        row["certificate"]["kind"] = "tagged-sum"
+    cert["version"] = 2
+    old = tmp_path / "v2.cert.json"
     old.write_text(json.dumps(cert))
     assert main(["indep", str(old)]) == 3
     assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
@@ -514,7 +558,9 @@ def test_digit_cap_on_output_is_a_resource_limit(tmp_path, capsys, digit_cap):
     "name, text",
     [pytest.param("long.json", json.dumps(_two_points(_entry("1" * 700 + "/1"))), id="json-pq"),
      pytest.param("long.csv", _two_point_csv("1" * 700), id="csv-integer"),
-     pytest.param("long.csv", _two_point_csv("1" * 700 + ".5"), id="csv-decimal")],
+     pytest.param("long.csv", _two_point_csv("1" * 700 + ".5"), id="csv-decimal"),
+     # Fraction would build 10**10000000 before any digit is written
+     pytest.param("long.csv", _two_point_csv("1e10000000"), id="csv-exponent")],
 )
 def test_digit_cap_on_input_is_a_resource_limit(tmp_path, capsys, digit_cap, name, text):
     source = tmp_path / name

@@ -22,6 +22,8 @@ from rigidmetrics.glue import (
 from rigidmetrics.independence import IntervalTraceWitness, SumComponent
 from rigidmetrics.intervals import IntervalSet, _decode_memo, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
+from rigidmetrics.product import tau
+from rigidmetrics.registry import RESERVED_GAUGE_ID, gauge_from_snapshot
 from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
 
 
@@ -272,9 +274,9 @@ def test_rigidify_full_two_points():
     assert is_strongly_rigid(out).passed
     # the lone distance is its hub value, independent of 1 by a witness that
     # the row does not store
-    unit_records = [r for r in cert.independence if r.get("pair_right") == ["1"]]
-    assert len(unit_records) == 1 and "trace_witness" not in unit_records[0]
-    (comp,) = unit_records[0]["certificate"]["left"]
+    (row,) = cert.independence
+    assert set(row) == {"certificate"} and set(row["certificate"]) == {"left"}
+    (comp,) = row["certificate"]["left"]
     assert comp["kind"] == "hub"
 
 
@@ -284,9 +286,11 @@ def test_rigidify_full_six_points(rng):
     assert is_metric(out).passed
     assert is_strongly_rigid(out).passed
     assert cert.sup_hi <= Fraction(1, 2)
-    assert [r["pair_left"] for r in cert.independence] == [
-        [out.points[i], out.points[j]] for i, j in out.pairs()
-    ]
+    # row t sums to the entry of pair t
+    assert len(cert.independence) == len(list(out.pairs()))
+    for row, (i, j) in zip(cert.independence, out.pairs()):
+        comps = [SumComponent.from_json(c) for c in row["certificate"]["left"]]
+        assert glue._component_sum(comps) == out.at(i, j)
     blob = json.loads(json.dumps(cert.to_json(out), sort_keys=True))
     assert verify_certificate(blob).passed
 
@@ -399,8 +403,7 @@ def test_unit_independence_records_cover_every_pair(rng):
     for d in (rational_metric(rng, 5), clustered_metric(rng, 2, 3)):
         out, cert = rigidify_full(d, Fraction(1, 2))
         pairs = out.size * (out.size - 1) // 2
-        units = [r for r in cert.independence if r.get("pair_right") == ["1"]]
-        assert len(units) == pairs
+        assert len(cert.independence) == pairs
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +421,12 @@ def _rows(blob):
     return blob["independence"]
 
 
+def _pairs(blob):
+    """The metric's pairs in pair order: row t belongs to pair t."""
+    points = blob["metric"]["points"]
+    return [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+
+
 def _empty_list(blob):
     blob["independence"] = []
 
@@ -428,6 +437,11 @@ def _dropped_record(blob):
 
 def _duplicated_record(blob):
     _rows(blob).append(_rows(blob)[0])
+
+
+def _swapped_rows(blob):
+    rows = _rows(blob)
+    rows[0], rows[1] = rows[1], rows[0]
 
 
 def _swapped_metric(blob):
@@ -442,15 +456,6 @@ def _swapped_metric(blob):
 
 def _deleted_parameters(blob):
     del blob["parameters"]
-
-
-def _foreign_pair(blob):
-    _rows(blob)[0]["pair_left"] = ["nowhere", "else"]
-
-
-def _self_pair(blob):
-    row = _rows(blob)[0]
-    row["pair_right"] = list(row["pair_left"])
 
 
 def _restate_sup(blob):
@@ -469,8 +474,9 @@ def _copied_row(blob, extra=()):
     first, second = _rows(blob)[:2]
     second["certificate"] = {**first["certificate"],
                              "left": first["certificate"]["left"] + list(extra)}
+    one, two = _pairs(blob)[:2]
     for name in ("metric", "input"):
-        _set_entry(blob, name, second["pair_left"], _entry(blob, name, first["pair_left"]))
+        _set_entry(blob, name, two, _entry(blob, name, one))
     _restate_sup(blob)
 
 
@@ -493,9 +499,8 @@ def _zero_block_padded_row(blob):
     # replays as e(x, x): without the rule against zero components only the
     # strong-rigidity recheck would catch the equal distances
     x = blob["metric"]["points"][0]
-    gauge = blob["parameters"]["block_gauges"][-1]
-    _copied_row(blob, [{"kind": "block", "gauge": gauge, "hub_index": None, "detail": [x, x],
-                        "value": _ZERO}])
+    gauge = max(int(g) for g in blob["registry"]["gauges"])
+    _copied_row(blob, [{"kind": "block", "gauge": gauge, "detail": [x, x], "value": _ZERO}])
 
 
 def _zeroed_sup(blob):
@@ -525,9 +530,10 @@ def _set_entry(blob, name, pair, value):
 
 
 def _hub_pair_rows(blob):
-    """Rows of two hubs: the hub value is their only nonzero component."""
+    """The pairs of two hubs with their rows, whose only nonzero component is
+    the hub value."""
     hubs = set(blob["parameters"]["partition"]["hubs"])
-    return [r for r in _rows(blob) if set(r["pair_left"]) <= hubs]
+    return [(pair, row) for pair, row in zip(_pairs(blob), _rows(blob)) if set(pair) <= hubs]
 
 
 def _hub_of(row):
@@ -541,13 +547,12 @@ def _reallocate_hub(blob, index, fields, value, input_shift):
     ``input_shift``).  The claimed sup is then restated as the checker
     recomputes it, so only the registry is at odds."""
     blob["registry"]["hubs"][str(index)].update(fields)
-    for row in _rows(blob):
+    for pair, row in zip(_pairs(blob), _rows(blob)):
         hub = _hub_of(row)
         if hub is None or hub["hub_index"] != index:
             continue
         hub["value"] = value.to_json()
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        pair = row["pair_left"]
         _set_entry(blob, "metric", pair, glue._component_sum(comps))
         _set_entry(blob, "input", pair, _entry(blob, "input", pair) + input_shift)
     _restate_sup(blob)
@@ -555,15 +560,15 @@ def _reallocate_hub(blob, index, fields, value, input_shift):
 
 def _doubled_hub(blob, share_draws):
     """The second hub pair's distance becomes twice the first's, a
-    Q-dependence: its hub takes the first hub's basis and ladder with ``p``
-    and ``q`` doubled, and either the first hub's word pair or its own words
-    with their reserved-gauge draws copied from the first hub's; the input
-    entry doubles too."""
-    first, second = _hub_pair_rows(blob)[:2]
+    Q-dependence: its hub takes the first hub's ``p`` and ``q`` doubled, and
+    either the first hub's word pair or its own words with their
+    reserved-gauge draws copied from the first hub's, so that its basis
+    replays to the first hub's; the input entry doubles too."""
+    (one_pair, first), (two_pair, second) = _hub_pair_rows(blob)[:2]
     hubs = blob["registry"]["hubs"]
     one = hubs[str(_hub_of(first)["hub_index"])]
     index = _hub_of(second)["hub_index"]
-    fields = {"k": one["k"], "basis": one["basis"], "words": one["words"],
+    fields = {"words": one["words"],
               "p": _frac_str(2 * Fraction(one["p"])), "q": _frac_str(2 * Fraction(one["q"]))}
     if share_draws:
         fields["words"] = hubs[str(index)]["words"]
@@ -571,7 +576,7 @@ def _doubled_hub(blob, share_draws):
         ((a,), (b,)), ((c,), (e,)) = one["words"], fields["words"]
         for level in (0, 1):
             draws[f"{level}:{c}:{e}"] = draws[f"{level}:{a}:{b}"]
-    shift = 2 * _entry(blob, "input", first["pair_left"]) - _entry(blob, "input", second["pair_left"])
+    shift = 2 * _entry(blob, "input", one_pair) - _entry(blob, "input", two_pair)
     _reallocate_hub(blob, index, fields, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
 
 
@@ -583,26 +588,11 @@ def _repeated_draws(blob):
     _doubled_hub(blob, share_draws=True)
 
 
-def _hub_off_ladder(blob):
-    # the first hub moves to ladder k + 1 with q doubled: the same number in
-    # another form, so the row's components and the metric no longer share
-    # one ladder
-    row = _hub_pair_rows(blob)[0]
-    index = _hub_of(row)["hub_index"]
-    alloc = blob["registry"]["hubs"][str(index)]
-    k = alloc["k"] + 1
-    basis = CodedReal.build(0, [(t.coeff, k, t.index_set)
-                                for t in CodedReal.from_json(alloc["basis"]).terms])
-    q = 2 * Fraction(alloc["q"])
-    fields = {"k": k, "basis": basis.to_json(), "q": _frac_str(q)}
-    _reallocate_hub(blob, index, fields, Fraction(alloc["p"]) + basis * q, 0)
-
-
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 @pytest.mark.parametrize(
     "forge",
-    [_empty_list, _dropped_record, _duplicated_record, _swapped_metric,
-     _deleted_parameters, _foreign_pair, _self_pair, _equal_multisets,
+    [_empty_list, _dropped_record, _duplicated_record, _swapped_rows, _swapped_metric,
+     _deleted_parameters, _equal_multisets,
      _zero_padded_row, _zero_block_padded_row, _zeroed_sup, _shifted_input,
      _renamed_input, _shared_word_pair, _repeated_draws],
 )
@@ -615,7 +605,8 @@ def test_certificate_forgeries_fail(certificates, kind, forge):
 
 @pytest.mark.parametrize(
     "forge, detail",
-    [(_equal_multisets, "equal component multisets"),
+    [(_swapped_rows, "components do not sum to the metric entry"),
+     (_equal_multisets, "equal component multisets"),
      (_zero_padded_row, "independence hypotheses failed"),
      (_zero_block_padded_row, "independence hypotheses failed"),
      (_zeroed_sup, "claimed sup bound"),
@@ -627,10 +618,10 @@ def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
     forge(blob)
     report = verify_certificate(blob)
     assert report.verdict == "fail" and detail in report.detail
-    if forge is _equal_multisets:
-        assert report.witnesses == tuple(tuple(r["pair_left"]) for r in _rows(blob)[:2])
+    if forge in (_swapped_rows, _equal_multisets):
+        assert report.witnesses == tuple(_pairs(blob)[:2 if forge is _equal_multisets else 1])
     if forge in (_zero_padded_row, _zero_block_padded_row):
-        assert report.witnesses == (tuple(_rows(blob)[1]["pair_left"]),)
+        assert report.witnesses == (_pairs(blob)[1],)
 
 
 @pytest.mark.parametrize(
@@ -638,10 +629,7 @@ def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
     [("spread", _shared_word_pair, "share a word pair"),
      ("clustered", _shared_word_pair, "share a word pair"),
      ("spread", _repeated_draws, "gauge draw is repeated"),
-     ("clustered", _repeated_draws, "gauge draw is repeated"),
-     # a clustered hub also sits in rows with block components, whose unit
-     # witness needs one ladder, so only the spread case gets this far
-     ("spread", _hub_off_ladder, "off ladder")],
+     ("clustered", _repeated_draws, "gauge draw is repeated")],
 )
 def test_registry_forgeries_fail_the_invariant_aimed_at(certificates, kind, forge, detail):
     blob = json.loads(certificates[kind])
@@ -659,29 +647,11 @@ def test_hub_word_letters_must_be_integers(certificates, kind):
     # checker's parse can tell them apart
     blob = json.loads(certificates[kind])
     _shared_word_pair(blob)
-    second = _hub_of(_hub_pair_rows(blob)[1])["hub_index"]
+    second = _hub_of(_hub_pair_rows(blob)[1][1])["hub_index"]
     alloc = blob["registry"]["hubs"][str(second)]
     alloc["words"] = [[str(x) for x in w] for w in alloc["words"]]
     with pytest.raises(ValueError, match="hub word letter must be an integer"):
         verify_certificate(blob)
-
-
-@pytest.mark.parametrize("kind", ["spread", "clustered"])
-def test_hub_record_index_must_be_an_integer(certificates, kind):
-    blob = json.loads(certificates[kind])
-    for alloc in blob["registry"]["hubs"].values():
-        alloc["index"] = "not an index"
-    with pytest.raises(ValueError, match="hub index must be an integer"):
-        verify_certificate(blob)
-
-
-def test_hub_record_index_must_be_its_snapshot_key(certificates):
-    blob = json.loads(certificates["spread"])
-    first, second = sorted(blob["registry"]["hubs"], key=int)[:2]
-    blob["registry"]["hubs"][first]["index"] = int(second)
-    report = verify_certificate(blob)
-    assert report.verdict == "fail" and "registry invariant" in report.detail
-    assert f"hub record {first} names index {second}" in report.detail
 
 
 def test_hub_components_name_their_record_by_an_integer(certificates):
@@ -699,16 +669,16 @@ def test_a_hub_component_without_an_index_is_refused(certificates):
     # first hub's value; with no record to replay against, the distance
     # d(second) = 2 d(first) would pass every other check
     blob = json.loads(certificates["spread"])
-    first, second = _hub_pair_rows(blob)[:2]
+    (one_pair, first), (two_pair, second) = _hub_pair_rows(blob)[:2]
     index = _hub_of(second)["hub_index"]
-    shift = 2 * _entry(blob, "input", first["pair_left"]) - _entry(blob, "input", second["pair_left"])
+    shift = 2 * _entry(blob, "input", one_pair) - _entry(blob, "input", two_pair)
     _reallocate_hub(blob, index, {}, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
     for row in _rows(blob):
         hub = _hub_of(row)
         if hub is not None and hub["hub_index"] == index:
             hub["hub_index"] = None
     forged = FiniteMetric.from_json(blob["metric"])
-    assert forged.distance(*second["pair_left"]) == forged.distance(*first["pair_left"]) * 2
+    assert forged.distance(*two_pair) == forged.distance(*one_pair) * 2
     with pytest.raises(ValueError, match="hub index must be an integer, got None"):
         verify_certificate(blob)
 
@@ -723,12 +693,14 @@ def test_the_reserved_gauge_tags_no_block_component():
     glued, cert = rigidify_full(d, Fraction(1, 2))
     blob = json.loads(json.dumps(cert.to_json(glued)))
     assert blob["parameters"]["partition"]["blocks"] == [["a", "b"], ["c"]]
-    gauge = blob["parameters"]["block_gauges"][0]
+    (block_ab,) = _rows(blob)[0]["certificate"]["left"]
+    gauge = block_ab["gauge"]
     (hub,) = blob["registry"]["hubs"].values()
     assert hub["words"] == [[0], [1]]
-    basis = CodedReal.from_json(hub["basis"])
+    reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, blob["registry"])
+    basis = tau(reserved, blob["parameters"]["k"], *hub["words"])
     hub.update(p="0/1", q="32/1")
-    for row in _rows(blob):
+    for pair, row in zip(_pairs(blob), _rows(blob)):
         for comp in row["certificate"]["left"]:
             if comp["kind"] == "block" and comp["gauge"] == gauge:
                 comp.update(gauge=0, value=basis.to_json())
@@ -736,11 +708,11 @@ def test_the_reserved_gauge_tags_no_block_component():
                 comp["value"] = (basis * 32).to_json()
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
         value = glue._component_sum(comps)
-        _set_entry(blob, "metric", row["pair_left"], value)
+        _set_entry(blob, "metric", pair, value)
         # the input moves to the midpoint of an enclosure of the new entry
         enc = value.eval(4)
         mid = CodedReal.from_rational((enc.lo + enc.hi) / 2)
-        _set_entry(blob, "input", row["pair_left"], mid)
+        _set_entry(blob, "input", pair, mid)
     _restate_sup(blob)
     forged = FiniteMetric.from_json(blob["metric"])
     assert forged.distance("a", "c") == forged.distance("a", "b") * 32
@@ -783,7 +755,7 @@ def test_a_window_that_fails_its_verification_is_not_a_witness(certificates, mon
     assert glue.find_interval_trace_witness(sets) is None
     report = verify_certificate(blob)
     assert report.verdict == "fail" and report.detail == "unit witness failed"
-    assert report.witnesses == (tuple(_rows(blob)[0]["pair_left"]),)
+    assert report.witnesses == (_pairs(blob)[0],)
 
 
 def test_the_checker_verifies_each_window_once(certificates, monkeypatch):
@@ -797,12 +769,23 @@ def test_the_checker_verifies_each_window_once(certificates, monkeypatch):
 
 
 def test_hub_allocations_hold_only_the_replayed_fields(certificates):
+    # each fact is stated once: no restated index, ladder, basis, pair label
+    # or unread parameter, and no null tag
     for text in certificates.values():
-        snapshot = json.loads(text)["registry"]
+        blob = json.loads(text)
+        snapshot = blob["registry"]
         assert set(snapshot) == {"seed", "gauges", "hubs"}
         assert snapshot["hubs"]
         for alloc in snapshot["hubs"].values():
-            assert set(alloc) == {"index", "k", "p", "q", "words", "basis"}
+            assert set(alloc) == {"p", "q", "words"}
+        assert all(set(gauge) == {"draws"} for gauge in snapshot["gauges"].values())
+        assert set(blob["parameters"]) == {"k", "partition"}
+        for row in _rows(blob):
+            assert set(row) == {"certificate"} and set(row["certificate"]) == {"left"}
+            for comp in row["certificate"]["left"]:
+                tag = "gauge" if comp["kind"] == "block" else "hub_index"
+                assert set(comp) == {"kind", tag, "detail", "value"}
+                assert comp[tag] is not None
 
 
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
@@ -822,9 +805,10 @@ def test_certificate_with_the_dropped_fields_still_passes(certificates, kind):
     assert verify_certificate(blob).passed
 
 
-# 1 is the earlier format, whose rows also held zero components and a
-# stored trace witness; no reader for it is kept
-@pytest.mark.parametrize("version", [None, 0, 1, 3, "2"])
+# 1 and 2 are earlier formats: version 1 rows also held zero components and
+# a stored trace witness, and version 2 restated hub indices, ladders and
+# bases and row pair labels; no reader for either is kept
+@pytest.mark.parametrize("version", [None, 0, 1, 2, "3"])
 def test_other_certificate_versions_are_refused(certificates, version):
     blob = json.loads(certificates["spread"])
     assert blob["version"] == CERTIFICATE_VERSION
@@ -845,12 +829,19 @@ def test_swapped_metric_fails_the_binding(certificates):
 
 
 def test_coverage_failure_names_the_missing_pair(certificates):
+    # row t belongs to pair t, so a dropped row leaves the last pair uncovered
     for position in (-1, 3):
         blob = json.loads(certificates["spread"])
-        dropped = _rows(blob).pop(position)
+        _rows(blob).pop(position)
         report = verify_certificate(blob)
-        assert "cover" in report.detail
-        assert report.witnesses == (tuple(dropped["pair_left"]),)
+        assert report.verdict == "fail" and "cover" in report.detail
+        assert report.witnesses == (_pairs(blob)[-1],)
+    # an extra row leaves no pair uncovered
+    blob = json.loads(certificates["spread"])
+    _duplicated_record(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.witnesses == ()
+    assert report.detail == f"{len(_rows(blob))} independence rows cover {len(_pairs(blob))} distances"
 
 
 def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -238,18 +239,39 @@ _PQ_TEXT = st.text(alphabet="0123456789/-+ ._e\u0661\u0662", max_size=8)
 @example("\u0661/\u0662")  # Arabic-Indic digits
 @example("007/010")
 @example("")
+@example("1e99999")
+@example("-1e-4301")
+@example("1e4300")
 def test_parse_frac_matches_fraction(text):
     def read(reader):
         try:
             value = reader(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, ResourceError) as exc:
             return type(exc)
         return type(value), value
 
-    assert read(_parse_frac) == read(Fraction)
+    # Fraction's reading, except that an exponent past the int-string digit
+    # limit (this alphabet spells up to 1e99999) is a resource limit
+    expected = read(Fraction)
+    cap = getattr(sys, "get_int_max_str_digits", int)()
+    if cap and isinstance(expected, tuple) and "e" in text:
+        if abs(int(text.strip().rpartition("e")[2])) > cap:
+            expected = ResourceError
+    assert read(_parse_frac) == expected
     with _decode_scope():
         # the second read is a memo hit when the first succeeded
-        assert read(_parse_frac) == read(_parse_frac) == read(Fraction)
+        assert read(_parse_frac) == read(_parse_frac) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer digit cap before Python 3.10.7")
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000"])
+def test_a_long_exponent_is_refused_before_it_is_read(text):
+    # Fraction would build 10**10000000, which takes seconds
+    started = time.perf_counter()
+    with pytest.raises(ResourceError, match="rational too long to read"):
+        _parse_frac(text)
+    assert time.perf_counter() - started < 0.1
 
 
 def _from_blocks_sweep_reference(blocks):

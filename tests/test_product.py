@@ -19,7 +19,7 @@ from rigidmetrics.registry import ValueRegistry
 
 @pytest.fixture
 def gauge():
-    return ValueRegistry(0).fresh_gauge(0)
+    return ValueRegistry(0).fresh_gauge()
 
 
 def test_pair_encode_identity_and_pairing():
@@ -63,7 +63,7 @@ def test_semi_metric_axioms(gauge):
 
 def test_semi_metric_disjoint_across_gauges():
     registry = ValueRegistry(0)
-    g1, g2 = registry.fresh_gauge(0), registry.fresh_gauge(0)
+    g1, g2 = registry.fresh_gauge(), registry.fresh_gauge()
     assert g1.value(0, 0, 1) != g2.value(0, 0, 1)
 
 
@@ -144,7 +144,7 @@ def test_tau_separates_where_sigma_collides(gauge):
 
 def test_tau_gauge_families_never_collide():
     registry = ValueRegistry(0)
-    g1, g2 = registry.fresh_gauge(3), registry.fresh_gauge(3)
+    g1, g2 = registry.fresh_gauge(), registry.fresh_gauge()
     words = list(itertools.product(range(3), repeat=2))
     pairs = list(itertools.combinations(words, 2))[:10]
     crossings = 0
@@ -163,7 +163,7 @@ def test_tau_metric_axioms_small_spaces():
 
     registry = ValueRegistry(0)
     for alphabet, length in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        gauge = registry.fresh_gauge(2)
+        gauge = registry.fresh_gauge()
         words = list(itertools.product(range(alphabet), repeat=length))
         values = {
             (i, j): tau(gauge, 2, words[i], words[j])

@@ -11,12 +11,13 @@ from rigidmetrics.registry import (
     HubAllocation,
     ValueRegistry,
     _dyadic_power_floor,
+    gauge_from_snapshot,
 )
 
 
 def test_fresh_gauges_distinct():
     registry = ValueRegistry(0)
-    g1, g2 = registry.fresh_gauge(0), registry.fresh_gauge(0)
+    g1, g2 = registry.fresh_gauge(), registry.fresh_gauge()
     assert g1.gauge_id != g2.gauge_id
     assert RESERVED_GAUGE_ID not in (g1.gauge_id, g2.gauge_id)
     assert g1.value(0, 0, 1) != g2.value(0, 0, 1)
@@ -24,7 +25,7 @@ def test_fresh_gauges_distinct():
 
 def test_gauge_values_inside_level_window():
     registry = ValueRegistry(0)
-    gauge = registry.fresh_gauge(0)
+    gauge = registry.fresh_gauge()
     for level in range(5):
         for a, b in ((0, 1), (0, 2), (3, 9)):
             v = gauge.value(level, a, b)
@@ -35,7 +36,7 @@ def test_many_draws_globally_distinct():
     registry = ValueRegistry(0)
     drawn = []
     for _ in range(10):
-        gauge = registry.fresh_gauge(0)
+        gauge = registry.fresh_gauge()
         for level in range(4):
             for b in range(1, 26):
                 drawn.append(gauge.value(level, 0, b))
@@ -68,10 +69,13 @@ def test_hub_allocation_json_round_trip():
     value = registry.hub_value(3, 6, Fraction(5, 3))
     alloc = registry.hub_allocation(6)
     data = json.loads(json.dumps(alloc.to_json()))
-    assert set(data) == {"index", "k", "p", "q", "words", "basis"}
+    assert set(data) == {"p", "q", "words"}
     decoded = HubAllocation.from_json(data)
     assert decoded == alloc and decoded.basis_hi is None
-    assert decoded.value == value == alloc.value
+    # the basis is replayed from the words on the reserved gauge
+    reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, json.loads(json.dumps(registry.snapshot())))
+    basis = tau(reserved, 3, *decoded.words)
+    assert decoded.value(basis) == value == alloc.value(basis)
     assert decoded.words == alloc.words == ((0,), (1,))
 
 
@@ -94,7 +98,7 @@ def test_hub_index_reuse_rejected():
 
 def test_hub_and_block_values_never_equal():
     registry = ValueRegistry(0)
-    gauge = registry.fresh_gauge(3)
+    gauge = registry.fresh_gauge()
     blocks = [tau(gauge, 3, (i,), (j,)) for i in range(4) for j in range(i + 1, 4)]
     hubs = [registry.hub_value(3, 20 + t, Fraction(t + 1, 2)) for t in range(4)]
     for b in blocks:
@@ -105,7 +109,7 @@ def test_hub_and_block_values_never_equal():
 
 def test_snapshot_is_json_serializable():
     registry = ValueRegistry(7)
-    gauge = registry.fresh_gauge(1)
+    gauge = registry.fresh_gauge()
     gauge.value(0, 0, 1)
     registry.stream(0).draw_next()
     registry.hub_value(1, 3, Fraction(2))

@@ -317,12 +317,13 @@ def triangle_matrices(draw):
     entries = [e + draw(shifts) for e in entries]
     if draw(st.booleans()):
         alphabet, length = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
-        gauge = ValueRegistry(draw(st.integers(0, 3))).fresh_gauge(draw(st.integers(0, 3)))
+        gauge = ValueRegistry(draw(st.integers(0, 3))).fresh_gauge()
+        k = draw(st.integers(0, 3))
         words = list(itertools.product(range(alphabet), repeat=length))
         n = len(words)
         count = n * (n - 1) // 2
         entries = (entries * count)[:count] if draw(st.booleans()) else [0] * count
-        coded = [tau(gauge, gauge.k, words[i], words[j])
+        coded = [tau(gauge, k, words[i], words[j])
                  for i in range(n) for j in range(i + 1, n)]
         entries = [c + e for c, e in zip(coded, entries)]
         return _matrix([word_label(w) for w in words], entries)
