@@ -42,6 +42,16 @@ Two evaluation routes are provided.
   occupy, and the resulting sparse dyadic sums are compared without ever
   expanding ``2^(-2^i)`` into an integer.  This is what makes comparisons
   involving indices like ``i = 2047`` (exponent ``2^2047``) feasible.
+
+Before that scan, :func:`sign` tries one exact step,
+:func:`_leading_index_sign`: the least enumeration index ``i0`` over the
+value's term sets, which are disjoint on one ladder, decides the sign when
+its weight (or the offset) provably outweighs everything past it.  The step
+is held to the budget: it decides only when ``i0`` lies within the odd parts
+the scan walks at that budget, and defers where the scan would raise.  A
+value whose least index lies past the scan, such as a sliver whose simplest
+member is buried deep in the Calkin-Wilf tree, is left to the scan and stays
+unresolved.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from .enumeration import (
     rational_at,
     simplest_in_open,
     tree_depth,
+    unit_rational_index,
 )
 from .errors import DomainError, PrecisionError
 from .intervals import IntervalSet, _as_fraction, _decode_once, _frac_str, _parse_frac
@@ -519,6 +530,29 @@ def _mixed_sign(base: Fraction, entries: Iterable[tuple[int, int]]) -> int:
         threshold = e0
 
 
+def _scan_length(m: int, index_cap: int) -> int:
+    """How many odd parts the support scan walks at level ``m``."""
+    return max(_MIN_SCAN, (index_cap + 1) >> (m + 1))
+
+
+def _shallowest(u: Fraction, v: Fraction) -> tuple[Fraction, int]:
+    """The member of ``[u, v)``, ``0 < u < v <= 1``, of least Calkin-Wilf
+    depth, with that depth: the shallower of ``u`` and the simplest rational
+    inside (two rationals of one depth have a shallower one between them)."""
+    x = simplest_in_open(u, v)
+    depth, left_depth = tree_depth(x), tree_depth(u)
+    return (u, left_depth) if left_depth < depth else (x, depth)
+
+
+def _depth_bound(m: int, depth: int) -> int:
+    """A lower bound on the index of ``m + x`` for ``x`` in ``(0, 1)`` of
+    Calkin-Wilf depth ``depth``, which is ``2^m * (2^depth + 1) - 1``, or
+    ``_MAX_SYMBOLIC_INDEX`` once that is larger."""
+    if depth >= _MAX_SYMBOLIC_INDEX.bit_length():
+        return _MAX_SYMBOLIC_INDEX
+    return (1 << m) * ((1 << depth) + 1) - 1
+
+
 _support_cache: dict[tuple[int, IntervalSet, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -546,7 +580,7 @@ def _piece_support(
         if m > _MAX_LEVEL:
             raise PrecisionError(f"index set reaches level {m}; out of range")
         trace = index_set.window(m)
-        scan = max(_MIN_SCAN, (index_cap + 1) >> (m + 1))
+        scan = _scan_length(m, index_cap)
         frag_hit = [False] * len(trace.blocks)
         if trace.blocks[0][0] == m:
             support.append(sched.exponent((1 << m) - 1))
@@ -566,15 +600,9 @@ def _piece_support(
                 frag_lb = enum_lb
             else:
                 # No hit found by scanning: bound the fragment through the
-                # tree depth of its shallowest member (its index is at least
-                # 2^m * (2^depth + 1) - 1).
-                u, v = u - m, v - m
-                depth = min(tree_depth(u), tree_depth(simplest_in_open(u, v)))
-                if depth >= _MAX_SYMBOLIC_INDEX.bit_length():
-                    cand = _MAX_SYMBOLIC_INDEX
-                else:
-                    cand = (1 << m) * ((1 << depth) + 1) - 1
-                frag_lb = max(enum_lb, cand)
+                # tree depth of its shallowest member.
+                _, depth = _shallowest(u - m, v - m)
+                frag_lb = max(enum_lb, _depth_bound(m, depth))
             level_lb = frag_lb if level_lb is None else min(level_lb, frag_lb)
         if level_lb is not None:
             tails.append(sched.exponent(min(level_lb, _MAX_SYMBOLIC_INDEX)))
@@ -606,6 +634,91 @@ def _on_least_ladder(values: Iterable[CodedReal]) -> list[CodedReal]:
     return [_fold_onto(v, k0) for v in values]
 
 
+def _leading_index_sign(value: CodedReal, max_precision: int) -> int | None:
+    """The sign of a value with terms on one ladder ``k``, read off its least
+    enumeration index ``i0``, or None to leave it to the support scan.
+
+    Canonical term sets on one ladder are disjoint, so with the weights
+    scaled to integers the coded part is ``sum c_i 2^-(2^i + k)``, each
+    ``c_i`` the weight of the set holding ``i``.  Let ``W`` be the largest
+    weight in absolute value and ``w0`` the weight at ``i0``.  The indices
+    past ``i0`` sum below ``2W * 2^-(2^(i0+1) + k)``, so ``w0`` gives the
+    sign of the coded part once ``|w0| * 2^(2^i0) > 2W`` (never at
+    ``i0 = 0``), and the whole coded part is below ``2W * 2^-(2^i0 + k)``,
+    which an offset of the other sign must reach to win.  Both tests are
+    made by bit lengths, without building ``2^(2^i0)``.
+
+    The least index of a block ``[a, b)``, ``m = floor(a)``, is ``2^m - 1``
+    when ``a = m`` and ``2^(m+1) - 1`` when ``b > m + 1``.  Any other block
+    lies in ``(m, m + 1]`` and its least index is at least ``3 * 2^m - 1``;
+    it is made exact, from the shallower of its left end and the simplest
+    rational inside it, only while it could be the least.  The step decides
+    only from an index the support scan itself reaches at ``max_precision``:
+    it defers when ``i0`` has its odd part past that scan, or may lie in a
+    block whose least index is past it, and where the scan would raise
+    ``PrecisionError`` (a block past ``_MAX_LEVEL``, or ``i0`` past
+    ``_MAX_SYMBOLIC_INDEX``).
+    """
+    scale = math.lcm(*(t.coeff.denominator for t in value.terms))
+    top = 0  # twice the largest weight
+    weight_at: dict[int, int] = {}  # least index of a block, odd part within the scan
+    inner: list[tuple[int, int, Fraction, Fraction, int]] = []  # (lower bound, m, a, b, weight)
+    for t in value.terms:
+        w = t.coeff.numerator * (scale // t.coeff.denominator)
+        top = max(top, 2 * abs(w))
+        end = t.index_set.blocks[-1][1]
+        if end.numerator > (_MAX_LEVEL + 1) * end.denominator:
+            return None
+        for a, b in t.index_set.blocks:
+            m = a.numerator // a.denominator
+            if a.denominator == 1:
+                i = (1 << m) - 1
+            elif b.numerator > (m + 1) * b.denominator:
+                i = (2 << m) - 1
+            else:
+                inner.append(((3 << m) - 1, m, a, b, w))
+                continue
+            # an integer is the least index of its block, and every later
+            # block lies on higher levels, whose indices are larger
+            weight_at[i] = weight_at.get(i, 0) + w
+            break
+    best = min(weight_at, default=math.inf)
+    past = math.inf  # least lower bound on a block whose least index is past the scan
+    inner.sort()
+    for bound, m, a, b, w in inner:
+        if bound > best:
+            break
+        x, depth = _shallowest(a - m, b - m)
+        # the odd part 2j + 1 of its index has j >= 2^(depth - 1)
+        scan = _scan_length(m, max_precision)
+        if depth > scan.bit_length():
+            past = min(past, _depth_bound(m, depth))
+            continue
+        j = unit_rational_index(x)
+        index = (1 << m) * (2 * j + 1) - 1
+        if j > scan:
+            past = min(past, index)
+        else:
+            weight_at[index] = weight_at.get(index, 0) + w
+            best = min(best, index)
+    if past <= best or best > _MAX_SYMBOLIC_INDEX:
+        return None
+    i0, w0 = best, weight_at[best]
+    # |w0| * 2^(2^i0) > top holds outright once 2^i0 exceeds top's bit length
+    if w0 == 0 or (i0 < top.bit_length().bit_length() and abs(w0) << (1 << i0) <= top):
+        return None
+    lead = 1 if w0 > 0 else -1
+    offset = value.offset
+    if offset == 0 or (offset > 0) == (lead > 0):
+        return lead
+    # |offset| * scale >= top * 2^-(2^i0 + k), as p * 2^(2^i0 + k) >= top * q
+    p, q = abs(offset.numerator) * scale, offset.denominator
+    need = top * q
+    if i0 < need.bit_length().bit_length() and p << ((1 << i0) + value.terms[0].k) < need:
+        return None
+    return -lead
+
+
 def sign(
     value: CodedReal,
     max_precision: int = DEFAULT_MAX_PRECISION,
@@ -618,10 +731,21 @@ def sign(
     the precision budget.  Canonical forms are unique per ladder only, so a
     value whose terms span several ladders is first folded onto the least
     one; exact zeros that span ladders then cancel and get sign 0.
+
+    Without ``extra``, the folded value's least enumeration index is tried
+    first (:func:`_leading_index_sign`).  It decides only from an index the
+    support scan reaches at ``max_precision``, so a value whose least index
+    lies past that scan, such as a sliver whose simplest member is buried
+    deep in the tree, goes on to the scan at caps 16, 64 and
+    ``max_precision`` and comes back None when none of them settles it.
     """
     (value,) = _on_least_ladder([value])
-    if not value.terms and not extra:
-        return _sgn(value.offset)
+    if not extra:
+        if not value.terms:
+            return _sgn(value.offset)
+        lead = _leading_index_sign(value, max_precision)
+        if lead is not None:
+            return lead
     caps = sorted({min(16, max_precision), min(64, max_precision), max_precision})
     for cap in caps:
         result = _sign_once(value, cap, extra)

@@ -58,7 +58,13 @@ from .independence import (
 from .intervals import _decode_scope, _frac_str, _parse_frac
 from .metric import FiniteMetric
 from .product import tau
-from .registry import RESERVED_GAUGE_ID, HubAllocation, ValueRegistry, gauge_from_snapshot
+from .registry import (
+    RESERVED_GAUGE_ID,
+    HubAllocation,
+    ValueRegistry,
+    _canonical_int,
+    gauge_from_snapshot,
+)
 from .rigidify import snap_to_grid, subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
@@ -596,19 +602,20 @@ class _ComponentReplay:
     """Recomputes tagged component values from snapshot draws.
 
     The snapshot's gauges and hub records are decoded once, each keyed by
-    the id its components name: a gauge key is that id in canonical decimal.
+    the id its components name: a gauge or hub key is that id in canonical
+    decimal.
     Each distinct component is decoded once by the certificate's decode
     scope, which also keeps it alive, so as one instance it is replayed once.
     """
 
     def __init__(self, parameters: dict, snapshot: dict):
         self._k = _parse_int(parameters["k"])
-        gauge_ids = [int(g) for g in snapshot.get("gauges", {})]
-        for key, gauge_id in zip(snapshot.get("gauges", {}), gauge_ids):
-            if str(gauge_id) != key:
-                raise ValueError(f"gauge key {key!r} is not an id in canonical decimal")
+        gauge_ids = [_canonical_int(key, "gauge key") for key in snapshot.get("gauges", {})]
         self.gauges = {g: gauge_from_snapshot(g, snapshot) for g in gauge_ids}
-        self.hubs = {i: HubAllocation.from_json(a) for i, a in snapshot.get("hubs", {}).items()}
+        self.hubs = {
+            _canonical_int(key, "hub key"): HubAllocation.from_json(a)
+            for key, a in snapshot.get("hubs", {}).items()
+        }
         self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
         self._verdicts: dict[int, object | None] = {}
 
@@ -655,7 +662,7 @@ class _ComponentReplay:
 
     def _check(self, comp: SumComponent) -> object | None:
         if comp.kind == "hub":
-            alloc = self.hubs.get(str(comp.hub_index))
+            alloc = self.hubs.get(comp.hub_index)
             if alloc is None:
                 return comp.hub_index
             basis = tau(self._gauge(RESERVED_GAUGE_ID), self._k, *alloc.words)

@@ -242,13 +242,28 @@ class _SealedPool:
         raise DomainError("snapshot replay hit a value that was never recorded")
 
 
+def _canonical_int(text: str, what: str) -> int:
+    """The integer that ``text`` spells the way ``str`` writes it, for a key
+    of the snapshot; any other spelling (``"01"``, ``" 1"``, ``"+1"``)
+    raises ``ValueError``, so one value has one key."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{what} is not in canonical decimal: {text!r}")
+    return value
+
+
 def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
-    """Reconstruct a gauge from recorded draws; unknown requests error out."""
+    """Reconstruct a gauge from recorded draws; unknown requests error out.
+
+    Each draw key must be ``level:a:b`` in canonical decimal, the spelling
+    :meth:`ValueRegistry.snapshot` writes, so two keys never name one draw."""
     data = snapshot.get("gauges", {}).get(str(gauge_id))
     if data is None:
         raise DomainError(f"gauge {gauge_id} is not in the snapshot")
     gauge = SemiMetricGauge(gauge_id, _SealedPool())
     for key, value in data.get("draws", {}).items():
         level, a, b = (int(part) for part in key.split(":"))
+        if f"{level}:{a}:{b}" != key:
+            raise ValueError(f"draw key {key!r} is not level:a:b in canonical decimal")
         gauge.preload((level, a, b), _parse_frac(value))
     return gauge

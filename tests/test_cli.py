@@ -251,13 +251,26 @@ def _four_point_certificate() -> dict:
     return cert.to_json(metric)
 
 
-def _respelled_gauge_certificate(key):
-    """The 4-point certificate with gauge 1 stored under ``key``, another
-    spelling that ``int`` reads as 1."""
+def _respelled_certificate(table, old, new):
+    """The 4-point certificate with the entry ``old`` of the registry table
+    at path ``table`` stored under ``new``, another spelling of its key that
+    ``int`` reads alike."""
     data = _four_point_certificate()
-    gauges = data["registry"]["gauges"]
-    gauges[key] = gauges.pop("1")
+    entries = data["registry"]
+    for name in table:
+        entries = entries[name]
+    entries[new] = entries.pop(old)
     return json.dumps(data)
+
+
+def _respelled_gauge_certificate(key):
+    """The 4-point certificate with gauge 1 stored under ``key``."""
+    return _respelled_certificate(("gauges",), "1", key)
+
+
+def _respelled_draw_certificate(key):
+    """The 4-point certificate with gauge 0's draw ``0:0:1`` stored under ``key``."""
+    return _respelled_certificate(("gauges", "0", "draws"), "0:0:1", key)
 
 
 def _half_ladder_certificate():
@@ -309,6 +322,14 @@ def _half_ladder_certificate():
                      id="zero-padded-gauge-key"),
         pytest.param("c.cert.json", _respelled_gauge_certificate(" 1"), ["indep", "{}"],
                      id="space-padded-gauge-key"),
+        pytest.param("c.cert.json", _respelled_draw_certificate("0:0:01"), ["indep", "{}"],
+                     id="zero-padded-draw-key"),
+        pytest.param("c.cert.json", _respelled_draw_certificate("+0:0:1"), ["indep", "{}"],
+                     id="signed-draw-key"),
+        pytest.param("c.cert.json", _respelled_draw_certificate("0:0:1:0"), ["indep", "{}"],
+                     id="four-part-draw-key"),
+        pytest.param("c.cert.json", _respelled_certificate(("hubs",), "43", "043"), ["indep", "{}"],
+                     id="zero-padded-hub-key"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):

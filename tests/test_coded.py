@@ -12,8 +12,10 @@ from rigidmetrics.coded import (
     Term,
     _difference,
     _enumeration_prefix,
+    _leading_index_sign,
     _on_least_ladder,
     _piece_support,
+    _sign_once,
     _signed_sum,
     Enclosure,
     ExponentSchedule,
@@ -27,7 +29,13 @@ from rigidmetrics.coded import (
     gamma_compare,
     sign,
 )
-from rigidmetrics.enumeration import fusc_pair, rational_at, simplest_in_open, tree_depth
+from rigidmetrics.enumeration import (
+    fusc_pair,
+    rational_at,
+    simplest_in_open,
+    tree_depth,
+    unit_rational,
+)
 from rigidmetrics.errors import PrecisionError
 from rigidmetrics.glue import _component_sum
 from rigidmetrics.independence import SumComponent
@@ -820,3 +828,118 @@ def test_decode_of_a_pure_offset():
         assert x == CodedReal.from_rational(Fraction(data["offset"])) and x.terms == ()
     with pytest.raises(ZeroDivisionError):
         CodedReal.from_json({"offset": "1/0", "terms": []})
+
+
+# The leading-index step of sign() against the support scan
+
+
+def _least_index(value, limit):
+    """The least enumeration index below ``limit`` in one of the value's
+    term sets, or None, by walking the enumeration."""
+    for i, (n, d) in enumerate(_enumeration_prefix(limit)):
+        if any(t.index_set._block_index(n, d) >= 0 for t in value.terms):
+            return i
+    return None
+
+
+# Below every index the scan reaches at a budget of at most 256 on the levels
+# the values below touch: 2^6 * (2 * 8 + 1) - 1 = 1087 is the last at level
+# 6, and a block reaching into level 7 holds 7 itself, at index 127.
+_SCAN_REACH = 1100
+_UNITS = sorted({Fraction(a, b) for b in range(2, 13) for a in range(1, b)})
+# nonzero weights in [-4, 4] with denominators 1, 2, 4
+_WEIGHTS = sorted({Fraction(a, b) for b in (1, 2, 4) for a in range(-4 * b, 4 * b + 1) if a})
+
+
+@st.composite
+def leading_blocks(draw, budget):
+    """A block at level 0-6 starting at an integer or inside the level and
+    ending inside it, at its end or one level on; now and then a sliver
+    whose least member lies just past the scan, or a block past level 16."""
+    choice = draw(st.integers(0, 19))
+    if choice == 0:
+        return draw(st.sampled_from([(17, Fraction(35, 2)), (16, 18)]))
+    m = draw(st.integers(0, 6))
+    if choice == 1:
+        scan = max(8, (budget + 1) >> (m + 1))
+        x = m + unit_rational(draw(st.integers(scan + 1, 2 * scan)))
+        return x, x + Fraction(1, 1 << 40)
+    u, v = sorted(draw(st.lists(st.sampled_from(_UNITS), min_size=2, max_size=2, unique=True)))
+    start = draw(st.sampled_from([m, m + u]))
+    return start, draw(st.sampled_from([m + v, m + 1, m + 2]))
+
+
+@st.composite
+def one_ladder_values(draw):
+    """A canonical value on one ladder with 1-4 parts and a budget."""
+    budget = draw(st.sampled_from([16, 64, 256]))
+    k = draw(st.integers(0, 2))
+    parts = [
+        (draw(st.sampled_from(_WEIGHTS)), k, IntervalSet.from_blocks(
+            draw(st.lists(leading_blocks(budget), min_size=1, max_size=2))
+        ))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    offset = draw(st.sampled_from([
+        Fraction(0),
+        Fraction(draw(st.integers(-4, 4)), 1 << draw(st.integers(0, 20))),
+        Fraction(draw(st.integers(-5, 5))),
+    ]))
+    return CodedReal.build(offset, parts), budget
+
+
+_NEAR_HALF = Fraction(10**9 // 2 - 1, 10**9)
+_AT_INTEGER_2 = IntervalSet.block(2, Fraction(5, 2))  # least index 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_ladder_values())
+# the sliver of test_unresolved_order_with_certified_distinctness
+@example((coded_sum(0, IntervalSet.block(_NEAR_HALF, Fraction(1, 2)), -1), 64))
+# least index 0 with the largest weight there
+@example((CodedReal.build(0, [(1, 0, _HALF), (-1, 0, IntervalSet.block(Fraction(1, 2), 1))]), 64))
+# an opposing offset just below and just at 2W * 2^-(2^3 + 0) = 1/128
+@example((CodedReal.build(Fraction(-1, 128) + Fraction(1, 1 << 30), [(1, 0, _AT_INTEGER_2)]), 64))
+@example((CodedReal.build(Fraction(-1, 128), [(1, 0, _AT_INTEGER_2)]), 64))
+# a sliver whose least member, odd part j = 33 at level 0, is past the scan
+@example((coded_sum(0, IntervalSet.block(
+    unit_rational(33), unit_rational(33) + Fraction(1, 1 << 40))), 64))
+def test_leading_index_step_agrees_with_the_support_scan(case):
+    value, budget = case
+    lead = _leading_index_sign(value, budget)
+    for cap in sorted({min(16, budget), min(64, budget), budget}):
+        try:
+            s = _sign_once(value, cap)
+        except PrecisionError:
+            assert lead is None
+            return
+        if s is not None:
+            assert lead in (None, s)
+    enc = value.eval(6)
+    if enc.lo > 0 or enc.hi < 0:
+        assert lead in (None, 1 if enc.lo > 0 else -1)
+    if lead is not None:
+        # decided only from an index the scan reaches, and never at index 0
+        i0 = _least_index(value, _SCAN_REACH)
+        assert i0
+        scanned = {e for t in value.terms for e in _piece_support(t.k, t.index_set, budget)[0]}
+        assert (1 << i0) + value.terms[0].k in scanned
+
+
+def test_leading_index_step_on_the_examples():
+    sliver = coded_sum(0, IntervalSet.block(_NEAR_HALF, Fraction(1, 2)), -1)
+    index_zero = CodedReal.build(0, [(1, 0, _HALF), (-1, 0, IntervalSet.block(Fraction(1, 2), 1))])
+    below = CodedReal.build(Fraction(-1, 128) + Fraction(1, 1 << 30), [(1, 0, _AT_INTEGER_2)])
+    at = CodedReal.build(Fraction(-1, 128), [(1, 0, _AT_INTEGER_2)])
+    for deferred in (sliver, index_zero, below):
+        assert _leading_index_sign(deferred, 64) is None
+    assert _leading_index_sign(at, 64) == -1 == sign(at)
+    assert _leading_index_sign(coded_sum(0, _AT_INTEGER_2, -3), 64) == -1
+    # least index 87 (3 + 3/5, odd part j = 5 within the scan) beats the
+    # sliver at 4/13 (index 120, j = 60 past it), which the scan bounds only
+    # from index 67 on: the step decides where caps 16 and 64 cannot
+    x, y = 3 + unit_rational(5), unit_rational(60)
+    ahead = CodedReal.build(0, [(1, 0, IntervalSet.block(x, x + Fraction(1, 1 << 40))),
+                                (-1, 0, IntervalSet.block(y, y + Fraction(1, 1 << 40)))])
+    assert _sign_once(ahead, 16) is None and _sign_once(ahead, 64) is None
+    assert _leading_index_sign(ahead, 64) == 1 == _sign_once(ahead, 256)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rational_metric
+from rigidmetrics.cli import main
 from rigidmetrics.coded import (
     EQUAL,
     GREATER,
@@ -13,11 +14,12 @@ from rigidmetrics.coded import (
     CodedReal,
     _difference,
     _ordering,
+    _piece_support,
     coded_sum,
 )
 from rigidmetrics.errors import DomainError, ResourceError
 from rigidmetrics.intervals import IntervalSet
-from rigidmetrics.metric import FiniteMetric
+from rigidmetrics.metric import FiniteMetric, load_metric
 from rigidmetrics.product import tau, word_label
 from rigidmetrics.registry import ValueRegistry
 from rigidmetrics.rigidify import perturb_strongly_rigid
@@ -345,3 +347,22 @@ def triangle_matrices(draw):
 def test_prefilter_cannot_change_a_report(d, max_precision):
     for strict, oracle in ((False, is_metric), (True, is_strict_triangle)):
         assert oracle(d, max_precision) == _exact_triangle_report(d, strict, max_precision)
+
+
+def test_product_triangles_need_no_support_scan(tmp_path, monkeypatch):
+    # the metric tests/test_byte_identity.py pins: every triangle gap the
+    # enclosures leave open is decided from its least enumeration index
+    out = tmp_path / "product.json"
+    assert main(["product", "--alphabet", "2", "--length", "3", "--k", "1",
+                 "--out", str(out)]) == 0
+    d = load_metric(out.read_text())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _piece_support(*args)
+
+    monkeypatch.setattr("rigidmetrics.coded._piece_support", counted)
+    assert is_metric(d).passed
+    assert is_strict_triangle(d).passed
+    assert calls == []
