@@ -646,7 +646,9 @@ def _leading_index_sign(value: CodedReal, max_precision: int) -> int | None:
     sign of the coded part once ``|w0| * 2^(2^i0) > 2W`` (never at
     ``i0 = 0``), and the whole coded part is below ``2W * 2^-(2^i0 + k)``,
     which an offset of the other sign must reach to win.  Both tests are
-    made by bit lengths, without building ``2^(2^i0)``.
+    gated by bit lengths on the whole exponent (``2^i0``, and ``2^i0 + k``
+    for the offset), so neither builds an integer longer than the scaled
+    weights and offset, however deep ``i0`` or large the ladder ``k``.
 
     The least index of a block ``[a, b)``, ``m = floor(a)``, is ``2^m - 1``
     when ``a = m`` and ``2^(m+1) - 1`` when ``b > m + 1``.  Any other block
@@ -711,11 +713,15 @@ def _leading_index_sign(value: CodedReal, max_precision: int) -> int | None:
     offset = value.offset
     if offset == 0 or (offset > 0) == (lead > 0):
         return lead
-    # |offset| * scale >= top * 2^-(2^i0 + k), as p * 2^(2^i0 + k) >= top * q
+    # |offset| * scale >= top * 2^-(2^i0 + k), as p * 2^e >= top * q with
+    # e = 2^i0 + k; it holds outright once e reaches need's bit length, which
+    # 2^i0 alone does once i0 reaches the bit length of that length
     p, q = abs(offset.numerator) * scale, offset.denominator
     need = top * q
-    if i0 < need.bit_length().bit_length() and p << ((1 << i0) + value.terms[0].k) < need:
-        return None
+    if i0 < need.bit_length().bit_length():
+        e = (1 << i0) + value.terms[0].k
+        if e < need.bit_length() and p << e < need:
+            return None
     return -lead
 
 

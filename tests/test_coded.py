@@ -849,6 +849,8 @@ _SCAN_REACH = 1100
 _UNITS = sorted({Fraction(a, b) for b in range(2, 13) for a in range(1, b)})
 # nonzero weights in [-4, 4] with denominators 1, 2, 4
 _WEIGHTS = sorted({Fraction(a, b) for b in (1, 2, 4) for a in range(-4 * b, 4 * b + 1) if a})
+# a ladder so far down that an integer of 2^k bits could never be allocated
+_HUGE_K = 10**18
 
 
 @st.composite
@@ -871,9 +873,10 @@ def leading_blocks(draw, budget):
 
 @st.composite
 def one_ladder_values(draw):
-    """A canonical value on one ladder with 1-4 parts and a budget."""
+    """A canonical value on one ladder with 1-4 parts and a budget; the
+    ladder is now and then so far down that no integer of 2^-k is built."""
     budget = draw(st.sampled_from([16, 64, 256]))
-    k = draw(st.integers(0, 2))
+    k = draw(st.sampled_from([0, 1, 2, _HUGE_K]))
     parts = [
         (draw(st.sampled_from(_WEIGHTS)), k, IntervalSet.from_blocks(
             draw(st.lists(leading_blocks(budget), min_size=1, max_size=2))
@@ -901,6 +904,8 @@ _AT_INTEGER_2 = IntervalSet.block(2, Fraction(5, 2))  # least index 3
 # an opposing offset just below and just at 2W * 2^-(2^3 + 0) = 1/128
 @example((CodedReal.build(Fraction(-1, 128) + Fraction(1, 1 << 30), [(1, 0, _AT_INTEGER_2)]), 64))
 @example((CodedReal.build(Fraction(-1, 128), [(1, 0, _AT_INTEGER_2)]), 64))
+# an opposing offset far above the coded part on a huge ladder
+@example((CodedReal.build(Fraction(-1, 1 << 20), [(1, _HUGE_K, _AT_INTEGER_2)]), 64))
 # a sliver whose least member, odd part j = 33 at level 0, is past the scan
 @example((coded_sum(0, IntervalSet.block(
     unit_rational(33), unit_rational(33) + Fraction(1, 1 << 40))), 64))
@@ -915,9 +920,10 @@ def test_leading_index_step_agrees_with_the_support_scan(case):
             return
         if s is not None:
             assert lead in (None, s)
-    enc = value.eval(6)
-    if enc.lo > 0 or enc.hi < 0:
-        assert lead in (None, 1 if enc.lo > 0 else -1)
+    if value.terms[0].k != _HUGE_K:
+        enc = value.eval(6)
+        if enc.lo > 0 or enc.hi < 0:
+            assert lead in (None, 1 if enc.lo > 0 else -1)
     if lead is not None:
         # decided only from an index the scan reaches, and never at index 0
         i0 = _least_index(value, _SCAN_REACH)
@@ -943,3 +949,13 @@ def test_leading_index_step_on_the_examples():
                                 (-1, 0, IntervalSet.block(y, y + Fraction(1, 1 << 40)))])
     assert _sign_once(ahead, 16) is None and _sign_once(ahead, 64) is None
     assert _leading_index_sign(ahead, 64) == 1 == _sign_once(ahead, 256)
+
+
+def test_leading_index_step_on_a_huge_ladder():
+    # the offset test is gated on the whole exponent 2^i0 + k: here the
+    # offset wins outright, and 2^-(2^3 + k) is never built
+    far = CodedReal.build(Fraction(-1, 1 << 20), [(1, _HUGE_K, _AT_INTEGER_2)])
+    assert _leading_index_sign(far, 64) == -1 == sign(far) == _sign_once(far, 16)
+    assert _leading_index_sign(-far, 64) == 1 == sign(-far)
+    with pytest.raises(PrecisionError):
+        far.eval(0)
