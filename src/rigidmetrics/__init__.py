@@ -22,8 +22,8 @@ from .enumeration import rational_at, index_of, first_hit_index
 from .errors import DomainError, PrecisionError, ResourceError, UnresolvedComparison
 from .intervals import IntervalSet
 from .metric import FiniteMetric
-from .registry import DenseStream, ValueRegistry
-from .rigidify import perturb_strongly_rigid, pick_interval_value, snap_to_grid
+from .registry import ValueRegistry
+from .rigidify import perturb_strongly_rigid, snap_to_grid
 from .product import (
     SemiMetricGauge,
     find_separating_prefix,
@@ -54,7 +54,6 @@ from .verify import (
 
 __all__ = [
     "CodedReal",
-    "DenseStream",
     "DomainError",
     "Enclosure",
     "ExponentSchedule",
@@ -85,7 +84,6 @@ __all__ = [
     "pair_encode",
     "partition_by_diameter",
     "perturb_strongly_rigid",
-    "pick_interval_value",
     "prism",
     "rational_at",
     "rho",

@@ -28,7 +28,9 @@ The form is unique per ladder ``k`` only: since
 ``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
 exactly while their canonical form stays nonzero.  :func:`_on_least_ladder`
 folds a family onto its least ladder, where equal numbers have equal forms, so
-:func:`equals` is always decided; :func:`sign` folds its value first.
+:func:`equals` is decided without a budget; :func:`sign` folds its value
+first.  A fold scales by ``2^(k - k0)``, so one across more than
+``_MAX_EVAL_EXPONENT`` ladders raises ``PrecisionError``.
 
 Two evaluation routes are provided.
 
@@ -80,7 +82,8 @@ UNRESOLVED: Ordering = "unresolved"
 
 DEFAULT_MAX_PRECISION = 64
 
-# eval() materializes 2^(-(2^(N+1)+k)) as Fractions; cap the exponent bits.
+# eval() materializes 2^(-(2^(N+1)+k)) as Fractions, and a fold onto a lower
+# ladder materializes 2^(k - k0); cap the exponent bits of both.
 _MAX_EVAL_EXPONENT = 1 << 21
 # Symbolic exponents 2^i are stored as ints of i bits; cap the index range.
 _MAX_SYMBOLIC_INDEX = 1 << 21
@@ -553,9 +556,6 @@ def _depth_bound(m: int, depth: int) -> int:
     return (1 << m) * ((1 << depth) + 1) - 1
 
 
-_support_cache: dict[tuple[int, IntervalSet, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-
 def _piece_support(
     k: int, index_set: IntervalSet, index_cap: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -566,13 +566,8 @@ def _piece_support(
     remainder of one integer level by ``2^(1-e)``.  At level ``m`` the scan
     walks the odd parts ``j`` with ``fusc_pair(j) = (a, b)`` stepped as
     integers, and finds the fragment of the set's trace on ``[m, m+1)``
-    holding ``m + a/(a+b)`` by integer membership.  Cached: index sets recur
-    across many comparisons.
+    holding ``m + a/(a+b)`` by integer membership.
     """
-    key = (k, index_set, index_cap)
-    hit = _support_cache.get(key)
-    if hit is not None:
-        return hit
     sched = ExponentSchedule(k)
     support: list[int] = []
     tails: list[int] = []
@@ -606,19 +601,19 @@ def _piece_support(
             level_lb = frag_lb if level_lb is None else min(level_lb, frag_lb)
         if level_lb is not None:
             tails.append(sched.exponent(min(level_lb, _MAX_SYMBOLIC_INDEX)))
-    result = (tuple(support), tuple(tails))
-    if len(_support_cache) > 1 << 16:
-        _support_cache.clear()
-    _support_cache[key] = result
-    return result
+    return tuple(support), tuple(tails)
 
 
 def _fold_onto(value: CodedReal, k0: int) -> CodedReal:
     """The same number with every term moved onto ladder ``k0``, which must
     not exceed any of its ladders; values already on ``k0`` alone are
-    returned as they are."""
+    returned as they are.  A fold across more than ``_MAX_EVAL_EXPONENT``
+    ladders raises ``PrecisionError``."""
     if all(t.k == k0 for t in value.terms):
         return value
+    span = max(t.k for t in value.terms) - k0
+    if span > _MAX_EVAL_EXPONENT:
+        raise PrecisionError(f"folding across {span} ladders would build 2^{span}")
     return CodedReal.build(
         value.offset,
         [(t.coeff / (1 << (t.k - k0)), k0, t.index_set) for t in value.terms],
@@ -628,9 +623,13 @@ def _fold_onto(value: CodedReal, k0: int) -> CodedReal:
 def _on_least_ladder(values: Iterable[CodedReal]) -> list[CodedReal]:
     """The values with every term moved onto the least ladder of the whole
     family, where two values are equal exactly when their forms are (see
-    :func:`equals`); a family on one ladder comes back as the same objects."""
+    :func:`equals`); a family on fewer than two ladders comes back as the
+    same objects."""
     values = list(values)
-    k0 = min((t.k for v in values for t in v.terms), default=0)
+    ladders = {t.k for v in values for t in v.terms}
+    if len(ladders) < 2:
+        return values
+    k0 = min(ladders)
     return [_fold_onto(v, k0) for v in values]
 
 
@@ -834,6 +833,8 @@ def gamma_compare(
 
 def equals(x: CodedReal | Fraction | int, y: CodedReal | Fraction | int) -> bool:
     """Exact equality, never unresolved: the forms agree on the least ladder.
+    Only a fold across more than ``_MAX_EVAL_EXPONENT`` ladders raises
+    ``PrecisionError``.
 
     On one ladder ``k``, distinct forms denote distinct numbers.  Were they
     equal, pick a deep index ``n`` where the integer-scaled weights differ:
@@ -842,7 +843,5 @@ def equals(x: CodedReal | Fraction | int, y: CodedReal | Fraction | int) -> bool
     weight at ``n`` is not.  Index sets are infinite or empty, so such ``n``
     exist beyond every bound.
     """
-    x, y = as_coded(x), as_coded(y)
-    if len({t.k for t in x.terms + y.terms}) > 1:
-        x, y = _on_least_ladder([x, y])
+    x, y = _on_least_ladder([as_coded(x), as_coded(y)])
     return x == y

@@ -49,7 +49,6 @@ from .coded import (
 )
 from .errors import DomainError, PrecisionError, UnresolvedComparison
 from .independence import (
-    IntervalTraceWitness,
     SumComponent,
     find_interval_trace_witness,
     multiset_key,
@@ -475,10 +474,10 @@ def _pairwise_independence(
     return out
 
 
-def _trace_witness_for(components: Sequence[SumComponent]) -> IntervalTraceWitness | None:
-    """A distance's independent-of-1 witness: one shared window over the
-    distinct index sets, in order, of its components' terms; None unless
-    there are sets on one ladder and a window fits them."""
+def _trace_witness_for(components: Sequence[SumComponent]) -> int | None:
+    """A distance's independent-of-1 witness: the index of one shared window
+    over the distinct index sets, in order, of its components' terms; None
+    unless there are sets on one ladder and a window fits them."""
     terms = [t for c in components for t in c.value.terms]
     if len({t.k for t in terms}) != 1:
         return None

@@ -2,13 +2,12 @@
 
 Two pieces of evidence are produced and re-checked here.
 
-* :class:`IntervalTraceWitness`: a window ``[n, n+1)`` in which every index
-  set under consideration traces exactly ``[a, b_i)`` with one shared left
+* Interval-trace witnesses: a window ``[n, n+1)`` in which every index set
+  under consideration traces exactly ``[a, b_i)`` with one shared left
   endpoint ``a`` and pairwise distinct cuts ``b_i``.  Such a window forces the
   coded sums of those sets, together with 1, to be linearly independent over
-  the rationals.  :func:`find_interval_trace_witness` returns a window only
-  once :meth:`IntervalTraceWitness.verify` has redone its intersections, so
-  a checker runs the search itself and nothing is stored.
+  the rationals.  :func:`find_interval_trace_witness` returns the window's
+  index ``n``, so a checker runs the search itself and nothing is stored.
 
 * Tagged sums: a distance that is a sum of at most three nonzero tagged
   components (two block values drawn from distinct gauge families plus one
@@ -23,7 +22,6 @@ Two pieces of evidence are produced and re-checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .coded import CodedReal, _parse_int, equals
@@ -31,40 +29,13 @@ from .errors import DomainError
 from .intervals import IntervalSet, _decode_once
 
 
-@dataclass(frozen=True)
-class IntervalTraceWitness:
-    """Shared-window trace data certifying Q-linear independence."""
-
-    window_start: Fraction
-    base: Fraction
-    cuts: tuple[Fraction, ...]
-    index_sets: tuple[IntervalSet, ...]
-
-    def verify(self) -> bool:
-        """Recompute every trace from scratch and recheck the shape."""
-        n = self.window_start
-        if n < 0 or n.denominator != 1:
-            return False
-        if len(self.cuts) != len(self.index_sets):
-            return False
-        if len(set(self.cuts)) != len(self.cuts):
-            return False
-        n = int(n)
-        for b, sett in zip(self.cuts, self.index_sets):
-            if not self.base < b:
-                return False
-            trace = sett.window(n)
-            if trace.blocks != ((self.base, b),):
-                return False
-        return True
-
-
-def find_interval_trace_witness(index_sets: Sequence[IntervalSet]) -> IntervalTraceWitness | None:
-    """Search for a shared window certifying independence of the given sets.
+def find_interval_trace_witness(index_sets: Sequence[IntervalSet]) -> int | None:
+    """The least integer ``n`` whose window ``[n, n+1)`` certifies
+    independence of the given sets: each traces one block there, all blocks
+    share their start, and their ends are pairwise distinct.
 
     Returns ``None`` when no window works; that is inconclusive, not a
-    dependence proof.  A window is returned only once
-    :meth:`IntervalTraceWitness.verify` accepts it.
+    dependence proof.  Window 0 is falsy, so callers test ``is None``.
     """
     if not index_sets:
         raise DomainError("need at least one index set")
@@ -73,18 +44,10 @@ def find_interval_trace_witness(index_sets: Sequence[IntervalSet]) -> IntervalTr
         candidates.update(s.integer_levels())
     for n in sorted(candidates):
         traces = [s.window(n) for s in index_sets]
-        if any(len(t.blocks) != 1 for t in traces):
-            continue
-        starts = {t.blocks[0][0] for t in traces}
-        if len(starts) != 1:
-            continue
-        base = starts.pop()
-        cuts = tuple(t.blocks[0][1] for t in traces)
-        if len(set(cuts)) != len(cuts):
-            continue
-        witness = IntervalTraceWitness(Fraction(n), base, cuts, tuple(index_sets))
-        if witness.verify():
-            return witness
+        if (all(len(t.blocks) == 1 for t in traces)
+                and len({t.blocks[0][0] for t in traces}) == 1
+                and len({t.blocks[0][1] for t in traces}) == len(traces)):
+            return n
     return None
 
 

@@ -2,8 +2,9 @@
 
 The registry is the single mutable component of the package.  It owns
 
-* a global pool of drawn rationals, guaranteeing that the countable dense
-  families backing streams and gauges are pairwise disjoint;
+* a global pool of drawn rationals: :meth:`ValueRegistry.draw_value` never
+  returns a value twice, whatever its window and salt, so the values drawn
+  for distinct pairs and gauges are pairwise distinct;
 * gauge allocation (ids never reused; id 0 is reserved for the basis values
   used inside hub allocations and is never handed out for blocks);
 * hub allocations: for a fresh index ``i`` and a positive rational target it
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coded import CodedReal, _parse_int, as_coded
-from .enumeration import cantor_unpair, rational_at, simplest_in_open
+from .enumeration import simplest_in_open
 from .errors import DomainError
 from .intervals import _frac_str, _parse_frac
 from .product import SemiMetricGauge, Word, tau
@@ -101,7 +102,7 @@ class HubAllocation:
 
 
 class ValueRegistry:
-    """Allocator for disjoint dense families, gauges, and hub values."""
+    """Allocator for fresh dense draws, gauges, and hub values."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -110,7 +111,6 @@ class ValueRegistry:
         self._enumerators: dict[tuple[Fraction, Fraction, int], _IntervalEnumerator] = {}
         self._gauges: dict[int, SemiMetricGauge] = {}
         self._next_gauge_id = RESERVED_GAUGE_ID + 1
-        self._streams: dict[int, DenseStream] = {}
         self._hubs: dict[int, HubAllocation] = {}
         self._hub_word_counter = 0
         self._reserved = SemiMetricGauge(RESERVED_GAUGE_ID, self)
@@ -144,13 +144,6 @@ class ValueRegistry:
         self._gauges[gauge.gauge_id] = gauge
         self._next_gauge_id += 1
         return gauge
-
-    # -- streams ----------------------------------------------------------
-
-    def stream(self, alpha: int) -> "DenseStream":
-        if alpha not in self._streams:
-            self._streams[alpha] = DenseStream(alpha, self)
-        return self._streams[alpha]
 
     # -- hub values -------------------------------------------------------
 
@@ -194,32 +187,6 @@ class ValueRegistry:
             "gauges": gauges,
             "hubs": {str(i): alloc.to_json() for i, alloc in sorted(self._hubs.items())},
         }
-
-
-class DenseStream:
-    """One member of a family of disjoint countable dense subsets of (0, oo).
-
-    ``draw_next`` walks a fixed enumeration of base intervals (every rational
-    interval shows up), emitting one fresh rational inside each; ``draw_in``
-    services a targeted request.  Freshness is global across the owning
-    registry, which is what keeps distinct streams disjoint.
-    """
-
-    def __init__(self, family_index: int, registry: ValueRegistry):
-        self.family_index = family_index
-        self._registry = registry
-        self._cursor = 0
-
-    def draw_next(self) -> Fraction:
-        n = self._cursor
-        self._cursor += 1
-        j, width_index = cantor_unpair(n)
-        lo = rational_at(j + 1)
-        hi = lo + Fraction(1, width_index + 1)
-        return self._registry.draw_value(lo, hi, salt=self.family_index)
-
-    def draw_in(self, lo: Fraction, hi: Fraction) -> Fraction:
-        return self._registry.draw_value(lo, hi, salt=self.family_index)
 
 
 def _dyadic_power_floor(x: Fraction) -> Fraction:

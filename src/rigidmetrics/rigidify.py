@@ -2,13 +2,13 @@
 
 The pipeline: snap the metric onto the grid ``eta * Z`` (ceiling entrywise,
 ``eta = epsilon / 2``), rescale to integers, and replace the integer ``N`` of
-each point pair by a fresh rational drawn from that pair's own dense stream
-inside :func:`subadditive_window` ``(N + 2^-(N+1), N + 2^-N)``, the one window
-family of the package (``glue`` places hub values in it too).  Values from
-these windows satisfy the strict triangle inequality whenever the integers do
-(``N1 <= N2 + N3`` forces ``M1 < M2 + M3``), pairwise distinctness comes from
-stream disjointness, and scaling back by ``eta`` lands within ``epsilon`` of
-the input in sup distance.
+each point pair by a fresh rational that the registry draws, salted with the
+pair's index, inside :func:`subadditive_window` ``(N + 2^-(N+1), N + 2^-N)``,
+the one window family of the package (``glue`` places hub values in it too).
+Values from these windows satisfy the strict triangle inequality whenever the
+integers do (``N1 <= N2 + N3`` forces ``M1 < M2 + M3``), pairwise
+distinctness comes from the registry never drawing a value twice, and scaling
+back by ``eta`` lands within ``epsilon`` of the input in sup distance.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .metric import FiniteMetric
-from .registry import DenseStream, ValueRegistry
+from .registry import ValueRegistry
 
 
 def snap_to_grid(d: FiniteMetric, eta: Fraction) -> FiniteMetric:
@@ -49,11 +49,6 @@ def subadditive_window(n: int) -> tuple[Fraction, Fraction]:
     return n + Fraction(1, 1 << (n + 1)), n + Fraction(1, 1 << n)
 
 
-def pick_interval_value(n: int, stream: DenseStream) -> Fraction:
-    """A fresh stream element strictly inside :func:`subadditive_window` of ``n``."""
-    return stream.draw_in(*subadditive_window(n))
-
-
 def perturb_strongly_rigid(
     d: FiniteMetric,
     epsilon: Fraction,
@@ -75,9 +70,9 @@ def perturb_strongly_rigid(
     registry = ValueRegistry(seed)
 
     chosen: dict[tuple[int, int], Fraction] = {}
-    # one stream per pair, in lexicographic pair order
+    # one salt per pair, in lexicographic pair order
     for alpha, (i, j) in enumerate(snapped.pairs()):
         n = int(snapped.at(i, j).rational_value() / eta)
-        chosen[(i, j)] = eta * pick_interval_value(n, registry.stream(alpha))
+        chosen[(i, j)] = eta * registry.draw_value(*subadditive_window(n), salt=alpha)
 
     return FiniteMetric.from_pair_function(d.points, lambda i, j: chosen[(i, j)])

@@ -367,6 +367,16 @@ def test_verify_sr_decides_equality_across_ladders(tmp_path, capsys, xy_cut, cod
     assert json.loads(capsys.readouterr().out)["verdict"] == ("pass", "fail")[code]
 
 
+def test_a_fold_across_too_many_ladders_is_a_resource_limit(tmp_path, capsys):
+    # <g0,[2,5/2)> + <g_(10^18),[2,5/2)>: its fold onto ladder 0 is refused
+    terms = [{"coeff": "1/1", "k": k, "intervals": [["2/1", "5/2"]]} for k in (0, 10**18)]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_two_points({"offset": "0/1", "terms": terms})))
+    assert main(["verify", "--metric", str(path), "--check", "metric"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: folding across") and "Traceback" not in err
+
+
 def test_nonmetric_input_rejected(tmp_path, capsys):
     bad = FiniteMetric.from_entries(
         ["a", "b", "c"],

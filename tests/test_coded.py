@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -909,6 +910,8 @@ _AT_INTEGER_2 = IntervalSet.block(2, Fraction(5, 2))  # least index 3
 # a sliver whose least member, odd part j = 33 at level 0, is past the scan
 @example((coded_sum(0, IntervalSet.block(
     unit_rational(33), unit_rational(33) + Fraction(1, 1 << 40))), 64))
+# parts that cancel to the zero form: no terms are left
+@example((CodedReal.build(0, [(1, 0, _AT_INTEGER_2), (-1, 0, _AT_INTEGER_2)]), 64))
 def test_leading_index_step_agrees_with_the_support_scan(case):
     value, budget = case
     lead = _leading_index_sign(value, budget)
@@ -920,7 +923,7 @@ def test_leading_index_step_agrees_with_the_support_scan(case):
             return
         if s is not None:
             assert lead in (None, s)
-    if value.terms[0].k != _HUGE_K:
+    if value.terms and value.terms[0].k != _HUGE_K:
         enc = value.eval(6)
         if enc.lo > 0 or enc.hi < 0:
             assert lead in (None, 1 if enc.lo > 0 else -1)
@@ -959,3 +962,27 @@ def test_leading_index_step_on_a_huge_ladder():
     assert _leading_index_sign(-far, 64) == 1 == sign(-far)
     with pytest.raises(PrecisionError):
         far.eval(0)
+
+
+def test_a_fold_across_too_many_ladders_is_refused_at_once():
+    # folding onto ladder 0 would scale by 2^(10^18): refused, not built
+    far = coded_sum(0, _AT_INTEGER_2) + coded_sum(_HUGE_K, _AT_INTEGER_2)
+    for check in (lambda: sign(far), lambda: equals(far, far),
+                  lambda: equals(far, coded_sum(0, _AT_INTEGER_2))):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError):
+            check()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_a_fold_spans_at_most_the_eval_exponent():
+    near = coded_sum(0, _AT_INTEGER_2)
+    (folded,) = _on_least_ladder([near + coded_sum(_MAX_EVAL_EXPONENT, _AT_INTEGER_2)])
+    assert {t.k for t in folded.terms} == {0}
+    with pytest.raises(PrecisionError):
+        _on_least_ladder([near + coded_sum(_MAX_EVAL_EXPONENT + 1, _AT_INTEGER_2)])
+
+
+def test_values_on_one_ladder_are_not_folded():
+    family = [coded_sum(2, _HALF), CodedReal.from_rational(1), coded_sum(2, UNIT, -3)]
+    assert all(a is b for a, b in zip(_on_least_ladder(family), family, strict=True))

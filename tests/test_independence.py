@@ -2,7 +2,6 @@ from fractions import Fraction
 
 from rigidmetrics.coded import CodedReal, coded_sum
 from rigidmetrics.independence import (
-    IntervalTraceWitness,
     SumComponent,
     find_interval_trace_witness,
     multiset_key,
@@ -16,11 +15,7 @@ def blk(a, b):
 
 
 def test_witness_basic():
-    w = find_interval_trace_witness([blk(0, Fraction(1, 2)), blk(0, Fraction(3, 4))])
-    assert w is not None
-    assert w.window_start == 0 and w.base == 0
-    assert w.cuts == (Fraction(1, 2), Fraction(3, 4))
-    assert w.verify()
+    assert find_interval_trace_witness([blk(0, Fraction(1, 2)), blk(0, Fraction(3, 4))]) == 0
 
 
 def test_witness_identical_sets_fail():
@@ -29,36 +24,13 @@ def test_witness_identical_sets_fail():
 
 def test_witness_shifted_window():
     sets = [blk(2, Fraction(5, 2)), blk(2, Fraction(9, 4)), blk(2, Fraction(11, 5))]
-    w = find_interval_trace_witness(sets)
-    assert w is not None
-    assert w.window_start == 2 and w.base == 2
-    assert w.cuts == (Fraction(5, 2), Fraction(9, 4), Fraction(11, 5))
-    assert w.verify()
+    assert find_interval_trace_witness(sets) == 2
 
 
 def test_witness_multi_level_sets():
     s1 = IntervalSet.from_blocks([(0, Fraction(1, 3)), (1, Fraction(3, 2))])
     s2 = IntervalSet.from_blocks([(0, Fraction(2, 3)), (1, Fraction(3, 2))])
-    w = find_interval_trace_witness([s1, s2])
-    assert w is not None and w.window_start == 0
-
-
-def test_witness_tamper_detection():
-    w = find_interval_trace_witness([blk(0, Fraction(1, 2)), blk(0, Fraction(3, 4))])
-    bad = IntervalTraceWitness(
-        window_start=w.window_start,
-        base=w.base,
-        cuts=(Fraction(1, 2), Fraction(1, 2)),
-        index_sets=w.index_sets,
-    )
-    assert not bad.verify()
-    swapped = IntervalTraceWitness(
-        window_start=w.window_start,
-        base=w.base,
-        cuts=tuple(reversed(w.cuts)),
-        index_sets=w.index_sets,
-    )
-    assert not swapped.verify()
+    assert find_interval_trace_witness([s1, s2]) == 0
 
 
 def _component(gauge, a, b, value):

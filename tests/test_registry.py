@@ -111,7 +111,7 @@ def test_snapshot_is_json_serializable():
     registry = ValueRegistry(7)
     gauge = registry.fresh_gauge()
     gauge.value(0, 0, 1)
-    registry.stream(0).draw_next()
+    registry.draw_value(Fraction(1, 3), Fraction(1, 2), salt=1)
     registry.hub_value(1, 3, Fraction(2))
     blob = json.dumps(registry.snapshot(), sort_keys=True)
     data = json.loads(blob)

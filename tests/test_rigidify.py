@@ -13,7 +13,6 @@ from rigidmetrics.metric import FiniteMetric
 from rigidmetrics.registry import ValueRegistry
 from rigidmetrics.rigidify import (
     perturb_strongly_rigid,
-    pick_interval_value,
     snap_to_grid,
     subadditive_window,
 )
@@ -73,35 +72,16 @@ def test_snap_preserves_triangle(rng):
         assert is_metric(e).passed
 
 
-def test_streams_disjoint_and_positive():
+def test_salted_draws_lie_in_their_windows_and_never_repeat():
     registry = ValueRegistry(0)
-    a = [registry.stream(0).draw_next() for _ in range(100)]
-    b = [registry.stream(1).draw_next() for _ in range(100)]
-    assert set(a).isdisjoint(b)
-    assert all(v > 0 for v in a + b)
-    assert len(set(a)) == 100 and len(set(b)) == 100
-
-
-def test_stream_hits_target_interval():
-    registry = ValueRegistry(0)
-    stream = registry.stream(0)
-    hit_at = None
-    for draw in range(1, 400):
-        if Fraction(1, 3) < stream.draw_next() < Fraction(1, 2):
-            hit_at = draw
-            break
-    assert hit_at == 12
-
-
-def test_pick_interval_value_windows():
-    registry = ValueRegistry(0)
-    v1 = pick_interval_value(1, registry.stream(0))
-    assert Fraction(5, 4) < v1 < Fraction(3, 2)
-    v2 = pick_interval_value(2, registry.stream(1))
-    assert Fraction(17, 8) < v2 < Fraction(9, 4)
-    # same window, distinct streams, still distinct values
-    v3 = pick_interval_value(1, registry.stream(2))
-    assert v3 != v1 and Fraction(5, 4) < v3 < Fraction(3, 2)
+    drawn = []
+    for n in (1, 2, 3):
+        lo, hi = subadditive_window(n)
+        for salt in range(6):
+            v = registry.draw_value(lo, hi, salt=salt)
+            assert lo < v < hi
+            drawn.append(v)
+    assert len(set(drawn)) == len(drawn)
 
 
 def test_subadditive_window_ends():
