@@ -72,16 +72,28 @@ def test_snap_preserves_triangle(rng):
         assert is_metric(e).passed
 
 
-def test_salted_draws_lie_in_their_windows_and_never_repeat():
+def test_streams_disjoint_and_positive():
     registry = ValueRegistry(0)
-    drawn = []
-    for n in (1, 2, 3):
-        lo, hi = subadditive_window(n)
-        for salt in range(6):
-            v = registry.draw_value(lo, hi, salt=salt)
-            assert lo < v < hi
-            drawn.append(v)
-    assert len(set(drawn)) == len(drawn)
+    lo, hi = Fraction(0), Fraction(4)
+    a = [registry.draw_value(lo, hi, salt=0) for _ in range(100)]
+    b = [registry.draw_value(lo, hi, salt=1) for _ in range(100)]
+    assert set(a).isdisjoint(b)
+    assert all(v > 0 for v in a + b)
+    assert len(set(a)) == 100 and len(set(b)) == 100
+
+
+def test_pick_interval_value_windows():
+    registry = ValueRegistry(0)
+    v1 = registry.draw_value(*subadditive_window(1), salt=0)
+    assert Fraction(5, 4) < v1 < Fraction(3, 2)
+    v2 = registry.draw_value(*subadditive_window(2), salt=1)
+    assert Fraction(17, 8) < v2 < Fraction(9, 4)
+    # same window, other salts, still distinct values
+    drawn = {v1}
+    for salt in range(2, 8):
+        v3 = registry.draw_value(*subadditive_window(1), salt=salt)
+        assert v3 not in drawn and Fraction(5, 4) < v3 < Fraction(3, 2)
+        drawn.add(v3)
 
 
 def test_subadditive_window_ends():
