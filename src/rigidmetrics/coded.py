@@ -41,19 +41,20 @@ Two evaluation routes are provided.
 * :func:`compare` decides signs symbolically: support indices of each weighted
   piece are enumerated structurally (per integer level of the index set), the
   un-enumerated remainder is bounded through the first index it could possibly
-  occupy, and the resulting sparse dyadic sums are compared without ever
-  expanding ``2^(-2^i)`` into an integer.  This is what makes comparisons
-  involving indices like ``i = 2047`` (exponent ``2^2047``) feasible.
+  occupy, and :func:`_dyadic_sign` decides the resulting sparse dyadic sums
+  without ever expanding ``2^(-2^i)`` into an integer.  This is what makes
+  comparisons involving indices like ``i = 2047`` (exponent ``2^2047``)
+  feasible.
 
 Before that scan, :func:`sign` tries one exact step,
 :func:`_leading_index_sign`: the least enumeration index ``i0`` over the
 value's term sets, which are disjoint on one ladder, decides the sign when
-its weight (or the offset) provably outweighs everything past it.  The step
-is held to the budget: it decides only when ``i0`` lies within the odd parts
-the scan walks at that budget, and defers where the scan would raise.  A
-value whose least index lies past the scan, such as a sliver whose simplest
-member is buried deep in the Calkin-Wilf tree, is left to the scan and stays
-unresolved.
+its weight (or the offset) provably outweighs everything past it, as two
+two-entry sums for :func:`_dyadic_sign`.  The step is held to the budget:
+it decides only when ``i0`` lies within the odd parts the scan walks at
+that budget, and defers where the scan would raise.  A value whose least
+index lies past the scan, such as a sliver whose simplest member is buried
+deep in the Calkin-Wilf tree, is left to the scan and stays unresolved.
 """
 
 from __future__ import annotations
@@ -484,53 +485,24 @@ def _merge_entries(entries: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted((e, c) for e, c in acc.items() if c != 0)
 
 
-def _pure_dyadic_sign(entries: Sequence[tuple[int, int]]) -> int:
-    """Exact sign of a merged, sorted, nonzero-coefficient dyadic sum."""
-    if not entries:
-        return 0
-    suffix = [0] * (len(entries) + 1)
-    for i in range(len(entries) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + abs(entries[i][1])
-    acc = 0
-    e_acc = entries[0][0]
-    for i, (e, c) in enumerate(entries):
-        if acc != 0:
+def _dyadic_sign(entries: Sequence[tuple[int, int]]) -> int:
+    """Exact sign of ``sum c * 2^-e`` over sorted, merged ``(e, c)`` entries,
+    ``c`` integers.  The entries still to come weigh less than ``rest`` units
+    of the next exponent, so a nonzero running sum decides once the gap to it
+    exceeds ``rest``'s bit length: no shift is longer than the coefficients,
+    however far apart the exponents lie."""
+    rest = sum(abs(c) for _, c in entries)
+    acc = e_acc = 0
+    for e, c in entries:
+        if acc:
             gap = e - e_acc
-            if gap > suffix[i].bit_length():
-                return _sgn(acc)
+            if gap > rest.bit_length():
+                break
             acc <<= gap
         acc += c
+        rest -= abs(c)
         e_acc = e
     return _sgn(acc)
-
-
-def _mixed_sign(base: Fraction, entries: Iterable[tuple[int, int]]) -> int:
-    """Exact sign of ``base + sum(c * 2^-e)``.
-
-    Entries with enormous exponents are never materialized: once the leading
-    remaining exponent clears the bit length of the products involved, the
-    materialized head decides the sign.
-    """
-    remaining = _merge_entries(entries)
-    value = base
-    threshold = 4096
-    pos = 0
-    while True:
-        while pos < len(remaining) and remaining[pos][0] <= threshold:
-            e, c = remaining[pos]
-            value += Fraction(c, 1 << e)
-            pos += 1
-        if pos == len(remaining):
-            return _sgn(value)
-        tail_abs = sum(abs(c) for _, c in remaining[pos:])
-        e0 = remaining[pos][0]
-        if value == 0:
-            return _pure_dyadic_sign(remaining[pos:])
-        if (tail_abs * value.denominator).bit_length() <= e0:
-            return _sgn(value)
-        # Not yet separable: pull in the leading remaining entry.  The guard
-        # above ensures e0 is small whenever this branch is taken.
-        threshold = e0
 
 
 def _scan_length(m: int, index_cap: int) -> int:
@@ -644,10 +616,11 @@ def _leading_index_sign(value: CodedReal, max_precision: int) -> int | None:
     past ``i0`` sum below ``2W * 2^-(2^(i0+1) + k)``, so ``w0`` gives the
     sign of the coded part once ``|w0| * 2^(2^i0) > 2W`` (never at
     ``i0 = 0``), and the whole coded part is below ``2W * 2^-(2^i0 + k)``,
-    which an offset of the other sign must reach to win.  Both tests are
-    gated by bit lengths on the whole exponent (``2^i0``, and ``2^i0 + k``
-    for the offset), so neither builds an integer longer than the scaled
-    weights and offset, however deep ``i0`` or large the ladder ``k``.
+    which an offset of the other sign must reach to win.  With
+    ``e = 2^i0 + k``, :func:`_dyadic_sign` decides both as two-entry sums,
+    ``|w0| * 2^-e - 2W * 2^-(e + 2^i0)`` and ``p - 2W * q * 2^-e`` for the
+    scaled offset ``p / q``, shifting by no more than their bit lengths
+    however large ``k``; ``2^i0`` is built, within ``_MAX_SYMBOLIC_INDEX``.
 
     The least index of a block ``[a, b)``, ``m = floor(a)``, is ``2^m - 1``
     when ``a = m`` and ``2^(m+1) - 1`` when ``b > m + 1``.  Any other block
@@ -705,22 +678,16 @@ def _leading_index_sign(value: CodedReal, max_precision: int) -> int | None:
     if past <= best or best > _MAX_SYMBOLIC_INDEX:
         return None
     i0, w0 = best, weight_at[best]
-    # |w0| * 2^(2^i0) > top holds outright once 2^i0 exceeds top's bit length
-    if w0 == 0 or (i0 < top.bit_length().bit_length() and abs(w0) << (1 << i0) <= top):
+    e = (1 << i0) + value.terms[0].k
+    if _dyadic_sign([(e, abs(w0)), (e + (1 << i0), -top)]) <= 0:
         return None
     lead = 1 if w0 > 0 else -1
     offset = value.offset
     if offset == 0 or (offset > 0) == (lead > 0):
         return lead
-    # |offset| * scale >= top * 2^-(2^i0 + k), as p * 2^e >= top * q with
-    # e = 2^i0 + k; it holds outright once e reaches need's bit length, which
-    # 2^i0 alone does once i0 reaches the bit length of that length
     p, q = abs(offset.numerator) * scale, offset.denominator
-    need = top * q
-    if i0 < need.bit_length().bit_length():
-        e = (1 << i0) + value.terms[0].k
-        if e < need.bit_length() and p << e < need:
-            return None
+    if _dyadic_sign([(0, p), (e, -top * q)]) < 0:
+        return None
     return -lead
 
 
@@ -764,11 +731,14 @@ def _sign_once(
     index_cap: int,
     extra: Sequence[tuple[int, Fraction]] = (),
 ) -> int | None:
+    """The sign of ``value`` plus ``extra`` from one support scan, or None:
+    both ends of its enclosure, scaled to integers, are dyadic sums with the
+    offset as the entry ``(0, p)``."""
     denoms = [t.coeff.denominator for t in value.terms]
     denoms += [c.denominator for _, c in extra]
-    scale = math.lcm(*denoms) if denoms else 1
-    base = value.offset * scale
-    events: list[tuple[int, int]] = [(e, int(c * scale)) for e, c in extra]
+    scale = math.lcm(value.offset.denominator, *denoms)
+    events = [(0, int(value.offset * scale))]
+    events += [(e, int(c * scale)) for e, c in extra]
     lo_pad: list[tuple[int, int]] = []
     hi_pad: list[tuple[int, int]] = []
     for term in value.terms:
@@ -777,8 +747,8 @@ def _sign_once(
         support, tail_exps = _piece_support(term.k, term.index_set, index_cap)
         events.extend((e, w) for e in support)
         (hi_pad if w > 0 else lo_pad).extend((e, 2 * w) for e in tail_exps)
-    lo_sign = _mixed_sign(base, events + lo_pad)
-    hi_sign = _mixed_sign(base, events + hi_pad)
+    lo_sign = _dyadic_sign(_merge_entries(events + lo_pad))
+    hi_sign = _dyadic_sign(_merge_entries(events + hi_pad))
     if lo_sign > 0:
         return 1
     if hi_sign < 0:

@@ -12,8 +12,10 @@ from rigidmetrics.coded import (
     CodedReal,
     Term,
     _difference,
+    _dyadic_sign,
     _enumeration_prefix,
     _leading_index_sign,
+    _merge_entries,
     _on_least_ladder,
     _piece_support,
     _sign_once,
@@ -962,6 +964,60 @@ def test_leading_index_step_on_a_huge_ladder():
     assert _leading_index_sign(-far, 64) == 1 == sign(-far)
     with pytest.raises(PrecisionError):
         far.eval(0)
+
+
+_DYADIC_TERMS = st.dictionaries(
+    st.integers(0, 64),
+    st.one_of(st.integers(-4, 4), st.integers(-(1 << 20), 1 << 20)).filter(bool),
+    max_size=5,
+)
+
+
+def _dyadic_value(terms, shift=0):
+    return sum((Fraction(c, 1 << (e + shift)) for e, c in terms.items()), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DYADIC_TERMS, _DYADIC_TERMS, st.integers(0, 64))
+# a tail past a gap that no integer could be shifted by: 10^18 and 2^(2^20)
+@example({0: 1}, {0: -3}, 10**18)
+@example({3: -1, 9: 5}, {0: 1 << 20}, 10**18)
+@example({0: 1, 1: -2}, {5: -1}, 10**18)  # the head cancels, the tail decides
+@example({2: 7}, {0: -1, 1: 1}, 1 << (1 << 20))
+@example({}, {4: 3}, 1 << (1 << 20))
+@example({0: 1, 1: -2}, {}, 1 << (1 << 20))  # the whole sum cancels
+def test_dyadic_sign_matches_the_fraction_sum(head, tail, gap):
+    """Exponents 0-64 in the head, the tail ``gap`` further down."""
+    entries = _merge_entries([*head.items(), *((e + gap, c) for e, c in tail.items())])
+    if gap <= 64:
+        exact = _dyadic_value(head) + _dyadic_value(tail, gap)
+    else:
+        # the tail weighs below 2^23 * 2^-gap, under any nonzero head (2^-64)
+        assert gap > 100
+        exact = _dyadic_value(head) or _dyadic_value(tail)
+    assert _dyadic_sign(entries) == (exact > 0) - (exact < 0)
+
+
+def _scan_outcome(value, cap):
+    try:
+        return _sign_once(value, cap)
+    except PrecisionError:
+        return "raises"
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_ladder_values())
+@example((coded_sum(0, IntervalSet.block(_NEAR_HALF, Fraction(1, 2)), -1), 64))
+@example((CodedReal.build(0, [
+    (1, 0, IntervalSet.block(3 + unit_rational(5), 3 + unit_rational(5) + Fraction(1, 1 << 40))),
+    (-1, 0, IntervalSet.block(unit_rational(60), unit_rational(60) + Fraction(1, 1 << 40))),
+]), 64))  # open at caps 16 and 64, decided at 256
+def test_a_sign_the_scan_decides_stays_decided_at_higher_caps(case):
+    # sign's cap ladder 16 -> 64 -> max rests on this
+    value, _ = case
+    outcomes = [_scan_outcome(value, cap) for cap in (16, 64, 256)]
+    decided = [s for s in outcomes if s is not None]
+    assert decided == [] or outcomes[-len(decided):] == [decided[0]] * len(decided)
 
 
 def test_a_fold_across_too_many_ladders_is_refused_at_once():
