@@ -229,6 +229,6 @@ def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
         raise DomainError(f"gauge {gauge_id} is not in the snapshot")
     gauge = SemiMetricGauge(gauge_id, _SealedPool())
     for key, value in data.get("draws", {}).items():
-        level, a, b = (_canonical_int(part, f"draw key {key!r}") for part in key.split(":"))
+        level, a, b = (_canonical_int(part, "draw key part") for part in key.split(":"))
         gauge.preload((level, a, b), _parse_frac(value))
     return gauge

@@ -998,13 +998,6 @@ def test_dyadic_sign_matches_the_fraction_sum(head, tail, gap):
     assert _dyadic_sign(entries) == (exact > 0) - (exact < 0)
 
 
-def _scan_outcome(value, cap):
-    try:
-        return _sign_once(value, cap)
-    except PrecisionError:
-        return "raises"
-
-
 @settings(max_examples=200, deadline=None)
 @given(one_ladder_values())
 @example((coded_sum(0, IntervalSet.block(_NEAR_HALF, Fraction(1, 2)), -1), 64))
@@ -1015,7 +1008,7 @@ def _scan_outcome(value, cap):
 def test_a_sign_the_scan_decides_stays_decided_at_higher_caps(case):
     # sign's cap ladder 16 -> 64 -> max rests on this
     value, _ = case
-    outcomes = [_scan_outcome(value, cap) for cap in (16, 64, 256)]
+    outcomes = [_support_outcome(_sign_once, value, cap) for cap in (16, 64, 256)]
     decided = [s for s in outcomes if s is not None]
     assert decided == [] or outcomes[-len(decided):] == [decided[0]] * len(decided)
 
