@@ -135,15 +135,17 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _metric_payload(metric: FiniteMetric, fmt: str, approx: bool) -> str:
+def _metric_payload(
+    metric: FiniteMetric, fmt: str, approx: bool, payload: dict | None = None
+) -> str:
+    """The metric's file text, from ``payload`` when its JSON is built already."""
     if fmt == "csv":
         return dump_metric(metric, "csv")
-    payload = metric.to_json()
+    payload = metric.to_json() if payload is None else payload
     if approx:
-        payload["approx_matrix"] = [
-            [_approx(entry) for entry in row] for row in metric.matrix
-        ]
-        payload["approx_note"] = "decimal renderings are not authoritative"
+        # on a copy, so the caller's payload stays as it was
+        payload = {**payload, "approx_note": "decimal renderings are not authoritative",
+                   "approx_matrix": [[_approx(entry) for entry in row] for row in metric.matrix]}
     return dumps_canonical(payload)
 
 
@@ -161,12 +163,13 @@ def _cmd_rigidify(args) -> int:
         metric, certificate = rigidify_full(
             d, epsilon, seed=args.seed, max_precision=args.max_precision
         )
-        cert_text = dumps_canonical(certificate.to_json(metric))
+        cert_json = certificate.to_json(metric)
+        cert_text = dumps_canonical(cert_json)
         cert_path = args.certificate
         if cert_path is None and args.out is not None:
             cert_path = args.out.with_suffix(".cert.json")
         if args.out is not None:
-            _emit(_metric_payload(metric, "json", args.approx), args.out)
+            _emit(_metric_payload(metric, "json", args.approx, cert_json["metric"]), args.out)
         if cert_path is not None:
             cert_path.write_text(cert_text)
         else:

@@ -15,11 +15,12 @@ on one-letter words (diameter at most ``2^-k <= eta``), approximate the hub
 distances by hub-pool values sitting strictly inside the subadditivity
 windows, glue, and emit a certificate: the input, the exact sup bound, strong
 rigidity, and one row per distance, in pair order.  A row holds the distance's
-nonzero tagged components, block and hub values that pass the per-sum
-hypotheses and sum to it; its independent-of-1 trace witness is found from
-their index sets, by the builder and again by the checker, and is not
-stored.  The rows' component multisets are pairwise different, which one
-sort shows.
+nonzero tagged components (:meth:`_Construction.components`).  One row pass
+(:func:`_row_failure`) shows the per-sum hypotheses, an independent-of-1
+trace witness per row, found and not stored, and pairwise different
+component multisets.  ``verify_certificate`` replays the construction from
+the certificate's parameters and registry snapshot, requires the rows and
+the metric to equal what it derives, and runs the same row pass.
 
 The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
 ``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
@@ -29,8 +30,10 @@ it; only the rest go through the exact engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .coded import (
@@ -56,7 +59,7 @@ from .independence import (
 )
 from .intervals import _decode_scope, _frac_str, _parse_frac
 from .metric import FiniteMetric
-from .product import tau
+from .product import SemiMetricGauge, tau
 from .registry import (
     RESERVED_GAUGE_ID,
     HubAllocation,
@@ -280,33 +283,16 @@ def rigidify_full(
     strongly rigid, and every distance carries a validated independence row.
     """
     epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    eta, k = _scales(epsilon)
     if d.size < 2:
         raise DomainError("need at least two points")
     if not d.is_rational_valued():
         raise DomainError("the pipeline expects a rational input metric")
 
-    eta = epsilon / 5
-    k = 0
-    while Fraction(1, 1 << k) > eta:
-        k += 1
     registry = ValueRegistry(seed)
     partition = partition_by_diameter(d, eta, max_precision)
-
-    # Per-block metrics: the strongly rigid product metric on one-letter
-    # words, one fresh gauge per block; diameter at most 2^-k <= eta.
-    block_metrics: list[FiniteMetric] = []
-    block_gauges: list[int] = []
-    for block in partition.blocks:
-        gauge = registry.fresh_gauge()
-        block_gauges.append(gauge.gauge_id)
-        block_metrics.append(
-            FiniteMetric.from_pair_function(
-                block, lambda i, j: tau(gauge, k, (i,), (j,))
-            )
-        )
-
+    gauges = [registry.fresh_gauge() for _ in partition.blocks]
+    block_metrics = _block_metrics(partition, gauges, k)
     hub_metric, hub_index = _hub_metric(d, partition, eta, k, registry)
     glued = amalgamate(partition, block_metrics, hub_metric)
     glued = glued.restrict(list(d.points))
@@ -320,9 +306,10 @@ def rigidify_full(
     if not rigidity.passed:
         raise UnresolvedComparison(f"strong rigidity not certified: {rigidity.detail}")
 
-    independence = _pairwise_independence(
-        glued, d.points, partition, block_metrics, hub_metric, hub_index, block_gauges
-    )
+    parts = _Construction(partition, tuple(g.gauge_id for g in gauges), block_metrics,
+                          hub_metric, hub_index)
+    pairs = [(d.points[i], d.points[j]) for i, j in d.pairs()]
+    independence = _pairwise_independence(parts, pairs)
     certificate = RigidifyCertificate(
         source=d,
         epsilon=epsilon,
@@ -336,6 +323,29 @@ def rigidify_full(
     return glued, certificate
 
 
+def _scales(epsilon: Fraction) -> tuple[Fraction, int]:
+    """The block diameter bound ``eta = epsilon / 5`` and the ladder, the
+    least ``k >= 0`` with ``2^-k <= eta``."""
+    if epsilon <= 0:
+        raise DomainError("epsilon must be positive")
+    eta = epsilon / 5
+    k = 0
+    while Fraction(1, 1 << k) > eta:
+        k += 1
+    return eta, k
+
+
+def _block_metrics(
+    partition: Partition, gauges: Sequence[SemiMetricGauge], k: int
+) -> tuple[FiniteMetric, ...]:
+    """Per block, the product metric of its gauge on one-letter words, letter
+    ``i`` for the block's ``i``-th point; its diameter is below ``2^-k``."""
+    return tuple(
+        FiniteMetric.from_pair_function(block, lambda i, j, g=gauge: tau(g, k, (i,), (j,)))
+        for block, gauge in zip(partition.blocks, gauges)
+    )
+
+
 def _hub_metric(
     d: FiniteMetric,
     partition: Partition,
@@ -347,19 +357,18 @@ def _hub_metric(
 
     Hub distances are snapped to integers at step ``eta_h = eta / 2`` and
     replaced by hub-pool values placed strictly inside the scaled windows
-    ``subadditive_window(N) * eta_h``, which certifies the strict triangle
-    inequality and keeps the defect below ``2 * eta_h = eta``.  Also returns
-    the registry allocation index of each hub pair, in both orders.
+    ``subadditive_window(N) * eta_h`` (:func:`_hub_window_index`), which
+    certifies the strict triangle inequality and keeps the defect below
+    ``2 * eta_h = eta``.  Also returns the registry allocation index of each
+    hub pair, in both orders.
     """
     hubs = list(partition.hubs)
-    if len(hubs) == 1:
-        return FiniteMetric.from_entries(hubs, [[0]]), {}
     eta_h = eta / 2
     snapped = snap_to_grid(d.restrict(hubs), eta_h)
     integers = {
         (i, j): int(snapped.at(i, j).rational_value() / eta_h) for i, j in snapped.pairs()
     }
-    n_max = max(integers.values())
+    n_max = max(integers.values(), default=0)
     # Allocation indices large enough that the coded fuzz of every hub value
     # stays below half the narrowest window and below the least triangle
     # margin eta_h * 2^-(n_max + 1).
@@ -370,15 +379,29 @@ def _hub_metric(
     hub_index: dict[tuple[str, str], int] = {}
     for alloc, ((i, j), n) in enumerate(integers.items(), start=base_index):
         lo, hi = (eta_h * end for end in subadditive_window(n))
-        target = (lo + hi) / 2
-        value = registry.hub_value(k, alloc, target)
-        hub_alloc = registry.hub_allocation(alloc)
-        fuzz = hub_alloc.q * hub_alloc.basis_hi
-        if not (lo < hub_alloc.p and hub_alloc.p + fuzz < hi):
+        entries[(i, j)] = registry.hub_value(k, alloc, (lo + hi) / 2)
+        if _hub_window_index(registry.hub_allocation(alloc), eta_h, k) != n:
             raise UnresolvedComparison("hub value escaped its window")
-        entries[(i, j)] = value
         hub_index[(hubs[i], hubs[j])] = hub_index[(hubs[j], hubs[i])] = alloc
     return FiniteMetric.from_pair_function(hubs, lambda i, j: entries[(i, j)]), hub_index
+
+
+def _hub_window_index(alloc: HubAllocation, eta_h: Fraction, k: int) -> int | None:
+    """``N = floor(p / eta_h)`` when the hub record's value ``p + q * basis``
+    lies strictly inside ``eta_h * subadditive_window(N)``, else None.
+
+    The basis, one ``<gamma_k, S>`` of coefficient 1, is below ``2^-k``, so
+    ``lo < p`` and ``p + q * 2^-k < hi`` place the value without an eval.
+    ``p`` in window ``N`` puts ``N`` below the bit length of the denominator
+    of ``p / eta_h``, which is tested before the window is built.
+    """
+    scaled = alloc.p / eta_h
+    n = math.floor(scaled)
+    if not 1 <= n < scaled.denominator.bit_length() or alloc.q <= 0:
+        return None
+    # the window and the value in units of eta_h
+    lo, hi = subadditive_window(n)
+    return n if lo < scaled and scaled + alloc.q / eta_h / (1 << k) < hi else None
 
 
 def _certify_sup_bound(
@@ -429,49 +452,65 @@ def _certify_sup_bound(
     return None, Enclosure(sup_lo, sup_hi)
 
 
-def _pairwise_independence(
-    glued: FiniteMetric,
-    points: Sequence[str],
-    partition: Partition,
-    block_metrics: Sequence[FiniteMetric],
-    hub_metric: FiniteMetric,
-    hub_index: dict[tuple[str, str], int],
-    block_gauges: Sequence[int],
-) -> list[dict]:
-    """One validated independence row per distance, in pair order, naming no pair."""
+@dataclass(frozen=True)
+class _Construction:
+    """What a glued metric is made of: each block's gauge id and metric, the
+    hub metric, and each hub pair's allocation index, in both orders."""
 
-    def components(a: str, b: str) -> tuple[SumComponent, ...]:
+    partition: Partition
+    block_gauges: tuple[int, ...]
+    block_metrics: tuple[FiniteMetric, ...]
+    hub_metric: FiniteMetric
+    hub_index: dict[tuple[str, str], int]
+
+    def components(self, a: str, b: str) -> tuple[SumComponent, ...]:
         """The nonzero ones of the distance's tagged summands."""
-        ba, bb = partition.block_of(a), partition.block_of(b)
+        ba, bb = self.partition.block_of(a), self.partition.block_of(b)
+        gauges, metrics = self.block_gauges, self.block_metrics
         if ba == bb:
-            return (SumComponent("block", gauge_id=block_gauges[ba], detail=(a, b),
-                                 value=glued.distance(a, b)),)
-        ha, hb = partition.hubs[ba], partition.hubs[bb]
+            return (SumComponent("block", gauge_id=gauges[ba], detail=(a, b),
+                                 value=metrics[ba].distance(a, b)),)
+        ha, hb = self.partition.hubs[ba], self.partition.hubs[bb]
         comps = (
-            SumComponent("block", gauge_id=block_gauges[ba], detail=(a, ha),
-                         value=block_metrics[ba].distance(a, ha)),
-            SumComponent("block", gauge_id=block_gauges[bb], detail=(hb, b),
-                         value=block_metrics[bb].distance(hb, b)),
-            SumComponent("hub", hub_index=hub_index[(ha, hb)], detail=(ha, hb),
-                         value=hub_metric.distance(ha, hb)),
+            SumComponent("block", gauge_id=gauges[ba], detail=(a, ha),
+                         value=metrics[ba].distance(a, ha)),
+            SumComponent("block", gauge_id=gauges[bb], detail=(hb, b),
+                         value=metrics[bb].distance(hb, b)),
+            SumComponent("hub", hub_index=self.hub_index[(ha, hb)], detail=(ha, hb),
+                         value=self.hub_metric.distance(ha, hb)),
         )
         return tuple(c for c in comps if not c.value.is_zero_form())
 
-    out: list[dict] = []
-    keyed: list[tuple[tuple, tuple[str, str]]] = []
-    for i, j in glued.pairs():
-        pair = (points[i], points[j])
-        comps = components(*pair)
+
+def _pairwise_independence(
+    parts: _Construction, pairs: Sequence[tuple[str, str]]
+) -> list[dict]:
+    """One validated independence row per distance, in pair order, naming no pair."""
+    rows = [(pair, parts.components(*pair)) for pair in pairs]
+    failure = _row_failure(rows, parts.block_gauges)
+    if failure is not None:
+        detail, witnesses = failure
+        raise UnresolvedComparison(f"{detail} for {' and '.join(map(str, witnesses))}")
+    return [{"certificate": {"left": [c.to_json() for c in comps]}} for _, comps in rows]
+
+
+def _row_failure(
+    rows: Sequence[tuple[tuple[str, str], tuple[SumComponent, ...]]],
+    block_gauges: Sequence[int],
+) -> tuple[str, tuple[tuple[str, str], ...]] | None:
+    """The row pass of the builder and the checker, in row order: the detail
+    and pairs of the first row that fails the tagged-sum hypotheses, has no
+    trace witness, or repeats an earlier row's component multiset; else None."""
+    earlier: dict[tuple, tuple[str, str]] = {}
+    for pair, comps in rows:
         if not tagged_sum_holds(comps, block_gauges):
-            raise UnresolvedComparison(f"independence hypotheses failed for {pair}")
+            return "independence hypotheses failed", (pair,)
         if _trace_witness_for(comps) is None:
-            raise UnresolvedComparison(f"no independent-of-1 witness for {pair}")
-        keyed.append((multiset_key(comps), pair))
-        out.append({"certificate": {"left": [c.to_json() for c in comps]}})
-    clash = _equal_multisets(keyed)
-    if clash is not None:
-        raise UnresolvedComparison(f"equal component multisets for {clash[0]} and {clash[1]}")
-    return out
+            return "no independent-of-1 witness", (pair,)
+        first = earlier.setdefault(multiset_key(comps), pair)
+        if first != pair:
+            return "equal component multisets", (first, pair)
+    return None
 
 
 def _trace_witness_for(components: Sequence[SumComponent]) -> int | None:
@@ -484,108 +523,80 @@ def _trace_witness_for(components: Sequence[SumComponent]) -> int | None:
     return find_interval_trace_witness(tuple(dict.fromkeys(t.index_set for t in terms)))
 
 
-def _equal_multisets(
-    keyed: list[tuple[tuple, tuple[str, str]]],
-) -> tuple[tuple[str, str], tuple[str, str]] | None:
-    """The earlier and the later of two pairs whose multiset keys agree, found
-    in one pass in row order; else None."""
-    first: dict[tuple, int] = {}
-    for t, (key, pair) in enumerate(keyed):
-        earlier = first.setdefault(key, t)
-        if earlier != t:
-            return keyed[earlier][1], pair
-    return None
-
-
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate from its serialized form alone.
 
     A certificate of another ``version`` raises ``ValueError``; this is format
-    3, which states each fact once.  The registry snapshot must keep the
-    invariants the independence argument rests on
-    (:meth:`_ComponentReplay.registry_problem`).  Row ``t`` belongs to pair
-    ``t`` of the metric's pair order, and each row is checked once: the
-    hypotheses of its tagged sum (one to three components, each a nonzero
-    block or hub value; the block components carry distinct snapshot gauges
-    other than the reserved gauge 0, which backs hub bases only), the replay
-    of each component from the raw draws in the registry snapshot (block
-    values through gauges replayed with ``parameters.k`` and
-    ``parameters.partition``, which are required; hub values as the value of
-    their :class:`HubAllocation` with its basis replayed from its words on
-    gauge 0 and ``parameters.k``), that the components sum exactly to the
-    row's metric entry, and a unit trace witness over the distinct index sets
-    of the row's components, which the checker finds with the builder's own
-    search.  One pass over the rows' component multisets then shows that no
-    two distances share one.  The sup bound is recomputed from ``input`` and
-    must equal the claimed enclosure.  The sup bound and the strong-rigidity
-    recheck run under ``max_precision``, which every report records.  Fields
-    it does not read (an earlier writer's hub ``value``, ``target``,
-    ``streams``) are ignored.
-
-    The whole certificate is decoded in one decode scope
-    (:func:`~rigidmetrics.intervals._decode_scope`): each ``p/q`` spelling,
-    interval list, coded value and component is read once.  A same-block
-    component's value, written like the metric entry it equals, is that
-    entry.
+    3.  In order: the certificate's fields are read, ``parameters.k`` and
+    ``partition`` required; the snapshot must keep the registry invariants
+    (:func:`_registry_problem`); the rows are decoded; the parts are replayed
+    (:func:`_replayed_construction`); row ``t`` of one per distance must equal
+    the components :meth:`_Construction.components` derives for pair ``t`` of
+    the metric's pair order, and each metric entry their sum; the builder's
+    row pass (:func:`_row_failure`) runs on them; and the sup bound, recomputed
+    from ``input``, must equal the claimed enclosure, with strong rigidity
+    rechecked, both under ``max_precision``, which every report records.
+    Unread fields (an earlier writer's hub ``value``, ``target``,
+    ``streams``) are ignored.  The certificate is decoded in one decode scope
+    (:func:`~rigidmetrics.intervals._decode_scope`), each distinct piece once.
     """
     with _decode_scope():
         return _verify_certificate(data, max_precision)
 
 
 def _verify_certificate(data: dict, max_precision: int) -> Report:
+    def fail(witnesses: tuple, detail: str) -> Report:
+        return Report("fail", witnesses, detail, max_precision)
+
     if data.get("version") != CERTIFICATE_VERSION:
         raise ValueError("unsupported certificate version")
     metric = FiniteMetric.from_json(data["metric"])
     source = FiniteMetric.from_json(data["input"])
-    snapshot = data["registry"]
     parameters = data.get("parameters", {})
     if "k" not in parameters or "partition" not in parameters:
-        return Report("fail", (), "component replay failed: no parameters.k or partition",
-                      max_precision)
-    replay = _ComponentReplay(parameters, snapshot)
-    problem = replay.registry_problem()
+        return fail((), "component replay failed: no parameters.k or partition")
+    k = _parse_int(parameters["k"])
+    sup = data["sup_bound"]
+    epsilon = _parse_frac(sup["epsilon"])
+    claimed = (_parse_frac(sup["achieved_lo"]), _parse_frac(sup["achieved_hi"]))
+    snapshot = data["registry"]
+    # a gauge or hub key is its id in canonical decimal
+    gauges = {g: gauge_from_snapshot(g, snapshot)
+              for g in (_canonical_int(key, "gauge key") for key in snapshot.get("gauges", {}))}
+    hubs = {_canonical_int(key, "hub key"): HubAllocation.from_json(a)
+            for key, a in snapshot.get("hubs", {}).items()}
+    problem = _registry_problem(gauges, hubs)
     if problem is not None:
-        return Report("fail", (), f"registry invariant failed: {problem}", max_precision)
-    # the reserved gauge backs hub bases only, never a block component
-    known = set(replay.gauges) - {RESERVED_GAUGE_ID}
-    rows = data["independence"]
-    pairs = [((metric.points[i], metric.points[j]), metric.at(i, j)) for i, j in metric.pairs()]
+        return fail((), f"registry invariant failed: {problem}")
+    rows = [tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
+            for row in data["independence"]]
+    try:
+        parts = _replayed_construction(parameters["partition"], metric.points, k, epsilon,
+                                       gauges, hubs)
+    except DomainError:
+        return fail((), "component replay failed")
+    pairs = [(metric.points[i], metric.points[j]) for i, j in metric.pairs()]
     if len(rows) != len(pairs):
         # name the first pair with no row, if there is one
-        return Report("fail", tuple(pair for pair, _ in pairs[len(rows):len(rows) + 1]),
-                      f"{len(rows)} independence rows cover {len(pairs)} distances",
-                      max_precision)
-    keyed: list[tuple[tuple, tuple[str, str]]] = []
-    for row, (pair, entry) in zip(rows, pairs):
-        comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        if not tagged_sum_holds(comps, known):
-            return Report("fail", (pair,), "independence hypotheses failed", max_precision)
-        for comp in comps:
-            problem = replay.check(comp)
-            if problem is not None:
-                return Report("fail", (problem,), "component replay failed", max_precision)
-        if _component_sum(comps) != entry:
-            return Report("fail", (pair,), "components do not sum to the metric entry",
-                          max_precision)
-        # searched after the replay, so its levels are bounded by the snapshot's draws
-        if _trace_witness_for(comps) is None:
-            return Report("fail", (pair,), "unit witness failed", max_precision)
-        keyed.append((multiset_key(comps), pair))
-    clash = _equal_multisets(keyed)
-    if clash is not None:
-        return Report("fail", clash, "two distances have equal component multisets",
-                      max_precision)
+        return fail(tuple(pairs[len(rows):len(rows) + 1]),
+                    f"{len(rows)} independence rows cover {len(pairs)} distances")
+    derived = [parts.components(*pair) for pair in pairs]
+    for pair, row, comps in zip(pairs, rows, derived):
+        if row != comps:
+            return fail((pair,), "component replay failed")
+    for (i, j), pair, comps in zip(metric.pairs(), pairs, derived):
+        if _signed_sum((1, c.value) for c in comps) != metric.at(i, j):
+            return fail((pair,), "components do not sum to the metric entry")
+    failure = _row_failure(list(zip(pairs, derived)), parts.block_gauges)
+    if failure is not None:
+        return fail(failure[1], failure[0])
     if source.points != metric.points:
-        return Report("fail", (), "input and metric have different points", max_precision)
-    sup = data["sup_bound"]
-    offending, enc = _certify_sup_bound(
-        source, metric, _parse_frac(sup["epsilon"]), max_precision
-    )
+        return fail((), "input and metric have different points")
+    offending, enc = _certify_sup_bound(source, metric, epsilon, max_precision)
     if offending is not None:
         return _sup_failure(offending, max_precision)
-    if (_parse_frac(sup["achieved_lo"]), _parse_frac(sup["achieved_hi"])) != (enc.lo, enc.hi):
-        return Report("fail", (), "claimed sup bound differs from the recomputed one",
-                      max_precision)
+    if claimed != (enc.lo, enc.hi):
+        return fail((), "claimed sup bound differs from the recomputed one")
     rigidity = is_strongly_rigid(metric, max_precision)
     if not rigidity.passed:
         return Report(rigidity.verdict, rigidity.witnesses, "strong rigidity recheck",
@@ -593,82 +604,63 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
     return Report("pass", (), f"{len(rows)} independence rows verified", max_precision)
 
 
-def _component_sum(side: Sequence[SumComponent]) -> CodedReal:
-    return _signed_sum((1, c.value) for c in side)
+def _registry_problem(
+    gauges: dict[int, SemiMetricGauge], hubs: dict[int, HubAllocation]
+) -> str | None:
+    """The first registry invariant the snapshot breaks, or None: the
+    independence argument rests on every gauge value being a fresh rational,
+    of level ``l`` in ``(l, l+1)``, and on no two hub bases sharing a word pair."""
+    draws = [(lv, v) for g in gauges.values() for (lv, _, _), v in g.drawn().items()]
+    if len({v for _, v in draws}) < len(draws):
+        return "a gauge draw is repeated"
+    for level, value in draws:
+        if not level < value < level + 1:
+            return f"draw {value} lies outside level {level}"
+    pairs = [tuple(sorted(alloc.words)) for alloc in hubs.values()]
+    if len(set(pairs)) < len(pairs):
+        return "two hubs share a word pair"
+    return None
 
 
-class _ComponentReplay:
-    """Recomputes tagged component values from snapshot draws.
-
-    The snapshot's gauges and hub records are decoded once, each keyed by
-    the id its components name: a gauge or hub key is that id in canonical
-    decimal.
-    Each distinct component is decoded once by the certificate's decode
-    scope, which also keeps it alive, so as one instance it is replayed once.
-    """
-
-    def __init__(self, parameters: dict, snapshot: dict):
-        self._k = _parse_int(parameters["k"])
-        gauge_ids = [_canonical_int(key, "gauge key") for key in snapshot.get("gauges", {})]
-        self.gauges = {g: gauge_from_snapshot(g, snapshot) for g in gauge_ids}
-        self.hubs = {
-            _canonical_int(key, "hub key"): HubAllocation.from_json(a)
-            for key, a in snapshot.get("hubs", {}).items()
-        }
-        self._blocks = [tuple(b) for b in parameters["partition"]["blocks"]]
-        self._verdicts: dict[int, object | None] = {}
-
-    def registry_problem(self) -> str | None:
-        """The first registry invariant the snapshot breaks, or None.
-
-        The independence argument rests on them: every gauge value is a fresh
-        rational, of level ``l`` in ``(l, l+1)``, and no two hub bases come
-        from one word pair.  Every basis is replayed on ladder
-        ``parameters.k`` like the blocks, so comparing component forms
-        compares their values.
-        """
-        draws = [(lv, v) for g in self.gauges.values() for (lv, _, _), v in g.drawn().items()]
-        if len({v for _, v in draws}) < len(draws):
-            return "a gauge draw is repeated"
-        for level, value in draws:
-            if not level < value < level + 1:
-                return f"draw {value} lies outside level {level}"
-        pairs = [tuple(sorted(alloc.words)) for alloc in self.hubs.values()]
-        if len(set(pairs)) < len(pairs):
-            return "two hubs share a word pair"
-        return None
-
-    def _gauge(self, gauge_id: int):
-        if gauge_id not in self.gauges:
-            raise DomainError(f"gauge {gauge_id} is not in the snapshot")
-        return self.gauges[gauge_id]
-
-    def _letters(self, labels: tuple[str, ...]) -> tuple[int, ...] | None:
-        for block in self._blocks:
-            if all(x in block for x in labels):
-                return tuple(block.index(x) for x in labels)
-        return None
-
-    def check(self, comp: SumComponent) -> object | None:
-        """None when the component replays to its embedded value."""
-        if id(comp) not in self._verdicts:
-            try:
-                self._verdicts[id(comp)] = self._check(comp)
-            except DomainError:
-                # missing draws or gauges in the snapshot
-                self._verdicts[id(comp)] = comp.detail or comp.hub_index
-        return self._verdicts[id(comp)]
-
-    def _check(self, comp: SumComponent) -> object | None:
-        if comp.kind == "hub":
-            alloc = self.hubs.get(comp.hub_index)
-            if alloc is None:
-                return comp.hub_index
-            basis = tau(self._gauge(RESERVED_GAUGE_ID), self._k, *alloc.words)
-            return None if alloc.value(basis) == comp.value else comp.hub_index
-        # a block component: tagged_sum_holds admits no other kind
-        letters = self._letters(comp.detail)
-        if letters is None or len(letters) != 2:
-            return comp.detail
-        rebuilt = tau(self._gauge(comp.gauge_id), self._k, (letters[0],), (letters[1],))
-        return None if rebuilt == comp.value else comp.detail
+def _replayed_construction(
+    partition_data: dict,
+    points: Sequence[str],
+    k: int,
+    epsilon: Fraction,
+    gauges: dict[int, SemiMetricGauge],
+    hubs: dict[int, HubAllocation],
+) -> _Construction:
+    """The parts by the builder's rules, or ``DomainError``: the partition
+    covers the points exactly, ``k`` is the ladder of ``epsilon``, block ``b``
+    takes the ``b``-th gauge other than 0 in ascending id, and hub pair ``t``
+    (hubs ``i < j`` in partition order) the ``t``-th hub record in ascending
+    index, its basis replayed on gauge 0; none missing or left over.  Records
+    sit in their windows with integers subadditive on every hub triple, so
+    the hub metric, and the glued metric with it, is a metric."""
+    partition = Partition.from_json(partition_data)
+    # the partition's labels and the metric's points are distinct
+    if set(partition.labels()) != set(points):
+        raise DomainError("the partition does not cover exactly the metric's points")
+    eta, ladder = _scales(epsilon)
+    block_ids = sorted(g for g in gauges if g != RESERVED_GAUGE_ID)
+    names = partition.hubs
+    hub_pairs = list(combinations(range(len(names)), 2))
+    if (k, len(block_ids), len(hubs)) != (ladder, len(partition.blocks), len(hub_pairs)):
+        raise DomainError("the ladder, gauges or hub records break the allocation rule")
+    integers: dict[tuple[int, int], int] = {}
+    entries: dict[tuple[int, int], CodedReal] = {}
+    hub_index: dict[tuple[str, str], int] = {}
+    for (i, j), index in zip(hub_pairs, sorted(hubs)):
+        alloc = hubs[index]
+        n = integers[(i, j)] = integers[(j, i)] = _hub_window_index(alloc, eta / 2, k)
+        if n is None or RESERVED_GAUGE_ID not in gauges:
+            raise DomainError(f"hub record {index} cannot be placed in its window")
+        entries[(i, j)] = alloc.value(tau(gauges[RESERVED_GAUGE_ID], k, *alloc.words))
+        hub_index[(names[i], names[j])] = hub_index[(names[j], names[i])] = index
+    for i, j, m in permutations(range(len(names)), 3):
+        if integers[(i, j)] > integers[(i, m)] + integers[(m, j)]:
+            raise DomainError("the hub window integers are not subadditive")
+    return _Construction(
+        partition, tuple(block_ids), _block_metrics(partition, [gauges[g] for g in block_ids], k),
+        FiniteMetric.from_pair_function(names, lambda i, j: entries[(i, j)]), hub_index,
+    )

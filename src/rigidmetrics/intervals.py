@@ -169,11 +169,6 @@ class IntervalSet:
             trace = windows[n] = self.intersect_block(n, n + 1)
         return trace
 
-    def min_value(self) -> Fraction:
-        if self.is_empty:
-            raise ValueError("empty set has no minimum")
-        return self.blocks[0][0]
-
     def integer_levels(self) -> Iterator[int]:
         """Integers ``m`` with ``[m, m+1)`` meeting the set, in order."""
         # [a, b) meets [m, m+1) exactly when a < m + 1 and m < b

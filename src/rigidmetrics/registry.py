@@ -26,7 +26,7 @@ stored, both are computed from it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coded import CodedReal, _parse_int, as_coded
@@ -77,9 +77,6 @@ class HubAllocation:
     p: Fraction
     q: Fraction
     words: tuple[Word, Word]
-    # upper end of ``basis.eval(4)``, which sized ``q``; not serialized, so
-    # None after ``from_json``
-    basis_hi: Fraction | None = field(default=None, compare=False)
 
     def value(self, basis: CodedReal) -> CodedReal:
         return as_coded(self.p) + basis * self.q
@@ -164,7 +161,7 @@ class ValueRegistry:
         basis = tau(self._reserved, k, words[0], words[1])
         s_hi = basis.eval(4).hi
         q = _dyadic_power_floor(Fraction(1, 1 << i) / s_hi)
-        alloc = self._hubs[i] = HubAllocation(p, q, words, s_hi)
+        alloc = self._hubs[i] = HubAllocation(p, q, words)
         return alloc.value(basis)
 
     def hub_allocation(self, i: int) -> HubAllocation:

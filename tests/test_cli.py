@@ -253,24 +253,25 @@ def _four_point_certificate() -> dict:
 
 def _respelled_certificate(table, old, new):
     """The 4-point certificate with the entry ``old`` of the registry table
-    at path ``table`` stored under ``new``, another spelling of its key that
-    ``int`` reads alike."""
+    at path ``table`` (its first entry when ``old`` is None) stored under
+    ``new(old)``, another spelling of its key that ``int`` reads alike."""
     data = _four_point_certificate()
     entries = data["registry"]
     for name in table:
         entries = entries[name]
-    entries[new] = entries.pop(old)
+    old = next(iter(entries)) if old is None else old
+    entries[new(old)] = entries.pop(old)
     return json.dumps(data)
 
 
 def _respelled_gauge_certificate(key):
     """The 4-point certificate with gauge 1 stored under ``key``."""
-    return _respelled_certificate(("gauges",), "1", key)
+    return _respelled_certificate(("gauges",), "1", lambda _: key)
 
 
 def _respelled_draw_certificate(key):
     """The 4-point certificate with gauge 0's draw ``0:0:1`` stored under ``key``."""
-    return _respelled_certificate(("gauges", "0", "draws"), "0:0:1", key)
+    return _respelled_certificate(("gauges", "0", "draws"), "0:0:1", lambda _: key)
 
 
 def _half_ladder_certificate():
@@ -328,7 +329,7 @@ def _half_ladder_certificate():
                      id="signed-draw-key"),
         pytest.param("c.cert.json", _respelled_draw_certificate("0:0:1:0"), ["indep", "{}"],
                      id="four-part-draw-key"),
-        pytest.param("c.cert.json", _respelled_certificate(("hubs",), "43", "043"), ["indep", "{}"],
+        pytest.param("c.cert.json", _respelled_certificate(("hubs",), None, lambda key: "0" + key), ["indep", "{}"],
                      id="zero-padded-hub-key"),
     ],
 )
@@ -420,6 +421,22 @@ def test_approx_flag(metric_file, capsys):
     assert main(["--approx", "rigidify", str(metric_file), "--epsilon", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "approx_matrix" in payload
+
+
+def test_full_approx_output_keeps_the_certificate_metric_exact(metric_file, tmp_path):
+    # the output file is written from the certificate's metric, with the
+    # decimal renderings added on a copy
+    paths = {flags: (tmp_path / f"{len(flags)}.json", tmp_path / f"{len(flags)}.cert.json")
+             for flags in ((), ("--approx",))}
+    for flags, (out, cert) in paths.items():
+        assert main([*flags, "rigidify", str(metric_file), "--epsilon", "1/2", "--full",
+                     "--out", str(out), "--certificate", str(cert)]) == 0
+    (plain, plain_cert), (approx, approx_cert) = paths.values()
+    assert plain_cert.read_bytes() == approx_cert.read_bytes()
+    written = json.loads(approx.read_text())
+    assert {"approx_matrix", "approx_note"} <= set(written)
+    assert json.loads(plain.read_text()) == json.loads(plain_cert.read_text())["metric"]
+    assert {k: written[k] for k in ("points", "matrix")} == json.loads(plain.read_text())
 
 
 @pytest.fixture

@@ -40,8 +40,6 @@ from rigidmetrics.enumeration import (
     unit_rational,
 )
 from rigidmetrics.errors import PrecisionError
-from rigidmetrics.glue import _component_sum
-from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import IntervalSet
 
 UNIT = IntervalSet.block(0, 1)
@@ -640,13 +638,6 @@ def _rebuilt_difference(x, *ys):
     return CodedReal.build(x.offset - sum(y.offset for y in ys), parts)
 
 
-def _rebuilt_component_sum(side):
-    return CodedReal.build(
-        sum(c.value.offset for c in side),
-        [(t.coeff, t.k, t.index_set) for c in side for t in c.value.terms],
-    )
-
-
 def _rebuilt_signed_sum(signed):
     return CodedReal.build(
         sum(s * v.offset for s, v in signed),
@@ -713,8 +704,6 @@ def test_signed_sums_match_the_rebuilt_sums(signed):
     for y in ys:
         same(x + y, _rebuilt_add(x, y))
         same(x - y, _rebuilt_difference(x, y))
-    side = tuple(SumComponent("block", value=v) for v in (x, *ys))
-    same(_component_sum(side), _rebuilt_component_sum(side))
 
 
 def test_sums_that_touch_a_ladder_once_keep_its_terms():

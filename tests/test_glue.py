@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import clustered_metric, mixed_scale_metrics, rational_metric
 from rigidmetrics import glue, intervals, metric
-from rigidmetrics.coded import GREATER, UNRESOLVED, CodedReal, Enclosure, coded_sum, compare
+from rigidmetrics.coded import (
+    GREATER, UNRESOLVED, CodedReal, Enclosure, _signed_sum, coded_sum, compare,
+)
 from rigidmetrics.errors import DomainError, UnresolvedComparison
 from rigidmetrics.glue import (
     CERTIFICATE_VERSION,
@@ -23,8 +25,13 @@ from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import IntervalSet, _decode_memo, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.product import tau
-from rigidmetrics.registry import RESERVED_GAUGE_ID, gauge_from_snapshot
+from rigidmetrics.registry import RESERVED_GAUGE_ID, HubAllocation, gauge_from_snapshot
+from rigidmetrics.rigidify import subadditive_window
 from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
+
+
+def _component_sum(comps):
+    return _signed_sum((1, c.value) for c in comps)
 
 
 def test_partition_far_points_become_singletons(rng):
@@ -290,7 +297,7 @@ def test_rigidify_full_six_points(rng):
     assert len(cert.independence) == len(list(out.pairs()))
     for row, (i, j) in zip(cert.independence, out.pairs()):
         comps = [SumComponent.from_json(c) for c in row["certificate"]["left"]]
-        assert glue._component_sum(comps) == out.at(i, j)
+        assert _component_sum(comps) == out.at(i, j)
     blob = json.loads(json.dumps(cert.to_json(out), sort_keys=True))
     assert verify_certificate(blob).passed
 
@@ -553,7 +560,7 @@ def _reallocate_hub(blob, index, fields, value, input_shift):
             continue
         hub["value"] = value.to_json()
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        _set_entry(blob, "metric", pair, glue._component_sum(comps))
+        _set_entry(blob, "metric", pair, _component_sum(comps))
         _set_entry(blob, "input", pair, _entry(blob, "input", pair) + input_shift)
     _restate_sup(blob)
 
@@ -605,10 +612,12 @@ def test_certificate_forgeries_fail(certificates, kind, forge):
 
 @pytest.mark.parametrize(
     "forge, detail",
-    [(_swapped_rows, "components do not sum to the metric entry"),
-     (_equal_multisets, "equal component multisets"),
-     (_zero_padded_row, "independence hypotheses failed"),
-     (_zero_block_padded_row, "independence hypotheses failed"),
+    # a row is what the construction derives for its pair, so an edited row
+    # fails its replay before the sum, the hypotheses or the multiset pass
+    [(_swapped_rows, "component replay failed"),
+     (_equal_multisets, "component replay failed"),
+     (_zero_padded_row, "component replay failed"),
+     (_zero_block_padded_row, "component replay failed"),
      (_zeroed_sup, "claimed sup bound"),
      (_shifted_input, "sup bound exceeded"),
      (_renamed_input, "different points")],
@@ -618,10 +627,159 @@ def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
     forge(blob)
     report = verify_certificate(blob)
     assert report.verdict == "fail" and detail in report.detail
-    if forge in (_swapped_rows, _equal_multisets):
-        assert report.witnesses == tuple(_pairs(blob)[:2 if forge is _equal_multisets else 1])
-    if forge in (_zero_padded_row, _zero_block_padded_row):
+    if forge is _swapped_rows:
+        assert report.witnesses == (_pairs(blob)[0],)
+    if forge in (_equal_multisets, _zero_padded_row, _zero_block_padded_row):
         assert report.witnesses == (_pairs(blob)[1],)
+
+
+@pytest.mark.parametrize(
+    "name, stub, detail, witnesses",
+    [("tagged_sum_holds", lambda side, gauges: False, "independence hypotheses failed", 1),
+     ("find_interval_trace_witness", lambda sets: None, "no independent-of-1 witness", 1),
+     ("multiset_key", lambda side: (), "equal component multisets", 2)],
+)
+def test_the_row_pass_names_the_first_failing_pair(
+    certificates, monkeypatch, name, stub, detail, witnesses
+):
+    # the builder's row pass, run by the checker on the derived components
+    blob = json.loads(certificates["clustered"])
+    monkeypatch.setattr(glue, name, stub)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == detail
+    assert report.witnesses == tuple(_pairs(blob)[:witnesses])
+
+
+def _missed_point(blob):
+    # the last block loses its last point, or with it its hub and the block
+    partition = blob["parameters"]["partition"]
+    block = partition["blocks"][-1]
+    if len(block) == 1:
+        partition["blocks"].pop()
+        partition["hubs"].pop()
+    else:
+        block.remove(next(x for x in reversed(block) if x != partition["hubs"][-1]))
+
+
+def _repeated_point(blob):
+    blocks = blob["parameters"]["partition"]["blocks"]
+    blocks[-1].append(blocks[0][0])
+
+
+def _unused_gauge(blob):
+    gauges = blob["registry"]["gauges"]
+    gauges[str(max(int(g) for g in gauges) + 1)] = {"draws": {}}
+
+
+def _unused_hub_record(blob):
+    # a record on a word pair no other record uses
+    hubs = blob["registry"]["hubs"]
+    last = hubs[max(hubs, key=int)]
+    hubs[str(max(int(i) for i in hubs) + 1)] = {**last, "words": [[1000], [1001]]}
+
+
+def _missing_hub_record(blob):
+    hubs = blob["registry"]["hubs"]
+    del hubs[max(hubs, key=int)]
+
+
+def _swapped_hub_keys(blob):
+    hubs = blob["registry"]["hubs"]
+    one, two = sorted(hubs, key=int)[:2]
+    hubs[one], hubs[two] = hubs[two], hubs[one]
+
+
+def _other_ladder(blob):
+    blob["parameters"]["k"] += 1
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+@pytest.mark.parametrize(
+    "forge",
+    [_missed_point, _repeated_point, _unused_gauge, _unused_hub_record, _missing_hub_record,
+     _swapped_hub_keys, _other_ladder],
+)
+def test_parts_off_the_allocation_rule_fail_the_replay(certificates, kind, forge):
+    # the checker allocates the gauges, hub records and ladder by the
+    # builder's rules, from the partition, and finds these at odds with them
+    blob = json.loads(certificates[kind])
+    forge(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+
+
+@pytest.fixture(scope="module")
+def straight_certificate():
+    """The certificate of a, b, c at distances 1, 1 and 2: its hub window
+    integers 20, 40 and 20 meet subadditivity with equality."""
+    d = FiniteMetric.from_entries("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    glued, cert = rigidify_full(d, Fraction(1, 2))
+    return json.dumps(cert.to_json(glued), sort_keys=True)
+
+
+def _moved_hub_p(blob, shifts, move_input):
+    """Hub pair ``t``'s ``p`` moves by ``shifts[t]``, its value with it, in
+    every row and metric entry; with ``move_input`` the input entry too."""
+    for (pair, row), shift in zip(_hub_pair_rows(blob), shifts):
+        hub = _hub_of(row)
+        record = blob["registry"]["hubs"][str(hub["hub_index"])]
+        _reallocate_hub(blob, hub["hub_index"], {"p": _frac_str(Fraction(record["p"]) + shift)},
+                        CodedReal.from_json(hub["value"]) + shift, shift if move_input else 0)
+
+
+def _hub_records(blob):
+    return [HubAllocation.from_json(a) for a in blob["registry"]["hubs"].values()]
+
+
+def test_hub_values_outside_their_windows_fail(straight_certificate):
+    # the three hub values moved by -1/10, +1/10 and -1/10, with the metric
+    # and the claimed sup restated: d(a, c) > d(a, b) + d(b, c)
+    blob = json.loads(straight_certificate)
+    assert verify_certificate(blob).passed
+    _moved_hub_p(blob, [Fraction(-1, 10), Fraction(1, 10), Fraction(-1, 10)], False)
+    assert not is_metric(FiniteMetric.from_json(blob["metric"])).passed
+    eta_h, k = Fraction(1, 20), blob["parameters"]["k"]
+    assert all(glue._hub_window_index(a, eta_h, k) is None for a in _hub_records(blob))
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+    # d(a, b) moved to just above 20 * eta_h, below its window: the window
+    # integers stay subadditive, so only the window rule refuses it
+    blob = json.loads(straight_certificate)
+    p = _hub_records(blob)[0].p
+    _moved_hub_p(blob, [20 * eta_h - p, 0, 0], True)
+    assert glue._hub_window_index(_hub_records(blob)[0], eta_h, k) is None
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+
+
+def test_hub_window_integers_must_be_subadditive(straight_certificate):
+    # d(a, c) moves into the middle of window 41 > 20 + 20, input entry and
+    # all: each record sits in its window, yet d(a, c) > d(a, b) + d(b, c)
+    blob = json.loads(straight_certificate)
+    eta_h, k = Fraction(1, 20), blob["parameters"]["k"]
+    lo, hi = subadditive_window(41)
+    (_, _), (_, ac), _ = _hub_pair_rows(blob)
+    p = Fraction(blob["registry"]["hubs"][str(_hub_of(ac)["hub_index"])]["p"])
+    _moved_hub_p(blob, [0, eta_h * (lo + hi) / 2 - p, 0], True)
+    assert not is_metric(FiniteMetric.from_json(blob["metric"])).passed
+    assert [glue._hub_window_index(a, eta_h, k) for a in _hub_records(blob)] == [20, 41, 20]
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+
+
+def test_a_single_block_certificate_passes():
+    # one block: one gauge, no hub record, and no hub pair to replay
+    d = FiniteMetric.from_entries("abc", [
+        [0, Fraction(1, 100), Fraction(1, 80)],
+        [Fraction(1, 100), 0, Fraction(1, 90)],
+        [Fraction(1, 80), Fraction(1, 90), 0],
+    ])
+    glued, cert = rigidify_full(d, Fraction(1, 2))
+    assert cert.partition.blocks == (("a", "b", "c"),)
+    assert cert.registry_snapshot["hubs"] == {}
+    assert all(len(row["certificate"]["left"]) == 1 for row in cert.independence)
+    report = verify_certificate(json.loads(dumps_canonical(cert.to_json(glued))))
+    assert report.passed, report.detail
 
 
 @pytest.mark.parametrize(
@@ -683,10 +841,11 @@ def test_a_hub_component_without_an_index_is_refused(certificates):
         verify_certificate(blob)
 
 
-def test_the_reserved_gauge_tags_no_block_component():
-    # blocks {a, b} and {c}; block {a, b}'s components are retagged with the
-    # reserved gauge 0, whose letters (0, 1) replay to the hub's basis, and
-    # the hub becomes 32 times that basis: d(a, c) = 32 d(a, b)
+def _retagged_to_the_reserved_gauge(scaled_hub):
+    """Blocks {a, b} and {c}; block {a, b}'s components are retagged with the
+    reserved gauge 0, whose letters (0, 1) replay to the hub's basis, and with
+    ``scaled_hub`` the hub becomes 32 times that basis: d(a, c) = 32 d(a, b).
+    The metric and input entries and the claimed sup are restated."""
     d = FiniteMetric.from_entries(
         "abc", [[0, Fraction(1, 40), 1], [Fraction(1, 40), 0, 1], [1, 1, 0]]
     )
@@ -699,15 +858,16 @@ def test_the_reserved_gauge_tags_no_block_component():
     assert hub["words"] == [[0], [1]]
     reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, blob["registry"])
     basis = tau(reserved, blob["parameters"]["k"], *hub["words"])
-    hub.update(p="0/1", q="32/1")
+    if scaled_hub:
+        hub.update(p="0/1", q="32/1")
     for pair, row in zip(_pairs(blob), _rows(blob)):
         for comp in row["certificate"]["left"]:
             if comp["kind"] == "block" and comp["gauge"] == gauge:
                 comp.update(gauge=0, value=basis.to_json())
-            elif comp["kind"] == "hub":
+            elif comp["kind"] == "hub" and scaled_hub:
                 comp["value"] = (basis * 32).to_json()
         comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        value = glue._component_sum(comps)
+        value = _component_sum(comps)
         _set_entry(blob, "metric", pair, value)
         # the input moves to the midpoint of an enclosure of the new entry
         enc = value.eval(4)
@@ -715,10 +875,21 @@ def test_the_reserved_gauge_tags_no_block_component():
         _set_entry(blob, "input", pair, mid)
     _restate_sup(blob)
     forged = FiniteMetric.from_json(blob["metric"])
-    assert forged.distance("a", "c") == forged.distance("a", "b") * 32
-    report = verify_certificate(blob)
-    assert report.verdict == "fail" and report.detail == "independence hypotheses failed"
+    assert (forged.distance("a", "c") == forged.distance("a", "b") * 32) == scaled_hub
+    return blob
+
+
+def test_the_reserved_gauge_tags_no_block_component():
+    # block {a, b} takes the first gauge other than 0, by rule, so its row
+    # fails the replay
+    report = verify_certificate(_retagged_to_the_reserved_gauge(scaled_hub=False))
+    assert report.verdict == "fail" and report.detail == "component replay failed"
     assert report.witnesses == (("a", "b"),)
+    # a hub value of 32 * basis has p = 0, below every hub window, and fails
+    # before any row is compared
+    report = verify_certificate(_retagged_to_the_reserved_gauge(scaled_hub=True))
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+    assert report.witnesses == ()
 
 
 def test_draws_must_lie_in_their_level(certificates):
@@ -751,7 +922,7 @@ def test_a_window_that_fails_its_verification_is_not_a_witness(certificates, mon
     blob = json.loads(certificates["spread"])
     monkeypatch.setattr(glue, "find_interval_trace_witness", lambda sets: None)
     report = verify_certificate(blob)
-    assert report.verdict == "fail" and report.detail == "unit witness failed"
+    assert report.verdict == "fail" and report.detail == "no independent-of-1 witness"
     assert report.witnesses == (_pairs(blob)[0],)
 
 
@@ -856,20 +1027,16 @@ def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
     assert 0 < len(calls) <= len(distinct) < copies
 
 
-def test_same_block_component_is_its_metric_entry(certificates, monkeypatch):
-    # the component's value is written like the metric entry it equals, so
-    # one decode scope gives both one object
-    sides, metrics = [], []
-    real_sum, real_rigid = glue._component_sum, glue.is_strongly_rigid
-    monkeypatch.setattr(glue, "_component_sum", lambda side: sides.append(side) or real_sum(side))
-    monkeypatch.setattr(
-        glue, "is_strongly_rigid", lambda m, *args: metrics.append(m) or real_rigid(m, *args)
-    )
-    assert verify_certificate(json.loads(certificates["clustered"])).passed
-    (metric,) = metrics
-    same_block = [side[0] for side in sides if len(side) == 1 and side[0].kind == "block"]
-    assert same_block
-    assert all(c.value is metric.distance(*c.detail) for c in same_block)
+def test_same_block_component_is_its_metric_entry(certificates):
+    # a same-block distance is its one block component: an entry moved off
+    # it fails, though the row still equals the derived one
+    blob = json.loads(certificates["clustered"])
+    partition = Partition.from_json(blob["parameters"]["partition"])
+    pair = next(p for p in _pairs(blob) if partition.block_of(p[0]) == partition.block_of(p[1]))
+    _set_entry(blob, "metric", pair, _entry(blob, "metric", pair) + Fraction(1, 1000))
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "components do not sum to the metric entry"
+    assert report.witnesses == (pair,)
 
 
 def _interval_lists(node, found):

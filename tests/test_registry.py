@@ -71,7 +71,7 @@ def test_hub_allocation_json_round_trip():
     data = json.loads(json.dumps(alloc.to_json()))
     assert set(data) == {"p", "q", "words"}
     decoded = HubAllocation.from_json(data)
-    assert decoded == alloc and decoded.basis_hi is None
+    assert decoded == alloc
     # the basis is replayed from the words on the reserved gauge
     reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, json.loads(json.dumps(registry.snapshot())))
     basis = tau(reserved, 3, *decoded.words)
