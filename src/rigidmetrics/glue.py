@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .coded import (
@@ -647,19 +648,19 @@ def _replayed_construction(
     hub_pairs = list(combinations(range(len(names)), 2))
     if (k, len(block_ids), len(hubs)) != (ladder, len(partition.blocks), len(hub_pairs)):
         raise DomainError("the ladder, gauges or hub records break the allocation rule")
-    integers: dict[tuple[int, int], int] = {}
+    integers = [[0] * len(names) for _ in names]
     entries: dict[tuple[int, int], CodedReal] = {}
     hub_index: dict[tuple[str, str], int] = {}
     for (i, j), index in zip(hub_pairs, sorted(hubs)):
         alloc = hubs[index]
-        n = integers[(i, j)] = integers[(j, i)] = _hub_window_index(alloc, eta / 2, k)
+        n = integers[i][j] = integers[j][i] = _hub_window_index(alloc, eta / 2, k)
         if n is None or RESERVED_GAUGE_ID not in gauges:
             raise DomainError(f"hub record {index} cannot be placed in its window")
         entries[(i, j)] = alloc.value(tau(gauges[RESERVED_GAUGE_ID], k, *alloc.words))
         hub_index[(names[i], names[j])] = hub_index[(names[j], names[i])] = index
-    for i, j, m in permutations(range(len(names)), 3):
-        if integers[(i, j)] > integers[(i, m)] + integers[(m, j)]:
-            raise DomainError("the hub window integers are not subadditive")
+    # N_ij <= N_im + N_mj for every m; m = i and m = j give N_ij itself
+    if any(min(map(add, integers[i], integers[j])) < integers[i][j] for i, j in hub_pairs):
+        raise DomainError("the hub window integers are not subadditive")
     return _Construction(
         partition, tuple(block_ids), _block_metrics(partition, [gauges[g] for g in block_ids], k),
         FiniteMetric.from_pair_function(names, lambda i, j: entries[(i, j)]), hub_index,
