@@ -636,7 +636,6 @@ def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
 @pytest.mark.parametrize(
     "name, stub, detail, witnesses",
     [("tagged_sum_holds", lambda side, gauges: False, "independence hypotheses failed", 1),
-     ("find_interval_trace_witness", lambda sets: None, "no independent-of-1 witness", 1),
      ("multiset_key", lambda side: (), "equal component multisets", 2)],
 )
 def test_the_row_pass_names_the_first_failing_pair(
@@ -693,11 +692,22 @@ def _other_ladder(blob):
     blob["parameters"]["k"] += 1
 
 
+def _remote_ladder(blob):
+    # a hub window test at this ladder would take 2^k to build
+    blob["parameters"]["k"] = 10 ** 18
+
+
+def _remote_hub_p(blob):
+    # window N = 2 * 10^1001 would take 2^N to build; the record fails first
+    hubs = blob["registry"]["hubs"]
+    hubs[min(hubs, key=int)]["p"] = f"{10 ** 1000}/1"
+
+
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 @pytest.mark.parametrize(
     "forge",
     [_missed_point, _repeated_point, _unused_gauge, _unused_hub_record, _missing_hub_record,
-     _swapped_hub_keys, _other_ladder],
+     _swapped_hub_keys, _other_ladder, _remote_ladder, _remote_hub_p],
 )
 def test_parts_off_the_allocation_rule_fail_the_replay(certificates, kind, forge):
     # the checker allocates the gauges, hub records and ladder by the
