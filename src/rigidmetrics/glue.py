@@ -30,7 +30,6 @@ it; only the rest go through the exact engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -392,17 +391,19 @@ def _hub_window_index(alloc: HubAllocation, eta_h: Fraction, k: int) -> int | No
     lies strictly inside ``eta_h * subadditive_window(N)``, else None.
 
     The basis, one ``<gamma_k, S>`` of coefficient 1, is below ``2^-k``, so
-    ``lo < p`` and ``p + q * 2^-k < hi`` place the value without an eval.
-    ``p`` in window ``N`` puts ``N`` below the bit length of the denominator
-    of ``p / eta_h``, which is tested before the window is built.
+    ``lo < p`` and ``p + q * 2^-k < hi`` place the value without an eval;
+    both are tested on integers.  ``p`` in window ``N`` puts ``N`` below the
+    bit length of the denominator of ``p / eta_h``, which is tested before
+    any shift by ``N``.
     """
-    scaled = alloc.p / eta_h
-    n = math.floor(scaled)
-    if not 1 <= n < scaled.denominator.bit_length() or alloc.q <= 0:
+    # in units of eta_h: p = n + rest / den and the fuzz q * 2^-k = fn / fd
+    num, den = alloc.p.numerator * eta_h.denominator, alloc.p.denominator * eta_h.numerator
+    n, rest = divmod(num, den)
+    if not 1 <= n < den.bit_length() or alloc.q <= 0:
         return None
-    # the window and the value in units of eta_h
-    lo, hi = subadditive_window(n)
-    return n if lo < scaled and scaled + alloc.q / eta_h / (1 << k) < hi else None
+    fn, fd = alloc.q.numerator * eta_h.denominator, (alloc.q.denominator * eta_h.numerator) << k
+    # subadditive_window(n), less n: 2^-(n+1) < rest / den and rest / den + fn / fd < 2^-n
+    return n if rest << (n + 1) > den and (rest * fd + fn * den) << n < den * fd else None
 
 
 def _certify_sup_bound(
@@ -581,14 +582,15 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         # name the first pair with no row, if there is one
         return fail(tuple(pairs[len(rows):len(rows) + 1]),
                     f"{len(rows)} independence rows cover {len(pairs)} distances")
-    derived = [parts.components(*pair) for pair in pairs]
-    for pair, row, comps in zip(pairs, rows, derived):
-        if row != comps:
+    for pair, row in zip(pairs, rows):
+        if row != parts.components(*pair):
             return fail((pair,), "component replay failed")
-    for (i, j), pair, comps in zip(metric.pairs(), pairs, derived):
-        if _signed_sum((1, c.value) for c in comps) != metric.at(i, j):
+    # each row now equals its derived components; its decoded values share
+    # their objects, and so their cached hashes and traces, with the metric
+    for (i, j), pair, row in zip(metric.pairs(), pairs, rows):
+        if _signed_sum((1, c.value) for c in row) != metric.at(i, j):
             return fail((pair,), "components do not sum to the metric entry")
-    failure = _row_failure(list(zip(pairs, derived)), parts.block_gauges)
+    failure = _row_failure(list(zip(pairs, rows)), parts.block_gauges)
     if failure is not None:
         return fail(failure[1], failure[0])
     if source.points != metric.points:
