@@ -657,7 +657,7 @@ def _replayed_construction(
         alloc = hubs[index]
         n = integers[i][j] = integers[j][i] = _hub_window_index(alloc, eta / 2, k)
         if n is None or RESERVED_GAUGE_ID not in gauges:
-            raise DomainError(f"hub record {index} cannot be placed in its window")
+            raise DomainError(f"hub record {index}: outside its window, or no gauge 0")
         entries[(i, j)] = alloc.value(tau(gauges[RESERVED_GAUGE_ID], k, *alloc.words))
         hub_index[(names[i], names[j])] = hub_index[(names[j], names[i])] = index
     # N_ij <= N_im + N_mj for every m; m = i and m = j give N_ij itself
