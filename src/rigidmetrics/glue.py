@@ -11,16 +11,16 @@ the original is at most ``4 * eps`` plus the hub defect.
 
 ``rigidify_full`` runs the whole construction: partition with diameter bound
 ``eta = epsilon / 5``, give every block its own gauge and the product metric
-on one-letter words (diameter at most ``2^-k <= eta``), approximate the hub
-distances by hub-pool values sitting strictly inside the subadditivity
-windows, glue, and emit a certificate: the input, the exact sup bound, strong
-rigidity, and one row per distance, in pair order.  A row holds the distance's
-nonzero tagged components (:meth:`_Construction.components`).  One row pass
+on one-letter words (diameter at most ``2^-k <= eta``), place hub-pool
+values strictly inside the subadditivity windows (:func:`_placed_hubs`),
+glue, and emit a certificate: the input, the exact sup bound, strong
+rigidity, and one row per distance, in pair order, of its nonzero tagged
+summands (:meth:`_Construction.components`).  One row pass
 (:func:`_row_failure`) shows the per-sum hypotheses, an independent-of-1
 trace witness per row, found and not stored, and pairwise different
-component multisets.  ``verify_certificate`` replays the construction from
-the certificate's parameters and registry snapshot, requires the rows and
-the metric to equal what it derives, and runs the same row pass.
+component multisets.  ``verify_certificate`` replays the parts with the
+builder's functions, requires the stated rows and metric to be the JSON of
+what it derives, and runs the same row pass.
 
 The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
 ``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import add
+from operator import add, getitem
 from typing import Sequence
 
 from .coded import (
@@ -145,11 +146,10 @@ def partition_by_diameter(
 
 
 def amalgamate(
-    partition: Partition,
-    block_metrics: Sequence[FiniteMetric],
-    hub_metric: FiniteMetric,
+    partition: Partition, block_metrics: Sequence[FiniteMetric], hub_metric: FiniteMetric
 ) -> FiniteMetric:
-    """Glue block metrics through the hub metric; restrictions stay exact."""
+    """Glue block metrics through the hub metric; restrictions stay exact.
+    A distance is the sum of its nonzero :func:`_summands`."""
     if len(block_metrics) != len(partition.blocks):
         raise DomainError("one block metric per block")
     for block, metric in zip(partition.blocks, block_metrics):
@@ -163,26 +163,32 @@ def amalgamate(
             raise DomainError("hub metric must be positive off the diagonal")
 
     labels = partition.labels()
-    index = {x: i for i, x in enumerate(labels)}
-    n = len(labels)
-    rows = [[as_coded(0) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        xa = labels[a]
-        ba = partition.block_of(xa)
-        for b in range(a + 1, n):
-            xb = labels[b]
-            bb = partition.block_of(xb)
-            if ba == bb:
-                value = block_metrics[ba].distance(xa, xb)
-            else:
-                value = _signed_sum((
-                    (1, block_metrics[ba].distance(xa, partition.hubs[ba])),
-                    (1, hub_metric.distance(partition.hubs[ba], partition.hubs[bb])),
-                    (1, block_metrics[bb].distance(partition.hubs[bb], xb)),
-                ))
-            rows[a][b] = rows[b][a] = value
-    matrix = tuple(tuple(row) for row in rows)
-    return FiniteMetric(tuple(labels), matrix)
+
+    def glued(a: int, b: int) -> CodedReal:
+        values = [v for _, _, v in _summands(partition, block_metrics, hub_metric,
+                                             labels[a], labels[b])]
+        return values[0] if len(values) == 1 else _signed_sum((1, v) for v in values)
+
+    return FiniteMetric.from_pair_function(labels, glued)
+
+
+def _summands(
+    partition: Partition, block_metrics: Sequence[FiniteMetric], hub_metric: FiniteMetric,
+    a: str, b: str,
+) -> tuple[tuple[int | None, tuple[str, str], CodedReal], ...]:
+    """The nonzero summands of the glued distance ``D(a, b)`` as ``(block,
+    detail, value)``, the block legs of ``a`` and ``b`` first: ``block`` is the
+    position of a block value's block, None for the hub value."""
+    ba, bb = partition.block_of(a), partition.block_of(b)
+    if ba == bb:
+        return ((ba, (a, b), block_metrics[ba].distance(a, b)),)
+    ha, hb = partition.hubs[ba], partition.hubs[bb]
+    summands = (
+        (ba, (a, ha), block_metrics[ba].distance(a, ha)),
+        (bb, (hb, b), block_metrics[bb].distance(hb, b)),
+        (None, (ha, hb), hub_metric.distance(ha, hb)),
+    )
+    return tuple(s for s in summands if not s[2].is_zero_form())
 
 
 def sup_bound_check(
@@ -294,8 +300,9 @@ def rigidify_full(
     gauges = [registry.fresh_gauge() for _ in partition.blocks]
     block_metrics = _block_metrics(partition, gauges, k)
     hub_metric, hub_index = _hub_metric(d, partition, eta, k, registry)
-    glued = amalgamate(partition, block_metrics, hub_metric)
-    glued = glued.restrict(list(d.points))
+    parts = _Construction(partition, tuple(g.gauge_id for g in gauges), block_metrics,
+                          hub_metric, hub_index)
+    glued = parts.glued(d.points)
 
     offending, sup = _certify_sup_bound(d, glued, epsilon, max_precision)
     if offending is not None:
@@ -306,19 +313,11 @@ def rigidify_full(
     if not rigidity.passed:
         raise UnresolvedComparison(f"strong rigidity not certified: {rigidity.detail}")
 
-    parts = _Construction(partition, tuple(g.gauge_id for g in gauges), block_metrics,
-                          hub_metric, hub_index)
     pairs = [(d.points[i], d.points[j]) for i, j in d.pairs()]
     independence = _pairwise_independence(parts, pairs)
     certificate = RigidifyCertificate(
-        source=d,
-        epsilon=epsilon,
-        k=k,
-        partition=partition,
-        sup_lo=sup.lo,
-        sup_hi=sup.hi,
-        independence=tuple(independence),
-        registry_snapshot=registry.snapshot(),
+        source=d, epsilon=epsilon, k=k, partition=partition, sup_lo=sup.lo, sup_hi=sup.hi,
+        independence=tuple(independence), registry_snapshot=registry.snapshot(),
     )
     return glued, certificate
 
@@ -347,43 +346,62 @@ def _block_metrics(
 
 
 def _hub_metric(
-    d: FiniteMetric,
-    partition: Partition,
-    eta: Fraction,
-    k: int,
-    registry: ValueRegistry,
+    d: FiniteMetric, partition: Partition, eta: Fraction, k: int, registry: ValueRegistry
 ) -> tuple[FiniteMetric, dict[tuple[str, str], int]]:
     """Strongly rigid hub metric within ``eta`` of ``d`` on the hubs.
 
     Hub distances are snapped to integers at step ``eta_h = eta / 2`` and
-    replaced by hub-pool values placed strictly inside the scaled windows
-    ``subadditive_window(N) * eta_h`` (:func:`_hub_window_index`), which
-    certifies the strict triangle inequality and keeps the defect below
+    replaced by hub-pool values drawn at the middle of the scaled windows
+    ``subadditive_window(N) * eta_h``; placing them (:func:`_placed_hubs`)
+    certifies the strict triangle inequality, and the defect stays below
     ``2 * eta_h = eta``.  Also returns the registry allocation index of each
     hub pair, in both orders.
     """
     hubs = list(partition.hubs)
     eta_h = eta / 2
     snapped = snap_to_grid(d.restrict(hubs), eta_h)
-    integers = {
-        (i, j): int(snapped.at(i, j).rational_value() / eta_h) for i, j in snapped.pairs()
-    }
-    n_max = max(integers.values(), default=0)
+    integers = [int(snapped.at(i, j).rational_value() / eta_h) for i, j in snapped.pairs()]
+    n_max = max(integers, default=0)
     # Allocation indices large enough that the coded fuzz of every hub value
     # stays below half the narrowest window and below the least triangle
     # margin eta_h * 2^-(n_max + 1).
     base_index = n_max + 2
     while Fraction(3, 1 << (base_index + 1)) > eta_h * Fraction(1, 1 << (n_max + 3)):
         base_index += 1
+    values = {alloc: registry.hub_value(k, alloc, eta_h * sum(subadditive_window(n)) / 2)
+              for alloc, n in enumerate(integers, start=base_index)}
+    records = [(alloc, registry.hub_allocation(alloc), v) for alloc, v in values.items()]
+    return _placed_hubs(hubs, records, eta_h, k)
+
+
+def _placed_hubs(
+    names: Sequence[str], records: Sequence[tuple[int, HubAllocation, CodedReal]],
+    eta_h: Fraction, k: int,
+) -> tuple[FiniteMetric, dict[tuple[str, str], int]]:
+    """The hub metric on ``names`` by the allocation rule, or ``DomainError``,
+    with each hub pair's allocation index, in both orders.
+
+    ``records`` holds each hub record's allocation index, the record and its
+    value, in allocation order; record ``t`` goes to hub pair ``t`` (hubs
+    ``i < j`` in ``names`` order), one record per pair.  Each must sit in its
+    window (:func:`_hub_window_index`), with the window integers subadditive
+    on every hub triple, so the hub metric is a metric."""
+    hub_pairs = list(combinations(range(len(names)), 2))
+    if len(records) != len(hub_pairs):
+        raise DomainError(f"{len(records)} hub records for {len(hub_pairs)} hub pairs")
+    integers = [[0] * len(names) for _ in names]
     entries: dict[tuple[int, int], CodedReal] = {}
     hub_index: dict[tuple[str, str], int] = {}
-    for alloc, ((i, j), n) in enumerate(integers.items(), start=base_index):
-        lo, hi = (eta_h * end for end in subadditive_window(n))
-        entries[(i, j)] = registry.hub_value(k, alloc, (lo + hi) / 2)
-        if _hub_window_index(registry.hub_allocation(alloc), eta_h, k) != n:
-            raise UnresolvedComparison("hub value escaped its window")
-        hub_index[(hubs[i], hubs[j])] = hub_index[(hubs[j], hubs[i])] = alloc
-    return FiniteMetric.from_pair_function(hubs, lambda i, j: entries[(i, j)]), hub_index
+    for (i, j), (index, alloc, value) in zip(hub_pairs, records):
+        n = integers[i][j] = integers[j][i] = _hub_window_index(alloc, eta_h, k)
+        if n is None:
+            raise DomainError(f"hub record {index} lies outside its window")
+        entries[(i, j)] = value
+        hub_index[(names[i], names[j])] = hub_index[(names[j], names[i])] = index
+    # N_ij <= N_im + N_mj for every m; m = i and m = j give N_ij itself
+    if any(min(map(add, integers[i], integers[j])) < integers[i][j] for i, j in hub_pairs):
+        raise DomainError("the hub window integers are not subadditive")
+    return FiniteMetric.from_pair_function(names, lambda i, j: entries[(i, j)]), hub_index
 
 
 def _hub_window_index(alloc: HubAllocation, eta_h: Fraction, k: int) -> int | None:
@@ -465,35 +483,35 @@ class _Construction:
     hub_metric: FiniteMetric
     hub_index: dict[tuple[str, str], int]
 
+    def glued(self, points: Sequence[str]) -> FiniteMetric:
+        """The amalgamated metric, in the order of ``points``."""
+        return amalgamate(self.partition, self.block_metrics, self.hub_metric).restrict(points)
+
     def components(self, a: str, b: str) -> tuple[SumComponent, ...]:
-        """The nonzero ones of the distance's tagged summands."""
-        ba, bb = self.partition.block_of(a), self.partition.block_of(b)
-        gauges, metrics = self.block_gauges, self.block_metrics
-        if ba == bb:
-            return (SumComponent("block", gauge_id=gauges[ba], detail=(a, b),
-                                 value=metrics[ba].distance(a, b)),)
-        ha, hb = self.partition.hubs[ba], self.partition.hubs[bb]
-        comps = (
-            SumComponent("block", gauge_id=gauges[ba], detail=(a, ha),
-                         value=metrics[ba].distance(a, ha)),
-            SumComponent("block", gauge_id=gauges[bb], detail=(hb, b),
-                         value=metrics[bb].distance(hb, b)),
-            SumComponent("hub", hub_index=self.hub_index[(ha, hb)], detail=(ha, hb),
-                         value=self.hub_metric.distance(ha, hb)),
+        """The distance's summands (:func:`_summands`), each tagged with its
+        block's gauge or its hub pair's allocation index."""
+        return tuple(
+            SumComponent("hub", hub_index=self.hub_index[detail], detail=detail, value=value)
+            if block is None else
+            SumComponent("block", gauge_id=self.block_gauges[block], detail=detail, value=value)
+            for block, detail, value in _summands(
+                self.partition, self.block_metrics, self.hub_metric, a, b)
         )
-        return tuple(c for c in comps if not c.value.is_zero_form())
 
 
-def _pairwise_independence(
-    parts: _Construction, pairs: Sequence[tuple[str, str]]
-) -> list[dict]:
+def _pairwise_independence(parts: _Construction, pairs: Sequence[tuple[str, str]]) -> list[dict]:
     """One validated independence row per distance, in pair order, naming no pair."""
     rows = [(pair, parts.components(*pair)) for pair in pairs]
     failure = _row_failure(rows, parts.block_gauges)
     if failure is not None:
         detail, witnesses = failure
         raise UnresolvedComparison(f"{detail} for {' and '.join(map(str, witnesses))}")
-    return [{"certificate": {"left": [c.to_json() for c in comps]}} for _, comps in rows]
+    return [_row_json(comps) for _, comps in rows]
+
+
+def _row_json(components: Sequence[SumComponent]) -> dict:
+    """The certificate row that states a distance's components."""
+    return {"certificate": {"left": [c.to_json() for c in components]}}
 
 
 def _row_failure(
@@ -529,18 +547,18 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     """Re-check an emitted certificate from its serialized form alone.
 
     A certificate of another ``version`` raises ``ValueError``; this is format
-    3.  In order: the certificate's fields are read, ``parameters.k`` and
-    ``partition`` required; the snapshot must keep the registry invariants
-    (:func:`_registry_problem`); the rows are decoded; the parts are replayed
-    (:func:`_replayed_construction`); row ``t`` of one per distance must equal
-    the components :meth:`_Construction.components` derives for pair ``t`` of
-    the metric's pair order, and each metric entry their sum; the builder's
-    row pass (:func:`_row_failure`) runs on them; and the sup bound, recomputed
-    from ``input``, must equal the claimed enclosure, with strong rigidity
-    rechecked, both under ``max_precision``, which every report records.
-    Unread fields (an earlier writer's hub ``value``, ``target``,
-    ``streams``) are ignored.  The certificate is decoded in one decode scope
-    (:func:`~rigidmetrics.intervals._decode_scope`), each distinct piece once.
+    3.  Only ``input``, ``registry``, ``parameters`` (``k`` and ``partition``
+    required) and ``sup_bound`` are decoded, in one decode scope, and a
+    malformed one raises.  In order: the registry invariants
+    (:func:`_registry_problem`); the stated metric's points must be the
+    input's; the parts are replayed (:func:`_replayed_construction`); row
+    ``t`` must be the :func:`_row_json` of the components derived for pair
+    ``t`` of the input, and the stated metric the JSON of the glued one, by
+    ``==`` on the loaded JSON; the builder's row pass (:func:`_row_failure`);
+    and the sup bound, recomputed from ``input``, must equal the claimed
+    enclosure, with strong rigidity rechecked, both under ``max_precision``.
+    Unread fields of the decoded parts (an earlier writer's hub ``value``)
+    are ignored.
     """
     with _decode_scope():
         return _verify_certificate(data, max_precision)
@@ -552,7 +570,6 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
 
     if data.get("version") != CERTIFICATE_VERSION:
         raise ValueError("unsupported certificate version")
-    metric = FiniteMetric.from_json(data["metric"])
     source = FiniteMetric.from_json(data["input"])
     parameters = data.get("parameters", {})
     if "k" not in parameters or "partition" not in parameters:
@@ -570,31 +587,37 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
     problem = _registry_problem(gauges, hubs)
     if problem is not None:
         return fail((), f"registry invariant failed: {problem}")
-    rows = [tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-            for row in data["independence"]]
+    if _stated(data, "metric", "points") != list(source.points):
+        return fail((), "input and metric have different points")
     try:
-        parts = _replayed_construction(parameters["partition"], metric.points, k, epsilon,
+        parts = _replayed_construction(parameters["partition"], source.points, k, epsilon,
                                        gauges, hubs)
     except DomainError:
         return fail((), "component replay failed")
-    pairs = [(metric.points[i], metric.points[j]) for i, j in metric.pairs()]
-    if len(rows) != len(pairs):
+    pairs = [(source.points[i], source.points[j]) for i, j in source.pairs()]
+    stated_rows = data.get("independence")
+    stated_rows = stated_rows if isinstance(stated_rows, list) else []
+    if len(stated_rows) != len(pairs):
         # name the first pair with no row, if there is one
-        return fail(tuple(pairs[len(rows):len(rows) + 1]),
-                    f"{len(rows)} independence rows cover {len(pairs)} distances")
-    for pair, row in zip(pairs, rows):
-        if row != parts.components(*pair):
+        return fail(tuple(pairs[len(stated_rows):len(stated_rows) + 1]),
+                    f"{len(stated_rows)} independence rows cover {len(pairs)} distances")
+    rows = [(pair, parts.components(*pair)) for pair in pairs]
+    for (pair, comps), stated in zip(rows, stated_rows):
+        if stated != _row_json(comps):
             return fail((pair,), "component replay failed")
-    # each row now equals its derived components; its decoded values share
-    # their objects, and so their cached hashes and traces, with the metric
-    for (i, j), pair, row in zip(metric.pairs(), pairs, rows):
-        if _signed_sum((1, c.value) for c in row) != metric.at(i, j):
-            return fail((pair,), "components do not sum to the metric entry")
-    failure = _row_failure(list(zip(pairs, rows)), parts.block_gauges)
+    metric = parts.glued(source.points)
+    spelled = metric.to_json()
+    if data["metric"] != spelled:
+        matrix = spelled["matrix"]
+        differing = next((pair for (i, j), pair in zip(metric.pairs(), pairs)
+                          if not _stated(data, "metric", "matrix", i, j) == matrix[i][j]
+                          == _stated(data, "metric", "matrix", j, i)), None)
+        if differing is None:
+            return fail((), "metric differs from the derived one")
+        return fail((differing,), "components do not sum to the metric entry")
+    failure = _row_failure(rows, parts.block_gauges)
     if failure is not None:
         return fail(failure[1], failure[0])
-    if source.points != metric.points:
-        return fail((), "input and metric have different points")
     offending, enc = _certify_sup_bound(source, metric, epsilon, max_precision)
     if offending is not None:
         return _sup_failure(offending, max_precision)
@@ -605,6 +628,14 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         return Report(rigidity.verdict, rigidity.witnesses, "strong rigidity recheck",
                       max_precision)
     return Report("pass", (), f"{len(rows)} independence rows verified", max_precision)
+
+
+def _stated(node: object, *path: object) -> object:
+    """The JSON value at ``path`` below ``node``, or None where there is none."""
+    try:
+        return reduce(getitem, path, node)
+    except (KeyError, IndexError, TypeError):
+        return None
 
 
 def _registry_problem(
@@ -626,44 +657,29 @@ def _registry_problem(
 
 
 def _replayed_construction(
-    partition_data: dict,
-    points: Sequence[str],
-    k: int,
-    epsilon: Fraction,
-    gauges: dict[int, SemiMetricGauge],
-    hubs: dict[int, HubAllocation],
+    partition_data: dict, points: Sequence[str], k: int, epsilon: Fraction,
+    gauges: dict[int, SemiMetricGauge], hubs: dict[int, HubAllocation],
 ) -> _Construction:
     """The parts by the builder's rules, or ``DomainError``: the partition
     covers the points exactly, ``k`` is the ladder of ``epsilon``, block ``b``
-    takes the ``b``-th gauge other than 0 in ascending id, and hub pair ``t``
-    (hubs ``i < j`` in partition order) the ``t``-th hub record in ascending
-    index, its basis replayed on gauge 0; none missing or left over.  Records
-    sit in their windows with integers subadditive on every hub triple, so
-    the hub metric, and the glued metric with it, is a metric."""
+    takes the ``b``-th gauge other than 0 in ascending id, and the hub
+    records, in ascending index, are placed by :func:`_placed_hubs`, each
+    value replayed from its basis on gauge 0."""
     partition = Partition.from_json(partition_data)
-    # the partition's labels and the metric's points are distinct
+    # the partition's labels and the points are distinct
     if set(partition.labels()) != set(points):
-        raise DomainError("the partition does not cover exactly the metric's points")
+        raise DomainError("the partition does not cover exactly the input's points")
     eta, ladder = _scales(epsilon)
     block_ids = sorted(g for g in gauges if g != RESERVED_GAUGE_ID)
-    names = partition.hubs
-    hub_pairs = list(combinations(range(len(names)), 2))
-    if (k, len(block_ids), len(hubs)) != (ladder, len(partition.blocks), len(hub_pairs)):
-        raise DomainError("the ladder, gauges or hub records break the allocation rule")
-    integers = [[0] * len(names) for _ in names]
-    entries: dict[tuple[int, int], CodedReal] = {}
-    hub_index: dict[tuple[str, str], int] = {}
-    for (i, j), index in zip(hub_pairs, sorted(hubs)):
-        alloc = hubs[index]
-        n = integers[i][j] = integers[j][i] = _hub_window_index(alloc, eta / 2, k)
-        if n is None or RESERVED_GAUGE_ID not in gauges:
-            raise DomainError(f"hub record {index}: outside its window, or no gauge 0")
-        entries[(i, j)] = alloc.value(tau(gauges[RESERVED_GAUGE_ID], k, *alloc.words))
-        hub_index[(names[i], names[j])] = hub_index[(names[j], names[i])] = index
-    # N_ij <= N_im + N_mj for every m; m = i and m = j give N_ij itself
-    if any(min(map(add, integers[i], integers[j])) < integers[i][j] for i, j in hub_pairs):
-        raise DomainError("the hub window integers are not subadditive")
+    if (k, len(block_ids)) != (ladder, len(partition.blocks)):
+        raise DomainError("the ladder or the gauges break the allocation rule")
+    if hubs and RESERVED_GAUGE_ID not in gauges:
+        raise DomainError("no gauge 0 to replay the hub bases on")
+    records = [(index, hubs[index],
+                hubs[index].value(tau(gauges[RESERVED_GAUGE_ID], k, *hubs[index].words)))
+               for index in sorted(hubs)]
+    hub_metric, hub_index = _placed_hubs(partition.hubs, records, eta / 2, k)
     return _Construction(
         partition, tuple(block_ids), _block_metrics(partition, [gauges[g] for g in block_ids], k),
-        FiniteMetric.from_pair_function(names, lambda i, j: entries[(i, j)]), hub_index,
+        hub_metric, hub_index,
     )

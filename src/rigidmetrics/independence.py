@@ -16,7 +16,8 @@ Two pieces of evidence are produced and re-checked here.
   only, none of them 0, distinct registered gauge tags, at most one hub
   component), and two sums must have different component multisets, which
   :func:`multiset_key` turns into a sort: two sums differ exactly when their
-  keys do.
+  keys do.  A certificate row states a sum's :class:`SumComponent` objects,
+  which the builder and the checker both derive; none is ever decoded.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .coded import CodedReal, _parse_int, equals
+from .coded import CodedReal, equals
 from .errors import DomainError
-from .intervals import IntervalSet, _decode_once
+from .intervals import IntervalSet
 
 
 def find_interval_trace_witness(index_sets: Sequence[IntervalSet]) -> int | None:
@@ -65,23 +66,6 @@ class SumComponent:
         tag = {"gauge": self.gauge_id} if self.kind == "block" else {"hub_index": self.hub_index}
         return {"kind": self.kind, **tag, "detail": list(self.detail),
                 "value": self.value.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "SumComponent":
-        return _decode_once(SumComponent._decode, data)
-
-    @staticmethod
-    def _decode(data: dict) -> "SumComponent":
-        """A hub component's ``hub_index`` must be a JSON integer; no other
-        component's is read."""
-        hub = data["kind"] == "hub"
-        return SumComponent(
-            kind=data["kind"],
-            gauge_id=data.get("gauge"),
-            hub_index=_parse_int(data.get("hub_index"), "hub index") if hub else None,
-            detail=tuple(data.get("detail", ())),
-            value=CodedReal.from_json(data["value"]),
-        )
 
 
 def tagged_sum_holds(side: Sequence[SumComponent], known_gauges: Iterable[int]) -> bool:

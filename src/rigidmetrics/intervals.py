@@ -13,17 +13,15 @@ spelling of rationals is written by :func:`_frac_str` and read by
 :func:`_parse_frac`.
 
 A document is decoded under one memo (:func:`_decode_scope`, opened by
-``FiniteMetric.from_json`` and ``glue.verify_certificate``; a nested decode
-reuses the outer one, and it is dropped when the outermost decode returns or
-raises).  Inside it each distinct piece of the document is decoded once:
-:func:`_parse_frac` gives every ``p/q`` spelling one ``Fraction``, and
-:func:`_decode_once` gives every interval list one ``IntervalSet``, every
-coded value one ``CodedReal`` and every tagged component one
-``SumComponent``.  Repeated pieces are then the same objects, and equality
-tests on them short-cut on identity.  A key is the JSON content: the ``str``
-itself, or the ``repr`` of a ``dict`` or ``list``.  A value enters the memo
-only once its own decode has returned; any other input is decoded as outside
-a scope and raises what it raises there.
+``FiniteMetric.from_json`` and, for the parts of a certificate it decodes,
+``glue.verify_certificate``; a nested decode reuses the outer one, and it is
+dropped when the outermost decode returns or raises).  Inside it
+:func:`_parse_frac` gives every distinct ``p/q`` spelling one ``Fraction``,
+and :func:`_decode_once` every interval list one ``IntervalSet`` and every
+coded value one ``CodedReal``, so repeated pieces are the same objects.  A
+key is the JSON content: the ``str`` itself, or the ``repr`` of a ``dict`` or
+``list``.  A value enters the memo only once its own decode has returned;
+any other input is decoded as outside a scope and raises what it raises there.
 """
 
 from __future__ import annotations

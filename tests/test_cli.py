@@ -274,9 +274,10 @@ def _respelled_draw_certificate(key):
     return _respelled_certificate(("gauges", "0", "draws"), "0:0:1", lambda _: key)
 
 
-def _half_ladder_certificate():
-    """The 4-point certificate with every term's ``k`` raised by one half,
-    which ``int`` would truncate back."""
+def _half_ladder_certificate(every_term):
+    """The 4-point certificate with ``parameters.k`` raised by one half, which
+    ``int`` would truncate back; with ``every_term``, each term's ``k`` of
+    the metric and the rows instead."""
     data = _four_point_certificate()
 
     def walk(node):
@@ -288,7 +289,10 @@ def _half_ladder_certificate():
                 node["k"] += 0.5
             walk(list(node.values()))
 
-    walk(data)
+    if every_term:
+        walk(data)
+    else:
+        data["parameters"]["k"] += 0.5
     return json.dumps(data)
 
 
@@ -317,7 +321,7 @@ def _half_ladder_certificate():
         pytest.param("c.cert.json", ZERO_DEN_EPSILON_CERT, ["indep", "{}"],
                      id="zero-denominator-certificate-epsilon"),
         pytest.param("m.json", HALF_LADDER, VERIFY, id="fractional-ladder-metric"),
-        pytest.param("c.cert.json", _half_ladder_certificate(), ["indep", "{}"],
+        pytest.param("c.cert.json", _half_ladder_certificate(False), ["indep", "{}"],
                      id="fractional-ladder-certificate"),
         pytest.param("c.cert.json", _respelled_gauge_certificate("01"), ["indep", "{}"],
                      id="zero-padded-gauge-key"),
@@ -338,6 +342,15 @@ def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):
     bad.write_text(text)
     assert main([arg.format(bad) for arg in argv]) == 3
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_fractional_ladders_in_the_metric_and_rows_fail(tmp_path, capsys):
+    # the metric and the rows are compared as JSON, not parsed
+    bad = tmp_path / "c.cert.json"
+    bad.write_text(_half_ladder_certificate(True))
+    assert main(["indep", str(bad)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and report["detail"] == "component replay failed"
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):
@@ -494,8 +507,8 @@ def test_indep_malformed_certificate_is_a_parse_error(
     if damage == "registry":
         del cert["registry"]
     else:
-        record = next(r for r in cert["independence"] if "certificate" in r)
-        del record["certificate"]["left"][0]["value"]
+        # a hub record without the q of its value p + q * basis
+        del next(iter(cert["registry"]["hubs"].values()))["q"]
     bad = tmp_path / "bad.cert.json"
     bad.write_text(json.dumps(cert))
     assert main(["indep", str(bad)]) == 3

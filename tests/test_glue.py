@@ -21,7 +21,6 @@ from rigidmetrics.glue import (
     sup_bound_check,
     verify_certificate,
 )
-from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import IntervalSet, _decode_memo, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.product import tau
@@ -31,7 +30,8 @@ from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup
 
 
 def _component_sum(comps):
-    return _signed_sum((1, c.value) for c in comps)
+    """The sum of the values of a row's stated components."""
+    return _signed_sum((1, CodedReal.from_json(c["value"])) for c in comps)
 
 
 def test_partition_far_points_become_singletons(rng):
@@ -296,8 +296,7 @@ def test_rigidify_full_six_points(rng):
     # row t sums to the entry of pair t
     assert len(cert.independence) == len(list(out.pairs()))
     for row, (i, j) in zip(cert.independence, out.pairs()):
-        comps = [SumComponent.from_json(c) for c in row["certificate"]["left"]]
-        assert _component_sum(comps) == out.at(i, j)
+        assert _component_sum(row["certificate"]["left"]) == out.at(i, j)
     blob = json.loads(json.dumps(cert.to_json(out), sort_keys=True))
     assert verify_certificate(blob).passed
 
@@ -559,8 +558,7 @@ def _reallocate_hub(blob, index, fields, value, input_shift):
         if hub is None or hub["hub_index"] != index:
             continue
         hub["value"] = value.to_json()
-        comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        _set_entry(blob, "metric", pair, _component_sum(comps))
+        _set_entry(blob, "metric", pair, _component_sum(row["certificate"]["left"]))
         _set_entry(blob, "input", pair, _entry(blob, "input", pair) + input_shift)
     _restate_sup(blob)
 
@@ -777,14 +775,17 @@ def test_hub_window_integers_must_be_subadditive(straight_certificate):
     assert report.verdict == "fail" and report.detail == "component replay failed"
 
 
-def test_a_single_block_certificate_passes():
-    # one block: one gauge, no hub record, and no hub pair to replay
-    d = FiniteMetric.from_entries("abc", [
+def _single_block_metric():
+    return FiniteMetric.from_entries("abc", [
         [0, Fraction(1, 100), Fraction(1, 80)],
         [Fraction(1, 100), 0, Fraction(1, 90)],
         [Fraction(1, 80), Fraction(1, 90), 0],
     ])
-    glued, cert = rigidify_full(d, Fraction(1, 2))
+
+
+def test_a_single_block_certificate_passes():
+    # one block: one gauge, no hub record, and no hub pair to replay
+    glued, cert = rigidify_full(_single_block_metric(), Fraction(1, 2))
     assert cert.partition.blocks == (("a", "b", "c"),)
     assert cert.registry_snapshot["hubs"] == {}
     assert all(len(row["certificate"]["left"]) == 1 for row in cert.independence)
@@ -823,13 +824,16 @@ def test_hub_word_letters_must_be_integers(certificates, kind):
 
 
 def test_hub_components_name_their_record_by_an_integer(certificates):
+    # a row is compared as JSON with the derived one, so a hub index spelled
+    # as a string is another row
     blob = json.loads(certificates["spread"])
     for row in _rows(blob):
         hub = _hub_of(row)
         if hub is not None:
             hub["hub_index"] = str(hub["hub_index"])
-    with pytest.raises(ValueError, match="hub index must be an integer, got '"):
-        verify_certificate(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+    assert report.witnesses == (_pairs(blob)[0],)
 
 
 def test_a_hub_component_without_an_index_is_refused(certificates):
@@ -847,8 +851,9 @@ def test_a_hub_component_without_an_index_is_refused(certificates):
             hub["hub_index"] = None
     forged = FiniteMetric.from_json(blob["metric"])
     assert forged.distance(*two_pair) == forged.distance(*one_pair) * 2
-    with pytest.raises(ValueError, match="hub index must be an integer, got None"):
-        verify_certificate(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+    assert report.witnesses == (two_pair,)
 
 
 def _retagged_to_the_reserved_gauge(scaled_hub):
@@ -876,8 +881,7 @@ def _retagged_to_the_reserved_gauge(scaled_hub):
                 comp.update(gauge=0, value=basis.to_json())
             elif comp["kind"] == "hub" and scaled_hub:
                 comp["value"] = (basis * 32).to_json()
-        comps = tuple(SumComponent.from_json(c) for c in row["certificate"]["left"])
-        value = _component_sum(comps)
+        value = _component_sum(row["certificate"]["left"])
         _set_entry(blob, "metric", pair, value)
         # the input moves to the midpoint of an enclosure of the new entry
         enc = value.eval(4)
@@ -1066,35 +1070,28 @@ def _interval_lists(node, found):
 def test_verify_certificate_decodes_each_interval_list_and_rational_once(
     certificates, monkeypatch
 ):
+    # only input, registry, parameters and sup_bound are decoded, each
+    # distinct spelling once; the metric and the rows are compared as JSON
     blob = json.loads(certificates["clustered"])
-    lists = _interval_lists(blob, [])
-    decoding, builds, reads = [], [], []
-    real_from_json, real_from_blocks = IntervalSet.from_json, IntervalSet.from_blocks
-    real_read = intervals._read_frac
+    parsed = json.dumps([blob[name] for name in ("input", "registry", "sup_bound")])
+    assert not _interval_lists([blob["input"], blob["registry"]], [])
+    lists, reads = [], []
+    real_from_json, real_read = IntervalSet.from_json, intervals._read_frac
 
     def counting_from_json(data):
-        decoding.append(repr(data))
-        try:
-            return real_from_json(data)
-        finally:
-            decoding.pop()
-
-    def counting_from_blocks(blocks):
-        if decoding:
-            builds.append(decoding[-1])
-        return real_from_blocks(blocks)
+        lists.append(repr(data))
+        return real_from_json(data)
 
     def counting_read(text):
         reads.append(text)
         return real_read(text)
 
     monkeypatch.setattr(IntervalSet, "from_json", staticmethod(counting_from_json))
-    monkeypatch.setattr(IntervalSet, "from_blocks", staticmethod(counting_from_blocks))
     monkeypatch.setattr(intervals, "_read_frac", counting_read)
     assert verify_certificate(blob).passed
-    # the rows repeat their components' index sets
-    assert sorted(builds) == sorted(set(lists)) and len(builds) < len(lists)
-    assert len(reads) == len(set(reads))
+    assert lists == []
+    assert reads and len(reads) == len(set(reads))
+    assert all(json.dumps(text) in parsed for text in reads)
     assert _decode_memo.get() is None
 
 
@@ -1111,7 +1108,8 @@ def _respell_a_repeated_endpoint(blob, spelling):
     raise AssertionError("no component endpoint 1/2")
 
 
-@pytest.mark.parametrize("spelling, passes", [("2/4", True), ("1/3", False)])
+# a row is compared as JSON, so an equal rational spelled otherwise fails
+@pytest.mark.parametrize("spelling, passes", [("2/4", False), ("1/3", False)])
 def test_respelled_endpoint_keeps_the_verdict(certificates, monkeypatch, spelling, passes):
     blob = json.loads(certificates["clustered"])
     _respell_a_repeated_endpoint(blob, spelling)
@@ -1125,7 +1123,103 @@ def test_respelled_endpoint_keeps_the_verdict(certificates, monkeypatch, spellin
 
 def test_a_certificate_decode_that_raises_leaves_no_scope_open(certificates):
     blob = json.loads(certificates["clustered"])
-    blob["metric"]["matrix"][-1][-1]["offset"] = "1/0"
+    blob["input"]["matrix"][-1][-1]["offset"] = "1/0"
     with pytest.raises(ZeroDivisionError):
         verify_certificate(blob)
     assert _decode_memo.get() is None
+
+
+def _first_rational_entry(blob):
+    """The first pair, in pair order, whose metric entry has a rational
+    offset other than 0, with its entry and its mirror."""
+    points, matrix = blob["metric"]["points"], blob["metric"]["matrix"]
+    for pair in _pairs(blob):
+        a, b = (points.index(x) for x in pair)
+        if matrix[a][b]["offset"] != "0/1":
+            return pair, matrix[a][b], matrix[b][a]
+    raise AssertionError("no entry with a nonzero offset")
+
+
+def _respelled_entry(blob):
+    # both copies of the entry, p/q written as 2p/2q: an equal rational
+    pair, entry, mirror = _first_rational_entry(blob)
+    p, q = entry["offset"].split("/")
+    entry["offset"] = mirror["offset"] = f"{2 * int(p)}/{2 * int(q)}"
+    return pair
+
+
+def _entry_with_an_unknown_key(blob):
+    pair, entry, _ = _first_rational_entry(blob)
+    entry["note"] = "ignored by a reader"
+    return pair
+
+
+def _row_with_an_unknown_key(blob):
+    _rows(blob)[2]["note"] = "ignored by a reader"
+    return _pairs(blob)[2]
+
+
+def _component_with_an_unknown_key(blob):
+    _rows(blob)[1]["certificate"]["left"][0]["note"] = "ignored by a reader"
+    return _pairs(blob)[1]
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+@pytest.mark.parametrize(
+    "respell, detail",
+    [(_respelled_entry, "components do not sum to the metric entry"),
+     (_entry_with_an_unknown_key, "components do not sum to the metric entry"),
+     (_row_with_an_unknown_key, "component replay failed"),
+     (_component_with_an_unknown_key, "component replay failed")],
+    ids=["respelled-entry", "entry-unknown-key", "row-unknown-key", "component-unknown-key"],
+)
+def test_a_respelled_metric_entry_or_row_fails_naming_its_pair(
+    certificates, kind, respell, detail
+):
+    # what the checker derives is compared as JSON: the same values spelled
+    # otherwise, or with a field no reader reads, are another certificate
+    blob = json.loads(certificates[kind])
+    pair = respell(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == detail
+    assert report.witnesses == (pair,)
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+def test_a_metric_in_another_point_order_fails(certificates, kind):
+    # the same metric, its points reversed: the derived one has the input's order
+    blob = json.loads(certificates[kind])
+    stated = FiniteMetric.from_json(blob["metric"])
+    blob["metric"] = stated.restrict(stated.points[::-1]).to_json()
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "input and metric have different points"
+
+
+def test_a_metric_that_differs_off_its_pairs_fails(certificates):
+    # a diagonal entry, or a field beside the points and the matrix
+    for where in ("diagonal", "top"):
+        blob = json.loads(certificates["spread"])
+        if where == "diagonal":
+            blob["metric"]["matrix"][0][0]["offset"] = "0/2"
+        else:
+            blob["metric"]["note"] = "ignored by a reader"
+        report = verify_certificate(blob)
+        assert report.verdict == "fail" and report.witnesses == ()
+        assert report.detail == "metric differs from the derived one"
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered", "single-block"])
+def test_the_replayed_parts_derive_the_written_metric_and_rows(kind):
+    d = {"spread": lambda: rational_metric(random.Random(3), 5),
+         "clustered": lambda: clustered_metric(random.Random(3), 3, 2),
+         "single-block": _single_block_metric}[kind]()
+    out, cert = rigidify_full(d, Fraction(1, 2))
+    written = cert.to_json(out)
+    snapshot = written["registry"]
+    gauges = {int(g): gauge_from_snapshot(int(g), snapshot) for g in snapshot["gauges"]}
+    hubs = {int(i): HubAllocation.from_json(a) for i, a in snapshot["hubs"].items()}
+    parts = glue._replayed_construction(written["parameters"]["partition"], d.points,
+                                        cert.k, cert.epsilon, gauges, hubs)
+    assert parts.glued(d.points).to_json() == written["metric"]
+    rows = [glue._row_json(parts.components(*pair)) for pair in _pairs(written)]
+    assert rows == written["independence"]

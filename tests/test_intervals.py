@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from rigidmetrics.coded import CodedReal
 from rigidmetrics.errors import ResourceError
-from rigidmetrics.independence import SumComponent
 from rigidmetrics.intervals import (
     EMPTY_SET,
     IntervalSet,
     _decode_memo,
+    _decode_once,
     _decode_scope,
     _parse_frac,
 )
@@ -338,15 +338,19 @@ def test_decode_scope_shares_repeated_spellings_and_lists():
 
 
 def test_decoders_share_no_memo_entry():
-    # one dict read as a coded value and as a component: the memo keys by
-    # decoder and content, so each reader gets its own type, once
-    data = {"kind": "zero", "offset": "1/2", "terms": [], "value": {"offset": "1/2", "terms": []}}
+    # one dict read by two decoders: the memo keys by decoder and content,
+    # so each decoder gets its own result, once
+    data = {"offset": "1/2", "terms": [], "value": {"offset": "1/3", "terms": []}}
+
+    def inner(d):
+        return CodedReal.from_json(d["value"])
+
     with _decode_scope():
-        value, comp = CodedReal.from_json(data), SumComponent.from_json(data)
-        assert type(value) is CodedReal and type(comp) is SumComponent
-        assert CodedReal.from_json(dict(data)) is value
-        assert SumComponent.from_json(dict(data)) is comp
-        assert comp.value == value
+        value, nested = _decode_once(CodedReal._decode, data), _decode_once(inner, data)
+        assert value == CodedReal.from_rational(Fraction(1, 2))
+        assert nested == CodedReal.from_rational(Fraction(1, 3))
+        assert _decode_once(CodedReal._decode, dict(data)) is value
+        assert _decode_once(inner, dict(data)) is nested
 
 
 _COEFF_FIRST = {"terms": [{"intervals": [["0/1", "1/2"]], "k": 0, "coeff": "2/1"}], "offset": "1/3"}
@@ -356,9 +360,8 @@ _COEFF_FIRST = {"terms": [{"intervals": [["0/1", "1/2"]], "k": 0, "coeff": "2/1"
     "reader, data",
     [(IntervalSet.from_json, [[0, 1]]),
      (IntervalSet.from_json, [["1/2", 1], [2, "5/2"]]),
-     (CodedReal.from_json, _COEFF_FIRST),
-     (SumComponent.from_json, {"value": _COEFF_FIRST, "detail": ["a", "b"], "kind": "block"})],
-    ids=["integer-ends", "mixed-ends", "coded-reordered", "component-reordered"],
+     (CodedReal.from_json, _COEFF_FIRST)],
+    ids=["integer-ends", "mixed-ends", "coded-reordered"],
 )
 def test_other_decodable_shapes_decode_alike_inside_a_scope(reader, data):
     outside = reader(data)
@@ -384,10 +387,7 @@ def _terms(intervals):
      (CodedReal.from_json, _terms(0)),
      (CodedReal.from_json, _terms("0/1")),
      (CodedReal.from_json, _terms({"0/1": "1/2"})),
-     (CodedReal.from_json, {"offset": "0/1", "terms": 0}),
-     (SumComponent.from_json, {"kind": "block", "gauge": 1, "detail": []}),
-     (SumComponent.from_json, {"gauge": 1, "value": {"offset": "0/1", "terms": []}}),
-     (SumComponent.from_json, {"kind": "block", "gauge": 1, "value": _terms(0)})],
+     (CodedReal.from_json, {"offset": "0/1", "terms": 0})],
 )
 def test_malformed_input_raises_alike_inside_a_scope(reader, data):
     def outcome():
