@@ -12,10 +12,12 @@ the original is at most ``4 * eps`` plus the hub defect.
 ``rigidify_full`` runs the whole construction: partition with diameter bound
 ``eta = epsilon / 5``, give every block its own gauge and the product metric
 on one-letter words (diameter at most ``2^-k <= eta``), place hub-pool
-values strictly inside the subadditivity windows (:func:`_placed_hubs`),
-glue, and emit a certificate: the input, the exact sup bound, strong
-rigidity, and one row per distance, in pair order, of its nonzero tagged
-summands (:meth:`_Construction.components`).  One row pass
+values strictly inside the subadditivity windows of
+``rigidify.subadditive_window``, ``eta_h * (N + 1/(N+2), N + 1/(N+1))`` with
+``eta_h = eta / 2`` (:func:`_placed_hubs`), glue, and emit a certificate:
+the input, the exact sup bound, strong rigidity, and one row per distance,
+in pair order, of its nonzero tagged summands
+(:meth:`_Construction.components`).  One row pass
 (:func:`_row_failure`) shows the per-sum hypotheses, an independent-of-1
 trace witness per row, found and not stored, and pairwise different
 component multisets.  ``verify_certificate`` replays the parts with the
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import add, getitem
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coded import (
     DEFAULT_MAX_PRECISION,
@@ -351,26 +353,29 @@ def _hub_metric(
     """Strongly rigid hub metric within ``eta`` of ``d`` on the hubs.
 
     Hub distances are snapped to integers at step ``eta_h = eta / 2`` and
-    replaced by hub-pool values drawn at the middle of the scaled windows
-    ``subadditive_window(N) * eta_h``; placing them (:func:`_placed_hubs`)
-    certifies the strict triangle inequality, and the defect stays below
-    ``2 * eta_h = eta``.  Also returns the registry allocation index of each
-    hub pair, in both orders.
+    replaced by hub-pool values whose rational part is drawn inside the
+    scaled windows ``subadditive_window(N) * eta_h``; placing them
+    (:func:`_placed_hubs`) certifies the strict triangle inequality, and the
+    defect stays below ``2 * eta_h = eta``.  Also returns the registry
+    allocation index of each hub pair, in both orders.
     """
     hubs = list(partition.hubs)
     eta_h = eta / 2
     snapped = snap_to_grid(d.restrict(hubs), eta_h)
     integers = [int(snapped.at(i, j).rational_value() / eta_h) for i, j in snapped.pairs()]
     n_max = max(integers, default=0)
-    # Allocation indices large enough that the coded fuzz of every hub value
-    # stays below half the narrowest window and below the least triangle
-    # margin eta_h * 2^-(n_max + 1).
-    base_index = n_max + 2
-    while Fraction(3, 1 << (base_index + 1)) > eta_h * Fraction(1, 1 << (n_max + 3)):
-        base_index += 1
-    values = {alloc: registry.hub_value(k, alloc, eta_h * sum(subadditive_window(n)) / 2)
-              for alloc, n in enumerate(integers, start=base_index)}
-    records = [(alloc, registry.hub_allocation(alloc), v) for alloc, v in values.items()]
+    # The least base index with 4 * 2^-base_index below the narrowest scaled
+    # window, eta_h / ((n_max + 1) * (n_max + 2)).  The basis is at least
+    # 3/4 * 2^-k, so the coded fuzz q * 2^-k of index i >= base_index stays
+    # below 2^(1 - base_index), the shrink off every window's top, which
+    # leaves more than half of each window to draw p from.
+    base_index = int(4 * (n_max + 1) * (n_max + 2) / eta_h).bit_length()
+    shrink = Fraction(2, 1 << base_index)
+    records = []
+    for alloc, n in enumerate(integers, start=base_index):
+        lo, hi = subadditive_window(n)
+        value = registry.hub_value(k, alloc, eta_h * lo, eta_h * hi - shrink)
+        records.append((alloc, registry.hub_allocation(alloc), value))
     return _placed_hubs(hubs, records, eta_h, k)
 
 
@@ -410,18 +415,16 @@ def _hub_window_index(alloc: HubAllocation, eta_h: Fraction, k: int) -> int | No
 
     The basis, one ``<gamma_k, S>`` of coefficient 1, is below ``2^-k``, so
     ``lo < p`` and ``p + q * 2^-k < hi`` place the value without an eval;
-    both are tested on integers.  ``p`` in window ``N`` puts ``N`` below the
-    bit length of the denominator of ``p / eta_h``, which is tested before
-    any shift by ``N``.
+    both are tested on integers.
     """
     # in units of eta_h: p = n + rest / den and the fuzz q * 2^-k = fn / fd
     num, den = alloc.p.numerator * eta_h.denominator, alloc.p.denominator * eta_h.numerator
     n, rest = divmod(num, den)
-    if not 1 <= n < den.bit_length() or alloc.q <= 0:
+    if n < 1 or alloc.q <= 0:
         return None
     fn, fd = alloc.q.numerator * eta_h.denominator, (alloc.q.denominator * eta_h.numerator) << k
-    # subadditive_window(n), less n: 2^-(n+1) < rest / den and rest / den + fn / fd < 2^-n
-    return n if rest << (n + 1) > den and (rest * fd + fn * den) << n < den * fd else None
+    # subadditive_window(n), less n: 1/(n+2) < rest / den and rest / den + fn / fd < 1/(n+1)
+    return n if rest * (n + 2) > den and (rest * fd + fn * den) * (n + 1) < den * fd else None
 
 
 def _certify_sup_bound(
@@ -509,9 +512,12 @@ def _pairwise_independence(parts: _Construction, pairs: Sequence[tuple[str, str]
     return [_row_json(comps) for _, comps in rows]
 
 
-def _row_json(components: Sequence[SumComponent]) -> dict:
-    """The certificate row that states a distance's components."""
-    return {"certificate": {"left": [c.to_json() for c in components]}}
+def _row_json(
+    components: Sequence[SumComponent], spell: Callable[[CodedReal], dict] = CodedReal.to_json
+) -> dict:
+    """The certificate row that states a distance's components, each value
+    spelled by ``spell``."""
+    return {"certificate": {"left": [c.to_json(spell) for c in components]}}
 
 
 def _row_failure(
@@ -601,12 +607,25 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         # name the first pair with no row, if there is one
         return fail(tuple(pairs[len(stated_rows):len(stated_rows) + 1]),
                     f"{len(stated_rows)} independence rows cover {len(pairs)} distances")
+    # Mirror entries, and a row's components and its metric entry, are shared
+    # objects: spell each once, by identity, while the parts hold it.  The
+    # spellings are only compared, so sharing one dict between them is safe.
+    spellings: dict[int, dict] = {}
+
+    def spell(value: CodedReal) -> dict:
+        known = spellings.get(id(value))
+        if known is None:
+            known = spellings[id(value)] = value.to_json()
+        return known
+
     rows = [(pair, parts.components(*pair)) for pair in pairs]
     for (pair, comps), stated in zip(rows, stated_rows):
-        if stated != _row_json(comps):
+        if stated != _row_json(comps, spell):
             return fail((pair,), "component replay failed")
     metric = parts.glued(source.points)
-    spelled = metric.to_json()
+    # the layout of FiniteMetric.to_json
+    spelled = {"points": list(metric.points),
+               "matrix": [[spell(e) for e in row] for row in metric.matrix]}
     if data["metric"] != spelled:
         matrix = spelled["matrix"]
         differing = next((pair for (i, j), pair in zip(metric.pairs(), pairs)

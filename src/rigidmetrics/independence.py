@@ -23,7 +23,7 @@ Two pieces of evidence are produced and re-checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coded import CodedReal, equals
 from .errors import DomainError
@@ -62,10 +62,11 @@ class SumComponent:
     detail: tuple[str, ...] = ()
     value: CodedReal = field(default_factory=CodedReal)
 
-    def to_json(self) -> dict:
+    def to_json(self, spell: Callable[[CodedReal], dict] = CodedReal.to_json) -> dict:
+        """The component's JSON, its value spelled by ``spell``."""
         tag = {"gauge": self.gauge_id} if self.kind == "block" else {"hub_index": self.hub_index}
         return {"kind": self.kind, **tag, "detail": list(self.detail),
-                "value": self.value.to_json()}
+                "value": spell(self.value)}
 
 
 def tagged_sum_holds(side: Sequence[SumComponent], known_gauges: Iterable[int]) -> bool:

@@ -7,12 +7,13 @@ The registry is the single mutable component of the package.  It owns
   for distinct pairs and gauges are pairwise distinct;
 * gauge allocation (ids never reused; id 0 is reserved for the basis values
   used inside hub allocations and is never handed out for blocks);
-* hub allocations: for a fresh index ``i`` and a positive rational target it
-  returns ``p + q * s`` where ``p`` is an unused rational within ``2^-(i+1)``
-  of the target, ``s`` is a fresh positive product-metric value from the
+* hub allocations: for a fresh index ``i`` and an open window ``(lo, hi)``
+  with ``0 <= lo`` it returns ``p + q * s`` where ``p`` is an unused rational
+  of the window, ``s`` is a fresh positive product-metric value from the
   reserved gauge, and ``q`` is the largest dyadic power with
-  ``q * upper(s) <= 2^-i``; the result is then within ``2^-(i+1) + 2^-i`` of
-  the target.
+  ``q * upper(s) <= 2^-i``.  ``p`` comes from the window's own enumerator,
+  which every hub of the same window shares, so its digits grow with the
+  window's ends and the number of draws from it, not with ``i``.
 
 Pool and hub ``p`` draws share one loop, :meth:`ValueRegistry._fresh`, each
 kind checked against its own set of used values.
@@ -144,17 +145,15 @@ class ValueRegistry:
 
     # -- hub values -------------------------------------------------------
 
-    def hub_value(self, k: int, i: int, target: Fraction) -> CodedReal:
-        target = Fraction(target)
-        if target <= 0:
-            raise DomainError("hub targets must be positive")
+    def hub_value(self, k: int, i: int, lo: Fraction, hi: Fraction) -> CodedReal:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not 0 <= lo < hi:
+            raise DomainError(f"cannot place a hub value in ({lo}, {hi})")
         if i < 0:
             raise DomainError("hub indices are nonnegative")
         if i in self._hubs:
             raise DomainError(f"hub index {i} was already allocated")
-        half = Fraction(1, 1 << (i + 1))
-        lo = max(Fraction(0), target - half)
-        p = self._draw_p(lo, target + half)
+        p = self._draw_p(lo, hi)
         c = self._hub_word_counter
         self._hub_word_counter += 1
         words = ((2 * c,), (2 * c + 1,))

@@ -3,10 +3,13 @@
 The pipeline: snap the metric onto the grid ``eta * Z`` (ceiling entrywise,
 ``eta = epsilon / 2``), rescale to integers, and replace the integer ``N`` of
 each point pair by a fresh rational that the registry draws, salted with the
-pair's index, inside :func:`subadditive_window` ``(N + 2^-(N+1), N + 2^-N)``,
+pair's index, inside :func:`subadditive_window` ``(N + 1/(N+2), N + 1/(N+1))``,
 the one window family of the package (``glue`` places hub values in it too).
 Values from these windows satisfy the strict triangle inequality whenever the
-integers do (``N1 <= N2 + N3`` forces ``M1 < M2 + M3``), pairwise
+integers do: ``N1 <= N2 + N3`` forces ``M1 < M2 + M3`` (if ``N1 < N2 + N3``,
+then ``M1 < N1 + 1 <= N2 + N3 < M2 + M3``; if ``N1 = N2 + N3`` with
+``N3 >= 1``, then ``1/(N1+1) <= 1/(N2+2)``, below the sum of the two lower
+fractional ends), and a window's ends have O(log N) digits.  Pairwise
 distinctness comes from the registry never drawing a value twice, and scaling
 back by ``eta`` lands within ``epsilon`` of the input in sup distance.
 """
@@ -43,10 +46,10 @@ def snap_to_grid(d: FiniteMetric, eta: Fraction) -> FiniteMetric:
 
 
 def subadditive_window(n: int) -> tuple[Fraction, Fraction]:
-    """The open window ``(n + 2^-(n+1), n + 2^-n)`` of an integer ``n >= 1``."""
+    """The open window ``(n + 1/(n+2), n + 1/(n+1))`` of an integer ``n >= 1``."""
     if n < 1:
         raise DomainError("window index must be at least 1")
-    return n + Fraction(1, 1 << (n + 1)), n + Fraction(1, 1 << n)
+    return n + Fraction(1, n + 2), n + Fraction(1, n + 1)
 
 
 def perturb_strongly_rigid(

@@ -40,12 +40,12 @@ CLUSTERED_2X3 = (
 
 RIGIDIFY_DIGESTS = {
     "spread-6": (
-        "99390c2083ca63688003c9f43ecc2b1f0d59996e9d5ab26bc02cfc2e36294596",
-        "4dbca19ec65dabc2f0f693cd39811dfa5c2ea7b1587e276cb78128d2a1ea6509",
+        "7404179468235c8470584b28b4fa7ac626bb8dcd603816be258053012496a92e",
+        "57f69679b088ebde4c675b9f29a341e79de296205908d84653c6a2e38b1c7454",
     ),
     "clustered-2x3": (
-        "ec804d1496bfa240fc2893ccb5b3bf4cadb0fc90d0944d5cda7d0a8cbc46ac10",
-        "5de6a8d054df9c2b106f8238defe21605e295740cfcfc9376b29b2883de295e2",
+        "04af4336569e06c1376e2ce1849fab8eb867bbf2039140138424297e3c0fad94",
+        "735e2adad04f9d03112aae211bb688b045c75ac6dc9c8fc36368922e4a64ec2b",
     ),
 }
 

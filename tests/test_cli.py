@@ -600,14 +600,25 @@ def digit_cap():
     sys.set_int_max_str_digits(cap)
 
 
+def test_two_points_at_a_small_epsilon_certify(tmp_path):
+    # hub window ends have O(log(d / epsilon)) digits, so epsilon 1/700 stays
+    # far below the int-string digit limit with --full and in the check
+    source = tmp_path / "two.csv"
+    source.write_text("point,a,b\na,0,1\nb,1,0\n")
+    out, cert = tmp_path / "out.json", tmp_path / "out.cert.json"
+    assert main(["rigidify", str(source), "--epsilon", "1/700", "--full", "--out", str(out),
+                 "--certificate", str(cert)]) == 0
+    assert main(["indep", str(cert)]) == 0
+
+
 def test_digit_cap_on_output_is_a_resource_limit(tmp_path, capsys, digit_cap):
-    # two points at distance 1 with epsilon 1/100: the hub window's ends have
-    # Theta(d / epsilon) digits, and the sup enclosure written from them more
-    # than 640
+    # two points at distance 1 with epsilon 1/10^120: the sup enclosure has
+    # Theta(log(d / epsilon)) digits, more than 640 from epsilon 1/10^97 on
+    # (1/10^96 still passes)
     source = tmp_path / "two.csv"
     source.write_text("point,a,b\na,0,1\nb,1,0\n")
     out = tmp_path / "out.json"
-    argv = ["rigidify", str(source), "--epsilon", "1/100", "--full", "--out", str(out)]
+    argv = ["rigidify", str(source), "--epsilon", f"1/{10 ** 120}", "--full", "--out", str(out)]
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert err.startswith("resource limit: rational too long to write")

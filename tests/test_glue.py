@@ -775,6 +775,42 @@ def test_hub_window_integers_must_be_subadditive(straight_certificate):
     assert report.verdict == "fail" and report.detail == "component replay failed"
 
 
+def test_a_hub_value_in_the_dyadic_window_of_its_integer_fails(straight_certificate):
+    # d(b, c) moves, input entry and all, into the middle of the dyadic window
+    # (20 + 2^-21, 20 + 2^-20) * eta_h, with q shrunk so that its whole value
+    # stays there.  That window lies below (20 + 1/22, 20 + 1/21) * eta_h, the
+    # window of integer 20, and the metric stays a metric, so only the window
+    # rule refuses the record.
+    blob = json.loads(straight_certificate)
+    eta_h, k = Fraction(1, 20), blob["parameters"]["k"]
+    lo, hi = eta_h * (20 + Fraction(1, 1 << 21)), eta_h * (20 + Fraction(1, 1 << 20))
+    *_, (_, bc) = _hub_pair_rows(blob)
+    hub = _hub_of(bc)
+    old = HubAllocation.from_json(blob["registry"]["hubs"][str(hub["hub_index"])])
+    basis = (CodedReal.from_json(hub["value"]) - old.p) * (1 / old.q)
+    p, q = (lo + hi) / 2, Fraction(1, 1 << 60)
+    value = basis * q + p
+    assert lo < value.eval(4).lo and value.eval(4).hi < hi
+    _reallocate_hub(blob, hub["hub_index"], {"p": _frac_str(p), "q": _frac_str(q)}, value,
+                    p - old.p)
+    assert is_metric(FiniteMetric.from_json(blob["metric"])).passed
+    assert glue._hub_window_index(HubAllocation(p, q, old.words), eta_h, k) is None
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == "component replay failed"
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+def test_verify_certificate_spells_each_derived_value_once(certificates, kind, monkeypatch):
+    # mirror entries, and a row's components and their metric entries, are
+    # shared objects, which the check spells once each
+    blob = json.loads(certificates[kind])
+    spelled = []
+    to_json = CodedReal.to_json
+    monkeypatch.setattr(CodedReal, "to_json", lambda self: spelled.append(id(self)) or to_json(self))
+    assert verify_certificate(blob).passed
+    assert spelled and len(spelled) == len(set(spelled))
+
+
 def _single_block_metric():
     return FiniteMetric.from_entries("abc", [
         [0, Fraction(1, 100), Fraction(1, 80)],

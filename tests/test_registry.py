@@ -45,19 +45,22 @@ def test_many_draws_globally_distinct():
 
 
 def test_hub_value_accuracy():
+    # p lies in the window, and the coded part adds at most 2^-i above it
     registry = ValueRegistry(0)
-    value = registry.hub_value(3, 4, Fraction(1))
+    lo, hi = Fraction(31, 32), Fraction(33, 32)
+    value = registry.hub_value(3, 4, lo, hi)
+    assert lo < registry.hub_allocation(4).p < hi
     enc = value.eval(4)
-    tolerance = Fraction(1, 32) + Fraction(1, 16)
-    assert abs(enc.lo - 1) <= tolerance and abs(enc.hi - 1) <= tolerance
+    assert lo < enc.lo and enc.hi <= hi + Fraction(1, 16)
 
 
 def test_hub_value_structure():
     registry = ValueRegistry(2)
     i = 6
-    value = registry.hub_value(3, i, Fraction(5, 3))
+    value = registry.hub_value(3, i, Fraction(3, 2), Fraction(5, 3))
     alloc = registry.hub_allocation(i)
     assert value.offset == alloc.p
+    assert Fraction(3, 2) < alloc.p < Fraction(5, 3)
     assert len(value.terms) >= 1
     coded_part = value - alloc.p
     enc = coded_part.eval(4)
@@ -66,7 +69,7 @@ def test_hub_value_structure():
 
 def test_hub_allocation_json_round_trip():
     registry = ValueRegistry(2)
-    value = registry.hub_value(3, 6, Fraction(5, 3))
+    value = registry.hub_value(3, 6, Fraction(3, 2), Fraction(5, 3))
     alloc = registry.hub_allocation(6)
     data = json.loads(json.dumps(alloc.to_json()))
     assert set(data) == {"p", "q", "words"}
@@ -79,28 +82,37 @@ def test_hub_allocation_json_round_trip():
     assert decoded.words == alloc.words == ((0,), (1,))
 
 
-def test_hub_values_distinct_for_same_target():
+def test_hub_values_distinct_for_same_window():
     registry = ValueRegistry(0)
-    v1 = registry.hub_value(3, 10, Fraction(1))
-    v2 = registry.hub_value(3, 11, Fraction(1))
+    window = (Fraction(1), Fraction(9, 8))
+    v1 = registry.hub_value(3, 10, *window)
+    v2 = registry.hub_value(3, 11, *window)
     assert v1 != v2
     assert equals(v1, v2) is False
+    # one enumerator per window: the second p is its next value, not a repeat
+    p1, p2 = registry.hub_allocation(10).p, registry.hub_allocation(11).p
+    assert p1 != p2 and all(window[0] < p < window[1] for p in (p1, p2))
+    assert [key for key in registry._enumerators if key[2] == 2] == [(*window, 2)]
 
 
 def test_hub_index_reuse_rejected():
     registry = ValueRegistry(0)
-    registry.hub_value(0, 1, Fraction(1))
+    registry.hub_value(0, 1, Fraction(1), Fraction(2))
     with pytest.raises(DomainError):
-        registry.hub_value(0, 1, Fraction(2))
-    with pytest.raises(DomainError):
-        registry.hub_value(0, 2, Fraction(0))
+        registry.hub_value(0, 1, Fraction(2), Fraction(3))
+    # empty or partly negative windows
+    for lo, hi in ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(1)),
+                   (Fraction(-1), Fraction(1))):
+        with pytest.raises(DomainError):
+            registry.hub_value(0, 2, lo, hi)
 
 
 def test_hub_and_block_values_never_equal():
     registry = ValueRegistry(0)
     gauge = registry.fresh_gauge()
     blocks = [tau(gauge, 3, (i,), (j,)) for i in range(4) for j in range(i + 1, 4)]
-    hubs = [registry.hub_value(3, 20 + t, Fraction(t + 1, 2)) for t in range(4)]
+    hubs = [registry.hub_value(3, 20 + t, Fraction(t + 1, 2), Fraction(t + 2, 2))
+            for t in range(4)]
     for b in blocks:
         for h in hubs:
             assert equals(b, h) is False
@@ -112,7 +124,7 @@ def test_snapshot_is_json_serializable():
     gauge = registry.fresh_gauge()
     gauge.value(0, 0, 1)
     registry.draw_value(Fraction(1, 3), Fraction(1, 2), salt=1)
-    registry.hub_value(1, 3, Fraction(2))
+    registry.hub_value(1, 3, Fraction(2), Fraction(3))
     blob = json.dumps(registry.snapshot(), sort_keys=True)
     data = json.loads(blob)
     assert data["seed"] == 7

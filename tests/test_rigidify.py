@@ -85,20 +85,20 @@ def test_streams_disjoint_and_positive():
 def test_pick_interval_value_windows():
     registry = ValueRegistry(0)
     v1 = registry.draw_value(*subadditive_window(1), salt=0)
-    assert Fraction(5, 4) < v1 < Fraction(3, 2)
+    assert Fraction(4, 3) < v1 < Fraction(3, 2)
     v2 = registry.draw_value(*subadditive_window(2), salt=1)
-    assert Fraction(17, 8) < v2 < Fraction(9, 4)
+    assert Fraction(9, 4) < v2 < Fraction(7, 3)
     # same window, other salts, still distinct values
     drawn = {v1}
     for salt in range(2, 8):
         v3 = registry.draw_value(*subadditive_window(1), salt=salt)
-        assert v3 not in drawn and Fraction(5, 4) < v3 < Fraction(3, 2)
+        assert v3 not in drawn and Fraction(4, 3) < v3 < Fraction(3, 2)
         drawn.add(v3)
 
 
 def test_subadditive_window_ends():
-    assert subadditive_window(1) == (Fraction(5, 4), Fraction(3, 2))
-    assert subadditive_window(3) == (Fraction(49, 16), Fraction(25, 8))
+    assert subadditive_window(1) == (Fraction(4, 3), Fraction(3, 2))
+    assert subadditive_window(3) == (Fraction(16, 5), Fraction(13, 4))
     for n in (0, -1):
         with pytest.raises(DomainError, match="at least 1"):
             subadditive_window(n)
@@ -148,6 +148,25 @@ def test_subadditivity_window_oracle():
                     assert m1 < m2 + m3
 
 
+def test_subadditive_window_family_is_subadditive():
+    # Exhaustive, as criterion 1 on the family the pipeline uses: every
+    # admissible integer triple, its closed bound and several samples.
+    rng = random.Random(1)
+    for n1 in range(1, 13):
+        lo1, hi1 = subadditive_window(n1)
+        for n2 in range(1, 13):
+            for n3 in range(1, 13):
+                if n1 > n2 + n3:
+                    continue
+                (lo2, hi2), (lo3, hi3) = subadditive_window(n2), subadditive_window(n3)
+                assert hi1 <= lo2 + lo3
+                for _ in range(3):
+                    m1 = lo1 + (hi1 - lo1) * Fraction(rng.randrange(1, 64), 64)
+                    m2 = lo2 + (hi2 - lo2) * Fraction(rng.randrange(1, 64), 64)
+                    m3 = lo3 + (hi3 - lo3) * Fraction(rng.randrange(1, 64), 64)
+                    assert m1 < m2 + m3
+
+
 def test_perturb_equilateral():
     eq = FiniteMetric.from_entries(
         ["a", "b", "c"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -156,7 +175,7 @@ def test_perturb_equilateral():
     values = [out.at(i, j).rational_value() for i, j in out.pairs()]
     assert len(set(values)) == 3
     for v in values:
-        assert Fraction(17, 16) < v < Fraction(9, 8)
+        assert Fraction(9, 8) < v < Fraction(7, 6)
     assert sup_distance(eq, out).hi <= 1
     assert is_strict_triangle(out).passed
     assert is_strongly_rigid(out).passed
@@ -168,9 +187,9 @@ def test_perturb_two_points():
     assert sup_distance(d, out).hi <= Fraction(1, 2)
     assert is_strongly_rigid(out).passed
     # the single value sits strictly inside its scaled window: eta = 1/4,
-    # snapped integer 6, window (6 + 2^-7, 6 + 2^-6) * eta
+    # snapped integer 6, window (6 + 1/8, 6 + 1/7) * eta
     value = out.at(0, 1).rational_value() / Fraction(1, 4)
-    assert 6 + Fraction(1, 128) < value < 6 + Fraction(1, 64)
+    assert 6 + Fraction(1, 8) < value < 6 + Fraction(1, 7)
 
 
 def test_perturb_degenerate_triangle_becomes_strict():
