@@ -10,8 +10,10 @@ Subcommands:
 * ``dist A B``: exact sup distance between two metrics.
 * ``indep CERT``: re-check an emitted certificate offline.
 
-All rationals are serialized as ``p/q`` strings; ``--approx`` adds decimal
-renderings for human reading (clearly non-authoritative).  Outputs are
+Metrics are written in metric format 1 (:mod:`rigidmetrics.metric`).
+Rationals are serialized as ``p/q`` strings, except that a term coefficient
+``±2^e`` is written ``"2^e"``; ``--approx`` adds decimal renderings for
+human reading (clearly non-authoritative), one per pair.  Outputs are
 deterministic given inputs, seed and flags.
 
 Exit codes: 0 success/pass, 1 fail, 2 unresolved, 3 parse error,
@@ -145,7 +147,7 @@ def _metric_payload(
     if approx:
         # on a copy, so the caller's payload stays as it was
         payload = {**payload, "approx_note": "decimal renderings are not authoritative",
-                   "approx_matrix": [[_approx(entry) for entry in row] for row in metric.matrix]}
+                   "approx_pairs": [_approx(metric.at(i, j)) for i, j in metric.pairs()]}
     return dumps_canonical(payload)
 
 

@@ -60,6 +60,7 @@ deep in the Calkin-Wilf tree, is left to the scan and stays unresolved.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
@@ -71,8 +72,8 @@ from .enumeration import (
     tree_depth,
     unit_rational_index,
 )
-from .errors import DomainError, PrecisionError
-from .intervals import IntervalSet, _as_fraction, _decode_once, _frac_str, _parse_frac
+from .errors import DomainError, PrecisionError, ResourceError
+from .intervals import IntervalSet, _as_fraction, _frac_str, _parse_frac
 
 Ordering = Literal["less", "equal", "greater", "unresolved"]
 
@@ -337,11 +338,13 @@ class CodedReal:
         )
 
     def to_json(self) -> dict:
+        """The offset and interval ends as ``p/q``, each coefficient by
+        :func:`_coeff_str`."""
         return {
             "offset": _frac_str(self.offset),
             "terms": [
                 {
-                    "coeff": _frac_str(t.coeff),
+                    "coeff": _coeff_str(t.coeff),
                     "k": t.k,
                     "intervals": t.index_set.to_json(),
                 }
@@ -351,10 +354,6 @@ class CodedReal:
 
     @staticmethod
     def from_json(data: dict) -> "CodedReal":
-        return _decode_once(CodedReal._decode, data)
-
-    @staticmethod
-    def _decode(data: dict) -> "CodedReal":
         offset = _parse_frac(data["offset"])
         if data.get("terms", []) == []:
             return CodedReal.from_rational(offset)
@@ -362,7 +361,7 @@ class CodedReal:
             offset,
             [
                 (
-                    _parse_frac(t["coeff"]),
+                    _parse_coeff(t["coeff"]),
                     _parse_int(t["k"]),
                     IntervalSet.from_json(t["intervals"]),
                 )
@@ -376,6 +375,42 @@ class CodedReal:
         bits = [str(self.offset)] if self.offset else []
         bits += [f"{t.coeff}*<g{t.k}, {t.index_set!r}>" for t in self.terms]
         return "CodedReal(" + " + ".join(bits) + ")"
+
+
+def _coeff_str(c: Fraction) -> str:
+    """A term coefficient ``±2^e`` with ``e != 0`` as ``"2^e"`` or
+    ``"-2^e"``; any other coefficient as ``p/q``."""
+    n, d = abs(c.numerator), c.denominator
+    # in lowest terms, c is ±2^e exactly when n * d is a power of two
+    if n * d > 1 and (n * d) & (n * d - 1) == 0:
+        return f"{'-' if c < 0 else ''}2^{n.bit_length() - d.bit_length()}"
+    return _frac_str(c)
+
+
+# a nonzero exponent in canonical decimal, as _coeff_str writes it
+_POWER = re.compile(r"(-?)2\^(-?[1-9][0-9]*)")
+
+
+def _parse_coeff(s: str) -> Fraction:
+    """Read a term coefficient: ``"2^e"`` or ``"-2^e"`` as ``±2^e``, any
+    other spelling by :func:`~rigidmetrics.intervals._parse_frac`.
+
+    Any other spelling that starts like a power (``"2^"``, ``"2^1.5"``,
+    ``"2^-03"``) raises ``ValueError``; an exponent of greater absolute
+    value than ``_MAX_EVAL_EXPONENT`` raises ``ResourceError`` before any
+    power is built.
+    """
+    if not (isinstance(s, str) and "^" in s):
+        return _parse_frac(s)
+    m = _POWER.fullmatch(s)
+    if m is None:
+        raise ValueError(f"malformed power-of-two coefficient {s!r}")
+    digits = m[2].lstrip("-")
+    if len(digits) > len(str(_MAX_EVAL_EXPONENT)) or int(digits) > _MAX_EVAL_EXPONENT:
+        raise ResourceError(f"coefficient exponent too large to read: {s[:40]}")
+    e = int(m[2])
+    power = Fraction(1 << e) if e > 0 else Fraction(1, 1 << -e)
+    return -power if m[1] else power
 
 
 def _parse_int(value: object, what: str = "ladder offset k") -> int:

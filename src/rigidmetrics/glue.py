@@ -73,7 +73,9 @@ from .registry import (
 from .rigidify import snap_to_grid, subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
-CERTIFICATE_VERSION = 3
+CERTIFICATE_VERSION = 4
+# the significant bits of each end of the stated sup enclosure
+_SUP_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -437,7 +439,8 @@ def _certify_sup_bound(
 
     Returns the first pair that exceeds the allowance or cannot be compared
     with it, with that ordering (or None when every pair is within), and an
-    enclosure of the sup over the pairs scanned before it.
+    enclosure of the sup over the pairs scanned before it, rounded outward
+    by :func:`_rounded_out`.
 
     Each pair's difference gets one ``eval`` enclosure, the one the sup is
     read from.  When it lies strictly above or below 0 and its absolute
@@ -468,11 +471,40 @@ def _certify_sup_bound(
             gap = _abs_exact(diff, max_precision)
             order = compare(gap, allowance, max_precision)
             if order in (GREATER, UNRESOLVED):
-                return ((d.points[i], d.points[j]), order), Enclosure(sup_lo, sup_hi)
+                return ((d.points[i], d.points[j]), order), _rounded_out(sup_lo, sup_hi,
+                                                                         allowance)
             enc = _eval_halving(gap)
         sup_lo = max(sup_lo, enc.lo)
         sup_hi = max(sup_hi, enc.hi)
-    return None, Enclosure(sup_lo, sup_hi)
+    return None, _rounded_out(sup_lo, sup_hi, allowance)
+
+
+def _rounded_out(lo: Fraction, hi: Fraction, allowance: Fraction | CodedReal) -> Enclosure:
+    """``[lo, hi]`` with ``0 <= lo <= hi`` widened to ends of ``_SUP_BITS``
+    significant bits, ``lo`` rounded down and ``hi`` up, where ``hi`` stays
+    at most a rational ``allowance`` it did not exceed."""
+    rounded_hi = _round_dyadic(hi, up=True)
+    allowance = as_coded(allowance)
+    if allowance.is_rational and hi <= allowance.offset:
+        rounded_hi = min(rounded_hi, allowance.offset)
+    return Enclosure(_round_dyadic(lo, up=False), rounded_hi)
+
+
+def _round_dyadic(x: Fraction, up: bool) -> Fraction:
+    """``x >= 0`` rounded down (up when ``up``) to ``m * 2^-s`` for the
+    ``s`` with ``2^(_SUP_BITS - 1) <= x * 2^s < 2^_SUP_BITS``; 0 stays 0."""
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return x
+    # n / d lies in (2^(t-1), 2^(t+1)) for t the difference of their bit
+    # lengths, so m = floor(x * 2^s) has _SUP_BITS or one more bits
+    s = _SUP_BITS - (n.bit_length() - d.bit_length())
+    m, rest = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
+    if m >> _SUP_BITS:
+        m, rest, s = m >> 1, rest or m & 1, s - 1
+    if up and rest:
+        m += 1
+    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
 
 
 @dataclass(frozen=True)
@@ -553,14 +585,15 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     """Re-check an emitted certificate from its serialized form alone.
 
     A certificate of another ``version`` raises ``ValueError``; this is format
-    3.  Only ``input``, ``registry``, ``parameters`` (``k`` and ``partition``
-    required) and ``sup_bound`` are decoded, in one decode scope, and a
-    malformed one raises.  In order: the registry invariants
+    4.  Only ``input`` (in metric format 1), ``registry``, ``parameters``
+    (``k`` and ``partition`` required) and ``sup_bound`` are decoded, in one
+    decode scope, and a malformed one raises.  In order: the registry invariants
     (:func:`_registry_problem`); the stated metric's points must be the
     input's; the parts are replayed (:func:`_replayed_construction`); row
     ``t`` must be the :func:`_row_json` of the components derived for pair
     ``t`` of the input, and the stated metric the JSON of the glued one, by
-    ``==`` on the loaded JSON; the builder's row pass (:func:`_row_failure`);
+    ``==`` on the loaded JSON, a failure naming the first differing pair;
+    the builder's row pass (:func:`_row_failure`);
     and the sup bound, recomputed from ``input``, must equal the claimed
     enclosure, with strong rigidity rechecked, both under ``max_precision``.
     Unread fields of the decoded parts (an earlier writer's hub ``value``)
@@ -576,6 +609,8 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
 
     if data.get("version") != CERTIFICATE_VERSION:
         raise ValueError("unsupported certificate version")
+    if "version" not in data["input"]:
+        raise ValueError("certificate input is not in metric format 1")
     source = FiniteMetric.from_json(data["input"])
     parameters = data.get("parameters", {})
     if "k" not in parameters or "partition" not in parameters:
@@ -607,9 +642,9 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         # name the first pair with no row, if there is one
         return fail(tuple(pairs[len(stated_rows):len(stated_rows) + 1]),
                     f"{len(stated_rows)} independence rows cover {len(pairs)} distances")
-    # Mirror entries, and a row's components and its metric entry, are shared
-    # objects: spell each once, by identity, while the parts hold it.  The
-    # spellings are only compared, so sharing one dict between them is safe.
+    # A row's components and its metric entry can be one shared object:
+    # spell each once, by identity, while the parts hold it.  The spellings
+    # are only compared, so sharing one dict between them is safe.
     spellings: dict[int, dict] = {}
 
     def spell(value: CodedReal) -> dict:
@@ -623,14 +658,12 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
         if stated != _row_json(comps, spell):
             return fail((pair,), "component replay failed")
     metric = parts.glued(source.points)
-    # the layout of FiniteMetric.to_json
-    spelled = {"points": list(metric.points),
-               "matrix": [[spell(e) for e in row] for row in metric.matrix]}
+    spelled = metric.to_json(spell)
     if data["metric"] != spelled:
-        matrix = spelled["matrix"]
-        differing = next((pair for (i, j), pair in zip(metric.pairs(), pairs)
-                          if not _stated(data, "metric", "matrix", i, j) == matrix[i][j]
-                          == _stated(data, "metric", "matrix", j, i)), None)
+        stated = _stated(data, "metric", "pairs")
+        stated = stated if isinstance(stated, list) else []
+        differing = next((pair for pair, a, b in zip(pairs, stated, spelled["pairs"])
+                          if a != b), None)
         if differing is None:
             return fail((), "metric differs from the derived one")
         return fail((differing,), "components do not sum to the metric entry")

@@ -12,16 +12,14 @@ test, used also by ``CodedReal.eval`` and the support scan.  The ``p/q``
 spelling of rationals is written by :func:`_frac_str` and read by
 :func:`_parse_frac`.
 
-A document is decoded under one memo (:func:`_decode_scope`, opened by
-``FiniteMetric.from_json`` and, for the parts of a certificate it decodes,
-``glue.verify_certificate``; a nested decode reuses the outer one, and it is
-dropped when the outermost decode returns or raises).  Inside it
-:func:`_parse_frac` gives every distinct ``p/q`` spelling one ``Fraction``,
-and :func:`_decode_once` every interval list one ``IntervalSet`` and every
-coded value one ``CodedReal``, so repeated pieces are the same objects.  A
-key is the JSON content: the ``str`` itself, or the ``repr`` of a ``dict`` or
-``list``.  A value enters the memo only once its own decode has returned;
-any other input is decoded as outside a scope and raises what it raises there.
+A document is decoded under one memo of ``p/q`` spellings
+(:func:`_decode_scope`, opened by ``FiniteMetric.from_json`` and, for the
+parts of a certificate it decodes, ``glue.verify_certificate``; a nested
+decode reuses the outer one, and it is dropped when the outermost decode
+returns or raises).  Inside it :func:`_parse_frac` gives every distinct
+spelling one ``Fraction``, so endpoints and offsets that repeat are the same
+objects.  A spelling enters the memo only once it has been read; any other
+input is read as outside a scope and raises what it raises there.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ResourceError
 
@@ -181,7 +179,7 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Iterable[Iterable[str]]) -> "IntervalSet":
-        return _decode_once(_read_intervals, data)
+        return IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
 
     def __repr__(self) -> str:
         inner = " u ".join(f"[{a}, {b})" for a, b in self.blocks)
@@ -260,17 +258,13 @@ def _well_formed(s: object) -> bool:
     return True
 
 
-def _read_intervals(data: Iterable[Iterable[str]]) -> IntervalSet:
-    return IntervalSet.from_blocks([(_parse_frac(a), _parse_frac(b)) for a, b in data])
-
-
-# the open decode scope's memo: p/q spellings, and (decoder, content) pairs
+# the open decode scope's memo of p/q spellings
 _decode_memo: ContextVar[dict | None] = ContextVar("_decode_memo", default=None)
 
 
 @contextmanager
 def _decode_scope() -> Iterator[None]:
-    """Share decoded rationals and interval sets within one document."""
+    """Share the rationals read from one document, one per spelling."""
     if _decode_memo.get() is not None:
         yield
         return
@@ -279,21 +273,3 @@ def _decode_scope() -> Iterator[None]:
         yield
     finally:
         _decode_memo.reset(token)
-
-
-def _decode_once(decode: Callable[[object], object], data: object) -> object:
-    """``decode(data)``, shared within the open decode scope.
-
-    The memo key is ``decode`` with the ``repr`` of ``data``, its JSON
-    content, so two decoders never share an entry.  The value is stored only
-    after ``decode`` returned.  Outside a scope, or when ``data`` is neither
-    a ``dict`` nor a ``list``, ``data`` is decoded without the memo.
-    """
-    memo = _decode_memo.get()
-    if memo is None or type(data) not in (dict, list):
-        return decode(data)
-    key = (decode, repr(data))
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = decode(data)
-    return value

@@ -4,6 +4,12 @@ Entries are :class:`~rigidmetrics.coded.CodedReal`; plain rationals embed as
 pure-offset values.  Matrices are stored fully and immutably.  Validation of
 the metric axioms lives in :mod:`rigidmetrics.verify`; file loading performs
 it on demand via :func:`load_metric`.
+
+Metrics are written in metric format 1, ``{"version": 1, "points": [...],
+"pairs": [...]}``: one coded value per unordered pair, in
+:meth:`FiniteMetric.pairs` order, and no diagonal.  The earlier spelling,
+``{"points": [...], "matrix": [[...], ...]}`` with no ``version``, the full
+matrix, is still read, since hand-written inputs use it, but never written.
 """
 
 from __future__ import annotations
@@ -13,13 +19,15 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coded import CodedReal, as_coded, equals
 from .errors import DomainError
 from .intervals import _decode_scope, _frac_str, _parse_frac
 
 Entry = CodedReal | Fraction | int
+
+METRIC_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -102,30 +110,42 @@ class FiniteMetric:
             tuple(tuple(self.matrix[i][j] for j in idx) for i in idx),
         )
 
-    def to_json(self) -> dict:
+    def to_json(self, spell: Callable[[CodedReal], dict] = CodedReal.to_json) -> dict:
+        """The metric in format 1, each distance spelled by ``spell``."""
         return {
+            "version": METRIC_VERSION,
             "points": list(self.points),
-            "matrix": [[e.to_json() for e in row] for row in self.matrix],
+            "pairs": [spell(self.matrix[i][j]) for i, j in self.pairs()],
         }
 
     @staticmethod
     def from_json(data: dict) -> "FiniteMetric":
-        """Decode a matrix, each distinct entry once.
+        """Decode a metric in format 1 by its ``pairs``, or one with no
+        ``version`` by its ``matrix``; any other ``version``, or a ``pairs``
+        list that is not one value per pair of the points, raises
+        ``ValueError``.
 
-        The whole matrix is read in one decode scope
+        The document is read in one decode scope
         (:func:`~rigidmetrics.intervals._decode_scope`, or the caller's when
-        one is open), whose memo keys an entry by the ``repr`` of its JSON,
-        its full content: a mirror entry written the same way shares its
-        decoding, and entries written differently are decoded apart and
-        compared by value.  Each ``p/q`` spelling and each interval list is
-        decoded once too, so entries that repeat an endpoint or a set share
-        it.
+        one is open), so each ``p/q`` spelling is read once and endpoints
+        and offsets that repeat share one ``Fraction``.  The two entries of
+        a pair in a ``matrix`` are decoded apart and compared by value.
         """
         with _decode_scope():
-            return FiniteMetric(
-                tuple(data["points"]),
-                tuple(tuple(CodedReal.from_json(e) for e in row) for row in data["matrix"]),
-            )
+            points = tuple(data["points"])
+            if "version" not in data:
+                return FiniteMetric(
+                    points,
+                    tuple(tuple(CodedReal.from_json(e) for e in row) for row in data["matrix"]),
+                )
+            version = data["version"]
+            if type(version) is not int or version != METRIC_VERSION:
+                raise ValueError(f"unsupported metric version {version!r}")
+            entries, n = data["pairs"], len(points)
+            if type(entries) is not list or len(entries) != n * (n - 1) // 2:
+                raise ValueError(f"a metric on {n} points needs {n * (n - 1) // 2} pairs")
+            values = map(CodedReal.from_json, entries)
+            return FiniteMetric.from_pair_function(points, lambda i, j: next(values))
 
     def to_csv(self) -> str:
         """Rational matrices only: labels in the header, entries as p/q."""

@@ -40,16 +40,16 @@ CLUSTERED_2X3 = (
 
 RIGIDIFY_DIGESTS = {
     "spread-6": (
-        "7404179468235c8470584b28b4fa7ac626bb8dcd603816be258053012496a92e",
-        "57f69679b088ebde4c675b9f29a341e79de296205908d84653c6a2e38b1c7454",
+        "2ff8a5972d6cf27c38041ecc6df7c57351a1ad7cb0d87f91e2ba2820e7b54c68",
+        "6e866e8e9dc3d72708586e9e756bcf66e5fd08fbcd4d2ec2ab7482a63b505d2d",
     ),
     "clustered-2x3": (
-        "04af4336569e06c1376e2ce1849fab8eb867bbf2039140138424297e3c0fad94",
-        "735e2adad04f9d03112aae211bb688b045c75ac6dc9c8fc36368922e4a64ec2b",
+        "37edf2d385e05980c6a6c09cb160d59815723b6d4df8c159fdd75cb6949c73b1",
+        "b10a2249b302d17aa7ad060f746923a8b4edd16ad2e82873a07f10273aae658e",
     ),
 }
 
-PRODUCT_DIGEST = "f7c6a98d1db7564c742cdf9fed928b261a648399130223c98441264980a2a6a0"
+PRODUCT_DIGEST = "a0a7e432e6bf4b483b6fc0fd5465dbd712099fe2ad336a514a9cc422789ce839"
 
 
 def _sha256(path) -> str:

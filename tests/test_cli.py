@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from conftest import clustered_metric
 from rigidmetrics import cli
 from rigidmetrics.cli import main
+from rigidmetrics.coded import _parse_coeff
 from rigidmetrics.glue import CERTIFICATE_VERSION, rigidify_full
+from rigidmetrics.intervals import _frac_str
 from rigidmetrics.metric import FiniteMetric, dump_metric, load_metric
 
 
@@ -218,6 +221,23 @@ def _two_points(d):
     return {"points": ["a", "b"], "matrix": [[_entry(), d], [d, _entry()]]}
 
 
+def _two_points_v1(d):
+    return {"version": 1, "points": ["a", "b"], "pairs": [d]}
+
+
+def _power_entry(coeff):
+    return {"offset": "1/1", "terms": [{"coeff": coeff, "k": 0, "intervals": [["0/1", "1/2"]]}]}
+
+
+def _legacy_input_certificate():
+    """The 4-point certificate with its input in the matrix spelling."""
+    data = _four_point_certificate()
+    source = FiniteMetric.from_json(data["input"])
+    data["input"] = {"points": list(source.points),
+                     "matrix": [[e.to_json() for e in row] for row in source.matrix]}
+    return json.dumps(data)
+
+
 def _two_point_csv(cell):
     return f"point,a,b\na,0,{cell}\nb,{cell},0\n"
 
@@ -225,7 +245,7 @@ def _two_point_csv(cell):
 ZERO_DEN_OFFSET = json.dumps(_two_points(_entry("1/0")))
 ZERO_DEN_INTERVAL = json.dumps(_two_points(_entry("1/1", [["0/1", "1/0"]])))
 HALF_LADDER = json.dumps(_two_points(_entry("1/1", [["0/1", "1/1"]], k=1.5)))
-ONE_POINT = {"points": ["a"], "matrix": [[_entry()]]}
+ONE_POINT = {"version": 1, "points": ["a"], "pairs": []}
 # the checker reaches sup_bound once every (here: no) row has passed
 ZERO_DEN_EPSILON_CERT = json.dumps({
     "version": CERTIFICATE_VERSION,
@@ -335,6 +355,17 @@ def _half_ladder_certificate(every_term):
                      id="four-part-draw-key"),
         pytest.param("c.cert.json", _respelled_certificate(("hubs",), None, lambda key: "0" + key), ["indep", "{}"],
                      id="zero-padded-hub-key"),
+        pytest.param("m.json", json.dumps({**_two_points_v1(_entry("1/1")), "version": 2}),
+                     VERIFY, id="metric-version-2"),
+        pytest.param("m.json", json.dumps({**_two_points_v1(_entry("1/1")), "pairs": []}),
+                     VERIFY, id="metric-too-few-pairs"),
+        pytest.param("m.json", json.dumps({**_two_points_v1(_entry("1/1")),
+                                           "pairs": [_entry("1/1")] * 2}),
+                     DIST, id="metric-too-many-pairs"),
+        *(pytest.param("m.json", json.dumps(_two_points_v1(_power_entry(coeff))), VERIFY,
+                       id=f"malformed-power-{coeff}") for coeff in ("2^", "2^1.5", "2^-03")),
+        pytest.param("c.cert.json", _legacy_input_certificate(), ["indep", "{}"],
+                     id="certificate-input-in-the-matrix-spelling"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, capsys, name, text, argv):
@@ -433,7 +464,8 @@ def test_verify_reports_a_nonmetric_csv(tmp_path, capsys):
 def test_approx_flag(metric_file, capsys):
     assert main(["--approx", "rigidify", str(metric_file), "--epsilon", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert "approx_matrix" in payload
+    assert len(payload["approx_pairs"]) == len(payload["pairs"])
+    assert "approx_matrix" not in payload
 
 
 def test_full_approx_output_keeps_the_certificate_metric_exact(metric_file, tmp_path):
@@ -447,9 +479,9 @@ def test_full_approx_output_keeps_the_certificate_metric_exact(metric_file, tmp_
     (plain, plain_cert), (approx, approx_cert) = paths.values()
     assert plain_cert.read_bytes() == approx_cert.read_bytes()
     written = json.loads(approx.read_text())
-    assert {"approx_matrix", "approx_note"} <= set(written)
+    assert {"approx_pairs", "approx_note"} <= set(written)
     assert json.loads(plain.read_text()) == json.loads(plain_cert.read_text())["metric"]
-    assert {k: written[k] for k in ("points", "matrix")} == json.loads(plain.read_text())
+    assert {k: written[k] for k in ("version", "points", "pairs")} == json.loads(plain.read_text())
 
 
 @pytest.fixture
@@ -589,6 +621,60 @@ def test_indep_refuses_a_v2_certificate(clustered_certificate, tmp_path, capsys)
     assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
 
 
+def test_indep_refuses_a_v3_certificate(clustered_certificate, tmp_path, capsys):
+    cert = json.loads(clustered_certificate.read_text())
+    # the v3 shape: the input and the metric as full matrices, every
+    # coefficient p/q
+    for name in ("input", "metric"):
+        m = FiniteMetric.from_json(cert[name])
+        cert[name] = {"points": list(m.points), "matrix": [
+            [{**e.to_json(), "terms": [{**t, "coeff": _frac_str(_parse_coeff(t["coeff"]))}
+                                       for t in e.to_json()["terms"]]} for e in row]
+            for row in m.matrix]}
+    cert["version"] = 3
+    old = tmp_path / "v3.cert.json"
+    old.write_text(json.dumps(cert))
+    assert main(["indep", str(old)]) == 3
+    assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
+
+
+def test_a_metric_coefficient_respelled_p_q_fails_the_check(tmp_path, capsys):
+    # the stated metric is compared with the derived one as JSON: 2^-14
+    # written 1/16384 is the same value, spelled otherwise
+    data = _four_point_certificate()
+    coeffs = [t for e in data["metric"]["pairs"] for t in e["terms"]]
+    respelled = next(t for t in coeffs if t["coeff"] == "2^-14")
+    respelled["coeff"] = "1/16384"
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(data))
+    assert main(["indep", str(bad)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["detail"] == "components do not sum to the metric entry"
+    assert FiniteMetric.from_json(data["metric"]) == FiniteMetric.from_json(
+        _four_point_certificate()["metric"])
+
+
+def test_a_remote_power_coefficient_is_a_resource_limit(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_two_points_v1(_power_entry("2^-10000000000"))))
+    started = time.perf_counter()
+    assert main(["verify", "--metric", str(path), "--check", "metric"]) == 5
+    assert time.perf_counter() - started < 0.1
+    assert capsys.readouterr().err.startswith("resource limit: coefficient exponent too large")
+
+
+def test_v1_output_holds_each_pair_once(metric_file, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["rigidify", str(metric_file), "--epsilon", "1/2", "--full",
+                 "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    n = len(written["points"])
+    assert written["version"] == 1 and "matrix" not in written
+    assert len(written["pairs"]) == n * (n - 1) // 2
+    coeffs = {t["coeff"] for e in written["pairs"] for t in e["terms"]}
+    assert coeffs and all(c.startswith("2^-") for c in coeffs)
+
+
 @pytest.fixture
 def digit_cap():
     """Python's int-string digit limit lowered to its least value, 640."""
@@ -611,14 +697,28 @@ def test_two_points_at_a_small_epsilon_certify(tmp_path):
     assert main(["indep", str(cert)]) == 0
 
 
+def test_rounded_sup_enclosure_stays_below_the_digit_cap(tmp_path, digit_cap):
+    # two points at distance 1 with epsilon 1/10^97: the exact sup enclosure
+    # had more than 640 digits; rounded outward it has 64 significant bits
+    source = tmp_path / "two.csv"
+    source.write_text("point,a,b\na,0,1\nb,1,0\n")
+    out, cert = tmp_path / "out.json", tmp_path / "out.cert.json"
+    assert main(["rigidify", str(source), "--epsilon", f"1/{10 ** 97}", "--full",
+                 "--out", str(out), "--certificate", str(cert)]) == 0
+    assert main(["indep", str(cert)]) == 0
+    sup = json.loads(cert.read_text())["sup_bound"]
+    for end in ("achieved_lo", "achieved_hi"):
+        assert Fraction(sup[end]).numerator.bit_length() <= 64
+    assert 0 < Fraction(sup["achieved_lo"]) <= Fraction(sup["achieved_hi"]) <= Fraction(1, 10 ** 97)
+
+
 def test_digit_cap_on_output_is_a_resource_limit(tmp_path, capsys, digit_cap):
-    # two points at distance 1 with epsilon 1/10^120: the sup enclosure has
-    # Theta(log(d / epsilon)) digits, more than 640 from epsilon 1/10^97 on
-    # (1/10^96 still passes)
+    # two points at distance 1 with epsilon 1/10^400: the hub p has
+    # Theta(log(d / epsilon)) digits, more than 640 from about 1/10^320 on
     source = tmp_path / "two.csv"
     source.write_text("point,a,b\na,0,1\nb,1,0\n")
     out = tmp_path / "out.json"
-    argv = ["rigidify", str(source), "--epsilon", f"1/{10 ** 120}", "--full", "--out", str(out)]
+    argv = ["rigidify", str(source), "--epsilon", f"1/{10 ** 400}", "--full", "--out", str(out)]
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert err.startswith("resource limit: rational too long to write")

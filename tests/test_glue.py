@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import clustered_metric, mixed_scale_metrics, rational_metric
 from rigidmetrics import glue, intervals, metric
 from rigidmetrics.coded import (
-    GREATER, UNRESOLVED, CodedReal, Enclosure, _signed_sum, coded_sum, compare,
+    GREATER, UNRESOLVED, CodedReal, _signed_sum, as_coded, coded_sum, compare,
 )
 from rigidmetrics.errors import DomainError, UnresolvedComparison
 from rigidmetrics.glue import (
@@ -168,17 +168,19 @@ def test_sup_bound_reports_precondition_failure(rng):
 
 def _exact_sup_scan(d, glued, allowance, max_precision):
     """The sup-bound scan without the enclosure prefilter: every pair is
-    oriented and compared through the exact engine, in the scan's order."""
+    oriented and compared through the exact engine, in the scan's order;
+    the enclosure is rounded as the scan rounds it."""
     sup_lo = sup_hi = Fraction(0)
     for i, j in d.pairs():
         gap = glue._abs_exact(glued.at(i, j) - d.at(i, j), max_precision)
         order = compare(gap, allowance, max_precision)
         if order in (GREATER, UNRESOLVED):
-            return ((d.points[i], d.points[j]), order), Enclosure(sup_lo, sup_hi)
+            return ((d.points[i], d.points[j]), order), glue._rounded_out(sup_lo, sup_hi,
+                                                                          allowance)
         enc = _eval_halving(gap)
         sup_lo = max(sup_lo, enc.lo)
         sup_hi = max(sup_hi, enc.hi)
-    return None, Enclosure(sup_lo, sup_hi)
+    return None, glue._rounded_out(sup_lo, sup_hi, allowance)
 
 
 def _outcome(scan, *args):
@@ -272,6 +274,32 @@ def test_sup_prefilter_cannot_change_the_scan(case, max_precision):
     d, glued, allowance = case
     assert _outcome(glue._certify_sup_bound, d, glued, allowance, max_precision) == \
         _outcome(_exact_sup_scan, d, glued, allowance, max_precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=0, max_denominator=10 ** 60).filter(lambda x: x < 10 ** 30),
+       st.booleans())
+@example(Fraction(0), True)
+@example(Fraction(1, 3), False)
+@example(Fraction((1 << 64) - 1), True)
+@example(Fraction(1, 10 ** 97), True)
+def test_sup_ends_round_outward_to_64_bits(x, up):
+    r = glue._round_dyadic(x, up)
+    assert (r >= x) if up else (r <= x)
+    m = r.numerator
+    assert (m >> ((m & -m).bit_length() - 1) if m else 0).bit_length() <= 64
+    # at most one unit in the 64th bit away: the next 64-bit value past r crosses x
+    assert abs(r - x) <= x / (1 << 63)
+
+
+@pytest.mark.parametrize("hi", [Fraction(1, 3), Fraction(1, 10 ** 97), Fraction(1, 2)])
+def test_rounded_sup_stays_within_a_rational_allowance(hi):
+    # hi rounded up would pass a non-dyadic allowance it equals; it stops there
+    enc = glue._rounded_out(hi / 2, hi, hi)
+    assert enc.hi == hi and enc.lo <= hi / 2
+    # above the allowance, or under a coded one, hi is rounded up as it is
+    assert glue._rounded_out(hi / 2, hi, hi / 2).hi >= hi
+    assert glue._rounded_out(hi / 2, hi, as_coded(hi) + coded_sum(0, _AT_9)).hi >= hi
 
 
 def test_rigidify_full_two_points():
@@ -514,25 +542,28 @@ def _zeroed_sup(blob):
 
 
 def _shifted_input(blob):
-    matrix = blob["input"]["matrix"]
-    shifted = str(Fraction(matrix[0][1]["offset"]) + 1)
-    matrix[0][1]["offset"] = matrix[1][0]["offset"] = shifted
+    first = blob["input"]["pairs"][0]
+    first["offset"] = str(Fraction(first["offset"]) + 1)
 
 
 def _renamed_input(blob):
     blob["input"]["points"][0] = "elsewhere"
 
 
-def _entry(blob, name, pair):
+def _pair_position(blob, name, pair):
+    """The position of ``pair``, in either order, in the pair order of
+    ``blob[name]``."""
     points = blob[name]["points"]
-    a, b = (points.index(x) for x in pair)
-    return CodedReal.from_json(blob[name]["matrix"][a][b])
+    a, b = sorted(points.index(x) for x in pair)
+    return a * len(points) - a * (a + 1) // 2 + b - a - 1
+
+
+def _entry(blob, name, pair):
+    return CodedReal.from_json(blob[name]["pairs"][_pair_position(blob, name, pair)])
 
 
 def _set_entry(blob, name, pair, value):
-    points, matrix = blob[name]["points"], blob[name]["matrix"]
-    a, b = (points.index(x) for x in pair)
-    matrix[a][b] = matrix[b][a] = value.to_json()
+    blob[name]["pairs"][_pair_position(blob, name, pair)] = value.to_json()
 
 
 def _hub_pair_rows(blob):
@@ -801,8 +832,8 @@ def test_a_hub_value_in_the_dyadic_window_of_its_integer_fails(straight_certific
 
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 def test_verify_certificate_spells_each_derived_value_once(certificates, kind, monkeypatch):
-    # mirror entries, and a row's components and their metric entries, are
-    # shared objects, which the check spells once each
+    # a row's components and their metric entries are shared objects, which
+    # the check spells once each
     blob = json.loads(certificates[kind])
     spelled = []
     to_json = CodedReal.to_json
@@ -1013,10 +1044,11 @@ def test_certificate_with_the_dropped_fields_still_passes(certificates, kind):
     assert verify_certificate(blob).passed
 
 
-# 1 and 2 are earlier formats: version 1 rows also held zero components and
-# a stored trace witness, and version 2 restated hub indices, ladders and
-# bases and row pair labels; no reader for either is kept
-@pytest.mark.parametrize("version", [None, 0, 1, 2, "3"])
+# 1 to 3 are earlier formats: version 1 rows also held zero components and
+# a stored trace witness, version 2 restated hub indices, ladders and bases
+# and row pair labels, and version 3 wrote full matrices with p/q
+# coefficients and the exact sup enclosure; no reader for any is kept
+@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4"])
 def test_other_certificate_versions_are_refused(certificates, version):
     blob = json.loads(certificates["spread"])
     assert blob["version"] == CERTIFICATE_VERSION
@@ -1159,7 +1191,7 @@ def test_respelled_endpoint_keeps_the_verdict(certificates, monkeypatch, spellin
 
 def test_a_certificate_decode_that_raises_leaves_no_scope_open(certificates):
     blob = json.loads(certificates["clustered"])
-    blob["input"]["matrix"][-1][-1]["offset"] = "1/0"
+    blob["input"]["pairs"][-1]["offset"] = "1/0"
     with pytest.raises(ZeroDivisionError):
         verify_certificate(blob)
     assert _decode_memo.get() is None
@@ -1167,25 +1199,23 @@ def test_a_certificate_decode_that_raises_leaves_no_scope_open(certificates):
 
 def _first_rational_entry(blob):
     """The first pair, in pair order, whose metric entry has a rational
-    offset other than 0, with its entry and its mirror."""
-    points, matrix = blob["metric"]["points"], blob["metric"]["matrix"]
-    for pair in _pairs(blob):
-        a, b = (points.index(x) for x in pair)
-        if matrix[a][b]["offset"] != "0/1":
-            return pair, matrix[a][b], matrix[b][a]
+    offset other than 0, with its entry."""
+    for pair, entry in zip(_pairs(blob), blob["metric"]["pairs"]):
+        if entry["offset"] != "0/1":
+            return pair, entry
     raise AssertionError("no entry with a nonzero offset")
 
 
 def _respelled_entry(blob):
-    # both copies of the entry, p/q written as 2p/2q: an equal rational
-    pair, entry, mirror = _first_rational_entry(blob)
+    # p/q written as 2p/2q: an equal rational
+    pair, entry = _first_rational_entry(blob)
     p, q = entry["offset"].split("/")
-    entry["offset"] = mirror["offset"] = f"{2 * int(p)}/{2 * int(q)}"
+    entry["offset"] = f"{2 * int(p)}/{2 * int(q)}"
     return pair
 
 
 def _entry_with_an_unknown_key(blob):
-    pair, entry, _ = _first_rational_entry(blob)
+    pair, entry = _first_rational_entry(blob)
     entry["note"] = "ignored by a reader"
     return pair
 
@@ -1232,11 +1262,11 @@ def test_a_metric_in_another_point_order_fails(certificates, kind):
 
 
 def test_a_metric_that_differs_off_its_pairs_fails(certificates):
-    # a diagonal entry, or a field beside the points and the matrix
-    for where in ("diagonal", "top"):
+    # an entry past the last pair, or a field beside the points and the pairs
+    for where in ("extra", "top"):
         blob = json.loads(certificates["spread"])
-        if where == "diagonal":
-            blob["metric"]["matrix"][0][0]["offset"] = "0/2"
+        if where == "extra":
+            blob["metric"]["pairs"].append(blob["metric"]["pairs"][0])
         else:
             blob["metric"]["note"] = "ignored by a reader"
         report = verify_certificate(blob)
