@@ -20,9 +20,9 @@ in pair order, of its nonzero tagged summands
 (:meth:`_Construction.components`).  One row pass
 (:func:`_row_failure`) shows the per-sum hypotheses, an independent-of-1
 trace witness per row, found and not stored, and pairwise different
-component multisets.  ``verify_certificate`` replays the parts with the
-builder's functions, requires the stated rows and metric to be the JSON of
-what it derives, and runs the same row pass.
+component multisets.  ``verify_certificate`` writes a certificate again: what
+it decodes and what it derives with the builder's functions must be the
+writer's JSON, and it runs the same row pass.
 
 The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
 ``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
@@ -34,9 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from operator import add, getitem
+from operator import add
 from typing import Callable, Sequence
 
 from .coded import (
@@ -67,13 +66,15 @@ from .registry import (
     RESERVED_GAUGE_ID,
     HubAllocation,
     ValueRegistry,
-    _canonical_int,
-    gauge_from_snapshot,
+    read_snapshot,
+    snapshot_json,
 )
 from .rigidify import snap_to_grid, subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
 CERTIFICATE_VERSION = 4
+_CERTIFICATE_KEYS = {"version", "input", "metric", "registry", "independence", "sup_bound",
+                     "parameters"}  # the top-level keys RigidifyCertificate.to_json writes
 # the significant bits of each end of the stated sup enclosure
 _SUP_BITS = 64
 
@@ -272,13 +273,17 @@ class RigidifyCertificate:
             "metric": metric.to_json(),
             "registry": self.registry_snapshot,
             "independence": list(self.independence),
-            "sup_bound": {
-                "epsilon": _frac_str(self.epsilon),
-                "achieved_lo": _frac_str(self.sup_lo),
-                "achieved_hi": _frac_str(self.sup_hi),
-            },
-            "parameters": {"k": self.k, "partition": self.partition.to_json()},
+            "sup_bound": _sup_bound_json(self.epsilon, self.sup_lo, self.sup_hi),
+            "parameters": _parameters_json(self.k, self.partition),
         }
+
+
+def _sup_bound_json(epsilon: Fraction, lo: Fraction, hi: Fraction) -> dict:
+    return dict(epsilon=_frac_str(epsilon), achieved_lo=_frac_str(lo), achieved_hi=_frac_str(hi))
+
+
+def _parameters_json(k: int, partition: Partition) -> dict:
+    return {"k": k, "partition": partition.to_json()}
 
 
 def rigidify_full(
@@ -582,98 +587,71 @@ def _trace_witness_for(components: Sequence[SumComponent]) -> int | None:
 
 
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
-    """Re-check an emitted certificate from its serialized form alone.
+    """Re-check an emitted certificate by writing it again.
 
-    A certificate of another ``version`` raises ``ValueError``; this is format
-    4.  Only ``input`` (in metric format 1), ``registry``, ``parameters``
-    (``k`` and ``partition`` required) and ``sup_bound`` are decoded, in one
-    decode scope, and a malformed one raises.  In order: the registry invariants
-    (:func:`_registry_problem`); the stated metric's points must be the
-    input's; the parts are replayed (:func:`_replayed_construction`); row
-    ``t`` must be the :func:`_row_json` of the components derived for pair
-    ``t`` of the input, and the stated metric the JSON of the glued one, by
-    ``==`` on the loaded JSON, a failure naming the first differing pair;
-    the builder's row pass (:func:`_row_failure`);
-    and the sup bound, recomputed from ``input``, must equal the claimed
-    enclosure, with strong rigidity rechecked, both under ``max_precision``.
-    Unread fields of the decoded parts (an earlier writer's hub ``value``)
-    are ignored.
-    """
-    with _decode_scope():
-        return _verify_certificate(data, max_precision)
-
-
-def _verify_certificate(data: dict, max_precision: int) -> Report:
+    ``ValueError`` unless it is format 4 with the writer's top-level keys and
+    each part it decodes in one decode scope (``input``, ``registry``,
+    ``parameters``, ``sup_bound.epsilon``) is the writer's JSON of it.  Then:
+    the registry invariants, the replay, the rows and the metric as written
+    from the replayed parts (the first that differs names its pair), the
+    row pass, the sup bound as written from ``input``, and strong rigidity."""
     def fail(witnesses: tuple, detail: str) -> Report:
         return Report("fail", witnesses, detail, max_precision)
 
-    if data.get("version") != CERTIFICATE_VERSION:
+    if data.get("version") != CERTIFICATE_VERSION or type(data["version"]) is not int:
         raise ValueError("unsupported certificate version")
-    if "version" not in data["input"]:
-        raise ValueError("certificate input is not in metric format 1")
-    source = FiniteMetric.from_json(data["input"])
-    parameters = data.get("parameters", {})
-    if "k" not in parameters or "partition" not in parameters:
-        return fail((), "component replay failed: no parameters.k or partition")
-    k = _parse_int(parameters["k"])
-    sup = data["sup_bound"]
-    epsilon = _parse_frac(sup["epsilon"])
-    claimed = (_parse_frac(sup["achieved_lo"]), _parse_frac(sup["achieved_hi"]))
-    snapshot = data["registry"]
-    # a gauge or hub key is its id in canonical decimal
-    gauges = {g: gauge_from_snapshot(g, snapshot)
-              for g in (_canonical_int(key, "gauge key") for key in snapshot.get("gauges", {}))}
-    hubs = {_canonical_int(key, "hub key"): HubAllocation.from_json(a)
-            for key, a in snapshot.get("hubs", {}).items()}
+    if data.keys() != _CERTIFICATE_KEYS:
+        raise ValueError("the certificate's keys are not the writer's")
+    with _decode_scope():
+        source = FiniteMetric.from_json(data["input"])
+        seed, gauges, hubs = read_snapshot(data["registry"])
+        epsilon = _parse_frac(data["sup_bound"]["epsilon"])
+    _written_as(data["input"], source.to_json(), "input")
+    _written_as(data["registry"], snapshot_json(seed, gauges, hubs), "registry")
+    _written_as(data["sup_bound"]["epsilon"], _frac_str(epsilon), "sup_bound.epsilon")
+    k = _parse_int(data["parameters"]["k"], "parameters.k")
+    try:
+        partition = Partition.from_json(data["parameters"]["partition"])
+    except DomainError:
+        return fail((), "component replay failed")
+    _written_as(data["parameters"], _parameters_json(k, partition), "parameters")
     problem = _registry_problem(gauges, hubs)
     if problem is not None:
         return fail((), f"registry invariant failed: {problem}")
-    if _stated(data, "metric", "points") != list(source.points):
-        return fail((), "input and metric have different points")
     try:
-        parts = _replayed_construction(parameters["partition"], source.points, k, epsilon,
-                                       gauges, hubs)
+        parts = _replayed_construction(partition, source.points, k, epsilon, gauges, hubs)
     except DomainError:
         return fail((), "component replay failed")
     pairs = [(source.points[i], source.points[j]) for i, j in source.pairs()]
-    stated_rows = data.get("independence")
-    stated_rows = stated_rows if isinstance(stated_rows, list) else []
-    if len(stated_rows) != len(pairs):
-        # name the first pair with no row, if there is one
-        return fail(tuple(pairs[len(stated_rows):len(stated_rows) + 1]),
-                    f"{len(stated_rows)} independence rows cover {len(pairs)} distances")
-    # A row's components and its metric entry can be one shared object:
-    # spell each once, by identity, while the parts hold it.  The spellings
-    # are only compared, so sharing one dict between them is safe.
+    # A row's components and its metric entry can be one object, which the
+    # parts hold: spell each once, by identity, for comparison only.
     spellings: dict[int, dict] = {}
 
     def spell(value: CodedReal) -> dict:
-        known = spellings.get(id(value))
-        if known is None:
-            known = spellings[id(value)] = value.to_json()
-        return known
+        return spellings.get(id(value)) or spellings.setdefault(id(value), value.to_json())
 
     rows = [(pair, parts.components(*pair)) for pair in pairs]
-    for (pair, comps), stated in zip(rows, stated_rows):
-        if stated != _row_json(comps, spell):
-            return fail((pair,), "component replay failed")
+    written = [_row_json(comps, spell) for _, comps in rows]
+    differing = _misstated(pairs, data["independence"], written, _row_typed)
+    if differing is not None:
+        return fail(differing, "component replay failed")
     metric = parts.glued(source.points)
-    spelled = metric.to_json(spell)
-    if data["metric"] != spelled:
-        stated = _stated(data, "metric", "pairs")
-        stated = stated if isinstance(stated, list) else []
-        differing = next((pair for pair, a, b in zip(pairs, stated, spelled["pairs"])
-                          if a != b), None)
-        if differing is None:
-            return fail((), "metric differs from the derived one")
-        return fail((differing,), "components do not sum to the metric entry")
+    written = metric.to_json(spell)
+    stated = data["metric"] if isinstance(data["metric"], dict) else {}
+    if stated.get("points") != written["points"]:
+        return fail((), "input and metric have different points")
+    differing = _misstated(pairs, stated.get("pairs"), written["pairs"], _value_typed)
+    if differing:
+        return fail(differing, "components do not sum to the metric entry")
+    if differing is not None or stated != written or type(stated["version"]) is not int:
+        return fail((), "metric differs from the derived one")
     failure = _row_failure(rows, parts.block_gauges)
     if failure is not None:
         return fail(failure[1], failure[0])
     offending, enc = _certify_sup_bound(source, metric, epsilon, max_precision)
     if offending is not None:
         return _sup_failure(offending, max_precision)
-    if claimed != (enc.lo, enc.hi):
+    if data["sup_bound"] != _sup_bound_json(epsilon, enc.lo, enc.hi):
         return fail((), "claimed sup bound differs from the recomputed one")
     rigidity = is_strongly_rigid(metric, max_precision)
     if not rigidity.passed:
@@ -682,12 +660,32 @@ def _verify_certificate(data: dict, max_precision: int) -> Report:
     return Report("pass", (), f"{len(rows)} independence rows verified", max_precision)
 
 
-def _stated(node: object, *path: object) -> object:
-    """The JSON value at ``path`` below ``node``, or None where there is none."""
-    try:
-        return reduce(getitem, path, node)
-    except (KeyError, IndexError, TypeError):
+def _written_as(stated: object, written: object, what: str) -> None:
+    """Raise ``ValueError`` unless ``stated`` is ``written``, the writer's JSON of its decode."""
+    if stated != written:
+        raise ValueError(f"certificate part {what} is not spelled the way the writer spells it")
+
+
+def _misstated(pairs: Sequence[tuple[str, str]], stated: object, written: list,
+               typed: Callable[[dict], bool]) -> tuple[tuple[str, str], ...] | None:
+    """None when ``stated`` is the list ``written`` exactly, ``typed`` of each item (``==``
+    takes ``4.0`` or ``true`` for ``4`` or ``1``); else the first pair whose item is not, or ()."""
+    if stated == written and all(map(typed, stated)):
         return None
+    stated = stated if isinstance(stated, list) else []
+    return next(((pair,) for t, (pair, item) in enumerate(zip(pairs, written))
+                 if stated[t:t + 1] != [item] or not typed(stated[t])), ())
+
+
+def _value_typed(value: dict) -> bool:
+    """Whether each ladder ``k`` of a coded value's JSON is an ``int``."""
+    return all(type(term["k"]) is int for term in value["terms"])
+
+
+def _row_typed(row: dict) -> bool:
+    """Whether each gauge, hub index and ladder of a row's JSON is an ``int``."""
+    return all(type(c["gauge" if c["kind"] == "block" else "hub_index"]) is int
+               and _value_typed(c["value"]) for c in row["certificate"]["left"])
 
 
 def _registry_problem(
@@ -709,7 +707,7 @@ def _registry_problem(
 
 
 def _replayed_construction(
-    partition_data: dict, points: Sequence[str], k: int, epsilon: Fraction,
+    partition: Partition, points: Sequence[str], k: int, epsilon: Fraction,
     gauges: dict[int, SemiMetricGauge], hubs: dict[int, HubAllocation],
 ) -> _Construction:
     """The parts by the builder's rules, or ``DomainError``: the partition
@@ -717,7 +715,6 @@ def _replayed_construction(
     takes the ``b``-th gauge other than 0 in ascending id, and the hub
     records, in ascending index, are placed by :func:`_placed_hubs`, each
     value replayed from its basis on gauge 0."""
-    partition = Partition.from_json(partition_data)
     # the partition's labels and the points are distinct
     if set(partition.labels()) != set(points):
         raise DomainError("the partition does not cover exactly the input's points")

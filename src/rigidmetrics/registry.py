@@ -18,10 +18,10 @@ The registry is the single mutable component of the package.  It owns
 Pool and hub ``p`` draws share one loop, :meth:`ValueRegistry._fresh`, each
 kind checked against its own set of used values.
 
-A snapshot of the gauges' draws and the hub allocations serializes with every
+A snapshot of the gauges' draws and the hub allocations, written by
+:func:`snapshot_json` and read by :func:`read_snapshot`, serializes with every
 certificate so that checks remain replayable offline.  :class:`HubAllocation`
-both writes and reads a hub's record; neither its basis nor its value is
-stored, both are computed from it.
+writes and reads a hub's record; its basis and value are computed from it.
 """
 
 from __future__ import annotations
@@ -172,17 +172,25 @@ class ValueRegistry:
     # -- persistence ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        gauges = {}
-        for gid, gauge in sorted(self._gauges.items()):
-            gauges[str(gid)] = {"draws": {
+        return snapshot_json(self.seed, self._gauges, self._hubs)
+
+
+def snapshot_json(seed: int, gauges: dict[int, SemiMetricGauge],
+                  hubs: dict[int, HubAllocation]) -> dict:
+    """A registry's seed, gauge draws keyed ``level:a:b`` and hub records, ids
+    in canonical decimal: what :meth:`ValueRegistry.snapshot` writes, and
+    what a checker writes again from :func:`read_snapshot` to compare."""
+    return {
+        "seed": seed,
+        "gauges": {
+            str(gid): {"draws": {
                 f"{level}:{a}:{b}": _frac_str(v)
                 for (level, a, b), v in sorted(gauge.drawn().items())
             }}
-        return {
-            "seed": self.seed,
-            "gauges": gauges,
-            "hubs": {str(i): alloc.to_json() for i, alloc in sorted(self._hubs.items())},
-        }
+            for gid, gauge in sorted(gauges.items())
+        },
+        "hubs": {str(i): alloc.to_json() for i, alloc in sorted(hubs.items())},
+    }
 
 
 def _dyadic_power_floor(x: Fraction) -> Fraction:
@@ -205,26 +213,19 @@ class _SealedPool:
         raise DomainError("snapshot replay hit a value that was never recorded")
 
 
-def _canonical_int(text: str, what: str) -> int:
-    """The integer that ``text`` spells the way ``str`` writes it, for a key
-    of the snapshot; any other spelling (``"01"``, ``" 1"``, ``"+1"``)
-    raises ``ValueError``, so one value has one key."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{what} is not in canonical decimal: {text!r}")
-    return value
+def read_snapshot(data: dict) -> tuple[int, dict[int, SemiMetricGauge], dict[int, HubAllocation]]:
+    """A snapshot's seed, gauges replaying only their recorded draws, and hub records;
+    keys are read with ``int``, so only :func:`snapshot_json` tells ``"01"`` from ``"1"``."""
+    gauges = {}
+    for key, record in data["gauges"].items():
+        gauge = gauges[int(key)] = SemiMetricGauge(int(key), _SealedPool())
+        for draw, value in record["draws"].items():
+            level, a, b = map(int, draw.split(":"))
+            gauge.preload((level, a, b), _parse_frac(value))
+    hubs = {int(key): HubAllocation.from_json(record) for key, record in data["hubs"].items()}
+    return _parse_int(data["seed"], "registry seed"), gauges, hubs
 
 
 def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
-    """Reconstruct a gauge from recorded draws; unknown requests error out.
-
-    Each draw key must be ``level:a:b`` in canonical decimal, the spelling
-    :meth:`ValueRegistry.snapshot` writes, so two keys never name one draw."""
-    data = snapshot.get("gauges", {}).get(str(gauge_id))
-    if data is None:
-        raise DomainError(f"gauge {gauge_id} is not in the snapshot")
-    gauge = SemiMetricGauge(gauge_id, _SealedPool())
-    for key, value in data.get("draws", {}).items():
-        level, a, b = (_canonical_int(part, "draw key part") for part in key.split(":"))
-        gauge.preload((level, a, b), _parse_frac(value))
-    return gauge
+    """Gauge ``gauge_id`` of a snapshot, as :func:`read_snapshot` reads it."""
+    return read_snapshot(snapshot)[1][gauge_id]

@@ -246,12 +246,12 @@ ZERO_DEN_OFFSET = json.dumps(_two_points(_entry("1/0")))
 ZERO_DEN_INTERVAL = json.dumps(_two_points(_entry("1/1", [["0/1", "1/0"]])))
 HALF_LADDER = json.dumps(_two_points(_entry("1/1", [["0/1", "1/1"]], k=1.5)))
 ONE_POINT = {"version": 1, "points": ["a"], "pairs": []}
-# the checker reaches sup_bound once every (here: no) row has passed
+# every part the checker decodes before sup_bound.epsilon is well-formed
 ZERO_DEN_EPSILON_CERT = json.dumps({
     "version": CERTIFICATE_VERSION,
     "metric": ONE_POINT,
     "input": ONE_POINT,
-    "registry": {},
+    "registry": {"seed": 0, "gauges": {}, "hubs": {}},
     "parameters": {"k": 0, "partition": {"blocks": [["a"]], "hubs": ["a"]}},
     "independence": [],
     "sup_bound": {"epsilon": "1/0", "achieved_lo": "0/1", "achieved_hi": "0/1"},

@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -24,7 +26,9 @@ from rigidmetrics.glue import (
 from rigidmetrics.intervals import IntervalSet, _decode_memo, _frac_str
 from rigidmetrics.metric import FiniteMetric, dumps_canonical
 from rigidmetrics.product import tau
-from rigidmetrics.registry import RESERVED_GAUGE_ID, HubAllocation, gauge_from_snapshot
+from rigidmetrics.registry import (
+    RESERVED_GAUGE_ID, HubAllocation, gauge_from_snapshot, read_snapshot,
+)
 from rigidmetrics.rigidify import subadditive_window
 from rigidmetrics.verify import _eval_halving, is_metric, is_strongly_rigid, sup_distance
 
@@ -488,10 +492,6 @@ def _swapped_metric(blob):
     blob["metric"] = swapped.to_json()
 
 
-def _deleted_parameters(blob):
-    del blob["parameters"]
-
-
 def _restate_sup(blob):
     """Claim the sup bound as the checker recomputes it."""
     _, sup = glue._certify_sup_bound(
@@ -543,7 +543,7 @@ def _zeroed_sup(blob):
 
 def _shifted_input(blob):
     first = blob["input"]["pairs"][0]
-    first["offset"] = str(Fraction(first["offset"]) + 1)
+    first["offset"] = _frac_str(Fraction(first["offset"]) + 1)
 
 
 def _renamed_input(blob):
@@ -628,7 +628,7 @@ def _repeated_draws(blob):
 @pytest.mark.parametrize(
     "forge",
     [_empty_list, _dropped_record, _duplicated_record, _swapped_rows, _swapped_metric,
-     _deleted_parameters, _equal_multisets,
+     _equal_multisets,
      _zero_padded_row, _zero_block_padded_row, _zeroed_sup, _shifted_input,
      _renamed_input, _shared_word_pair, _repeated_draws],
 )
@@ -649,7 +649,8 @@ def test_certificate_forgeries_fail(certificates, kind, forge):
      (_zero_block_padded_row, "component replay failed"),
      (_zeroed_sup, "claimed sup bound"),
      (_shifted_input, "sup bound exceeded"),
-     (_renamed_input, "different points")],
+     # the partition no longer covers the input's points
+     (_renamed_input, "component replay failed")],
 )
 def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
     blob = json.loads(certificates["spread"])
@@ -1028,9 +1029,10 @@ def test_hub_allocations_hold_only_the_replayed_fields(certificates):
 
 
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
-def test_certificate_with_the_dropped_fields_still_passes(certificates, kind):
-    # the earlier writer also put each hub's value and target and an empty
-    # "streams" into the snapshot; the checker reads none of them
+def test_certificate_with_the_dropped_fields_is_refused(certificates, kind):
+    # an earlier writer also put each hub's value and target and an empty
+    # "streams" into the snapshot; no version-4 writer did, so the registry
+    # is not spelled the way the writer spells it
     blob = json.loads(certificates[kind])
     values = {
         str(c["hub_index"]): c["value"]
@@ -1041,14 +1043,16 @@ def test_certificate_with_the_dropped_fields_still_passes(certificates, kind):
     for index, alloc in hubs.items():
         alloc.update(value=values[index], target=alloc["p"])
     blob["registry"]["streams"] = {}
-    assert verify_certificate(blob).passed
+    with pytest.raises(ValueError, match="certificate part registry is not spelled"):
+        verify_certificate(blob)
 
 
 # 1 to 3 are earlier formats: version 1 rows also held zero components and
 # a stored trace witness, version 2 restated hub indices, ladders and bases
 # and row pair labels, and version 3 wrote full matrices with p/q
 # coefficients and the exact sup enclosure; no reader for any is kept
-@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4"])
+# a version must be a JSON integer: 4.0 and "4" are not 4, nor true 1
+@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4", 4.0, True])
 def test_other_certificate_versions_are_refused(certificates, version):
     blob = json.loads(certificates["spread"])
     assert blob["version"] == CERTIFICATE_VERSION
@@ -1069,19 +1073,20 @@ def test_swapped_metric_fails_the_binding(certificates):
 
 
 def test_coverage_failure_names_the_missing_pair(certificates):
-    # row t belongs to pair t, so a dropped row leaves the last pair uncovered
+    # row t belongs to pair t, so a dropped row is the first pair whose row
+    # differs from the derived one: its own, or the last pair's
     for position in (-1, 3):
         blob = json.loads(certificates["spread"])
         _rows(blob).pop(position)
         report = verify_certificate(blob)
-        assert report.verdict == "fail" and "cover" in report.detail
-        assert report.witnesses == (_pairs(blob)[-1],)
+        assert report.verdict == "fail" and report.detail == "component replay failed"
+        assert report.witnesses == (_pairs(blob)[position],)
     # an extra row leaves no pair uncovered
     blob = json.loads(certificates["spread"])
     _duplicated_record(blob)
     report = verify_certificate(blob)
     assert report.verdict == "fail" and report.witnesses == ()
-    assert report.detail == f"{len(_rows(blob))} independence rows cover {len(_pairs(blob))} distances"
+    assert report.detail == "component replay failed"
 
 
 def test_replay_runs_tau_once_per_distinct_component(certificates, monkeypatch):
@@ -1274,6 +1279,133 @@ def test_a_metric_that_differs_off_its_pairs_fails(certificates):
         assert report.detail == "metric differs from the derived one"
 
 
+def _doubled(text):
+    """``p/q`` written ``2p/2q``: an equal rational spelled otherwise."""
+    p, q = text.split("/")
+    return f"{2 * int(p)}/{2 * int(q)}"
+
+
+def _at(blob, path):
+    return functools.reduce(operator.getitem, path, blob)
+
+
+def _set(*path, value):
+    """An edit that sets the JSON value at ``path`` to ``value(old)``."""
+    def edit(blob):
+        node = _at(blob, path[:-1])
+        node[path[-1]] = value(node[path[-1]])
+    return edit
+
+
+def _added(*path):
+    """An edit that adds a key no writer writes to the object at ``path``."""
+    return lambda blob: _at(blob, path).update(note="x")
+
+
+def _rekeyed(*path, pad):
+    """An edit that moves the least key of the object at ``path`` to another
+    spelling that ``int`` reads alike: ``pad`` before its first digits."""
+    def edit(blob):
+        table = _at(blob, path)
+        key = min(table)
+        head, colon, tail = key.rpartition(":")
+        table[head + colon + pad + tail] = table.pop(key)
+    return edit
+
+
+def _first_hub(change):
+    """An edit that applies ``change`` to the hub record of least index."""
+    def edit(blob):
+        hubs = blob["registry"]["hubs"]
+        change(hubs[min(hubs, key=int)])
+    return edit
+
+
+def _deleted_parameters(blob):
+    del blob["parameters"]
+
+
+def _floated_tag(blob):
+    comp = blob["independence"][0]["certificate"]["left"][0]
+    tag = "gauge" if comp["kind"] == "block" else "hub_index"
+    comp[tag] = float(comp[tag])
+
+
+_PADS = [("zero", "0"), ("space", " "), ("sign", "+")]
+_ROW_ZERO = ("independence", 0, "certificate", "left", 0, "value", "terms", 0)
+_REPLAY = "component replay failed"
+_SUP = "claimed sup bound differs from the recomputed one"
+# One entry per section of a certificate.  A part the checker decodes (input,
+# registry, parameters and sup_bound.epsilon) must be the writer's JSON of
+# what it decodes, and the top-level keys the writer's: anything else raises
+# ValueError, exit 3 (detail None).  A part it derives (the metric, the rows,
+# sup_bound) must be what the writer writes from the replayed parts:
+# anything else fails, exit 1, with the detail and the position of the pair
+# named, if any.  An unknown key or a respelled entry of the metric or a row:
+# test_a_respelled_metric_entry_or_row_fails_naming_its_pair.
+_MUTATIONS = [
+    pytest.param(_added(), None, None, id="top-unknown-key"),
+    pytest.param(_deleted_parameters, None, None, id="top-missing-key"),
+    pytest.param(_added("input"), None, None, id="input-unknown-key"),
+    pytest.param(_added("input", "pairs", 0), None, None, id="input-entry-unknown-key"),
+    pytest.param(_set("input", "pairs", 0, "offset", value=_doubled), None, None,
+                 id="input-respelled-offset"),
+    pytest.param(_set("input", "version", value=bool), None, None, id="input-version-true"),
+    pytest.param(_added("registry"), None, None, id="registry-unknown-key"),
+    pytest.param(_set("registry", "seed", value=lambda _: "zzz"), None, None, id="seed-letters"),
+    pytest.param(_set("registry", "seed", value=float), None, None, id="seed-float"),
+    pytest.param(_added("registry", "gauges", "1"), None, None, id="gauge-unknown-key"),
+    pytest.param(_set("registry", "gauges", "0", "draws", "0:0:1", value=_doubled), None, None,
+                 id="gauge-respelled-draw"),
+    *(pytest.param(_rekeyed("registry", "gauges", pad=pad), None, None, id=f"gauge-key-{name}")
+      for name, pad in _PADS),
+    *(pytest.param(_rekeyed("registry", "gauges", "0", "draws", pad=pad), None, None,
+                   id=f"draw-key-{name}") for name, pad in _PADS),
+    # a version-3 writer's hub value
+    pytest.param(_first_hub(lambda hub: hub.update(value={"offset": hub["p"], "terms": []})),
+                 None, None, id="hub-unknown-key"),
+    pytest.param(_first_hub(lambda hub: hub.update(p=_doubled(hub["p"]))), None, None,
+                 id="hub-respelled-p"),
+    pytest.param(_first_hub(lambda hub: hub.update(words=[[str(x) for x in w]
+                                                          for w in hub["words"]])),
+                 None, None, id="hub-string-letters"),
+    *(pytest.param(_rekeyed("registry", "hubs", pad=pad), None, None, id=f"hub-key-{name}")
+      for name, pad in _PADS),
+    pytest.param(_added("parameters"), None, None, id="parameters-unknown-key"),
+    pytest.param(_set("parameters", "k", value=float), None, None, id="parameters-k-float"),
+    pytest.param(_added("parameters", "partition"), None, None, id="partition-unknown-key"),
+    pytest.param(_added("sup_bound"), _SUP, None, id="sup-unknown-key"),
+    pytest.param(_set("sup_bound", "epsilon", value=_doubled), None, None,
+                 id="sup-respelled-epsilon"),
+    pytest.param(_set("sup_bound", "achieved_hi", value=_doubled), _SUP, None,
+                 id="sup-respelled-achieved-hi"),
+    pytest.param(_set("metric", "version", value=bool), "metric differs from the derived one",
+                 None, id="metric-version-true"),
+    pytest.param(_set("metric", "pairs", 0, "terms", 0, "k", value=float),
+                 "components do not sum to the metric entry", 0, id="metric-k-float"),
+    pytest.param(_set(*_ROW_ZERO, "intervals", 0, 0, value=_doubled), _REPLAY, 0,
+                 id="row-respelled-end"),
+    pytest.param(_floated_tag, _REPLAY, 0, id="row-tag-float"),
+    pytest.param(_set(*_ROW_ZERO, "k", value=float), _REPLAY, 0, id="row-k-float"),
+]
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+@pytest.mark.parametrize("edit, detail, pair", _MUTATIONS)
+def test_a_certificate_written_otherwise_is_refused(certificates, kind, edit, detail, pair):
+    blob = json.loads(certificates[kind])
+    edit(blob)
+    if detail is None:
+        with pytest.raises(ValueError) as raised:
+            verify_certificate(blob)
+        # a DomainError would be exit 4
+        assert not isinstance(raised.value, DomainError)
+    else:
+        report = verify_certificate(blob)
+        named = () if pair is None else (_pairs(blob)[pair],)
+        assert (report.verdict, report.detail, report.witnesses) == ("fail", detail, named)
+
+
 @pytest.mark.parametrize("kind", ["spread", "clustered", "single-block"])
 def test_the_replayed_parts_derive_the_written_metric_and_rows(kind):
     d = {"spread": lambda: rational_metric(random.Random(3), 5),
@@ -1281,11 +1413,9 @@ def test_the_replayed_parts_derive_the_written_metric_and_rows(kind):
          "single-block": _single_block_metric}[kind]()
     out, cert = rigidify_full(d, Fraction(1, 2))
     written = cert.to_json(out)
-    snapshot = written["registry"]
-    gauges = {int(g): gauge_from_snapshot(int(g), snapshot) for g in snapshot["gauges"]}
-    hubs = {int(i): HubAllocation.from_json(a) for i, a in snapshot["hubs"].items()}
-    parts = glue._replayed_construction(written["parameters"]["partition"], d.points,
-                                        cert.k, cert.epsilon, gauges, hubs)
+    _, gauges, hubs = read_snapshot(written["registry"])
+    parts = glue._replayed_construction(Partition.from_json(written["parameters"]["partition"]),
+                                        d.points, cert.k, cert.epsilon, gauges, hubs)
     assert parts.glued(d.points).to_json() == written["metric"]
     rows = [glue._row_json(parts.components(*pair)) for pair in _pairs(written)]
     assert rows == written["independence"]
