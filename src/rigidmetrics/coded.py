@@ -21,8 +21,9 @@ ladder.  A ladder that one summand alone touches keeps its terms times its
 sign; only ladders that two or more summands touch are swept, once each.
 A canonical value times a rational (:meth:`CodedReal.__mul__`) at most
 re-sorts its terms.  This rests on one invariant: every ``CodedReal`` the
-package makes comes out of :meth:`CodedReal.build`, ``__mul__`` or
-:func:`_signed_sum`, so every summand is canonical already.
+package makes comes out of :meth:`CodedReal.build` (or :func:`coded_sum`,
+its one-part case), ``__mul__`` or :func:`_signed_sum`, so every summand is
+canonical already.
 
 The form is unique per ladder ``k`` only: since
 ``<gamma_k, B> = 2^-k <gamma_0, B>``, terms on different ladders can cancel
@@ -223,12 +224,10 @@ class CodedReal:
         ``parts``: a zero coefficient or an empty set is dropped, and each
         other part is its own summand of :func:`_merge_ladders`."""
         touched: dict[int, list[tuple[int, list[Term]]]] = {}
-        for coeff, k, sett in parts:
-            coeff = _as_fraction(coeff)
-            if k < 0:
-                raise ValueError("schedule offset must be nonnegative")
-            if coeff != 0 and not sett.is_empty:
-                touched.setdefault(k, []).append((1, [Term(coeff, k, sett)]))
+        for part in parts:
+            term = _one_term(*part)
+            if term is not None:
+                touched.setdefault(term.k, []).append((1, [term]))
         return CodedReal(_as_fraction(offset), _merge_ladders(touched))
 
     @property
@@ -499,9 +498,20 @@ def _difference(x: CodedReal, *ys: CodedReal) -> CodedReal:
     return _signed_sum([(1, x), *((-1, y) for y in ys)])
 
 
+def _one_term(coeff: Fraction | int, k: int, index_set: IntervalSet) -> Term | None:
+    """``coeff * <gamma_k, index_set>`` as one canonical term, or None when it
+    is zero (a zero coefficient or an empty set)."""
+    coeff = _as_fraction(coeff)
+    if k < 0:
+        raise ValueError("schedule offset must be nonnegative")
+    return Term(coeff, k, index_set) if coeff and not index_set.is_empty else None
+
+
 def coded_sum(k: int, index_set: IntervalSet, coeff: Fraction | int = 1) -> CodedReal:
-    """The number ``coeff * <gamma_k, index_set>``."""
-    return CodedReal.build(0, [(Fraction(coeff), k, index_set)])
+    """The number ``coeff * <gamma_k, index_set>``: the one-part case of
+    :meth:`CodedReal.build`, whose canonical form is its one term."""
+    term = _one_term(coeff, k, index_set)
+    return CodedReal(terms=(term,)) if term is not None else CodedReal()
 
 
 # ---------------------------------------------------------------------------

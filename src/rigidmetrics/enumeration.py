@@ -166,6 +166,13 @@ def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
     p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     if p < 0 or not p * s < r * q:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+    return Fraction(*_simplest_pair(p, q, r, s))
+
+
+def _simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """:func:`simplest_in_open` of ``(p/q, r/s)`` as a ``(numerator,
+    denominator)`` pair in lowest terms, for ``0 <= p/q < r/s`` and
+    ``q, s > 0``, which the caller has checked."""
     h1, h0, k1, k0 = 1, 0, 0, 1
     while True:
         w = p // q
@@ -180,4 +187,4 @@ def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
             break
         h1, h0, k1, k0 = h1 * w + h0, h1, k1 * w + k0, k1
         p, q, r, s = s, r, q, p
-    return Fraction(h1 * x_num + h0 * x_den, k1 * x_num + k0 * x_den)
+    return h1 * x_num + h0 * x_den, k1 * x_num + k0 * x_den

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coded import (
     DEFAULT_MAX_PRECISION,
@@ -594,7 +594,9 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     ``parameters``, ``sup_bound.epsilon``) is the writer's JSON of it.  Then:
     the registry invariants, the replay, the rows and the metric as written
     from the replayed parts (the first that differs names its pair), the
-    row pass, the sup bound as written from ``input``, and strong rigidity."""
+    row pass, the sup bound as written from ``input``, and strong rigidity.
+    Point labels in the partition, the rows and the metric must have the
+    input's types as well as its values (:func:`_typed`)."""
     def fail(witnesses: tuple, detail: str) -> Report:
         return Report("fail", witnesses, detail, max_precision)
 
@@ -632,13 +634,15 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
 
     rows = [(pair, parts.components(*pair)) for pair in pairs]
     written = [_row_json(comps, spell) for _, comps in rows]
-    differing = _misstated(pairs, data["independence"], written, _row_typed)
+    labels = set(_typed(source.points))
+    differing = _misstated(pairs, data["independence"], written,
+                           lambda row: _row_typed(row, labels))
     if differing is not None:
         return fail(differing, "component replay failed")
     metric = parts.glued(source.points)
     written = metric.to_json(spell)
     stated = data["metric"] if isinstance(data["metric"], dict) else {}
-    if stated.get("points") != written["points"]:
+    if stated.get("points") != written["points"] or not labels.issuperset(_typed(stated["points"])):
         return fail((), "input and metric have different points")
     differing = _misstated(pairs, stated.get("pairs"), written["pairs"], _value_typed)
     if differing:
@@ -682,10 +686,18 @@ def _value_typed(value: dict) -> bool:
     return all(type(term["k"]) is int for term in value["terms"])
 
 
-def _row_typed(row: dict) -> bool:
-    """Whether each gauge, hub index and ladder of a row's JSON is an ``int``."""
+def _row_typed(row: dict, labels: set[tuple[type, object]]) -> bool:
+    """Whether each gauge, hub index and ladder of a row's JSON is an ``int``
+    and each label of its details is in ``labels``, by :func:`_typed`."""
     return all(type(c["gauge" if c["kind"] == "block" else "hub_index"]) is int
-               and _value_typed(c["value"]) for c in row["certificate"]["left"])
+               and _value_typed(c["value"]) and labels.issuperset(_typed(c["detail"]))
+               for c in row["certificate"]["left"])
+
+
+def _typed(labels: Iterable[object]) -> list[tuple[type, object]]:
+    """Each point label with its type: ``==`` takes ``1.0`` or ``true`` for
+    the label ``1``, and a certificate must spell each label as its input does."""
+    return [(type(x), x) for x in labels]
 
 
 def _registry_problem(
@@ -716,7 +728,8 @@ def _replayed_construction(
     records, in ascending index, are placed by :func:`_placed_hubs`, each
     value replayed from its basis on gauge 0."""
     # the partition's labels and the points are distinct
-    if set(partition.labels()) != set(points):
+    labels = set(_typed(points))
+    if set(_typed(partition.labels())) != labels or not labels.issuperset(_typed(partition.hubs)):
         raise DomainError("the partition does not cover exactly the input's points")
     eta, ladder = _scales(epsilon)
     block_ids = sorted(g for g in gauges if g != RESERVED_GAUGE_ID)

@@ -13,6 +13,13 @@ where the prism interleaves a word with injective codes of all its prefixes.
 Forcing whole prefixes into single coordinates is what upgrades sigma to a
 strongly rigid metric: distinct pairs disagree at some prefix level, hence
 their index sets differ, hence their values differ.
+
+Every value the construction writes goes through ``tau``, so the kernel does
+no work twice: :func:`prism` validates its word once and folds each prefix
+code from the one before it, and :func:`sigma`'s blocks ``[m, r_m)`` are in
+normal form already, since ``r_m`` lies in ``(m, m+1)``, so
+``IntervalSet.from_blocks`` only validates them and ``coded_sum`` makes one
+term without a sweep.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ Word = tuple[int, ...]
 
 
 def as_word(letters: Sequence[int]) -> Word:
-    word = tuple(int(x) for x in letters)
+    word = tuple(map(int, letters))
     if not word:
         raise DomainError("words are nonempty")
-    if any(x < 0 for x in word):
+    if min(word) < 0:
         raise DomainError("letters are nonnegative integers")
     return word
 
@@ -59,18 +66,19 @@ def prism(word: Sequence[int]) -> Word:
     """Interleave a word with the codes of all its prefixes.
 
     Output slot ``2n`` carries letter ``n``; slot ``2n + 1`` carries the code
-    of the prefix through position ``n``.
+    of the prefix through position ``n``, :func:`pair_encode` of that prefix,
+    folded from the code before it with one Cantor pairing.  The word is
+    validated once.
     """
     word = as_word(word)
-    out: list[int] = []
-    for n in range(len(word)):
-        out.append(word[n])
-        out.append(pair_encode(n, word[: n + 1]))
+    out = [word[0], word[0]]
+    for letter in word[1:]:
+        out += (letter, cantor_pair(out[-1], letter))
     return tuple(out)
 
 
 class DrawPool(Protocol):
-    def draw_value(self, lo: Fraction, hi: Fraction, salt: int = 0) -> Fraction: ...
+    def draw_value(self, lo: Fraction | int, hi: Fraction | int, salt: int = 0) -> Fraction: ...
 
 
 class SemiMetricGauge:
@@ -91,12 +99,13 @@ class SemiMetricGauge:
             raise DomainError("levels and letters are nonnegative")
         if a == b:
             return Fraction(0)
-        key = (level, min(a, b), max(a, b))
-        if key not in self._memo:
-            self._memo[key] = self._pool.draw_value(
-                Fraction(level), Fraction(level + 1), salt=self.gauge_id + level
+        key = (level, a, b) if a < b else (level, b, a)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._pool.draw_value(
+                level, level + 1, salt=self.gauge_id + level
             )
-        return self._memo[key]
+        return value
 
     def drawn(self) -> dict[tuple[int, int, int], Fraction]:
         return dict(self._memo)
@@ -122,10 +131,7 @@ def sigma(gauge: SemiMetricGauge, k: int, x: Sequence[int], y: Sequence[int]) ->
     x, y = as_word(x), as_word(y)
     if len(x) != len(y):
         raise DomainError("words must have equal length")
-    blocks = []
-    for m, (a, b) in enumerate(zip(x, y)):
-        if a != b:
-            blocks.append((Fraction(m), gauge.value(m, a, b)))
+    blocks = [(Fraction(m), gauge.value(m, a, b)) for m, (a, b) in enumerate(zip(x, y)) if a != b]
     if not blocks:
         return CodedReal()
     return coded_sum(k, IntervalSet.from_blocks(blocks))

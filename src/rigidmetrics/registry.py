@@ -16,7 +16,10 @@ The registry is the single mutable component of the package.  It owns
   window's ends and the number of draws from it, not with ``i``.
 
 Pool and hub ``p`` draws share one loop, :meth:`ValueRegistry._fresh`, each
-kind checked against its own set of used values.
+kind checked against its own set of used values.  The enumerators are keyed by
+their windows' ends, and the used sets hold values, as integer ``(numerator,
+denominator)`` pairs, so a draw hashes no ``Fraction`` and builds one, for the
+value it returns.
 
 A snapshot of the gauges' draws and the hub allocations, written by
 :func:`snapshot_json` and read by :func:`read_snapshot`, serializes with every
@@ -30,8 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coded import CodedReal, _parse_int, as_coded
-from .enumeration import simplest_in_open
+from .coded import CodedReal, _parse_int
+from .enumeration import _simplest_pair
 from .errors import DomainError
 from .intervals import _frac_str, _parse_frac
 from .product import SemiMetricGauge, Word, tau
@@ -40,7 +43,8 @@ RESERVED_GAUGE_ID = 0
 
 
 class _IntervalEnumerator:
-    """All rationals of an open interval, shallowest first.
+    """All rationals of an open interval, shallowest first, each as its
+    ``(numerator, denominator)`` pair.
 
     Splitting at the simplest inner rational and walking breadth-first keeps
     the heights of consecutive draws small (the n-th value sits at roughly
@@ -48,14 +52,14 @@ class _IntervalEnumerator:
     for downstream support scans.
     """
 
-    def __init__(self, lo: Fraction, hi: Fraction, seed: int):
-        self._queue: deque[tuple[Fraction, Fraction]] = deque([(lo, hi)])
+    def __init__(self, lo: tuple[int, int], hi: tuple[int, int], seed: int):
+        self._queue: deque[tuple[tuple[int, int], tuple[int, int]]] = deque([(lo, hi)])
         self._seed = seed
         self._step = 0
 
-    def next_value(self) -> Fraction:
+    def next_value(self) -> tuple[int, int]:
         lo, hi = self._queue.popleft()
-        mid = simplest_in_open(lo, hi)
+        mid = _simplest_pair(*lo, *hi)
         if (self._seed >> (self._step % 16)) & 1:
             self._queue.append((mid, hi))
             self._queue.append((lo, mid))
@@ -80,7 +84,10 @@ class HubAllocation:
     words: tuple[Word, Word]
 
     def value(self, basis: CodedReal) -> CodedReal:
-        return as_coded(self.p) + basis * self.q
+        """``p + q * basis`` in canonical form, in one step: ``basis * q`` is
+        canonical, and adding the rational ``p`` moves only its offset."""
+        scaled = basis * self.q
+        return CodedReal(self.p + scaled.offset, scaled.terms)
 
     def to_json(self) -> dict:
         return {
@@ -104,9 +111,10 @@ class ValueRegistry:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._used: set[Fraction] = set()
-        self._p_used: set[Fraction] = set()
-        self._enumerators: dict[tuple[Fraction, Fraction, int], _IntervalEnumerator] = {}
+        self._used: set[tuple[int, int]] = set()
+        self._p_used: set[tuple[int, int]] = set()
+        self._enumerators: dict[tuple[tuple[int, int], tuple[int, int], int],
+                                _IntervalEnumerator] = {}
         self._gauges: dict[int, SemiMetricGauge] = {}
         self._next_gauge_id = RESERVED_GAUGE_ID + 1
         self._hubs: dict[int, HubAllocation] = {}
@@ -116,16 +124,20 @@ class ValueRegistry:
 
     # -- dense draws ------------------------------------------------------
 
-    def draw_value(self, lo: Fraction, hi: Fraction, salt: int = 0) -> Fraction:
+    def draw_value(self, lo: Fraction | int, hi: Fraction | int, salt: int = 0) -> Fraction:
         """A fresh rational strictly inside ``(lo, hi)``, never repeated."""
         lo, hi = Fraction(lo), Fraction(hi)
         if not 0 <= lo < hi:
             raise DomainError(f"cannot draw from ({lo}, {hi})")
-        return self._fresh((lo, hi, salt & 1), self.seed ^ salt, self._used)
+        return self._fresh(lo, hi, salt & 1, self.seed ^ salt, self._used)
 
-    def _fresh(self, key: tuple[Fraction, Fraction, int], seed: int, used: set) -> Fraction:
-        """The next value of the enumerator of ``key = (lo, hi, tag)``, made
-        with ``seed`` on first use, that is not in ``used``; it joins ``used``."""
+    def _fresh(self, lo: Fraction, hi: Fraction, tag: int, seed: int,
+               used: set[tuple[int, int]]) -> Fraction:
+        """The next value of the enumerator of ``(lo, hi)`` and ``tag``, made
+        with ``seed`` on first use, that is not in ``used``; it joins ``used``.
+        Enumerators are keyed, and values compared, by integer ``(numerator,
+        denominator)`` pairs; one ``Fraction`` is built, for the result."""
+        key = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator), tag
         enum = self._enumerators.get(key)
         if enum is None:
             enum = self._enumerators[key] = _IntervalEnumerator(key[0], key[1], seed)
@@ -133,7 +145,7 @@ class ValueRegistry:
             candidate = enum.next_value()
             if candidate not in used:
                 used.add(candidate)
-                return candidate
+                return Fraction(*candidate)
 
     # -- gauges -----------------------------------------------------------
 
@@ -159,7 +171,8 @@ class ValueRegistry:
         words = ((2 * c,), (2 * c + 1,))
         basis = tau(self._reserved, k, words[0], words[1])
         s_hi = basis.eval(4).hi
-        q = _dyadic_power_floor(Fraction(1, 1 << i) / s_hi)
+        # q * s_hi <= 2^-i, that is q <= den / (num * 2^i) for s_hi = num / den
+        q = _dyadic_power_floor(Fraction(s_hi.denominator, s_hi.numerator << i))
         alloc = self._hubs[i] = HubAllocation(p, q, words)
         return alloc.value(basis)
 
@@ -167,7 +180,7 @@ class ValueRegistry:
         return self._hubs[i]
 
     def _draw_p(self, lo: Fraction, hi: Fraction) -> Fraction:
-        return self._fresh((lo, hi, 2), self.seed, self._p_used)
+        return self._fresh(lo, hi, 2, self.seed, self._p_used)
 
     # -- persistence ------------------------------------------------------
 
@@ -195,15 +208,14 @@ def snapshot_json(seed: int, gauges: dict[int, SemiMetricGauge],
 
 def _dyadic_power_floor(x: Fraction) -> Fraction:
     """Largest power of two (positive exponent allowed) not exceeding x > 0."""
-    if x <= 0:
+    n, d = x.numerator, x.denominator
+    if n <= 0:
         raise DomainError("expected a positive bound")
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    p = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-    if p > x:
-        p /= 2
-    elif 2 * p <= x:
-        p *= 2
-    return p
+    # n / d lies in (2^(e-1), 2^(e+1)), so the power is 2^e unless 2^e > x
+    e = n.bit_length() - d.bit_length()
+    if (d << e if e > 0 else d) > (n << -e if e < 0 else n):
+        e -= 1
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 class _SealedPool:

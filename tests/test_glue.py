@@ -1064,6 +1064,64 @@ def test_other_certificate_versions_are_refused(certificates, version):
         verify_certificate(blob)
 
 
+@pytest.fixture(scope="module")
+def integer_labelled():
+    """Certificate text of a spread and a clustered input labelled 1, 2, ..."""
+    rng = random.Random(5)
+    out = {}
+    for name, d in (("spread", rational_metric(rng, 3)), ("clustered", clustered_metric(rng, 2, 2))):
+        d = FiniteMetric(tuple(range(1, d.size + 1)), d.matrix)
+        glued, cert = rigidify_full(d, Fraction(1, 2))
+        out[name] = json.dumps(cert.to_json(glued))
+    return out
+
+
+def _float_partition(blob):
+    partition = blob["parameters"]["partition"]
+    partition["blocks"] = [[float(x) for x in block] for block in partition["blocks"]]
+    partition["hubs"] = [float(x) for x in partition["hubs"]]
+
+
+def _float_labels(blob):
+    # every label as a float in the partition, and all but the last in the metric
+    _float_partition(blob)
+    points = blob["metric"]["points"]
+    points[:-1] = [float(x) for x in points[:-1]]
+
+
+def _float_hub(blob):
+    hubs = blob["parameters"]["partition"]["hubs"]
+    hubs[0] = float(hubs[0])
+
+
+def _true_point(blob):
+    points = blob["metric"]["points"]
+    points[points.index(1)] = True
+
+
+def _float_details(blob):
+    for c in _rows(blob)[0]["certificate"]["left"]:
+        c["detail"] = [float(x) for x in c["detail"]]
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+@pytest.mark.parametrize(
+    "forge, detail",
+    [(_float_labels, "component replay failed"),
+     (_float_partition, "component replay failed"),
+     (_float_hub, "component replay failed"),
+     (_true_point, "input and metric have different points"),
+     (_float_details, "component replay failed")],
+)
+def test_a_label_respelled_as_another_type_fails(integer_labelled, kind, forge, detail):
+    # 1.0 == 1 and true == 1 in JSON's Python reading, so labels compare by type too
+    blob = json.loads(integer_labelled[kind])
+    assert verify_certificate(blob).passed
+    forge(blob)
+    report = verify_certificate(blob)
+    assert report.verdict == "fail" and report.detail == detail
+
+
 def test_swapped_metric_fails_the_binding(certificates):
     blob = json.loads(certificates["clustered"])
     _swapped_metric(blob)

@@ -2,11 +2,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rigidmetrics.coded import EQUAL, GREATER, LESS, compare, equals, gamma_compare
+from rigidmetrics.coded import (
+    EQUAL, GREATER, LESS, CodedReal, coded_sum, compare, equals, gamma_compare,
+)
 from rigidmetrics.enumeration import first_hit_index
 from rigidmetrics.errors import DomainError
+from rigidmetrics.intervals import IntervalSet
 from rigidmetrics.product import (
+    SemiMetricGauge,
     find_separating_prefix,
     pair_encode,
     prism,
@@ -14,7 +19,7 @@ from rigidmetrics.product import (
     sigma,
     tau,
 )
-from rigidmetrics.registry import ValueRegistry
+from rigidmetrics.registry import ValueRegistry, _SealedPool
 
 
 @pytest.fixture
@@ -177,6 +182,51 @@ def test_tau_metric_axioms_small_spaces():
         assert is_metric(metric).passed
         assert is_strict_triangle(metric).passed
         assert is_strongly_rigid(metric).passed
+
+
+def _reference_tau(gauge, k, x, y):
+    """tau by its definition: each prism slot ``2n + 1`` is pair_encode of the
+    prefix through ``n``, and the value is coded_sum over the level blocks."""
+    px, py = ([v for n in range(len(w)) for v in (w[n], pair_encode(n, w[: n + 1]))]
+              for w in (x, y))
+    blocks = [(m, gauge.value(m, a, b)) for m, (a, b) in enumerate(zip(px, py)) if a != b]
+    return coded_sum(k, IntervalSet.from_blocks(blocks)) if blocks else CodedReal()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 7),
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=2, max_size=5)
+    ),
+)
+def test_tau_matches_its_definition(k, seed, words):
+    gauge = ValueRegistry(seed).fresh_gauge()
+    reference = ValueRegistry(seed).fresh_gauge()
+    for x, y in itertools.combinations(words, 2):
+        value = tau(gauge, k, x, y)
+        assert value == _reference_tau(reference, k, x, y)
+        assert gauge.drawn() == reference.drawn()
+        if x != y:
+            with pytest.raises(ValueError):
+                tau(gauge, -1, x, y)
+    x = words[0]
+    assert tau(gauge, k, x, x).is_zero_form()
+    with pytest.raises(DomainError):
+        tau(gauge, k, x, x + (0,))
+
+
+def test_tau_replays_draws_outside_their_level_by_definition():
+    # a replayed gauge value need not lie in (m, m + 1): such blocks overlap
+    # or are empty, and go through IntervalSet.from_blocks like any other
+    for draws in ({(0, 0, 1): Fraction(3, 2), (1, 0, 1): Fraction(5, 4)},
+                  {(0, 0, 1): Fraction(0), (1, 0, 1): Fraction(1)}):
+        gauge = SemiMetricGauge(1, _SealedPool())
+        for key, value in draws.items():
+            gauge.preload(key, value)
+        assert tau(gauge, 2, (0,), (1,)) == _reference_tau(gauge, 2, (0,), (1,))
+    assert tau(gauge, 2, (0,), (1,)).is_zero_form()
 
 
 def test_find_separating_prefix_examples():

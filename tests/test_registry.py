@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -86,13 +87,42 @@ def test_hub_values_distinct_for_same_window():
     registry = ValueRegistry(0)
     window = (Fraction(1), Fraction(9, 8))
     v1 = registry.hub_value(3, 10, *window)
+    enumerators = len(registry._enumerators)
     v2 = registry.hub_value(3, 11, *window)
     assert v1 != v2
     assert equals(v1, v2) is False
     # one enumerator per window: the second p is its next value, not a repeat
     p1, p2 = registry.hub_allocation(10).p, registry.hub_allocation(11).p
     assert p1 != p2 and all(window[0] < p < window[1] for p in (p1, p2))
-    assert [key for key in registry._enumerators if key[2] == 2] == [(*window, 2)]
+    assert len(registry._enumerators) == enumerators
+    registry.hub_value(3, 12, Fraction(9, 8), Fraction(5, 4))
+    assert len(registry._enumerators) == enumerators + 1
+
+
+def _draw_digest(seed):
+    """SHA-256 of 200 pool draws over three windows and four salts, then the
+    records (p, q and words) of 300 hub values over mixed windows."""
+    registry = ValueRegistry(seed)
+    windows = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
+               (Fraction(5, 4), Fraction(7, 3))]
+    lines = []
+    for t in range(200):
+        value = registry.draw_value(*windows[t % 3], salt=t % 4)
+        lines.append(f"{value.numerator}/{value.denominator}")
+    for i in range(300):
+        lo = Fraction(i % 5, 1 + i % 3)
+        registry.hub_value(i % 4, i, lo, lo + Fraction(1, 2 + i % 7))
+        lines.append(json.dumps(registry.hub_allocation(i).to_json(), sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "56eb6f6f7312eb9dfe32f6007d335d99c1a413935221563b468fd1d99b103d9c"),
+    (11, "9f05efbc1496a09685a643806f5f8f4fb6ea997625801f72704600a30d9f8b39"),
+])
+def test_registry_draws_do_not_move(seed, digest):
+    # every value and its draw order are part of the certificate bytes
+    assert _draw_digest(seed) == digest
 
 
 def test_hub_index_reuse_rejected():
