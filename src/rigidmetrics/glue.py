@@ -20,9 +20,12 @@ in pair order, of its nonzero tagged summands
 (:meth:`_Construction.components`).  One row pass
 (:func:`_row_failure`) shows the per-sum hypotheses, an independent-of-1
 trace witness per row, found and not stored, and pairwise different
-component multisets.  ``verify_certificate`` writes a certificate again: what
-it decodes and what it derives with the builder's functions must be the
-writer's JSON, and it runs the same row pass.
+component multisets.  The certificate states no ladder and no partition.
+``verify_certificate`` writes a certificate again: it takes the input,
+``epsilon`` and the registry as stated and derives everything else with the
+builder's functions (:func:`_scales`, :func:`partition_by_diameter`, the
+replay); what it decodes and what it derives must be the writer's JSON, and
+it runs the same row pass.
 
 The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
 ``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
@@ -41,12 +44,10 @@ from typing import Callable, Iterable, Sequence
 from .coded import (
     DEFAULT_MAX_PRECISION,
     CodedReal,
-    EQUAL,
     Enclosure,
     GREATER,
     LESS,
     UNRESOLVED,
-    _parse_int,
     _signed_sum,
     as_coded,
     compare,
@@ -72,9 +73,9 @@ from .registry import (
 from .rigidify import snap_to_grid, subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
-CERTIFICATE_VERSION = 4
-_CERTIFICATE_KEYS = {"version", "input", "metric", "registry", "independence", "sup_bound",
-                     "parameters"}  # the top-level keys RigidifyCertificate.to_json writes
+CERTIFICATE_VERSION = 5
+# the top-level keys RigidifyCertificate.to_json writes
+_CERTIFICATE_KEYS = {"version", "input", "metric", "registry", "independence", "sup_bound"}
 # the significant bits of each end of the stated sup enclosure
 _SUP_BITS = 64
 
@@ -105,9 +106,6 @@ class Partition:
                 return idx
         raise DomainError(f"{label} is not covered")
 
-    def to_json(self) -> dict:
-        return {"blocks": [list(b) for b in self.blocks], "hubs": list(self.hubs)}
-
     @staticmethod
     def from_json(data: dict) -> "Partition":
         return Partition(
@@ -115,36 +113,27 @@ class Partition:
         )
 
 
-def partition_by_diameter(
-    d: FiniteMetric, bound: Fraction, max_precision: int = DEFAULT_MAX_PRECISION
-) -> Partition:
+def partition_by_diameter(d: FiniteMetric, bound: Fraction) -> Partition:
     """Greedy cover by blocks of diameter at most ``bound``; seeds become hubs.
 
     Each unassigned point seeds a block and absorbs all unassigned points
-    within ``bound / 2`` of it.
+    within ``bound / 2`` of it.  The distances must be rational, else
+    ``DomainError``: the pipeline takes rational input only.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise DomainError("diameter bound must be positive")
+    if not d.is_rational_valued():
+        raise DomainError("the pipeline expects a rational input metric")
     half = bound / 2
     unassigned = list(range(d.size))
     blocks: list[tuple[str, ...]] = []
     hubs: list[str] = []
     while unassigned:
-        seed = unassigned.pop(0)
-        members = [seed]
-        rest = []
-        for j in unassigned:
-            order = compare(d.at(seed, j), half, max_precision)
-            if order == UNRESOLVED:
-                raise UnresolvedComparison(
-                    f"cannot place {d.points[j]} within the diameter bound"
-                )
-            if order in (LESS, EQUAL):
-                members.append(j)
-            else:
-                rest.append(j)
-        unassigned = rest
+        seed, *others = unassigned
+        row = d.matrix[seed]
+        members = [seed, *(j for j in others if row[j].offset <= half)]
+        unassigned = [j for j in others if row[j].offset > half]
         blocks.append(tuple(d.points[i] for i in members))
         hubs.append(d.points[seed])
     return Partition(tuple(blocks), tuple(hubs))
@@ -274,16 +263,11 @@ class RigidifyCertificate:
             "registry": self.registry_snapshot,
             "independence": list(self.independence),
             "sup_bound": _sup_bound_json(self.epsilon, self.sup_lo, self.sup_hi),
-            "parameters": _parameters_json(self.k, self.partition),
         }
 
 
 def _sup_bound_json(epsilon: Fraction, lo: Fraction, hi: Fraction) -> dict:
     return dict(epsilon=_frac_str(epsilon), achieved_lo=_frac_str(lo), achieved_hi=_frac_str(hi))
-
-
-def _parameters_json(k: int, partition: Partition) -> dict:
-    return {"k": k, "partition": partition.to_json()}
 
 
 def rigidify_full(
@@ -301,11 +285,9 @@ def rigidify_full(
     eta, k = _scales(epsilon)
     if d.size < 2:
         raise DomainError("need at least two points")
-    if not d.is_rational_valued():
-        raise DomainError("the pipeline expects a rational input metric")
 
     registry = ValueRegistry(seed)
-    partition = partition_by_diameter(d, eta, max_precision)
+    partition = partition_by_diameter(d, eta)
     gauges = [registry.fresh_gauge() for _ in partition.blocks]
     block_metrics = _block_metrics(partition, gauges, k)
     hub_metric, hub_index = _hub_metric(d, partition, eta, k, registry)
@@ -589,14 +571,16 @@ def _trace_witness_for(components: Sequence[SumComponent]) -> int | None:
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate by writing it again.
 
-    ``ValueError`` unless it is format 4 with the writer's top-level keys and
+    ``ValueError`` unless it is format 5 with the writer's top-level keys and
     each part it decodes in one decode scope (``input``, ``registry``,
-    ``parameters``, ``sup_bound.epsilon``) is the writer's JSON of it.  Then:
-    the registry invariants, the replay, the rows and the metric as written
-    from the replayed parts (the first that differs names its pair), the
-    row pass, the sup bound as written from ``input``, and strong rigidity.
-    Point labels in the partition, the rows and the metric must have the
-    input's types as well as its values (:func:`_typed`)."""
+    ``sup_bound.epsilon``) is the writer's JSON of it.  Those three are all
+    it takes as stated: the ladder and the partition are derived from
+    ``epsilon`` and ``input`` by the builder's own rules.  Then: the registry
+    invariants, the replay, the rows and the metric as written from the
+    replayed parts (the first that differs names its pair), the row pass,
+    the sup bound as written from ``input``, and strong rigidity.  Point
+    labels in the rows and the metric must have the input's types as well
+    as its values (:func:`_typed`)."""
     def fail(witnesses: tuple, detail: str) -> Report:
         return Report("fail", witnesses, detail, max_precision)
 
@@ -611,17 +595,11 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
     _written_as(data["input"], source.to_json(), "input")
     _written_as(data["registry"], snapshot_json(seed, gauges, hubs), "registry")
     _written_as(data["sup_bound"]["epsilon"], _frac_str(epsilon), "sup_bound.epsilon")
-    k = _parse_int(data["parameters"]["k"], "parameters.k")
-    try:
-        partition = Partition.from_json(data["parameters"]["partition"])
-    except DomainError:
-        return fail((), "component replay failed")
-    _written_as(data["parameters"], _parameters_json(k, partition), "parameters")
     problem = _registry_problem(gauges, hubs)
     if problem is not None:
         return fail((), f"registry invariant failed: {problem}")
     try:
-        parts = _replayed_construction(partition, source.points, k, epsilon, gauges, hubs)
+        parts = _replayed_construction(source, epsilon, gauges, hubs)
     except DomainError:
         return fail((), "component replay failed")
     pairs = [(source.points[i], source.points[j]) for i, j in source.pairs()]
@@ -719,22 +697,19 @@ def _registry_problem(
 
 
 def _replayed_construction(
-    partition: Partition, points: Sequence[str], k: int, epsilon: Fraction,
+    source: FiniteMetric, epsilon: Fraction,
     gauges: dict[int, SemiMetricGauge], hubs: dict[int, HubAllocation],
 ) -> _Construction:
-    """The parts by the builder's rules, or ``DomainError``: the partition
-    covers the points exactly, ``k`` is the ladder of ``epsilon``, block ``b``
-    takes the ``b``-th gauge other than 0 in ascending id, and the hub
-    records, in ascending index, are placed by :func:`_placed_hubs`, each
-    value replayed from its basis on gauge 0."""
-    # the partition's labels and the points are distinct
-    labels = set(_typed(points))
-    if set(_typed(partition.labels())) != labels or not labels.issuperset(_typed(partition.hubs)):
-        raise DomainError("the partition does not cover exactly the input's points")
-    eta, ladder = _scales(epsilon)
+    """The parts by the builder's rules, or ``DomainError``: the ladder and
+    the partition of ``epsilon`` and ``source`` as :func:`rigidify_full`
+    makes them, block ``b`` takes the ``b``-th gauge other than 0 in
+    ascending id, and the hub records, in ascending index, are placed by
+    :func:`_placed_hubs`, each value replayed from its basis on gauge 0."""
+    eta, k = _scales(epsilon)
+    partition = partition_by_diameter(source, eta)
     block_ids = sorted(g for g in gauges if g != RESERVED_GAUGE_ID)
-    if (k, len(block_ids)) != (ladder, len(partition.blocks)):
-        raise DomainError("the ladder or the gauges break the allocation rule")
+    if len(block_ids) != len(partition.blocks):
+        raise DomainError("the gauges break the allocation rule")
     if hubs and RESERVED_GAUGE_ID not in gauges:
         raise DomainError("no gauge 0 to replay the hub bases on")
     records = [(index, hubs[index],

@@ -41,11 +41,11 @@ CLUSTERED_2X3 = (
 RIGIDIFY_DIGESTS = {
     "spread-6": (
         "2ff8a5972d6cf27c38041ecc6df7c57351a1ad7cb0d87f91e2ba2820e7b54c68",
-        "6e866e8e9dc3d72708586e9e756bcf66e5fd08fbcd4d2ec2ab7482a63b505d2d",
+        "fd1af4301e343f6a907463ca552cae3e1ab1ead30cc41616460874d18746074d",
     ),
     "clustered-2x3": (
         "37edf2d385e05980c6a6c09cb160d59815723b6d4df8c159fdd75cb6949c73b1",
-        "b10a2249b302d17aa7ad060f746923a8b4edd16ad2e82873a07f10273aae658e",
+        "841408acb7eefc0309909694b5ea95b236f284419b2ee345e62d1f716b660309",
     ),
 }
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import clustered_metric
+from conftest import clustered_metric, rational_metric
 from rigidmetrics import cli
 from rigidmetrics.cli import main
 from rigidmetrics.coded import _parse_coeff
@@ -113,6 +113,66 @@ def test_rigidify_full_and_indep(metric_file, tmp_path, capsys):
     cert = json.loads(cert_path.read_text())
     assert Fraction(cert["sup_bound"]["achieved_hi"]) <= Fraction(1, 2)
     capsys.readouterr()
+
+
+def test_rigidify_full_prints_the_certificate_without_out_or_certificate(
+    metric_file, tmp_path, capsys
+):
+    argv = ["--seed", "4", "rigidify", str(metric_file), "--epsilon", "1/2", "--full"]
+    assert main(argv) == 0
+    printed = tmp_path / "printed.cert.json"
+    printed.write_text(capsys.readouterr().out)
+    written = tmp_path / "written.cert.json"
+    assert main([*argv, "--certificate", str(written)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.read_bytes() == written.read_bytes()
+    assert main(["indep", str(printed)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+def test_verify_rigid_exit_codes(metric_file, tmp_path, capsys):
+    # a rigidified metric has pairwise distinct distances, so only the identity
+    # preserves them; the equilateral triangle has five more isometries
+    source, out = tmp_path / "five.json", tmp_path / "five.out.json"
+    source.write_text(dump_metric(rational_metric(random.Random(2), 5)))
+    assert main(["rigidify", str(source), "--epsilon", "1/2", "--out", str(out)]) == 0
+    assert main(["verify", "--metric", str(out), "--check", "rigid"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert main(["verify", "--metric", str(metric_file), "--check", "rigid"]) == 1
+    assert json.loads(capsys.readouterr().out)["detail"] == "nontrivial self-isometry"
+    # the isometry search is capped at 12 points
+    thirteen = tmp_path / "thirteen.json"
+    thirteen.write_text(dump_metric(rational_metric(random.Random(2), 13)))
+    assert main(["verify", "--metric", str(thirteen), "--check", "rigid"]) == 5
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_rigidify_refuses_an_input_with_undecided_axioms(tmp_path, capsys):
+    # d(x, z) = 2 + <g0, [0, 1/2)> against d(x, y) + d(y, z), whose coded part
+    # differs from it only past any precision: is_metric stays unresolved
+    def entry(offset, end=None):
+        terms = [] if end is None else [{"coeff": "1/1", "k": 0, "intervals": [["0/1", end]]}]
+        return {"offset": offset, "terms": terms}
+
+    xy, xz = entry("1/1", "499999999/1000000000"), entry("2/1", "1/2")
+    yz, o = entry("1/1"), entry("0/1")
+    sliver = tmp_path / "sliver.json"
+    sliver.write_text(json.dumps({"points": ["x", "y", "z"],
+                                  "matrix": [[o, xy, xz], [xy, o, yz], [xz, yz, o]]}))
+    assert main(["rigidify", str(sliver), "--epsilon", "1/2"]) == 2
+    assert capsys.readouterr().err == "unresolved: input metric axioms undecided\n"
+
+
+def test_rigidify_writes_csv_within_epsilon(tmp_path, capsys):
+    source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    source.write_text("point,a,b,c,d\na,0,1,5/4,3/2\nb,1,0,7/4,9/8\n"
+                      "c,5/4,7/4,0,11/8\nd,3/2,9/8,11/8,0\n")
+    argv = ["--format", "csv", "rigidify", str(source), "--epsilon", "1/2", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == "point,a,b,c,d"
+    assert main(["dist", str(source), str(out)]) == 0
+    (hi,) = capsys.readouterr().out.split()[-1:]
+    assert 0 < Fraction(hi) <= Fraction(1, 2)
 
 
 def test_cross_process_determinism(metric_file, tmp_path):
@@ -252,14 +312,15 @@ ZERO_DEN_EPSILON_CERT = json.dumps({
     "metric": ONE_POINT,
     "input": ONE_POINT,
     "registry": {"seed": 0, "gauges": {}, "hubs": {}},
-    "parameters": {"k": 0, "partition": {"blocks": [["a"]], "hubs": ["a"]}},
     "independence": [],
     "sup_bound": {"epsilon": "1/0", "achieved_lo": "0/1", "achieved_hi": "0/1"},
 })
 
 
-def _four_point_certificate() -> dict:
-    """A 4-point ``rigidify --full`` certificate."""
+def _four_point_certificate(parameters: bool = False) -> dict:
+    """A 4-point ``rigidify --full`` certificate; with ``parameters``, also
+    the ``parameters`` block, the ladder and the partition, that a version-4
+    writer put beside the other parts."""
     q = Fraction
     d = FiniteMetric.from_entries(["a", "b", "c", "d"], [
         [0, 1, q(5, 4), q(3, 2)],
@@ -268,7 +329,17 @@ def _four_point_certificate() -> dict:
         [q(3, 2), q(9, 8), q(11, 8), 0],
     ])
     metric, cert = rigidify_full(d, q(1, 2))
-    return cert.to_json(metric)
+    data = cert.to_json(metric)
+    if parameters:
+        partition = cert.partition
+        data["parameters"] = {"k": cert.k, "partition": {
+            "blocks": [list(b) for b in partition.blocks], "hubs": list(partition.hubs)}}
+    return data
+
+
+def _version_4_certificate():
+    """The 4-point certificate as a version-4 writer wrote it."""
+    return json.dumps({**_four_point_certificate(parameters=True), "version": 4})
 
 
 def _respelled_certificate(table, old, new):
@@ -295,10 +366,11 @@ def _respelled_draw_certificate(key):
 
 
 def _half_ladder_certificate(every_term):
-    """The 4-point certificate with ``parameters.k`` raised by one half, which
-    ``int`` would truncate back; with ``every_term``, each term's ``k`` of
-    the metric and the rows instead."""
-    data = _four_point_certificate()
+    """The 4-point certificate with the ``parameters`` block of version 4,
+    its ``k`` raised by one half, which ``int`` would truncate back; with
+    ``every_term``, no such block and each term's ``k`` of the metric and
+    the rows raised instead."""
+    data = _four_point_certificate(parameters=not every_term)
 
     def walk(node):
         if isinstance(node, list):
@@ -343,6 +415,9 @@ def _half_ladder_certificate(every_term):
         pytest.param("m.json", HALF_LADDER, VERIFY, id="fractional-ladder-metric"),
         pytest.param("c.cert.json", _half_ladder_certificate(False), ["indep", "{}"],
                      id="fractional-ladder-certificate"),
+        # version 5 reads no earlier version
+        pytest.param("c.cert.json", _version_4_certificate(), ["indep", "{}"],
+                     id="version-4-certificate"),
         pytest.param("c.cert.json", _respelled_gauge_certificate("01"), ["indep", "{}"],
                      id="zero-padded-gauge-key"),
         pytest.param("c.cert.json", _respelled_gauge_certificate(" 1"), ["indep", "{}"],

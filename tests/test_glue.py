@@ -64,6 +64,17 @@ def test_partition_two_groups():
         sub = d.restrict(block)
         for i, j in sub.pairs():
             assert sub.at(i, j).rational_value() <= 3
+    # a point exactly bound / 2 from the seed joins its block
+    part = partition_by_diameter(d, Fraction(2))
+    assert part.blocks == (("a", "b", "c"), ("z",))
+
+
+def test_partition_refuses_a_coded_entry():
+    # d(b, c) is never read against a seed at this bound, and still refused
+    coded = 1 + coded_sum(0, IntervalSet.block(0, 1))
+    d = FiniteMetric.from_entries("abc", [[0, 1, 1], [1, 0, coded], [1, coded, 0]])
+    with pytest.raises(DomainError, match="rational input"):
+        partition_by_diameter(d, Fraction(3))
 
 
 def test_partition_invariants():
@@ -566,10 +577,21 @@ def _set_entry(blob, name, pair, value):
     blob[name]["pairs"][_pair_position(blob, name, pair)] = value.to_json()
 
 
+def _ladder(blob):
+    """The ladder the checker derives from the certificate's epsilon."""
+    return glue._scales(Fraction(blob["sup_bound"]["epsilon"]))[1]
+
+
+def _partition(blob):
+    """The partition the checker derives from the certificate's input and epsilon."""
+    eta, _ = glue._scales(Fraction(blob["sup_bound"]["epsilon"]))
+    return partition_by_diameter(FiniteMetric.from_json(blob["input"]), eta)
+
+
 def _hub_pair_rows(blob):
     """The pairs of two hubs with their rows, whose only nonzero component is
     the hub value."""
-    hubs = set(blob["parameters"]["partition"]["hubs"])
+    hubs = set(_partition(blob).hubs)
     return [(pair, row) for pair, row in zip(_pairs(blob), _rows(blob)) if set(pair) <= hubs]
 
 
@@ -649,7 +671,7 @@ def test_certificate_forgeries_fail(certificates, kind, forge):
      (_zero_block_padded_row, "component replay failed"),
      (_zeroed_sup, "claimed sup bound"),
      (_shifted_input, "sup bound exceeded"),
-     # the partition no longer covers the input's points
+     # the rows derived from the input name the new label
      (_renamed_input, "component replay failed")],
 )
 def test_forgeries_fail_the_check_aimed_at(certificates, forge, detail):
@@ -679,22 +701,6 @@ def test_the_row_pass_names_the_first_failing_pair(
     assert report.witnesses == tuple(_pairs(blob)[:witnesses])
 
 
-def _missed_point(blob):
-    # the last block loses its last point, or with it its hub and the block
-    partition = blob["parameters"]["partition"]
-    block = partition["blocks"][-1]
-    if len(block) == 1:
-        partition["blocks"].pop()
-        partition["hubs"].pop()
-    else:
-        block.remove(next(x for x in reversed(block) if x != partition["hubs"][-1]))
-
-
-def _repeated_point(blob):
-    blocks = blob["parameters"]["partition"]["blocks"]
-    blocks[-1].append(blocks[0][0])
-
-
 def _unused_gauge(blob):
     gauges = blob["registry"]["gauges"]
     gauges[str(max(int(g) for g in gauges) + 1)] = {"draws": {}}
@@ -719,12 +725,14 @@ def _swapped_hub_keys(blob):
 
 
 def _other_ladder(blob):
-    blob["parameters"]["k"] += 1
+    # epsilon halved: the registry was drawn at the ladder above
+    sup = blob["sup_bound"]
+    sup["epsilon"] = _frac_str(Fraction(sup["epsilon"]) / 2)
 
 
 def _remote_ladder(blob):
-    # a hub window test at this ladder would take 2^k to build
-    blob["parameters"]["k"] = 10 ** 18
+    # an epsilon at a ladder past 13 000, whose hub windows no record meets
+    blob["sup_bound"]["epsilon"] = f"1/{10 ** 4000}"
 
 
 def _remote_hub_p(blob):
@@ -736,12 +744,13 @@ def _remote_hub_p(blob):
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 @pytest.mark.parametrize(
     "forge",
-    [_missed_point, _repeated_point, _unused_gauge, _unused_hub_record, _missing_hub_record,
+    [_unused_gauge, _unused_hub_record, _missing_hub_record,
      _swapped_hub_keys, _other_ladder, _remote_ladder, _remote_hub_p],
 )
 def test_parts_off_the_allocation_rule_fail_the_replay(certificates, kind, forge):
-    # the checker allocates the gauges, hub records and ladder by the
-    # builder's rules, from the partition, and finds these at odds with them
+    # the checker derives the ladder and the partition from epsilon and the
+    # input, allocates the gauges and hub records by the builder's rules, and
+    # finds these at odds with them
     blob = json.loads(certificates[kind])
     forge(blob)
     report = verify_certificate(blob)
@@ -778,7 +787,7 @@ def test_hub_values_outside_their_windows_fail(straight_certificate):
     assert verify_certificate(blob).passed
     _moved_hub_p(blob, [Fraction(-1, 10), Fraction(1, 10), Fraction(-1, 10)], False)
     assert not is_metric(FiniteMetric.from_json(blob["metric"])).passed
-    eta_h, k = Fraction(1, 20), blob["parameters"]["k"]
+    eta_h, k = Fraction(1, 20), _ladder(blob)
     assert all(glue._hub_window_index(a, eta_h, k) is None for a in _hub_records(blob))
     report = verify_certificate(blob)
     assert report.verdict == "fail" and report.detail == "component replay failed"
@@ -796,7 +805,7 @@ def test_hub_window_integers_must_be_subadditive(straight_certificate):
     # d(a, c) moves into the middle of window 41 > 20 + 20, input entry and
     # all: each record sits in its window, yet d(a, c) > d(a, b) + d(b, c)
     blob = json.loads(straight_certificate)
-    eta_h, k = Fraction(1, 20), blob["parameters"]["k"]
+    eta_h, k = Fraction(1, 20), _ladder(blob)
     lo, hi = subadditive_window(41)
     (_, _), (_, ac), _ = _hub_pair_rows(blob)
     p = Fraction(blob["registry"]["hubs"][str(_hub_of(ac)["hub_index"])]["p"])
@@ -814,7 +823,7 @@ def test_a_hub_value_in_the_dyadic_window_of_its_integer_fails(straight_certific
     # window of integer 20, and the metric stays a metric, so only the window
     # rule refuses the record.
     blob = json.loads(straight_certificate)
-    eta_h, k = Fraction(1, 20), blob["parameters"]["k"]
+    eta_h, k = Fraction(1, 20), _ladder(blob)
     lo, hi = eta_h * (20 + Fraction(1, 1 << 21)), eta_h * (20 + Fraction(1, 1 << 20))
     *_, (_, bc) = _hub_pair_rows(blob)
     hub = _hub_of(bc)
@@ -934,13 +943,13 @@ def _retagged_to_the_reserved_gauge(scaled_hub):
     )
     glued, cert = rigidify_full(d, Fraction(1, 2))
     blob = json.loads(json.dumps(cert.to_json(glued)))
-    assert blob["parameters"]["partition"]["blocks"] == [["a", "b"], ["c"]]
+    assert cert.partition.blocks == (("a", "b"), ("c",))
     (block_ab,) = _rows(blob)[0]["certificate"]["left"]
     gauge = block_ab["gauge"]
     (hub,) = blob["registry"]["hubs"].values()
     assert hub["words"] == [[0], [1]]
     reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, blob["registry"])
-    basis = tau(reserved, blob["parameters"]["k"], *hub["words"])
+    basis = tau(reserved, cert.k, *hub["words"])
     if scaled_hub:
         hub.update(p="0/1", q="32/1")
     for pair, row in zip(_pairs(blob), _rows(blob)):
@@ -1010,16 +1019,17 @@ def test_a_window_that_fails_its_verification_is_not_a_witness(certificates, mon
 
 def test_hub_allocations_hold_only_the_replayed_fields(certificates):
     # each fact is stated once: no restated index, ladder, basis, pair label
-    # or unread parameter, and no null tag
+    # or partition, and no null tag
     for text in certificates.values():
         blob = json.loads(text)
+        assert set(blob) == {"version", "input", "metric", "registry", "independence",
+                             "sup_bound"}
         snapshot = blob["registry"]
         assert set(snapshot) == {"seed", "gauges", "hubs"}
         assert snapshot["hubs"]
         for alloc in snapshot["hubs"].values():
             assert set(alloc) == {"p", "q", "words"}
         assert all(set(gauge) == {"draws"} for gauge in snapshot["gauges"].values())
-        assert set(blob["parameters"]) == {"k", "partition"}
         for row in _rows(blob):
             assert set(row) == {"certificate"} and set(row["certificate"]) == {"left"}
             for comp in row["certificate"]["left"]:
@@ -1031,7 +1041,7 @@ def test_hub_allocations_hold_only_the_replayed_fields(certificates):
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 def test_certificate_with_the_dropped_fields_is_refused(certificates, kind):
     # an earlier writer also put each hub's value and target and an empty
-    # "streams" into the snapshot; no version-4 writer did, so the registry
+    # "streams" into the snapshot; no version-5 writer did, so the registry
     # is not spelled the way the writer spells it
     blob = json.loads(certificates[kind])
     values = {
@@ -1047,12 +1057,9 @@ def test_certificate_with_the_dropped_fields_is_refused(certificates, kind):
         verify_certificate(blob)
 
 
-# 1 to 3 are earlier formats: version 1 rows also held zero components and
-# a stored trace witness, version 2 restated hub indices, ladders and bases
-# and row pair labels, and version 3 wrote full matrices with p/q
-# coefficients and the exact sup enclosure; no reader for any is kept
-# a version must be a JSON integer: 4.0 and "4" are not 4, nor true 1
-@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4", 4.0, True])
+# 1 to 4 are earlier formats, and no reader for any is kept; a version must
+# be a JSON integer: 5.0 and "5" are not 5, nor true 1
+@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4", 4.0, "5", 5.0, True])
 def test_other_certificate_versions_are_refused(certificates, version):
     blob = json.loads(certificates["spread"])
     assert blob["version"] == CERTIFICATE_VERSION
@@ -1062,6 +1069,18 @@ def test_other_certificate_versions_are_refused(certificates, version):
         blob["version"] = version
     with pytest.raises(ValueError, match="unsupported certificate version"):
         verify_certificate(blob)
+
+
+@pytest.mark.parametrize("kind", ["spread", "clustered"])
+def test_a_coded_input_fails_the_replay(certificates, kind):
+    # no writer states a coded input: the partition is derived from rational
+    # distances only, so an input entry 2^-40-odd off its rational fails
+    blob = json.loads(certificates[kind])
+    pair = _pairs(blob)[0]
+    _set_entry(blob, "input", pair,
+               _entry(blob, "input", pair) + coded_sum(40, IntervalSet.block(0, 1)))
+    report = verify_certificate(blob)
+    assert (report.verdict, report.detail) == ("fail", "component replay failed")
 
 
 @pytest.fixture(scope="module")
@@ -1076,22 +1095,26 @@ def integer_labelled():
     return out
 
 
-def _float_partition(blob):
-    partition = blob["parameters"]["partition"]
-    partition["blocks"] = [[float(x) for x in block] for block in partition["blocks"]]
-    partition["hubs"] = [float(x) for x in partition["hubs"]]
+def _floated(blob, in_rows, in_metric):
+    """The labels ``in_rows`` as floats in every row's details, and the
+    labels ``in_metric`` as floats in the metric's points."""
+    for row in _rows(blob):
+        for c in row["certificate"]["left"]:
+            c["detail"] = [float(x) if x in in_rows else x for x in c["detail"]]
+    points = blob["metric"]["points"]
+    points[:] = [float(x) if x in in_metric else x for x in points]
 
 
 def _float_labels(blob):
-    # every label as a float in the partition, and all but the last in the metric
-    _float_partition(blob)
+    # every label as a float in the rows, and all but the last in the metric
     points = blob["metric"]["points"]
-    points[:-1] = [float(x) for x in points[:-1]]
+    _floated(blob, set(points), set(points[:-1]))
 
 
 def _float_hub(blob):
-    hubs = blob["parameters"]["partition"]["hubs"]
-    hubs[0] = float(hubs[0])
+    # the first hub's label as a float wherever the certificate names it
+    hub = {_partition(blob).hubs[0]}
+    _floated(blob, hub, hub)
 
 
 def _true_point(blob):
@@ -1108,7 +1131,6 @@ def _float_details(blob):
 @pytest.mark.parametrize(
     "forge, detail",
     [(_float_labels, "component replay failed"),
-     (_float_partition, "component replay failed"),
      (_float_hub, "component replay failed"),
      (_true_point, "input and metric have different points"),
      (_float_details, "component replay failed")],
@@ -1176,7 +1198,7 @@ def test_same_block_component_is_its_metric_entry(certificates):
     # a same-block distance is its one block component: an entry moved off
     # it fails, though the row still equals the derived one
     blob = json.loads(certificates["clustered"])
-    partition = Partition.from_json(blob["parameters"]["partition"])
+    partition = _partition(blob)
     pair = next(p for p in _pairs(blob) if partition.block_of(p[0]) == partition.block_of(p[1]))
     _set_entry(blob, "metric", pair, _entry(blob, "metric", pair) + Fraction(1, 1000))
     report = verify_certificate(blob)
@@ -1201,7 +1223,7 @@ def _interval_lists(node, found):
 def test_verify_certificate_decodes_each_interval_list_and_rational_once(
     certificates, monkeypatch
 ):
-    # only input, registry, parameters and sup_bound are decoded, each
+    # only input, registry and sup_bound are decoded, each
     # distinct spelling once; the metric and the rows are compared as JSON
     blob = json.loads(certificates["clustered"])
     parsed = json.dumps([blob[name] for name in ("input", "registry", "sup_bound")])
@@ -1379,8 +1401,15 @@ def _first_hub(change):
     return edit
 
 
-def _deleted_parameters(blob):
-    del blob["parameters"]
+def _deleted_registry(blob):
+    del blob["registry"]
+
+
+def _restored_parameters(blob):
+    # the ladder and the partition, as a version-4 writer stated them
+    partition = _partition(blob)
+    blob["parameters"] = {"k": _ladder(blob), "partition": {
+        "blocks": [list(b) for b in partition.blocks], "hubs": list(partition.hubs)}}
 
 
 def _floated_tag(blob):
@@ -1394,7 +1423,7 @@ _ROW_ZERO = ("independence", 0, "certificate", "left", 0, "value", "terms", 0)
 _REPLAY = "component replay failed"
 _SUP = "claimed sup bound differs from the recomputed one"
 # One entry per section of a certificate.  A part the checker decodes (input,
-# registry, parameters and sup_bound.epsilon) must be the writer's JSON of
+# registry and sup_bound.epsilon) must be the writer's JSON of
 # what it decodes, and the top-level keys the writer's: anything else raises
 # ValueError, exit 3 (detail None).  A part it derives (the metric, the rows,
 # sup_bound) must be what the writer writes from the replayed parts:
@@ -1403,7 +1432,7 @@ _SUP = "claimed sup bound differs from the recomputed one"
 # test_a_respelled_metric_entry_or_row_fails_naming_its_pair.
 _MUTATIONS = [
     pytest.param(_added(), None, None, id="top-unknown-key"),
-    pytest.param(_deleted_parameters, None, None, id="top-missing-key"),
+    pytest.param(_deleted_registry, None, None, id="top-missing-key"),
     pytest.param(_added("input"), None, None, id="input-unknown-key"),
     pytest.param(_added("input", "pairs", 0), None, None, id="input-entry-unknown-key"),
     pytest.param(_set("input", "pairs", 0, "offset", value=_doubled), None, None,
@@ -1429,9 +1458,8 @@ _MUTATIONS = [
                  None, None, id="hub-string-letters"),
     *(pytest.param(_rekeyed("registry", "hubs", pad=pad), None, None, id=f"hub-key-{name}")
       for name, pad in _PADS),
-    pytest.param(_added("parameters"), None, None, id="parameters-unknown-key"),
-    pytest.param(_set("parameters", "k", value=float), None, None, id="parameters-k-float"),
-    pytest.param(_added("parameters", "partition"), None, None, id="partition-unknown-key"),
+    # version 5 derives the ladder and the partition and states neither
+    pytest.param(_restored_parameters, None, None, id="parameters-unknown-key"),
     pytest.param(_added("sup_bound"), _SUP, None, id="sup-unknown-key"),
     pytest.param(_set("sup_bound", "epsilon", value=_doubled), None, None,
                  id="sup-respelled-epsilon"),
@@ -1472,8 +1500,8 @@ def test_the_replayed_parts_derive_the_written_metric_and_rows(kind):
     out, cert = rigidify_full(d, Fraction(1, 2))
     written = cert.to_json(out)
     _, gauges, hubs = read_snapshot(written["registry"])
-    parts = glue._replayed_construction(Partition.from_json(written["parameters"]["partition"]),
-                                        d.points, cert.k, cert.epsilon, gauges, hubs)
+    parts = glue._replayed_construction(d, cert.epsilon, gauges, hubs)
+    assert parts.partition == cert.partition
     assert parts.glued(d.points).to_json() == written["metric"]
     rows = [glue._row_json(parts.components(*pair)) for pair in _pairs(written)]
     assert rows == written["independence"]
