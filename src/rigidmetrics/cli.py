@@ -16,7 +16,7 @@ Rationals are serialized as ``p/q`` strings, except that a term coefficient
 human reading (clearly non-authoritative), one per pair.  Outputs are
 deterministic given inputs, seed and flags.
 
-Exit codes: 0 success/pass, 1 fail, 2 unresolved, 3 parse error,
+Exit codes: 0 success/pass, 1 fail, 2 unresolved, 3 parse or usage error,
 4 invariant violation, 5 resource or degenerate input.
 """
 
@@ -47,11 +47,19 @@ EXIT_INVARIANT = 4
 EXIT_RESOURCE = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the parse-error code, not argparse's 2 (unresolved)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, and each ``parse_args`` call returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidmetrics",
         description="exact strongly rigid metric constructions and checks",
     )

@@ -14,18 +14,18 @@ the original is at most ``4 * eps`` plus the hub defect.
 on one-letter words (diameter at most ``2^-k <= eta``), place hub-pool
 values strictly inside the subadditivity windows of
 ``rigidify.subadditive_window``, ``eta_h * (N + 1/(N+2), N + 1/(N+1))`` with
-``eta_h = eta / 2`` (:func:`_placed_hubs`), glue, and emit a certificate:
+``eta_h = eta / 2`` (:func:`_hub_metric`), glue, and emit a certificate:
 the input, the exact sup bound, strong rigidity, and one row per distance,
 in pair order, of its nonzero tagged summands
 (:meth:`_Construction.components`).  One row pass
 (:func:`_row_failure`) shows the per-sum hypotheses, an independent-of-1
 trace witness per row, found and not stored, and pairwise different
-component multisets.  The certificate states no ladder and no partition.
-``verify_certificate`` writes a certificate again: it takes the input,
-``epsilon`` and the registry as stated and derives everything else with the
-builder's functions (:func:`_scales`, :func:`partition_by_diameter`, the
-replay); what it decodes and what it derives must be the writer's JSON, and
-it runs the same row pass.
+component multisets.  The certificate states no ladder, no partition and,
+of each hub, only its ``p``.  ``verify_certificate`` writes a certificate
+again: it takes the input, ``epsilon`` and the registry as stated and
+derives everything else with the builder's functions (:func:`_scales`,
+:func:`partition_by_diameter`, :func:`_hub_metric`); what it decodes and
+what it derives must be the writer's JSON, and it runs the same row pass.
 
 The sup bound is one per-pair scan (``_certify_sup_bound``) shared by
 ``rigidify_full``, ``verify_certificate`` and ``sup_bound_check``.  A pair
@@ -35,9 +35,10 @@ it; only the rest go through the exact engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from math import ceil
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -67,13 +68,14 @@ from .registry import (
     RESERVED_GAUGE_ID,
     HubAllocation,
     ValueRegistry,
+    _StatedHubs,
     read_snapshot,
     snapshot_json,
 )
-from .rigidify import snap_to_grid, subadditive_window
+from .rigidify import subadditive_window
 from .verify import Report, _abs_enclosure, _eval_halving, is_strongly_rigid
 
-CERTIFICATE_VERSION = 5
+CERTIFICATE_VERSION = 6
 # the top-level keys RigidifyCertificate.to_json writes
 _CERTIFICATE_KEYS = {"version", "input", "metric", "registry", "independence", "sup_bound"}
 # the significant bits of each end of the stated sup enclosure
@@ -84,27 +86,29 @@ _SUP_BITS = 64
 class Partition:
     blocks: tuple[tuple[str, ...], ...]
     hubs: tuple[str, ...]
+    _block_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.hubs):
             raise DomainError("one hub per block")
-        seen: set[str] = set()
-        for block, hub in zip(self.blocks, self.hubs):
+        block_of: dict[str, int] = {}
+        for idx, (block, hub) in enumerate(zip(self.blocks, self.hubs)):
             if hub not in block:
                 raise DomainError(f"hub {hub} outside its block")
             for label in block:
-                if label in seen:
+                if label in block_of:
                     raise DomainError(f"blocks overlap at {label}")
-                seen.add(label)
+                block_of[label] = idx
+        object.__setattr__(self, "_block_of", block_of)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(x for block in self.blocks for x in block)
 
     def block_of(self, label: str) -> int:
-        for idx, block in enumerate(self.blocks):
-            if label in block:
-                return idx
-        raise DomainError(f"{label} is not covered")
+        idx = self._block_of.get(label)
+        if idx is None:
+            raise DomainError(f"{label} is not covered")
+        return idx
 
     @staticmethod
     def from_json(data: dict) -> "Partition":
@@ -253,17 +257,26 @@ class RigidifyCertificate:
     sup_lo: Fraction
     sup_hi: Fraction
     independence: tuple[dict, ...]
-    registry_snapshot: dict
+    registry: ValueRegistry
 
     def to_json(self, metric: FiniteMetric) -> dict:
         return {
             "version": CERTIFICATE_VERSION,
             "input": self.source.to_json(),
             "metric": metric.to_json(),
-            "registry": self.registry_snapshot,
+            "registry": self.registry.snapshot(),
             "independence": list(self.independence),
             "sup_bound": _sup_bound_json(self.epsilon, self.sup_lo, self.sup_hi),
         }
+
+    @cached_property
+    def registry_snapshot(self) -> dict:
+        """The registry with each hub record under its index, its ``p``, ``q`` and
+        ``words`` spelled out: built on first access, never written."""
+        hubs = {str(i): {"p": _frac_str(a.p), "q": _frac_str(a.q),
+                         "words": [list(w) for w in a.words]}
+                for i, a in sorted(self.registry.hub_allocations().items())}
+        return {**self.registry.snapshot(), "hubs": hubs}
 
 
 def _sup_bound_json(epsilon: Fraction, lo: Fraction, hi: Fraction) -> dict:
@@ -308,7 +321,7 @@ def rigidify_full(
     independence = _pairwise_independence(parts, pairs)
     certificate = RigidifyCertificate(
         source=d, epsilon=epsilon, k=k, partition=partition, sup_lo=sup.lo, sup_hi=sup.hi,
-        independence=tuple(independence), registry_snapshot=registry.snapshot(),
+        independence=tuple(independence), registry=registry,
     )
     return glued, certificate
 
@@ -319,8 +332,11 @@ def _scales(epsilon: Fraction) -> tuple[Fraction, int]:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     eta = epsilon / 5
-    k = 0
-    while Fraction(1, 1 << k) > eta:
+    n, d = eta.numerator, eta.denominator
+    # d / n lies in (2^(k - 1), 2^(k + 1)) for k the difference of the bit
+    # lengths, so the least k with n * 2^k >= d is it or the one above
+    k = max(d.bit_length() - n.bit_length(), 0)
+    if n << k < d:
         k += 1
     return eta, k
 
@@ -339,61 +355,43 @@ def _block_metrics(
 def _hub_metric(
     d: FiniteMetric, partition: Partition, eta: Fraction, k: int, registry: ValueRegistry
 ) -> tuple[FiniteMetric, dict[tuple[str, str], int]]:
-    """Strongly rigid hub metric within ``eta`` of ``d`` on the hubs.
+    """Strongly rigid hub metric within ``eta`` of ``d`` on the hubs, or
+    ``DomainError``, with each hub pair's allocation index, in both orders.
 
-    Hub distances are snapped to integers at step ``eta_h = eta / 2`` and
+    Hub distances are rounded up to integers at step ``eta_h = eta / 2`` and
     replaced by hub-pool values whose rational part is drawn inside the
-    scaled windows ``subadditive_window(N) * eta_h``; placing them
-    (:func:`_placed_hubs`) certifies the strict triangle inequality, and the
-    defect stays below ``2 * eta_h = eta``.  Also returns the registry
-    allocation index of each hub pair, in both orders.
-    """
-    hubs = list(partition.hubs)
+    scaled windows ``subadditive_window(N) * eta_h``; hub pair ``t`` (hubs
+    ``i < j`` in partition order) takes allocation index ``base_index + t``.
+    Each value must sit in a window (:func:`_hub_window_index`), the window
+    integers subadditive on every hub triple, so the hub metric is a metric
+    with the strict triangle inequality; the defect stays below ``eta``.
+    The checker places the hubs here too, from the stated ``p``."""
+    names = partition.hubs
     eta_h = eta / 2
-    snapped = snap_to_grid(d.restrict(hubs), eta_h)
-    integers = [int(snapped.at(i, j).rational_value() / eta_h) for i, j in snapped.pairs()]
+    hubs = d.restrict(list(names))
+    hub_pairs = list(hubs.pairs())
+    integers = [ceil(hubs.at(i, j).rational_value() / eta_h) for i, j in hub_pairs]
     n_max = max(integers, default=0)
     # The least base index with 4 * 2^-base_index below the narrowest scaled
-    # window, eta_h / ((n_max + 1) * (n_max + 2)).  The basis is at least
-    # 3/4 * 2^-k, so the coded fuzz q * 2^-k of index i >= base_index stays
-    # below 2^(1 - base_index), the shrink off every window's top, which
-    # leaves more than half of each window to draw p from.
+    # window, eta_h / ((n_max + 1) * (n_max + 2)).  The basis is below 2^-k
+    # and q = 2^(k - i), so the coded fuzz of index i >= base_index stays
+    # below 2^-i, summable, and below the shrink 2^(1 - base_index) off every
+    # window's top, which leaves more than half of each window to draw p from.
     base_index = int(4 * (n_max + 1) * (n_max + 2) / eta_h).bit_length()
     shrink = Fraction(2, 1 << base_index)
-    records = []
-    for alloc, n in enumerate(integers, start=base_index):
-        lo, hi = subadditive_window(n)
-        value = registry.hub_value(k, alloc, eta_h * lo, eta_h * hi - shrink)
-        records.append((alloc, registry.hub_allocation(alloc), value))
-    return _placed_hubs(hubs, records, eta_h, k)
-
-
-def _placed_hubs(
-    names: Sequence[str], records: Sequence[tuple[int, HubAllocation, CodedReal]],
-    eta_h: Fraction, k: int,
-) -> tuple[FiniteMetric, dict[tuple[str, str], int]]:
-    """The hub metric on ``names`` by the allocation rule, or ``DomainError``,
-    with each hub pair's allocation index, in both orders.
-
-    ``records`` holds each hub record's allocation index, the record and its
-    value, in allocation order; record ``t`` goes to hub pair ``t`` (hubs
-    ``i < j`` in ``names`` order), one record per pair.  Each must sit in its
-    window (:func:`_hub_window_index`), with the window integers subadditive
-    on every hub triple, so the hub metric is a metric."""
-    hub_pairs = list(combinations(range(len(names)), 2))
-    if len(records) != len(hub_pairs):
-        raise DomainError(f"{len(records)} hub records for {len(hub_pairs)} hub pairs")
-    integers = [[0] * len(names) for _ in names]
+    placed = [[0] * len(names) for _ in names]
     entries: dict[tuple[int, int], CodedReal] = {}
     hub_index: dict[tuple[str, str], int] = {}
-    for (i, j), (index, alloc, value) in zip(hub_pairs, records):
-        n = integers[i][j] = integers[j][i] = _hub_window_index(alloc, eta_h, k)
-        if n is None:
+    for index, ((i, j), n) in enumerate(zip(hub_pairs, integers), start=base_index):
+        lo, hi = subadditive_window(n)
+        entries[(i, j)] = registry.hub_value(k, index, eta_h * lo, eta_h * hi - shrink)
+        window = _hub_window_index(registry.hub_allocation(index), eta_h, k)
+        if window is None:
             raise DomainError(f"hub record {index} lies outside its window")
-        entries[(i, j)] = value
+        placed[i][j] = placed[j][i] = window
         hub_index[(names[i], names[j])] = hub_index[(names[j], names[i])] = index
     # N_ij <= N_im + N_mj for every m; m = i and m = j give N_ij itself
-    if any(min(map(add, integers[i], integers[j])) < integers[i][j] for i, j in hub_pairs):
+    if any(min(map(add, placed[i], placed[j])) < placed[i][j] for i, j in hub_pairs):
         raise DomainError("the hub window integers are not subadditive")
     return FiniteMetric.from_pair_function(names, lambda i, j: entries[(i, j)]), hub_index
 
@@ -402,14 +400,14 @@ def _hub_window_index(alloc: HubAllocation, eta_h: Fraction, k: int) -> int | No
     """``N = floor(p / eta_h)`` when the hub record's value ``p + q * basis``
     lies strictly inside ``eta_h * subadditive_window(N)``, else None.
 
-    The basis, one ``<gamma_k, S>`` of coefficient 1, is below ``2^-k``, so
-    ``lo < p`` and ``p + q * 2^-k < hi`` place the value without an eval;
-    both are tested on integers.
+    The basis, one ``<gamma_k, S>`` of coefficient 1, is below ``2^-k`` and
+    ``q > 0``, so ``lo < p`` and ``p + q * 2^-k < hi`` place the value
+    without an eval; both are tested on integers.
     """
     # in units of eta_h: p = n + rest / den and the fuzz q * 2^-k = fn / fd
     num, den = alloc.p.numerator * eta_h.denominator, alloc.p.denominator * eta_h.numerator
     n, rest = divmod(num, den)
-    if n < 1 or alloc.q <= 0:
+    if n < 1:
         return None
     fn, fd = alloc.q.numerator * eta_h.denominator, (alloc.q.denominator * eta_h.numerator) << k
     # subadditive_window(n), less n: 1/(n+2) < rest / den and rest / den + fn / fd < 1/(n+1)
@@ -571,11 +569,11 @@ def _trace_witness_for(components: Sequence[SumComponent]) -> int | None:
 def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -> Report:
     """Re-check an emitted certificate by writing it again.
 
-    ``ValueError`` unless it is format 5 with the writer's top-level keys and
+    ``ValueError`` unless it is format 6 with the writer's top-level keys and
     each part it decodes in one decode scope (``input``, ``registry``,
     ``sup_bound.epsilon``) is the writer's JSON of it.  Those three are all
-    it takes as stated: the ladder and the partition are derived from
-    ``epsilon`` and ``input`` by the builder's own rules.  Then: the registry
+    it takes as stated: the ladder, the partition and each hub's index, words
+    and ``q`` are derived by the builder's own rules.  Then: the registry
     invariants, the replay, the rows and the metric as written from the
     replayed parts (the first that differs names its pair), the row pass,
     the sup bound as written from ``input``, and strong rigidity.  Point
@@ -590,16 +588,16 @@ def verify_certificate(data: dict, max_precision: int = DEFAULT_MAX_PRECISION) -
         raise ValueError("the certificate's keys are not the writer's")
     with _decode_scope():
         source = FiniteMetric.from_json(data["input"])
-        seed, gauges, hubs = read_snapshot(data["registry"])
+        seed, gauges, ps = read_snapshot(data["registry"])
         epsilon = _parse_frac(data["sup_bound"]["epsilon"])
     _written_as(data["input"], source.to_json(), "input")
-    _written_as(data["registry"], snapshot_json(seed, gauges, hubs), "registry")
+    _written_as(data["registry"], snapshot_json(seed, gauges, ps), "registry")
     _written_as(data["sup_bound"]["epsilon"], _frac_str(epsilon), "sup_bound.epsilon")
-    problem = _registry_problem(gauges, hubs)
+    problem = _registry_problem(gauges)
     if problem is not None:
         return fail((), f"registry invariant failed: {problem}")
     try:
-        parts = _replayed_construction(source, epsilon, gauges, hubs)
+        parts = _replayed_construction(source, epsilon, gauges, ps)
     except DomainError:
         return fail((), "component replay failed")
     pairs = [(source.points[i], source.points[j]) for i, j in source.pairs()]
@@ -678,44 +676,37 @@ def _typed(labels: Iterable[object]) -> list[tuple[type, object]]:
     return [(type(x), x) for x in labels]
 
 
-def _registry_problem(
-    gauges: dict[int, SemiMetricGauge], hubs: dict[int, HubAllocation]
-) -> str | None:
+def _registry_problem(gauges: dict[int, SemiMetricGauge]) -> str | None:
     """The first registry invariant the snapshot breaks, or None: the
     independence argument rests on every gauge value being a fresh rational,
-    of level ``l`` in ``(l, l+1)``, and on no two hub bases sharing a word pair."""
+    of level ``l`` in ``(l, l+1)``; hub word pairs are distinct by construction."""
     draws = [(lv, v) for g in gauges.values() for (lv, _, _), v in g.drawn().items()]
     if len({v for _, v in draws}) < len(draws):
         return "a gauge draw is repeated"
     for level, value in draws:
         if not level < value < level + 1:
             return f"draw {value} lies outside level {level}"
-    pairs = [tuple(sorted(alloc.words)) for alloc in hubs.values()]
-    if len(set(pairs)) < len(pairs):
-        return "two hubs share a word pair"
     return None
 
 
 def _replayed_construction(
     source: FiniteMetric, epsilon: Fraction,
-    gauges: dict[int, SemiMetricGauge], hubs: dict[int, HubAllocation],
+    gauges: dict[int, SemiMetricGauge], ps: Sequence[Fraction],
 ) -> _Construction:
     """The parts by the builder's rules, or ``DomainError``: the ladder and
     the partition of ``epsilon`` and ``source`` as :func:`rigidify_full`
     makes them, block ``b`` takes the ``b``-th gauge other than 0 in
-    ascending id, and the hub records, in ascending index, are placed by
-    :func:`_placed_hubs`, each value replayed from its basis on gauge 0."""
+    ascending id, and :func:`_hub_metric` places the hubs, hub pair ``t``
+    taking the ``t``-th stated ``p``; a ``p`` left over fails too."""
     eta, k = _scales(epsilon)
     partition = partition_by_diameter(source, eta)
     block_ids = sorted(g for g in gauges if g != RESERVED_GAUGE_ID)
     if len(block_ids) != len(partition.blocks):
         raise DomainError("the gauges break the allocation rule")
-    if hubs and RESERVED_GAUGE_ID not in gauges:
-        raise DomainError("no gauge 0 to replay the hub bases on")
-    records = [(index, hubs[index],
-                hubs[index].value(tau(gauges[RESERVED_GAUGE_ID], k, *hubs[index].words)))
-               for index in sorted(hubs)]
-    hub_metric, hub_index = _placed_hubs(partition.hubs, records, eta / 2, k)
+    stated = _StatedHubs(gauges, ps)
+    hub_metric, hub_index = _hub_metric(source, partition, eta, k, stated)
+    if stated.unplaced:
+        raise DomainError("the snapshot states more hubs than are placed")
     return _Construction(
         partition, tuple(block_ids), _block_metrics(partition, [gauges[g] for g in block_ids], k),
         hub_metric, hub_index,

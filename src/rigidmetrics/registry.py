@@ -9,9 +9,9 @@ The registry is the single mutable component of the package.  It owns
   used inside hub allocations and is never handed out for blocks);
 * hub allocations: for a fresh index ``i`` and an open window ``(lo, hi)``
   with ``0 <= lo`` it returns ``p + q * s`` where ``p`` is an unused rational
-  of the window, ``s`` is a fresh positive product-metric value from the
-  reserved gauge, and ``q`` is the largest dyadic power with
-  ``q * upper(s) <= 2^-i``.  ``p`` comes from the window's own enumerator,
+  of the window, ``s`` is the product metric on the reserved gauge of the
+  ``c``-th hub's words ``(2c,)`` and ``(2c+1,)``, and ``q = 2^(k - i)``, so
+  that ``q * s < 2^-i``.  ``p`` comes from the window's own enumerator,
   which every hub of the same window shares, so its digits grow with the
   window's ends and the number of draws from it, not with ``i``.
 
@@ -21,10 +21,11 @@ their windows' ends, and the used sets hold values, as integer ``(numerator,
 denominator)`` pairs, so a draw hashes no ``Fraction`` and builds one, for the
 value it returns.
 
-A snapshot of the gauges' draws and the hub allocations, written by
-:func:`snapshot_json` and read by :func:`read_snapshot`, serializes with every
-certificate so that checks remain replayable offline.  :class:`HubAllocation`
-writes and reads a hub's record; its basis and value are computed from it.
+A snapshot of the gauges' draws and the hubs' ``p``, in ascending index,
+written by :func:`snapshot_json` and read by :func:`read_snapshot`, serializes
+with every certificate so that checks remain replayable offline: a
+:class:`_StatedHubs` registry places the hubs again, handing out the stated
+``p`` in order, and each hub's words and ``q`` follow from its position.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .coded import CodedReal, _parse_int
 from .enumeration import _simplest_pair
@@ -73,11 +75,10 @@ class _IntervalEnumerator:
 @dataclass(frozen=True)
 class HubAllocation:
     """The record of one hub value, ``p + q * basis``, stored under its
-    allocation index.  ``basis`` is the ``tau`` of ``words`` on the reserved
-    gauge and the certificate's ladder; a checker replays it from the
-    gauge's draws, so the JSON record holds ``p``, ``q`` and ``words`` only.
-    Every word letter must be a JSON integer: a letter ``"0"`` would pass as
-    a word pair of its own yet replay like ``0``."""
+    allocation index ``i``.  ``basis`` is the ``tau`` of ``words`` on the
+    reserved gauge and the ladder ``k``, and ``q = 2^(k - i)``: the words
+    and ``q`` follow from the hub's position and index, so a snapshot
+    states ``p`` alone."""
 
     p: Fraction
     q: Fraction
@@ -88,22 +89,6 @@ class HubAllocation:
         canonical, and adding the rational ``p`` moves only its offset."""
         scaled = basis * self.q
         return CodedReal(self.p + scaled.offset, scaled.terms)
-
-    def to_json(self) -> dict:
-        return {
-            "p": _frac_str(self.p),
-            "q": _frac_str(self.q),
-            "words": [list(w) for w in self.words],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "HubAllocation":
-        left, right = (
-            tuple(_parse_int(x, "hub word letter") for x in w) for w in data["words"]
-        )
-        return HubAllocation(
-            p=_parse_frac(data["p"]), q=_parse_frac(data["q"]), words=(left, right)
-        )
 
 
 class ValueRegistry:
@@ -118,7 +103,6 @@ class ValueRegistry:
         self._gauges: dict[int, SemiMetricGauge] = {}
         self._next_gauge_id = RESERVED_GAUGE_ID + 1
         self._hubs: dict[int, HubAllocation] = {}
-        self._hub_word_counter = 0
         self._reserved = SemiMetricGauge(RESERVED_GAUGE_ID, self)
         self._gauges[RESERVED_GAUGE_ID] = self._reserved
 
@@ -166,13 +150,13 @@ class ValueRegistry:
         if i in self._hubs:
             raise DomainError(f"hub index {i} was already allocated")
         p = self._draw_p(lo, hi)
-        c = self._hub_word_counter
-        self._hub_word_counter += 1
+        c = len(self._hubs)
         words = ((2 * c,), (2 * c + 1,))
         basis = tau(self._reserved, k, words[0], words[1])
-        s_hi = basis.eval(4).hi
-        # q * s_hi <= 2^-i, that is q <= den / (num * 2^i) for s_hi = num / den
-        q = _dyadic_power_floor(Fraction(s_hi.denominator, s_hi.numerator << i))
+        # The basis <gamma_k, S> has S holding the rationals 0 and 1, so the
+        # upper end of its enclosure lies in [3/4 * 2^-k, 2^-k): q = 2^(k - i)
+        # is the largest power of two with q times that end at most 2^-i.
+        q = Fraction(1 << (k - i)) if k >= i else Fraction(1, 1 << (i - k))
         alloc = self._hubs[i] = HubAllocation(p, q, words)
         return alloc.value(basis)
 
@@ -184,14 +168,35 @@ class ValueRegistry:
 
     # -- persistence ------------------------------------------------------
 
+    def hub_allocations(self) -> dict[int, HubAllocation]:
+        return dict(self._hubs)
+
     def snapshot(self) -> dict:
-        return snapshot_json(self.seed, self._gauges, self._hubs)
+        return snapshot_json(self.seed, self._gauges,
+                             [alloc.p for _, alloc in sorted(self._hubs.items())])
 
 
-def snapshot_json(seed: int, gauges: dict[int, SemiMetricGauge],
-                  hubs: dict[int, HubAllocation]) -> dict:
-    """A registry's seed, gauge draws keyed ``level:a:b`` and hub records, ids
-    in canonical decimal: what :meth:`ValueRegistry.snapshot` writes, and
+class _StatedHubs(ValueRegistry):
+    """A registry that places a snapshot's hubs again, the way
+    :class:`_SealedPool` replays gauge draws: its reserved gauge is the
+    snapshot's gauge 0, sealed, and each hub takes the next stated ``p``,
+    ``DomainError`` when none is left.  ``unplaced`` holds the rest."""
+
+    def __init__(self, gauges: dict[int, SemiMetricGauge], ps: Sequence[Fraction]):
+        super().__init__()
+        sealed = SemiMetricGauge(RESERVED_GAUGE_ID, _SealedPool())
+        self._reserved = gauges.get(RESERVED_GAUGE_ID, sealed)
+        self.unplaced = deque(ps)
+
+    def _draw_p(self, lo: Fraction, hi: Fraction) -> Fraction:
+        if not self.unplaced:
+            raise DomainError("the snapshot states fewer hubs than are placed")
+        return self.unplaced.popleft()
+
+
+def snapshot_json(seed: int, gauges: dict[int, SemiMetricGauge], ps: Sequence[Fraction]) -> dict:
+    """A registry's seed, gauge draws keyed ``level:a:b``, ids in canonical
+    decimal, and hub ``ps``: what :meth:`ValueRegistry.snapshot` writes, and
     what a checker writes again from :func:`read_snapshot` to compare."""
     return {
         "seed": seed,
@@ -202,20 +207,8 @@ def snapshot_json(seed: int, gauges: dict[int, SemiMetricGauge],
             }}
             for gid, gauge in sorted(gauges.items())
         },
-        "hubs": {str(i): alloc.to_json() for i, alloc in sorted(hubs.items())},
+        "hubs": [_frac_str(p) for p in ps],
     }
-
-
-def _dyadic_power_floor(x: Fraction) -> Fraction:
-    """Largest power of two (positive exponent allowed) not exceeding x > 0."""
-    n, d = x.numerator, x.denominator
-    if n <= 0:
-        raise DomainError("expected a positive bound")
-    # n / d lies in (2^(e-1), 2^(e+1)), so the power is 2^e unless 2^e > x
-    e = n.bit_length() - d.bit_length()
-    if (d << e if e > 0 else d) > (n << -e if e < 0 else n):
-        e -= 1
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 class _SealedPool:
@@ -225,19 +218,26 @@ class _SealedPool:
         raise DomainError("snapshot replay hit a value that was never recorded")
 
 
-def read_snapshot(data: dict) -> tuple[int, dict[int, SemiMetricGauge], dict[int, HubAllocation]]:
-    """A snapshot's seed, gauges replaying only their recorded draws, and hub records;
+def read_snapshot(data: dict) -> tuple[int, dict[int, SemiMetricGauge], list[Fraction]]:
+    """A snapshot's seed, gauges replaying only their recorded draws, and hub ``p``;
     keys are read with ``int``, so only :func:`snapshot_json` tells ``"01"`` from ``"1"``."""
+    hubs = data["hubs"]
+    if type(hubs) is not list or any(type(p) is not str for p in hubs):
+        raise ValueError("the registry's hubs must be a list of p/q strings")
+    ps = [_parse_frac(p) for p in hubs]
+    return _parse_int(data["seed"], "registry seed"), _read_gauges(data["gauges"]), ps
+
+
+def _read_gauges(data: dict) -> dict[int, SemiMetricGauge]:
     gauges = {}
-    for key, record in data["gauges"].items():
+    for key, record in data.items():
         gauge = gauges[int(key)] = SemiMetricGauge(int(key), _SealedPool())
         for draw, value in record["draws"].items():
             level, a, b = map(int, draw.split(":"))
             gauge.preload((level, a, b), _parse_frac(value))
-    hubs = {int(key): HubAllocation.from_json(record) for key, record in data["hubs"].items()}
-    return _parse_int(data["seed"], "registry seed"), gauges, hubs
+    return gauges
 
 
 def gauge_from_snapshot(gauge_id: int, snapshot: dict) -> SemiMetricGauge:
     """Gauge ``gauge_id`` of a snapshot, as :func:`read_snapshot` reads it."""
-    return read_snapshot(snapshot)[1][gauge_id]
+    return _read_gauges(snapshot["gauges"])[gauge_id]

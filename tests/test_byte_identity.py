@@ -41,11 +41,11 @@ CLUSTERED_2X3 = (
 RIGIDIFY_DIGESTS = {
     "spread-6": (
         "2ff8a5972d6cf27c38041ecc6df7c57351a1ad7cb0d87f91e2ba2820e7b54c68",
-        "fd1af4301e343f6a907463ca552cae3e1ab1ead30cc41616460874d18746074d",
+        "693536ef323cda1a0c65b8d6c8df2f48081964088d739e3021a96f875e8b7340",
     ),
     "clustered-2x3": (
         "37edf2d385e05980c6a6c09cb160d59815723b6d4df8c159fdd75cb6949c73b1",
-        "841408acb7eefc0309909694b5ea95b236f284419b2ee345e62d1f716b660309",
+        "a7bf4c45e5edbe208820e7742eccdfafd27551bde7cff09e069b1589c4e43e8a",
     ),
 }
 

@@ -311,16 +311,18 @@ ZERO_DEN_EPSILON_CERT = json.dumps({
     "version": CERTIFICATE_VERSION,
     "metric": ONE_POINT,
     "input": ONE_POINT,
-    "registry": {"seed": 0, "gauges": {}, "hubs": {}},
+    "registry": {"seed": 0, "gauges": {}, "hubs": []},
     "independence": [],
     "sup_bound": {"epsilon": "1/0", "achieved_lo": "0/1", "achieved_hi": "0/1"},
 })
 
 
-def _four_point_certificate(parameters: bool = False) -> dict:
+def _four_point_certificate(parameters: bool = False, version_5: bool = False) -> dict:
     """A 4-point ``rigidify --full`` certificate; with ``parameters``, also
     the ``parameters`` block, the ladder and the partition, that a version-4
-    writer put beside the other parts."""
+    writer put beside the other parts; with ``version_5``, as a version-5
+    writer wrote it, each hub record under its index with its ``p``, ``q``
+    and ``words``."""
     q = Fraction
     d = FiniteMetric.from_entries(["a", "b", "c", "d"], [
         [0, 1, q(5, 4), q(3, 2)],
@@ -330,6 +332,8 @@ def _four_point_certificate(parameters: bool = False) -> dict:
     ])
     metric, cert = rigidify_full(d, q(1, 2))
     data = cert.to_json(metric)
+    if version_5:
+        data.update(version=5, registry=cert.registry_snapshot)
     if parameters:
         partition = cert.partition
         data["parameters"] = {"k": cert.k, "partition": {
@@ -363,6 +367,13 @@ def _respelled_gauge_certificate(key):
 def _respelled_draw_certificate(key):
     """The 4-point certificate with gauge 0's draw ``0:0:1`` stored under ``key``."""
     return _respelled_certificate(("gauges", "0", "draws"), "0:0:1", lambda _: key)
+
+
+def _padded_hub_p_certificate(pad):
+    """The 4-point certificate with ``pad`` before its first hub ``p``."""
+    data = _four_point_certificate()
+    data["registry"]["hubs"][0] = pad + data["registry"]["hubs"][0]
+    return json.dumps(data)
 
 
 def _half_ladder_certificate(every_term):
@@ -428,8 +439,8 @@ def _half_ladder_certificate(every_term):
                      id="signed-draw-key"),
         pytest.param("c.cert.json", _respelled_draw_certificate("0:0:1:0"), ["indep", "{}"],
                      id="four-part-draw-key"),
-        pytest.param("c.cert.json", _respelled_certificate(("hubs",), None, lambda key: "0" + key), ["indep", "{}"],
-                     id="zero-padded-hub-key"),
+        pytest.param("c.cert.json", _padded_hub_p_certificate("0"), ["indep", "{}"],
+                     id="zero-padded-hub-p"),
         pytest.param("m.json", json.dumps({**_two_points_v1(_entry("1/1")), "version": 2}),
                      VERIFY, id="metric-version-2"),
         pytest.param("m.json", json.dumps({**_two_points_v1(_entry("1/1")), "pairs": []}),
@@ -614,22 +625,13 @@ def test_indep_malformed_certificate_is_a_parse_error(
     if damage == "registry":
         del cert["registry"]
     else:
-        # a hub record without the q of its value p + q * basis
-        del next(iter(cert["registry"]["hubs"].values()))["q"]
+        # a hub record that is not its p alone, but an object holding it
+        hubs = cert["registry"]["hubs"]
+        hubs[0] = {"p": hubs[0]}
     bad = tmp_path / "bad.cert.json"
     bad.write_text(json.dumps(cert))
     assert main(["indep", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("parse error:")
-
-
-def test_indep_refuses_string_hub_word_letters(clustered_certificate, tmp_path, capsys):
-    cert = json.loads(clustered_certificate.read_text())
-    alloc = next(iter(cert["registry"]["hubs"].values()))
-    alloc["words"] = [[str(x) for x in w] for w in alloc["words"]]
-    bad = tmp_path / "bad.cert.json"
-    bad.write_text(json.dumps(cert))
-    assert main(["indep", str(bad)]) == 3
-    assert capsys.readouterr().err.startswith("parse error: hub word letter")
 
 
 @pytest.mark.parametrize("damage", ["no-gauge-0", "undrawn-letters"])
@@ -637,13 +639,14 @@ def test_indep_fails_a_hub_whose_basis_cannot_be_replayed(
     clustered_certificate, tmp_path, capsys, damage
 ):
     # each hub's basis is replayed from its words on the reserved gauge 0,
-    # which must hold every draw the replay asks for
+    # which must hold every draw the replay asks for: hub 0's words are (0,)
+    # and (1,), drawn at levels 0 and 1
     cert = json.loads(clustered_certificate.read_text())
     if damage == "no-gauge-0":
         del cert["registry"]["gauges"]["0"]
     else:
-        alloc = next(iter(cert["registry"]["hubs"].values()))
-        alloc["words"] = [[1000], [1001]]
+        draws = cert["registry"]["gauges"]["0"]["draws"]
+        del draws["0:0:1"], draws["1:0:1"]
     bad = tmp_path / "bad.cert.json"
     bad.write_text(json.dumps(cert))
     assert main(["indep", str(bad)]) == 1
@@ -711,6 +714,89 @@ def test_indep_refuses_a_v3_certificate(clustered_certificate, tmp_path, capsys)
     old.write_text(json.dumps(cert))
     assert main(["indep", str(old)]) == 3
     assert capsys.readouterr().err == "parse error: unsupported certificate version\n"
+
+
+def _hub_moved_out_of_its_window(data):
+    # half a window step up, eta / 2 = 1/20: past the top of every window
+    hubs = data["registry"]["hubs"]
+    hubs[0] = _frac_str(Fraction(hubs[0]) + Fraction(1, 40))
+
+
+def _hub_removed(data):
+    data["registry"]["hubs"].pop()
+
+
+def _hub_appended(data):
+    hubs = data["registry"]["hubs"]
+    hubs.append(_frac_str(Fraction(hubs[-1]) + Fraction(1, 10 ** 6)))
+
+
+def _hub_respelled(data):
+    hubs = data["registry"]["hubs"]
+    p, q = hubs[0].split("/")
+    hubs[0] = f"{2 * int(p)}/{2 * int(q)}"
+
+
+def _hub_as_version_5_record(data):
+    # the record that a version-5 writer stated for hub 0
+    records = _four_point_certificate(version_5=True)["registry"]["hubs"]
+    assert set(records[min(records, key=int)]) == {"p", "q", "words"}
+    data["registry"]["hubs"][0] = records[min(records, key=int)]
+
+
+def _version_5_certificate(data):
+    data.clear()
+    data.update(_four_point_certificate(version_5=True))
+
+
+@pytest.mark.parametrize(
+    "forge, code, message",
+    [(_hub_moved_out_of_its_window, 1, None),
+     (_hub_removed, 1, None),
+     (_hub_appended, 1, None),
+     (_hub_respelled, 3, "parse error: certificate part registry is not spelled"),
+     (_hub_as_version_5_record, 3, "parse error: the registry's hubs must be a list"),
+     (_version_5_certificate, 3, "parse error: unsupported certificate version")],
+)
+def test_indep_checks_each_stated_hub_p(tmp_path, capsys, forge, code, message):
+    # a version-6 hub record is its p alone, in hub-pair order: one moved out
+    # of its window, one too few or one too many fail the replay, and any
+    # other spelling is a parse error
+    data = _four_point_certificate()
+    assert data["version"] == 6 and all(isinstance(p, str) for p in data["registry"]["hubs"])
+    forge(data)
+    bad = tmp_path / "bad.cert.json"
+    bad.write_text(json.dumps(data))
+    assert main(["indep", str(bad)]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        report = json.loads(captured.out)
+        assert (report["verdict"], report["detail"]) == ("fail", "component replay failed")
+    else:
+        assert captured.err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(["rigidify", "{}", "--epsilon", "1/2", "--format", "csv"],
+                  id="global-flag-after-the-subcommand"),
+     pytest.param(["rigidify", "{}"], id="no-epsilon"),
+     pytest.param(["frobnicate"], id="unknown-subcommand")],
+)
+def test_a_usage_error_is_a_parse_error(metric_file, capsys, argv):
+    # argparse's own exit code for a usage error, 2, means unresolved here
+    with pytest.raises(SystemExit) as raised:
+        main([arg.format(metric_file) for arg in argv])
+    assert raised.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["rigidify", "--help"]):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_a_metric_coefficient_respelled_p_q_fails_the_check(tmp_path, capsys):

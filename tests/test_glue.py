@@ -385,6 +385,27 @@ def test_rigidify_full_replaces_strongly_rigid_input():
     assert cert.sup_hi <= Fraction(1, 4)
 
 
+def _scales_by_halving(epsilon):
+    """The ladder as it was found before its bit-length form: halve from
+    ``2^0`` until ``2^-k <= epsilon / 5``, one comparison per bit."""
+    eta = epsilon / 5
+    k = 0
+    while Fraction(1, 1 << k) > eta:
+        k += 1
+    return eta, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=0, max_denominator=10 ** 80).filter(lambda x: 0 < x < 10 ** 40))
+@example(Fraction(5))
+@example(Fraction(5, 2))
+@example(Fraction(5, 1 << 40))
+@example(Fraction(5, (1 << 40) + 1))
+@example(Fraction(1, 10 ** 400))
+def test_scales_match_the_halving_loop(epsilon):
+    assert glue._scales(epsilon) == _scales_by_halving(epsilon)
+
+
 def test_rigidify_full_guards():
     d = FiniteMetric.from_entries(["a"], [[0]])
     with pytest.raises(DomainError):
@@ -436,8 +457,7 @@ def test_certificate_replay_detects_forged_draws(rng):
     assert report.verdict == "fail" and "replay" in report.detail
 
     forged = json.loads(blob)
-    hubs = forged["registry"]["hubs"]
-    hubs[sorted(hubs)[0]]["p"] = "17/5"
+    forged["registry"]["hubs"][0] = "17/5"
     report = verify_certificate(forged)
     assert report.verdict == "fail" and "replay" in report.detail
 
@@ -599,13 +619,33 @@ def _hub_of(row):
     return next((c for c in row["certificate"]["left"] if c["kind"] == "hub"), None)
 
 
-def _reallocate_hub(blob, index, fields, value, input_shift):
-    """Rewrite hub allocation ``index`` with ``fields`` and carry its new
-    value ``value`` through every row that names it: its hub component, its
-    metric entry (the sum of its components) and its input entry (moved by
-    ``input_shift``).  The claimed sup is then restated as the checker
-    recomputes it, so only the registry is at odds."""
-    blob["registry"]["hubs"][str(index)].update(fields)
+def _base_index(blob):
+    """The allocation index of hub pair 0, the least index a row names."""
+    return min(c["hub_index"] for r in _rows(blob) for c in r["certificate"]["left"]
+               if c["kind"] == "hub")
+
+
+def _hub_records(blob):
+    """Each hub record as the checker derives it from its stated ``p``: hub
+    pair ``t`` has index ``base + t``, words ``(2t,)`` and ``(2t+1,)`` and
+    ``q = 2^(k - index)``."""
+    k, base = _ladder(blob), _base_index(blob)
+    return [HubAllocation(Fraction(p), Fraction(2) ** (k - base - t), ((2 * t,), (2 * t + 1,)))
+            for t, p in enumerate(blob["registry"]["hubs"])]
+
+
+def _hub_record(blob, index):
+    return _hub_records(blob)[index - _base_index(blob)]
+
+
+def _reallocate_hub(blob, index, p, value, input_shift):
+    """Restate hub allocation ``index`` with ``p`` (None keeps it) and carry
+    its new value ``value`` through every row that names it: its hub
+    component, its metric entry (the sum of its components) and its input
+    entry (moved by ``input_shift``).  The claimed sup is then restated as
+    the checker recomputes it, so only the registry is at odds."""
+    if p is not None:
+        blob["registry"]["hubs"][index - _base_index(blob)] = _frac_str(p)
     for pair, row in zip(_pairs(blob), _rows(blob)):
         hub = _hub_of(row)
         if hub is None or hub["hub_index"] != index:
@@ -616,34 +656,31 @@ def _reallocate_hub(blob, index, fields, value, input_shift):
     _restate_sup(blob)
 
 
-def _doubled_hub(blob, share_draws):
-    """The second hub pair's distance becomes twice the first's, a
-    Q-dependence: its hub takes the first hub's ``p`` and ``q`` doubled, and
-    either the first hub's word pair or its own words with their
-    reserved-gauge draws copied from the first hub's, so that its basis
-    replays to the first hub's; the input entry doubles too."""
-    (one_pair, first), (two_pair, second) = _hub_pair_rows(blob)[:2]
-    hubs = blob["registry"]["hubs"]
-    one = hubs[str(_hub_of(first)["hub_index"])]
-    index = _hub_of(second)["hub_index"]
-    fields = {"words": one["words"],
-              "p": _frac_str(2 * Fraction(one["p"])), "q": _frac_str(2 * Fraction(one["q"]))}
-    if share_draws:
-        fields["words"] = hubs[str(index)]["words"]
-        draws = blob["registry"]["gauges"]["0"]["draws"]
-        ((a,), (b,)), ((c,), (e,)) = one["words"], fields["words"]
-        for level in (0, 1):
-            draws[f"{level}:{c}:{e}"] = draws[f"{level}:{a}:{b}"]
-    shift = 2 * _entry(blob, "input", one_pair) - _entry(blob, "input", two_pair)
-    _reallocate_hub(blob, index, fields, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
-
-
 def _shared_word_pair(blob):
-    _doubled_hub(blob, share_draws=False)
+    """The second hub pair's distance becomes twice the first's, a
+    Q-dependence: its hub component takes the first hub's value doubled, on
+    the first hub's word pair, and its input entry doubles too.  No record
+    can state a word pair: the checker places the second hub on its own."""
+    (one_pair, first), (two_pair, second) = _hub_pair_rows(blob)[:2]
+    shift = 2 * _entry(blob, "input", one_pair) - _entry(blob, "input", two_pair)
+    _reallocate_hub(blob, _hub_of(second)["hub_index"], None,
+                    CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
 
 
 def _repeated_draws(blob):
-    _doubled_hub(blob, share_draws=True)
+    """The second hub's basis replays to the first's: the reserved-gauge
+    draws of its words, ``(2,)`` and ``(3,)``, are copied from those of
+    ``(0,)`` and ``(1,)``.  Its value, its own ``p`` plus its own ``q`` (half
+    the first's) times that basis, is carried through its rows, so its
+    distance is half the first's plus a rational: a Q-dependence."""
+    (_, first), (_, second) = _hub_pair_rows(blob)[:2]
+    draws = blob["registry"]["gauges"]["0"]["draws"]
+    for level in (0, 1):
+        draws[f"{level}:2:3"] = draws[f"{level}:0:1"]
+    one, two = _hub_of(first)["hub_index"], _hub_of(second)["hub_index"]
+    p_one, p_two = _hub_record(blob, one).p, _hub_record(blob, two).p
+    value = (CodedReal.from_json(_hub_of(first)["value"]) - p_one) * Fraction(1, 2) + p_two
+    _reallocate_hub(blob, two, None, value, 0)
 
 
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
@@ -707,21 +744,19 @@ def _unused_gauge(blob):
 
 
 def _unused_hub_record(blob):
-    # a record on a word pair no other record uses
+    # a record past the last hub pair
     hubs = blob["registry"]["hubs"]
-    last = hubs[max(hubs, key=int)]
-    hubs[str(max(int(i) for i in hubs) + 1)] = {**last, "words": [[1000], [1001]]}
+    hubs.append(hubs[-1])
 
 
 def _missing_hub_record(blob):
-    hubs = blob["registry"]["hubs"]
-    del hubs[max(hubs, key=int)]
+    blob["registry"]["hubs"].pop()
 
 
 def _swapped_hub_keys(blob):
+    # a record's position is its key: hub pair t takes the t-th p
     hubs = blob["registry"]["hubs"]
-    one, two = sorted(hubs, key=int)[:2]
-    hubs[one], hubs[two] = hubs[two], hubs[one]
+    hubs[0], hubs[1] = hubs[1], hubs[0]
 
 
 def _other_ladder(blob):
@@ -737,8 +772,7 @@ def _remote_ladder(blob):
 
 def _remote_hub_p(blob):
     # window N = 2 * 10^1001 would take 2^N to build; the record fails first
-    hubs = blob["registry"]["hubs"]
-    hubs[min(hubs, key=int)]["p"] = f"{10 ** 1000}/1"
+    blob["registry"]["hubs"][0] = f"{10 ** 1000}/1"
 
 
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
@@ -771,13 +805,9 @@ def _moved_hub_p(blob, shifts, move_input):
     every row and metric entry; with ``move_input`` the input entry too."""
     for (pair, row), shift in zip(_hub_pair_rows(blob), shifts):
         hub = _hub_of(row)
-        record = blob["registry"]["hubs"][str(hub["hub_index"])]
-        _reallocate_hub(blob, hub["hub_index"], {"p": _frac_str(Fraction(record["p"]) + shift)},
+        record = _hub_record(blob, hub["hub_index"])
+        _reallocate_hub(blob, hub["hub_index"], record.p + shift,
                         CodedReal.from_json(hub["value"]) + shift, shift if move_input else 0)
-
-
-def _hub_records(blob):
-    return [HubAllocation.from_json(a) for a in blob["registry"]["hubs"].values()]
 
 
 def test_hub_values_outside_their_windows_fail(straight_certificate):
@@ -808,7 +838,7 @@ def test_hub_window_integers_must_be_subadditive(straight_certificate):
     eta_h, k = Fraction(1, 20), _ladder(blob)
     lo, hi = subadditive_window(41)
     (_, _), (_, ac), _ = _hub_pair_rows(blob)
-    p = Fraction(blob["registry"]["hubs"][str(_hub_of(ac)["hub_index"])]["p"])
+    p = _hub_record(blob, _hub_of(ac)["hub_index"]).p
     _moved_hub_p(blob, [0, eta_h * (lo + hi) / 2 - p, 0], True)
     assert not is_metric(FiniteMetric.from_json(blob["metric"])).passed
     assert [glue._hub_window_index(a, eta_h, k) for a in _hub_records(blob)] == [20, 41, 20]
@@ -818,24 +848,23 @@ def test_hub_window_integers_must_be_subadditive(straight_certificate):
 
 def test_a_hub_value_in_the_dyadic_window_of_its_integer_fails(straight_certificate):
     # d(b, c) moves, input entry and all, into the middle of the dyadic window
-    # (20 + 2^-21, 20 + 2^-20) * eta_h, with q shrunk so that its whole value
-    # stays there.  That window lies below (20 + 1/22, 20 + 1/21) * eta_h, the
-    # window of integer 20, and the metric stays a metric, so only the window
-    # rule refuses the record.
+    # (20 + 2^-10, 20 + 2^-9) * eta_h, and its fuzz q * basis < 2^-20 keeps
+    # its whole value there.  That window lies below (20 + 1/22, 20 + 1/21) *
+    # eta_h, the window of integer 20, and the metric stays a metric, so only
+    # the window rule refuses the record.
     blob = json.loads(straight_certificate)
     eta_h, k = Fraction(1, 20), _ladder(blob)
-    lo, hi = eta_h * (20 + Fraction(1, 1 << 21)), eta_h * (20 + Fraction(1, 1 << 20))
+    lo, hi = eta_h * (20 + Fraction(1, 1 << 10)), eta_h * (20 + Fraction(1, 1 << 9))
     *_, (_, bc) = _hub_pair_rows(blob)
     hub = _hub_of(bc)
-    old = HubAllocation.from_json(blob["registry"]["hubs"][str(hub["hub_index"])])
-    basis = (CodedReal.from_json(hub["value"]) - old.p) * (1 / old.q)
-    p, q = (lo + hi) / 2, Fraction(1, 1 << 60)
-    value = basis * q + p
+    old = _hub_record(blob, hub["hub_index"])
+    assert old.q * Fraction(1, 1 << k) <= Fraction(1, 1 << 20)
+    p = (lo + hi) / 2
+    value = CodedReal.from_json(hub["value"]) + (p - old.p)
     assert lo < value.eval(4).lo and value.eval(4).hi < hi
-    _reallocate_hub(blob, hub["hub_index"], {"p": _frac_str(p), "q": _frac_str(q)}, value,
-                    p - old.p)
+    _reallocate_hub(blob, hub["hub_index"], p, value, p - old.p)
     assert is_metric(FiniteMetric.from_json(blob["metric"])).passed
-    assert glue._hub_window_index(HubAllocation(p, q, old.words), eta_h, k) is None
+    assert glue._hub_window_index(_hub_record(blob, hub["hub_index"]), eta_h, k) is None
     report = verify_certificate(blob)
     assert report.verdict == "fail" and report.detail == "component replay failed"
 
@@ -872,9 +901,7 @@ def test_a_single_block_certificate_passes():
 
 @pytest.mark.parametrize(
     "kind, forge, detail",
-    [("spread", _shared_word_pair, "share a word pair"),
-     ("clustered", _shared_word_pair, "share a word pair"),
-     ("spread", _repeated_draws, "gauge draw is repeated"),
+    [("spread", _repeated_draws, "gauge draw is repeated"),
      ("clustered", _repeated_draws, "gauge draw is repeated")],
 )
 def test_registry_forgeries_fail_the_invariant_aimed_at(certificates, kind, forge, detail):
@@ -884,20 +911,6 @@ def test_registry_forgeries_fail_the_invariant_aimed_at(certificates, kind, forg
     report = verify_certificate(blob)
     assert report.verdict == "fail" and "registry invariant" in report.detail
     assert detail in report.detail
-
-
-@pytest.mark.parametrize("kind", ["spread", "clustered"])
-def test_hub_word_letters_must_be_integers(certificates, kind):
-    # the second hub takes the first hub's word pair with its letters spelled
-    # as strings: two word pairs to a raw comparison, one to tau, so only the
-    # checker's parse can tell them apart
-    blob = json.loads(certificates[kind])
-    _shared_word_pair(blob)
-    second = _hub_of(_hub_pair_rows(blob)[1][1])["hub_index"]
-    alloc = blob["registry"]["hubs"][str(second)]
-    alloc["words"] = [[str(x) for x in w] for w in alloc["words"]]
-    with pytest.raises(ValueError, match="hub word letter must be an integer"):
-        verify_certificate(blob)
 
 
 def test_hub_components_name_their_record_by_an_integer(certificates):
@@ -921,7 +934,7 @@ def test_a_hub_component_without_an_index_is_refused(certificates):
     (one_pair, first), (two_pair, second) = _hub_pair_rows(blob)[:2]
     index = _hub_of(second)["hub_index"]
     shift = 2 * _entry(blob, "input", one_pair) - _entry(blob, "input", two_pair)
-    _reallocate_hub(blob, index, {}, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
+    _reallocate_hub(blob, index, None, CodedReal.from_json(_hub_of(first)["value"]) * 2, shift)
     for row in _rows(blob):
         hub = _hub_of(row)
         if hub is not None and hub["hub_index"] == index:
@@ -936,8 +949,9 @@ def test_a_hub_component_without_an_index_is_refused(certificates):
 def _retagged_to_the_reserved_gauge(scaled_hub):
     """Blocks {a, b} and {c}; block {a, b}'s components are retagged with the
     reserved gauge 0, whose letters (0, 1) replay to the hub's basis, and with
-    ``scaled_hub`` the hub becomes 32 times that basis: d(a, c) = 32 d(a, b).
-    The metric and input entries and the claimed sup are restated."""
+    ``scaled_hub`` the hub becomes 32 times that basis, its ``p`` stated 0:
+    d(a, c) = 32 d(a, b).  The metric and input entries and the claimed sup
+    are restated."""
     d = FiniteMetric.from_entries(
         "abc", [[0, Fraction(1, 40), 1], [Fraction(1, 40), 0, 1], [1, 1, 0]]
     )
@@ -946,12 +960,11 @@ def _retagged_to_the_reserved_gauge(scaled_hub):
     assert cert.partition.blocks == (("a", "b"), ("c",))
     (block_ab,) = _rows(blob)[0]["certificate"]["left"]
     gauge = block_ab["gauge"]
-    (hub,) = blob["registry"]["hubs"].values()
-    assert hub["words"] == [[0], [1]]
+    assert len(blob["registry"]["hubs"]) == 1
     reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, blob["registry"])
-    basis = tau(reserved, cert.k, *hub["words"])
+    basis = tau(reserved, cert.k, (0,), (1,))
     if scaled_hub:
-        hub.update(p="0/1", q="32/1")
+        blob["registry"]["hubs"] = ["0/1"]
     for pair, row in zip(_pairs(blob), _rows(blob)):
         for comp in row["certificate"]["left"]:
             if comp["kind"] == "block" and comp["gauge"] == gauge:
@@ -1018,17 +1031,15 @@ def test_a_window_that_fails_its_verification_is_not_a_witness(certificates, mon
 
 
 def test_hub_allocations_hold_only_the_replayed_fields(certificates):
-    # each fact is stated once: no restated index, ladder, basis, pair label
-    # or partition, and no null tag
+    # each fact is stated once: no restated index, ladder, basis, words, q,
+    # pair label or partition, and no null tag; a hub record is its p
     for text in certificates.values():
         blob = json.loads(text)
         assert set(blob) == {"version", "input", "metric", "registry", "independence",
                              "sup_bound"}
         snapshot = blob["registry"]
         assert set(snapshot) == {"seed", "gauges", "hubs"}
-        assert snapshot["hubs"]
-        for alloc in snapshot["hubs"].values():
-            assert set(alloc) == {"p", "q", "words"}
+        assert snapshot["hubs"] and all(isinstance(p, str) for p in snapshot["hubs"])
         assert all(set(gauge) == {"draws"} for gauge in snapshot["gauges"].values())
         for row in _rows(blob):
             assert set(row) == {"certificate"} and set(row["certificate"]) == {"left"}
@@ -1041,25 +1052,25 @@ def test_hub_allocations_hold_only_the_replayed_fields(certificates):
 @pytest.mark.parametrize("kind", ["spread", "clustered"])
 def test_certificate_with_the_dropped_fields_is_refused(certificates, kind):
     # an earlier writer also put each hub's value and target and an empty
-    # "streams" into the snapshot; no version-5 writer did, so the registry
-    # is not spelled the way the writer spells it
+    # "streams" into the snapshot; no version-6 writer does: a hub record is
+    # its p alone, and the registry is not spelled the way the writer spells it
     blob = json.loads(certificates[kind])
-    values = {
-        str(c["hub_index"]): c["value"]
-        for r in _rows(blob) for c in r["certificate"]["left"] if c["kind"] == "hub"
-    }
+    values = {c["hub_index"]: c["value"] for r in _rows(blob) for c in r["certificate"]["left"]
+              if c["kind"] == "hub"}
+    values = [values[i] for i in sorted(values)]
     hubs = blob["registry"]["hubs"]
-    assert set(values) == set(hubs)
-    for index, alloc in hubs.items():
-        alloc.update(value=values[index], target=alloc["p"])
+    assert len(values) == len(hubs)
     blob["registry"]["streams"] = {}
     with pytest.raises(ValueError, match="certificate part registry is not spelled"):
         verify_certificate(blob)
+    hubs[:] = [{"p": p, "value": v, "target": p} for p, v in zip(hubs, values)]
+    with pytest.raises(ValueError, match="hubs must be a list of p/q strings"):
+        verify_certificate(blob)
 
 
-# 1 to 4 are earlier formats, and no reader for any is kept; a version must
-# be a JSON integer: 5.0 and "5" are not 5, nor true 1
-@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4", 4.0, "5", 5.0, True])
+# 1 to 5 are earlier formats, and no reader for any is kept; a version must
+# be a JSON integer: 6.0 and "6" are not 6, nor true 1
+@pytest.mark.parametrize("version", [None, 0, 1, 2, 3, "4", 4.0, "5", 5.0, "6", 6.0, True])
 def test_other_certificate_versions_are_refused(certificates, version):
     blob = json.loads(certificates["spread"])
     assert blob["version"] == CERTIFICATE_VERSION
@@ -1394,11 +1405,8 @@ def _rekeyed(*path, pad):
 
 
 def _first_hub(change):
-    """An edit that applies ``change`` to the hub record of least index."""
-    def edit(blob):
-        hubs = blob["registry"]["hubs"]
-        change(hubs[min(hubs, key=int)])
-    return edit
+    """An edit that sets the first hub record ``p`` to ``change(p)``."""
+    return _set("registry", "hubs", 0, value=change)
 
 
 def _deleted_registry(blob):
@@ -1448,17 +1456,13 @@ _MUTATIONS = [
       for name, pad in _PADS),
     *(pytest.param(_rekeyed("registry", "gauges", "0", "draws", pad=pad), None, None,
                    id=f"draw-key-{name}") for name, pad in _PADS),
-    # a version-3 writer's hub value
-    pytest.param(_first_hub(lambda hub: hub.update(value={"offset": hub["p"], "terms": []})),
+    # a version-3 writer's hub value, beside the p in an object
+    pytest.param(_first_hub(lambda p: {"p": p, "value": {"offset": p, "terms": []}}),
                  None, None, id="hub-unknown-key"),
-    pytest.param(_first_hub(lambda hub: hub.update(p=_doubled(hub["p"]))), None, None,
-                 id="hub-respelled-p"),
-    pytest.param(_first_hub(lambda hub: hub.update(words=[[str(x) for x in w]
-                                                          for w in hub["words"]])),
-                 None, None, id="hub-string-letters"),
-    *(pytest.param(_rekeyed("registry", "hubs", pad=pad), None, None, id=f"hub-key-{name}")
+    pytest.param(_first_hub(_doubled), None, None, id="hub-respelled-p"),
+    *(pytest.param(_first_hub(lambda p, pad=pad: pad + p), None, None, id=f"hub-p-{name}")
       for name, pad in _PADS),
-    # version 5 derives the ladder and the partition and states neither
+    # since version 5 the ladder and the partition are derived, not stated
     pytest.param(_restored_parameters, None, None, id="parameters-unknown-key"),
     pytest.param(_added("sup_bound"), _SUP, None, id="sup-unknown-key"),
     pytest.param(_set("sup_bound", "epsilon", value=_doubled), None, None,
@@ -1499,8 +1503,8 @@ def test_the_replayed_parts_derive_the_written_metric_and_rows(kind):
          "single-block": _single_block_metric}[kind]()
     out, cert = rigidify_full(d, Fraction(1, 2))
     written = cert.to_json(out)
-    _, gauges, hubs = read_snapshot(written["registry"])
-    parts = glue._replayed_construction(d, cert.epsilon, gauges, hubs)
+    _, gauges, ps = read_snapshot(written["registry"])
+    parts = glue._replayed_construction(d, cert.epsilon, gauges, ps)
     assert parts.partition == cert.partition
     assert parts.glued(d.points).to_json() == written["metric"]
     rows = [glue._row_json(parts.components(*pair)) for pair in _pairs(written)]

@@ -6,14 +6,28 @@ import pytest
 
 from rigidmetrics.coded import compare, equals, EQUAL
 from rigidmetrics.errors import DomainError
+from rigidmetrics.intervals import _frac_str
 from rigidmetrics.product import tau
 from rigidmetrics.registry import (
     RESERVED_GAUGE_ID,
-    HubAllocation,
+    _StatedHubs,
     ValueRegistry,
-    _dyadic_power_floor,
     gauge_from_snapshot,
+    read_snapshot,
 )
+
+
+def _dyadic_power_floor(x: Fraction) -> Fraction:
+    """Largest power of two (positive exponent allowed) not exceeding x > 0:
+    the rule that set a hub's q, as ``q <= 2^-i / upper(basis)``, before its
+    closed form ``2^(k - i)``; kept as the reference for that form."""
+    n, d = x.numerator, x.denominator
+    if n <= 0:
+        raise DomainError("expected a positive bound")
+    e = n.bit_length() - d.bit_length()
+    if (d << e if e > 0 else d) > (n << -e if e < 0 else n):
+        e -= 1
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 def test_fresh_gauges_distinct():
@@ -69,18 +83,43 @@ def test_hub_value_structure():
 
 
 def test_hub_allocation_json_round_trip():
+    # a snapshot states each hub's p alone; a registry handing them out in
+    # order, on the snapshot's gauge 0, places the same hubs again
     registry = ValueRegistry(2)
-    value = registry.hub_value(3, 6, Fraction(3, 2), Fraction(5, 3))
-    alloc = registry.hub_allocation(6)
-    data = json.loads(json.dumps(alloc.to_json()))
-    assert set(data) == {"p", "q", "words"}
-    decoded = HubAllocation.from_json(data)
-    assert decoded == alloc
-    # the basis is replayed from the words on the reserved gauge
-    reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, json.loads(json.dumps(registry.snapshot())))
-    basis = tau(reserved, 3, *decoded.words)
-    assert decoded.value(basis) == value == alloc.value(basis)
-    assert decoded.words == alloc.words == ((0,), (1,))
+    windows = [(Fraction(3, 2), Fraction(5, 3)), (Fraction(1), Fraction(9, 8))]
+    values = [registry.hub_value(3, 6 + t, *w) for t, w in enumerate(windows)]
+    snapshot = json.loads(json.dumps(registry.snapshot()))
+    assert snapshot["hubs"] == [_frac_str(registry.hub_allocation(i).p) for i in (6, 7)]
+    _, gauges, ps = read_snapshot(snapshot)
+    stated = _StatedHubs(gauges, ps)
+    assert [stated.hub_value(3, 6 + t, *w) for t, w in enumerate(windows)] == values
+    assert stated.hub_allocations() == registry.hub_allocations()
+    assert not stated.unplaced
+    assert [a.words for a in stated.hub_allocations().values()] == [((0,), (1,)), ((2,), (3,))]
+    # one p short, one left over, or a basis on a gauge 0 the snapshot lacks
+    short = _StatedHubs(gauges, ps[:1])
+    short.hub_value(3, 6, *windows[0])
+    with pytest.raises(DomainError, match="fewer hubs"):
+        short.hub_value(3, 7, *windows[1])
+    assert list(_StatedHubs(gauges, ps + ps).unplaced) == ps + ps
+    with pytest.raises(DomainError, match="never recorded"):
+        _StatedHubs({}, ps).hub_value(3, 6, *windows[0])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("k", [0, 1, 3, 7])
+def test_hub_q_is_its_closed_form(seed, k):
+    # q = 2^(k - i) is the largest dyadic power with q * upper(basis) <= 2^-i,
+    # for indices below, at and above the ladder
+    registry = ValueRegistry(seed)
+    indices = sorted({0, 1, k, k + 1, k + 5, 40, 41})
+    for t, i in enumerate(indices):
+        registry.hub_value(k, i, Fraction(t + 1, 2), Fraction(t + 2, 2))
+    reserved = gauge_from_snapshot(RESERVED_GAUGE_ID, registry.snapshot())
+    for i, alloc in registry.hub_allocations().items():
+        basis_hi = tau(reserved, k, *alloc.words).eval(4).hi
+        assert alloc.q == _dyadic_power_floor(Fraction(1, (1 << i) * basis_hi))
+        assert alloc.q == Fraction(2) ** (k - i)
 
 
 def test_hub_values_distinct_for_same_window():
@@ -101,7 +140,8 @@ def test_hub_values_distinct_for_same_window():
 
 def _draw_digest(seed):
     """SHA-256 of 200 pool draws over three windows and four salts, then the
-    records (p, q and words) of 300 hub values over mixed windows."""
+    records (p, q and words, as sorted JSON) of 300 hub values over mixed
+    windows."""
     registry = ValueRegistry(seed)
     windows = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
                (Fraction(5, 4), Fraction(7, 3))]
@@ -112,7 +152,10 @@ def _draw_digest(seed):
     for i in range(300):
         lo = Fraction(i % 5, 1 + i % 3)
         registry.hub_value(i % 4, i, lo, lo + Fraction(1, 2 + i % 7))
-        lines.append(json.dumps(registry.hub_allocation(i).to_json(), sort_keys=True))
+        alloc = registry.hub_allocation(i)
+        record = {"p": _frac_str(alloc.p), "q": _frac_str(alloc.q),
+                  "words": [list(w) for w in alloc.words]}
+        lines.append(json.dumps(record, sort_keys=True))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -159,7 +202,7 @@ def test_snapshot_is_json_serializable():
     data = json.loads(blob)
     assert data["seed"] == 7
     assert "1" in data["gauges"]
-    assert "3" in data["hubs"]
+    assert data["hubs"] == [_frac_str(registry.hub_allocation(3).p)]
 
 
 def test_dyadic_power_floor():
